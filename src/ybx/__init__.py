@@ -32,7 +32,7 @@ from .constructors import (FreeIndeterminateError, InvalidCenterError,
 from .verify import (VerificationReport, verify_colored_family,
                      verify_constant, verify_inverse_pair, verify_wxz)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 
 def fixture_path(name: str) -> Path:

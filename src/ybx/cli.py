@@ -26,8 +26,8 @@ from .constructors import (InvalidCenterError, InvertibilityLocusError,
                            super_phi_inverse, wxz_system)
 from .lie_super import (LieSuperalgebra, SuperalgebraError, even_center,
                         load_superalgebra)
-from .scalars import (ParamScalar, ScalarParseError, const, fresh_name,
-                      parse_scalar, var)
+from .scalars import (MalformedScalarError, ParamScalar, ScalarParseError,
+                      const, fresh_name, parse_scalar, var)
 from .tensor import Operator2, invert, qybe_defect
 from .verify import (VerificationReport, verify_colored_family,
                      verify_constant, verify_inverse_pair, verify_wxz)
@@ -57,6 +57,16 @@ class InputError(Exception):
     """Anything wrong with the invocation's inputs; exits with status 2."""
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, algebra=False, superalgebra=False, params=(),
                 sampling=False, family=False, dim=False):
     if algebra:
@@ -72,7 +82,7 @@ def _add_common(sub, algebra=False, superalgebra=False, params=(),
         else:
             sub.add_argument(f"--{name}", metavar="EXPR")
     if sampling:
-        sub.add_argument("--samples", type=int, metavar="N")
+        sub.add_argument("--samples", type=_positive_int, metavar="N")
         sub.add_argument("--seed", type=int, default=0, metavar="S")
     if dim:
         sub.add_argument("--dim", type=int, default=3)
@@ -170,7 +180,7 @@ def _load_algebra(cfg: CliConfig) -> Algebra:
         raise InputError(f"no such file: {cfg.algebra_path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {cfg.algebra_path}: {exc}")
-    except (AlgebraError, ScalarParseError) as exc:
+    except (AlgebraError, ScalarParseError, MalformedScalarError) as exc:
         raise InputError(f"bad algebra file {cfg.algebra_path}: {exc}")
     subs = {}
     for name in ("m", "n", "sigma"):
@@ -190,14 +200,14 @@ def _load_superalgebra(cfg: CliConfig) -> LieSuperalgebra:
         raise InputError(f"no such file: {cfg.superalgebra_path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {cfg.superalgebra_path}: {exc}")
-    except (SuperalgebraError, ScalarParseError) as exc:
+    except (SuperalgebraError, ScalarParseError, MalformedScalarError) as exc:
         raise InputError(f"bad superalgebra file {cfg.superalgebra_path}: {exc}")
 
 
 def _parse(text: str, flag: str) -> ParamScalar:
     try:
         return parse_scalar(text)
-    except ScalarParseError as exc:
+    except (ScalarParseError, MalformedScalarError) as exc:
         raise InputError(f"--{flag}: {exc}")
 
 
@@ -219,8 +229,11 @@ def _emit(cfg: CliConfig, text_body: str, json_obj) -> None:
     else:
         body = text_body if text_body.endswith("\n") else text_body + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {cfg.out}: {exc.strerror}")
     else:
         sys.stdout.write(body)
 

@@ -642,11 +642,13 @@ def _canonical(num: Poly, den: Poly):
         raise MalformedScalarError("zero denominator")
     if num.is_zero:
         return _P_ZERO, _P_ONE
-    if den != _P_ONE:
-        g = poly_gcd(num, den)
-        if g != _P_ONE:
-            num = num.divexact(g)
-            den = den.divexact(g)
+    if den == _P_ONE:
+        # already canonical: its content gcd with 1 is 1 and 1 is positive
+        return num, den
+    g = poly_gcd(num, den)
+    if g != _P_ONE:
+        num = num.divexact(g)
+        den = den.divexact(g)
     c = math.gcd(num.int_content(), den.int_content())
     if c > 1:
         num = num.divexact(Poly.const(c))

@@ -13,7 +13,8 @@ All entries are ParamScalar, so every zero test below is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Optional, Sequence
 
 from .scalars import ONE, ZERO, ParamScalar, as_scalar
 
@@ -200,33 +201,11 @@ class Operator2(_Operator):
 
     legs = 2
 
-    def index(self, i: int, j: int) -> int:
-        return i * self.dim + j
-
-    @classmethod
-    def from_action(cls, dim: int, action: Callable) -> "Operator2":
-        """Build from the action on basis tensors.
-
-        action(i, j) returns an iterable of ((k, l), coefficient) pairs
-        meaning e_i ⊗ e_j maps to sum coefficient * e_k ⊗ e_l.
-        """
-        size = dim * dim
-        cols = [[ZERO] * size for _ in range(size)]
-        for i in range(dim):
-            for j in range(dim):
-                c = i * dim + j
-                for (k, l), coeff in action(i, j):
-                    cols[c][k * dim + l] = cols[c][k * dim + l] + as_scalar(coeff)
-        return cls(dim, [[cols[c][r] for c in range(size)] for r in range(size)])
-
 
 class Operator3(_Operator):
     """Linear endomorphism of V⊗V⊗V as an n^3 x n^3 matrix."""
 
     legs = 3
-
-    def index(self, i: int, j: int, k: int) -> int:
-        return (i * self.dim + j) * self.dim + k
 
 
 def operator_from_json_obj(obj: dict):
@@ -251,38 +230,35 @@ def twist(n: int) -> Operator2:
     return Operator2(n, rows)
 
 
-def embed(R: Operator2, legs: int) -> Operator3:
-    """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors.
+# positions in (i, j, k) of R's first leg, R's second leg and the spectator
+_LEG_POSITIONS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
-    legs 12 is R⊗I, legs 23 is I⊗R, and legs 13 is the conjugation
-    (I⊗τ)(R⊗I)(I⊗τ) of the first by the flip of the last two factors.
-    """
+
+def _leg_action(R: Operator2, legs: int):
+    """R on the chosen pair of tensor factors of V⊗V⊗V: for each flat input
+    index, the list of nonzero (flat output index, entry) pairs."""
+    if legs not in _LEG_POSITIONS:
+        raise ValueError("legs must be one of 12, 23, 13")
     n = R.dim
-    size3 = n ** 3
-    if legs == 12:
-        rows = [[ZERO] * size3 for _ in range(size3)]
-        for r in range(n * n):
-            for c in range(n * n):
-                e = R.rows[r][c]
-                if e.is_zero:
-                    continue
-                for k in range(n):
-                    rows[r * n + k][c * n + k] = e
-        return Operator3(n, rows)
-    if legs == 23:
-        rows = [[ZERO] * size3 for _ in range(size3)]
-        for r in range(n * n):
-            for c in range(n * n):
-                e = R.rows[r][c]
-                if e.is_zero:
-                    continue
-                for a in range(n):
-                    rows[a * n * n + r][a * n * n + c] = e
-        return Operator3(n, rows)
-    if legs == 13:
-        mid_twist = embed(twist(n), 23)
-        return mid_twist @ embed(R, 12) @ mid_twist
-    raise ValueError("legs must be one of 12, 23, 13")
+    sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
+    cols = [[(r, row[c]) for r, row in enumerate(R.rows) if not row[c].is_zero]
+            for c in range(n * n)]
+    action = [None] * n ** 3
+    for a, b, c in product(range(n), repeat=3):
+        action[a * sa + b * sb + c * sc] = [
+            (r // n * sa + r % n * sb + c * sc, e) for r, e in cols[a * n + b]]
+    return action
+
+
+def embed(R: Operator2, legs: int) -> Operator3:
+    """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors: legs 12
+    is R⊗I, legs 23 is I⊗R, and legs 13 puts R on the outer pair."""
+    size3 = R.dim ** 3
+    rows = [[ZERO] * size3 for _ in range(size3)]
+    for x, column in enumerate(_leg_action(R, legs)):
+        for y, e in column:
+            rows[y][x] = e
+    return Operator3(R.dim, rows)
 
 
 def compose(A, B):
@@ -294,21 +270,45 @@ def compose(A, B):
 # defects: LHS - RHS of the identities under test
 # ---------------------------------------------------------------------------
 
+def _apply(actions, col: int) -> dict:
+    """The product of leg actions (listed in the order they apply) on the
+    basis tensor e_col, as a sparse {flat index: nonzero scalar} map."""
+    vec = dict(actions[0][col])
+    for action in actions[1:]:
+        out = {}
+        for x, s in vec.items():
+            for y, e in action[x]:
+                out[y] = out[y] + s * e if y in out else s * e
+        vec = {y: e for y, e in out.items() if not e.is_zero}
+    return vec
+
+
+def _defect(dim: int, lhs, rhs) -> Operator3:
+    """lhs - rhs for two products of leg actions, column by column."""
+    size = dim ** 3
+    rows = [[ZERO] * size for _ in range(size)]
+    for col in range(size):
+        diff = _apply(lhs, col)
+        for y, e in _apply(rhs, col).items():
+            diff[y] = diff[y] - e if y in diff else -e
+        for y, e in diff.items():
+            if not e.is_zero:
+                rows[y][col] = e
+    return Operator3(dim, rows)
+
+
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Operator3:
     """R^12 S^13 T^23 - T^23 S^13 R^12."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("yb_commutator needs equal dims")
-    r12 = embed(R, 12)
-    s13 = embed(S, 13)
-    t23 = embed(T, 23)
-    return r12 @ s13 @ t23 - t23 @ s13 @ r12
+    r12, s13, t23 = _leg_action(R, 12), _leg_action(S, 13), _leg_action(T, 23)
+    return _defect(R.dim, [t23, s13, r12], [r12, s13, t23])
 
 
 def braid_defect(R: Operator2) -> Operator3:
     """Defect of R^12 R^23 R^12 = R^23 R^12 R^23."""
-    r12 = embed(R, 12)
-    r23 = embed(R, 23)
-    return r12 @ r23 @ r12 - r23 @ r12 @ r23
+    r12, r23 = _leg_action(R, 12), _leg_action(R, 23)
+    return _defect(R.dim, [r12, r23, r12], [r23, r12, r23])
 
 
 def qybe_defect(R: Operator2) -> Operator3:

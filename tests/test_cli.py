@@ -1,7 +1,12 @@
 """End-to-end tests of the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ybx
 from ybx.cli import main
 from ybx.tensor import operator_from_json_obj
 from ybx import fixture_path
@@ -17,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """`python -m ybx.cli argv...` in a fresh interpreter, so an uncaught
+    exception shows as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ybx.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ybx.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCheckConstant:
@@ -309,3 +323,49 @@ class TestUsage:
             "--frobnicate", "1",
         )
         assert code == 2
+
+
+class TestHostileInput:
+    """Bad input ends in exit status 2 with a message, never a traceback."""
+
+    def test_alpha_division_by_zero(self):
+        code, _, err = run_process("check", "constant", "--algebra", QUADRATIC,
+                                   "--alpha", "1/0")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "--alpha" in err
+
+    def test_division_by_zero_in_algebra_file(self, tmp_path, capsys):
+        obj = json.load(open(QUADRATIC))
+        obj["structure"][0][1] = ["1/0", "0"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "validate", "algebra",
+                           "--algebra", str(bad))
+        assert code == 2
+        assert str(bad) in err
+
+    def test_out_into_missing_directory(self, tmp_path):
+        dest = tmp_path / "missing" / "x.txt"
+        code, out, err = run_process("validate", "algebra", "--algebra",
+                                     QUADRATIC, "--out", str(dest))
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(dest) in err
+        assert out == ""
+
+    def test_split_center_needs_a_sample(self, capsys):
+        for samples in ("0", "-1"):
+            code, out, err = run(capsys, "check", "split-center",
+                                 "--samples", samples)
+            assert code == 2
+            assert "--samples" in err
+            assert out == ""
+
+    def test_colored_needs_a_sample(self, capsys):
+        for samples in ("0", "-3"):
+            code, out, err = run(capsys, "check", "colored", "--algebra",
+                                 SIGMA, "--samples", samples)
+            assert code == 2
+            assert "--samples" in err
+            assert out == ""

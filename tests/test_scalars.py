@@ -4,7 +4,7 @@ field/homomorphism properties."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import det_permutation_expansion
 from ybx.scalars import (IncompleteAssignmentError, MalformedScalarError,
@@ -227,3 +227,15 @@ def test_canonical_form_is_stable(s):
     rebuilt = parse_scalar(format_scalar(s))
     assert rebuilt == s
     assert format_scalar(rebuilt) == format_scalar(s)
+
+
+@given(small_polys(), st.integers(-5, 5).filter(lambda k: k not in (0, 1)))
+@settings(deadline=None)
+def test_polynomial_over_one_is_already_canonical(s, k):
+    # k*p/k takes every step of canonicalization (gcd, content, sign) and
+    # must land on p/1, which construction over 1 returns unchanged
+    p = s.num
+    direct = ParamScalar(p)
+    assert direct.num == p and direct.den == Poly.const(1)
+    full = ParamScalar(p.scale(k), Poly.const(k))
+    assert (full.num, full.den) == (direct.num, direct.den)

@@ -227,6 +227,77 @@ class TestDefects:
         assert colored_defect(I, I, I).is_zero()
 
 
+def random_sparse_op2(dim, rng, symbolic=False):
+    """About two thirds of the entries zero; symbolic entries are
+    polynomials in a and b, so the operator evaluates at every point."""
+    a, b = var("a"), var("b")
+
+    def entry():
+        if rng.random() < 0.65:
+            return ZERO
+        c = const(rng.randint(-3, 3))
+        if symbolic:
+            c = c + rng.randint(-2, 2) * rng.choice((a, b, a * b))
+        return c
+
+    size = dim * dim
+    return Operator2(dim, [[entry() for _ in range(size)]
+                           for _ in range(size)])
+
+
+class TestDefectKernel:
+    """The leg-action defects against the dense product of embeddings and
+    against the Kronecker oracles, on non-solutions at dims 2-4."""
+
+    POINT = {"a": 2, "b": -3}
+
+    def operators(self, dim, symbolic):
+        rng = random.Random(100 * dim + symbolic)
+        return [random_sparse_op2(dim, rng, symbolic) for _ in range(3)]
+
+    def check(self, got, dense, oracle_matrix):
+        assert got == dense
+        assert not got.is_zero()
+        assert got.first_nonzero() == dense.first_nonzero()
+        assert oracles.frac_matrix(got, self.POINT) == oracle_matrix
+
+    def at_point(self, op):
+        """Integer matrix of op at POINT, so the oracles run on ints."""
+        return [[int(e) for e in row]
+                for row in oracles.frac_matrix(op, self.POINT)]
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_braid(self, dim, symbolic):
+        R, _, _ = self.operators(dim, symbolic)
+        r12, r23 = embed(R, 12), embed(R, 23)
+        self.check(braid_defect(R), r12 @ r23 @ r12 - r23 @ r12 @ r23,
+                   oracles.braid_defect_matrix(self.at_point(R), dim, 1, 0))
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_qybe(self, dim, symbolic):
+        R, _, _ = self.operators(dim, symbolic)
+        r12, r13, r23 = embed(R, 12), embed(R, 13), embed(R, 23)
+        self.check(qybe_defect(R), r12 @ r13 @ r23 - r23 @ r13 @ r12,
+                   oracles.qybe_defect_matrix(self.at_point(R), dim, 1, 0))
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_commutator(self, dim, symbolic):
+        R, S, T = self.operators(dim, symbolic)
+        r12, s13, t23 = embed(R, 12), embed(S, 13), embed(T, 23)
+        Rf, Sf, Tf = (self.at_point(X) for X in (R, S, T))
+        self.check(yb_commutator(R, S, T), r12 @ s13 @ t23 - t23 @ s13 @ r12,
+                   oracles.commutator_matrix(Rf, Sf, Tf, dim, 1, 0))
+
+    def test_solutions_at_dim_4(self):
+        for R in (twist(4), Operator2.identity(4)):
+            assert braid_defect(R).is_zero()
+            assert qybe_defect(R).is_zero()
+            assert yb_commutator(R, R, R).first_nonzero() is None
+
+
 class TestEquivalence:
     """Braid solutions and constant-QYBE solutions exchange through the
     twist, on solutions and non-solutions alike."""

@@ -8,20 +8,20 @@ numerical one.
 from pathlib import Path
 
 from .scalars import (IncompleteAssignmentError, MalformedScalarError,
-                      ONE, ParamScalar, PoleError, Ratio, ScalarParseError,
-                      ZERO, as_scalar, const, format_scalar, fresh_name,
-                      normalize, parse_scalar, var)
-from .algebra import (Algebra, AlgebraError, AssociativityError, ShapeError,
-                      UnitError, algebra_from_json_obj, load_algebra,
-                      make_algebra, mul_elements, quadratic_quotient_algebra)
+                      ONE, ParamScalar, PoleError, ScalarParseError, ZERO,
+                      as_scalar, const, fresh_name, parse_scalar, var)
+from .algebra import (Algebra, AlgebraError, AssociativityError,
+                      FieldTypeError, ShapeError, UnitError,
+                      algebra_from_json_obj, load_algebra, make_algebra,
+                      mul_elements, quadratic_quotient_algebra)
 from .lie_super import (AntisymmetryError, GradingError, JacobiError,
                         LieSuperalgebra, SuperalgebraError, bracket_elements,
                         even_center, load_superalgebra, make_superalgebra,
                         superalgebra_from_json_obj)
 from .tensor import (DimensionMismatch, InverseResult, Operator2, Operator3,
-                     braid_defect, colored_defect, compose, determinant,
-                     embed, invert, nullspace, operator_from_json_obj,
-                     qybe_defect, twist, yb_commutator)
+                     braid_defect, colored_defect, determinant, embed,
+                     invert, nullspace, operator_from_json_obj, qybe_defect,
+                     twist, yb_commutator)
 from .constructors import (FreeIndeterminateError, InvalidCenterError,
                            InvertibilityLocusError, NotYangBaxterError,
                            SplitSpace, SupportViolationError, WxzTriple,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, ParamScalar, as_scalar
+from .scalars import ONE, ZERO, as_scalar
+from .tensor import bilinear
 
 
 class AlgebraError(ValueError):
@@ -45,6 +46,34 @@ class UnitError(AlgebraError):
         )
         self.witness = witness
         self.side = side
+
+
+class FieldTypeError(ValueError):
+    """A structure file field has the wrong JSON type. This is bad input,
+    not a violated axiom, so it is deliberately not an AlgebraError."""
+
+
+def check_field_types(dim, fields) -> None:
+    """Reject a structure object whose dim is not an integer, or whose
+    fields (name -> (value, depth); None means absent) are not lists
+    nested depth deep with integer or string entries."""
+    if type(dim) is not int:
+        raise FieldTypeError(f"dim must be an integer, got {dim!r}")
+    for name, (value, depth) in fields.items():
+        if value is not None:
+            _check_nested(name, value, depth)
+
+
+def _check_nested(name, value, depth) -> None:
+    if depth == 0:
+        if type(value) not in (int, str):
+            raise FieldTypeError(
+                f"{name} entries must be integers or strings, got {value!r}")
+    elif not isinstance(value, list):
+        raise FieldTypeError(f"{name} must be a list, got {value!r}")
+    else:
+        for item in value:
+            _check_nested(name, item, depth - 1)
 
 
 def _fmt_vec(v) -> str:
@@ -114,21 +143,8 @@ def mul_elements(A: Algebra, a: Sequence, b: Sequence):
     n = A.dim
     if len(a) != n or len(b) != n:
         raise ShapeError(f"expected coordinate vectors of length {n}")
-    av = [as_scalar(x) for x in a]
-    bv = [as_scalar(x) for x in b]
-    out = [ZERO] * n
-    for i in range(n):
-        if av[i].is_zero:
-            continue
-        for j in range(n):
-            if bv[j].is_zero:
-                continue
-            coeff = av[i] * bv[j]
-            row = A.structure[i][j]
-            for k in range(n):
-                if not row[k].is_zero:
-                    out[k] = out[k] + coeff * row[k]
-    return tuple(out)
+    return bilinear(A.structure, [as_scalar(x) for x in a],
+                    [as_scalar(x) for x in b])
 
 
 def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = None) -> Algebra:
@@ -156,39 +172,26 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
     elif len(labels) != dim:
         raise ShapeError(f"labels must have length {dim}")
 
+    basis = [tuple(ONE if k == i else ZERO for k in range(dim))
+             for i in range(dim)]
+
     # unit law on every basis vector, both sides
-    for i in range(dim):
-        left = [ZERO] * dim
-        right = [ZERO] * dim
-        for j in range(dim):
-            if u[j].is_zero:
-                continue
-            for k in range(dim):
-                left[k] = left[k] + u[j] * c[j][i][k]
-                right[k] = right[k] + u[j] * c[i][j][k]
-        want = [ONE if k == i else ZERO for k in range(dim)]
-        if left != want:
+    for i, e in enumerate(basis):
+        left = bilinear(c, u, e)
+        if left != e:
             raise UnitError(i, "unit*e", left)
-        if right != want:
+        right = bilinear(c, e, u)
+        if right != e:
             raise UnitError(i, "e*unit", right)
 
     # associativity on every basis triple
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = [ZERO] * dim
-                rhs = [ZERO] * dim
-                for l in range(dim):
-                    cl = c[i][j][l]
-                    if not cl.is_zero:
-                        for m in range(dim):
-                            lhs[m] = lhs[m] + cl * c[l][k][m]
-                    dl = c[j][k][l]
-                    if not dl.is_zero:
-                        for m in range(dim):
-                            rhs[m] = rhs[m] + dl * c[i][l][m]
+                lhs = bilinear(c, c[i][j], basis[k])
+                rhs = bilinear(c, basis[i], c[j][k])
                 if lhs != rhs:
-                    raise AssociativityError((i, j, k), tuple(lhs), tuple(rhs))
+                    raise AssociativityError((i, j, k), lhs, rhs)
 
     return Algebra(dim, c, u, tuple(str(s) for s in labels))
 
@@ -213,6 +216,8 @@ def algebra_from_json_obj(obj: dict) -> Algebra:
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"algebra object is missing field {exc}") from None
     labels = obj.get("labels")
+    check_field_types(dim, {"structure": (structure, 3), "unit": (unit, 1),
+                            "labels": (labels, 1)})
     return make_algebra(dim, structure, unit, labels)
 
 

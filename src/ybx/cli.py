@@ -15,10 +15,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, load_algebra
+from .algebra import Algebra, AlgebraError, FieldTypeError, load_algebra
 from .constructors import (InvalidCenterError, InvertibilityLocusError,
                            NotYangBaxterError, SplitSpace,
                            _dn_case_symbolic, colored_operator, dn_operator,
@@ -29,7 +30,7 @@ from .lie_super import (LieSuperalgebra, SuperalgebraError, even_center,
 from .scalars import (MalformedScalarError, ParamScalar, ScalarParseError,
                       const, fresh_name, parse_scalar, var)
 from .tensor import Operator2, invert, qybe_defect
-from .verify import (VerificationReport, verify_colored_family,
+from .verify import (entry_witness, report, verify_colored_family,
                      verify_constant, verify_inverse_pair, verify_wxz)
 
 PARAM_FLAGS = ("alpha", "beta", "gamma", "p", "q", "u", "v", "lam", "mu")
@@ -178,9 +179,11 @@ def _load_algebra(cfg: CliConfig) -> Algebra:
         A = load_algebra(cfg.algebra_path)
     except FileNotFoundError:
         raise InputError(f"no such file: {cfg.algebra_path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays nested past the stack limit
         raise InputError(f"not valid JSON: {cfg.algebra_path}: {exc}")
-    except (AlgebraError, ScalarParseError, MalformedScalarError) as exc:
+    except (AlgebraError, FieldTypeError, ScalarParseError,
+            MalformedScalarError) as exc:
         raise InputError(f"bad algebra file {cfg.algebra_path}: {exc}")
     subs = {}
     for name in ("m", "n", "sigma"):
@@ -198,9 +201,11 @@ def _load_superalgebra(cfg: CliConfig) -> LieSuperalgebra:
         return load_superalgebra(cfg.superalgebra_path)
     except FileNotFoundError:
         raise InputError(f"no such file: {cfg.superalgebra_path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays nested past the stack limit
         raise InputError(f"not valid JSON: {cfg.superalgebra_path}: {exc}")
-    except (SuperalgebraError, ScalarParseError, MalformedScalarError) as exc:
+    except (SuperalgebraError, FieldTypeError, ScalarParseError,
+            MalformedScalarError) as exc:
         raise InputError(f"bad superalgebra file {cfg.superalgebra_path}: {exc}")
 
 
@@ -255,15 +260,11 @@ def _cmd_check_constant(cfg: CliConfig) -> int:
     beta = _param(cfg, "beta", taken)
     gamma = _param(cfg, "gamma", taken)
     R = dn_operator(A, alpha, beta, gamma)
-    report = verify_constant(R, "braid")
-    case = _dn_case_symbolic(alpha, beta, gamma)
-    detail = dict(report.detail)
-    detail["parameters"] = {"alpha": str(alpha), "beta": str(beta),
-                            "gamma": str(gamma)}
-    detail["case"] = case if case is not None else "none"
-    report = VerificationReport(report.identity, report.mode, report.status,
-                                report.witness, report.elapsed, detail)
-    return _emit_reports(cfg, [report])
+    detail = {"parameters": {"alpha": str(alpha), "beta": str(beta),
+                             "gamma": str(gamma)},
+              "case": _dn_case_symbolic(alpha, beta, gamma) or "none"}
+    return _emit_reports(cfg, [replace(verify_constant(R, "braid"),
+                                       detail=detail)])
 
 
 def _cmd_check_colored(cfg: CliConfig) -> int:
@@ -272,11 +273,11 @@ def _cmd_check_colored(cfg: CliConfig) -> int:
     p = _param(cfg, "p", taken)
     q = _param(cfg, "q", taken)
     if cfg.samples is not None and not cfg.symbolic:
-        report = verify_colored_family(A, p, q, mode="sampled",
-                                       samples=cfg.samples, seed=cfg.seed)
+        checked = verify_colored_family(A, p, q, mode="sampled",
+                                        samples=cfg.samples, seed=cfg.seed)
     else:
-        report = verify_colored_family(A, p, q, mode="symbolic")
-    return _emit_reports(cfg, [report])
+        checked = verify_colored_family(A, p, q, mode="symbolic")
+    return _emit_reports(cfg, [checked])
 
 
 def _cmd_check_wxz(cfg: CliConfig) -> int:
@@ -313,21 +314,20 @@ def _build_super_pair(cfg: CliConfig, L: LieSuperalgebra):
 
 
 def _random_split_instance(space: SplitSpace, rng: random.Random) -> Operator2:
+    """Small random integers in the columns of the basis tensors of W(x)W,
+    zero elsewhere; drawn column by column in flat-index order, which
+    fixes the instances (and so the witnesses) each seed gives."""
     n = space.total_dim
-    rows = [[const(0)] * (n * n) for _ in range(n * n)]
-    for i in space.W_indices:
-        for j in space.W_indices:
-            col = i * n + j
-            for r in range(n * n):
-                rows[r][col] = const(rng.randint(-3, 3))
-    return Operator2(n, rows)
+    W = space.W_indices
+    return Operator2.from_columns(n, (
+        [(r, const(rng.randint(-3, 3))) for r in range(n * n)]
+        if i in W and j in W else () for i in range(n) for j in range(n)))
 
 
 def _cmd_check_split_center(cfg: CliConfig) -> int:
-    import time as _time
     if cfg.dim < 2:
         raise InputError("--dim must be at least 2")
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     samples = cfg.samples if cfg.samples is not None else 20
     rng = random.Random(cfg.seed)
     space = SplitSpace(cfg.dim, cfg.dim - 1)
@@ -336,22 +336,12 @@ def _cmd_check_split_center(cfg: CliConfig) -> int:
         f = _random_split_instance(space, rng)
         g = _random_split_instance(space, rng)
         R = split_center_operator(space, f, g)
-        defect = qybe_defect(R)
-        found = defect.first_nonzero()
-        if found is not None:
-            row, col, entry = found
-            witness = {"instance": trial, "row": row, "col": col,
-                       "entry": str(entry)}
+        witness = entry_witness(qybe_defect(R), {"instance": trial})
+        if witness is not None:
             break
-    report = VerificationReport(
-        identity="qybe",
-        mode="sampled",
-        status="pass" if witness is None else "fail",
-        witness=witness,
-        elapsed=_time.perf_counter() - t0,
-        detail={"instances": samples, "dim": cfg.dim, "seed": cfg.seed},
-    )
-    return _emit_reports(cfg, [report])
+    return _emit_reports(cfg, [report(
+        "qybe", "sampled", t0, witness,
+        {"instances": samples, "dim": cfg.dim, "seed": cfg.seed})])
 
 
 def _build_family(cfg: CliConfig):
@@ -392,56 +382,25 @@ def _cmd_export_matrix(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_validate_algebra(cfg: CliConfig) -> int:
-    import time as _time
-    t0 = _time.perf_counter()
+def _validate(cfg: CliConfig, load, identity: str, error_type,
+              describe) -> int:
+    """Load a structure file; an axiom violation (error_type) is a failed
+    report, any other input error exits 2."""
+    t0 = time.perf_counter()
     try:
-        A = _load_algebra(cfg)
+        structure = load(cfg)
     except InputError as exc:
         cause = exc.__cause__ or exc.__context__
-        if isinstance(cause, AlgebraError):
-            witness = {"error": str(cause)}
-            if getattr(cause, "witness", None) is not None:
-                witness["indices"] = list(
-                    cause.witness if isinstance(cause.witness, tuple)
-                    else [cause.witness])
-            report = VerificationReport(
-                "algebra-axioms", "symbolic", "fail", witness,
-                _time.perf_counter() - t0)
-            _emit_reports(cfg, [report])
-            return 1
-        raise
-    report = VerificationReport(
-        "algebra-axioms", "symbolic", "pass", None,
-        _time.perf_counter() - t0,
-        {"dim": A.dim, "labels": list(A.labels)})
-    return _emit_reports(cfg, [report])
-
-
-def _cmd_validate_superalgebra(cfg: CliConfig) -> int:
-    import time as _time
-    t0 = _time.perf_counter()
-    try:
-        L = _load_superalgebra(cfg)
-    except InputError as exc:
-        cause = exc.__cause__ or exc.__context__
-        if isinstance(cause, SuperalgebraError):
-            witness = {"error": str(cause)}
-            if getattr(cause, "witness", None) is not None:
-                witness["indices"] = list(
-                    cause.witness if isinstance(cause.witness, tuple)
-                    else [cause.witness])
-            report = VerificationReport(
-                "super-axioms", "symbolic", "fail", witness,
-                _time.perf_counter() - t0)
-            _emit_reports(cfg, [report])
-            return 1
-        raise
-    report = VerificationReport(
-        "super-axioms", "symbolic", "pass", None,
-        _time.perf_counter() - t0,
-        {"dim": L.dim, "degree": list(L.degree), "labels": list(L.labels)})
-    return _emit_reports(cfg, [report])
+        if not isinstance(cause, error_type):
+            raise
+        witness = {"error": str(cause)}
+        if getattr(cause, "witness", None) is not None:
+            witness["indices"] = list(
+                cause.witness if isinstance(cause.witness, tuple)
+                else [cause.witness])
+        return _emit_reports(cfg, [report(identity, "symbolic", t0, witness)])
+    return _emit_reports(cfg, [report(identity, "symbolic", t0, None,
+                                      describe(structure))])
 
 
 def _cmd_invert(cfg: CliConfig) -> int:
@@ -471,8 +430,13 @@ _HANDLERS = {
     "check super": _cmd_check_super,
     "check split-center": _cmd_check_split_center,
     "export matrix": _cmd_export_matrix,
-    "validate algebra": _cmd_validate_algebra,
-    "validate superalgebra": _cmd_validate_superalgebra,
+    "validate algebra": lambda cfg: _validate(
+        cfg, _load_algebra, "algebra-axioms", AlgebraError,
+        lambda A: {"dim": A.dim, "labels": list(A.labels)}),
+    "validate superalgebra": lambda cfg: _validate(
+        cfg, _load_superalgebra, "super-axioms", SuperalgebraError,
+        lambda L: {"dim": L.dim, "degree": list(L.degree),
+                   "labels": list(L.labels)}),
     "invert": _cmd_invert,
 }
 

@@ -78,31 +78,19 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
     left = as_scalar(left)
     right = as_scalar(right)
     diag = as_scalar(diag)
-    unit = A.unit
-    size = n * n
-    rows = [[ZERO] * size for _ in range(size)]
+    unit = [(l, ul) for l, ul in enumerate(A.unit) if not ul.is_zero]
+    columns = []
     for i in range(n):
         for j in range(n):
-            col = i * n + j
             prod = A.structure[j][i] if reverse else A.structure[i][j]
-            for k in range(n):
-                pk = prod[k]
-                if pk.is_zero:
-                    continue
-                for l in range(n):
-                    ul = unit[l]
-                    if ul.is_zero:
-                        continue
-                    if not left.is_zero:
-                        r = k * n + l
-                        rows[r][col] = rows[r][col] + left * pk * ul
-                    if not right.is_zero:
-                        r = l * n + k
-                        rows[r][col] = rows[r][col] + right * ul * pk
-            if not diag.is_zero:
-                r = (j * n + i) if swap else col
-                rows[r][col] = rows[r][col] - diag
-    return Operator2(n, rows)
+            column = [((j * n + i) if swap else (i * n + j), -diag)]
+            for k, pk in enumerate(prod):
+                if not pk.is_zero:
+                    for l, ul in unit:
+                        column.append((k * n + l, left * pk * ul))
+                        column.append((l * n + k, right * ul * pk))
+            columns.append(column)
+    return Operator2.from_columns(n, columns)
 
 
 def dn_operator(A: Algebra, alpha, beta, gamma) -> Operator2:
@@ -123,14 +111,7 @@ def classify_dn(alpha, beta, gamma) -> str:
     free = a.names | b.names | g.names
     if free:
         raise FreeIndeterminateError(free)
-    if not g.is_zero:
-        if a == g and not b.is_zero:
-            return "i"
-        if b == g and not a.is_zero:
-            return "ii"
-        if a.is_zero and b.is_zero:
-            return "iii"
-    return "none"
+    return _dn_case_symbolic(a, b, g) or "none"
 
 
 def _dn_case_symbolic(a: ParamScalar, b: ParamScalar, g: ParamScalar):
@@ -260,18 +241,10 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
                 col = i * n + j
                 if any(not op.rows[r][col].is_zero for r in range(n * n)):
                     raise SupportViolationError(name, (i, j))
-    size = n * n
-    rows = [[ZERO] * size for _ in range(size)]
-    for col in range(size):
-        for k in range(n):
-            e = f.rows[k * n + c][col]
-            if not e.is_zero:
-                rows[k * n + c][col] = rows[k * n + c][col] + e
-        for l in range(n):
-            e = g.rows[c * n + l][col]
-            if not e.is_zero:
-                rows[c * n + l][col] = rows[c * n + l][col] + e
-    return Operator2(n, rows)
+    kept = ([(f, k * n + c) for k in range(n)]
+            + [(g, c * n + k) for k in range(n)])
+    return Operator2.from_columns(n, ([(r, op.rows[r][col]) for op, r in kept]
+                                      for col in range(n * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,61 +269,36 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
     return zv
 
 
-def _graded_twist_rows(L: LieSuperalgebra):
+def _super_map(L: LieSuperalgebra, z: Sequence, alpha,
+               z_first: bool) -> Operator2:
+    """x(x)y -> alpha*[x,y](x)z (alpha*z(x)[x,y] when z_first)
+    + (-1)^{|x||y|} y(x)x, for even central z."""
+    alpha = as_scalar(alpha)
+    zv = _check_center(L, z)
     n = L.dim
-    size = n * n
-    rows = [[ZERO] * size for _ in range(size)]
+    zs = [(l, zl) for l, zl in enumerate(zv) if not zl.is_zero]
+    columns = []
     for i in range(n):
         for j in range(n):
-            sign = -1 if L.degree[i] * L.degree[j] else 1
-            e = ONE if sign > 0 else -ONE
-            rows[j * n + i][i * n + j] = e
-    return rows
+            column = [(j * n + i, -ONE if L.degree[i] * L.degree[j] else ONE)]
+            for k, bk in enumerate(L.bracket[i][j]):
+                if not bk.is_zero:
+                    for l, zl in zs:
+                        r = l * n + k if z_first else k * n + l
+                        column.append((r, alpha * bk * zl))
+            columns.append(column)
+    return Operator2.from_columns(n, columns)
 
 
 def super_phi(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*[x,y](x)z + (-1)^{|x||y|} y(x)x, for even central z."""
-    alpha = as_scalar(alpha)
-    zv = _check_center(L, z)
-    n = L.dim
-    rows = _graded_twist_rows(L)
-    if not alpha.is_zero:
-        for i in range(n):
-            for j in range(n):
-                col = i * n + j
-                br = L.bracket[i][j]
-                for k in range(n):
-                    if br[k].is_zero:
-                        continue
-                    for l in range(n):
-                        if zv[l].is_zero:
-                            continue
-                        r = k * n + l
-                        rows[r][col] = rows[r][col] + alpha * br[k] * zv[l]
-    return Operator2(n, rows)
+    return _super_map(L, z, alpha, z_first=False)
 
 
 def super_phi_inverse(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*z(x)[x,y] + (-1)^{|x||y|} y(x)x; inverse of super_phi
     with the same z and alpha."""
-    alpha = as_scalar(alpha)
-    zv = _check_center(L, z)
-    n = L.dim
-    rows = _graded_twist_rows(L)
-    if not alpha.is_zero:
-        for i in range(n):
-            for j in range(n):
-                col = i * n + j
-                br = L.bracket[i][j]
-                for k in range(n):
-                    if zv[k].is_zero:
-                        continue
-                    for l in range(n):
-                        if br[l].is_zero:
-                            continue
-                        r = k * n + l
-                        rows[r][col] = rows[r][col] + alpha * zv[k] * br[l]
-    return Operator2(n, rows)
+    return _super_map(L, z, alpha, z_first=True)
 
 
 # ---------------------------------------------------------------------------

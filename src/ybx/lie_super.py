@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .scalars import ZERO, ParamScalar, as_scalar
-from .tensor import nullspace
+from .algebra import check_field_types
+from .scalars import ONE, ZERO, as_scalar
+from .tensor import bilinear, nullspace
 
 
 class SuperalgebraError(ValueError):
@@ -99,21 +100,8 @@ def bracket_elements(L: LieSuperalgebra, x: Sequence, y: Sequence):
     n = L.dim
     if len(x) != n or len(y) != n:
         raise ShapeError(f"expected coordinate vectors of length {n}")
-    xv = [as_scalar(c) for c in x]
-    yv = [as_scalar(c) for c in y]
-    out = [ZERO] * n
-    for i in range(n):
-        if xv[i].is_zero:
-            continue
-        for j in range(n):
-            if yv[j].is_zero:
-                continue
-            coeff = xv[i] * yv[j]
-            row = L.bracket[i][j]
-            for k in range(n):
-                if not row[k].is_zero:
-                    out[k] = out[k] + coeff * row[k]
-    return tuple(out)
+    return bilinear(L.bracket, [as_scalar(c) for c in x],
+                    [as_scalar(c) for c in y])
 
 
 def make_superalgebra(dim: int, degree, bracket,
@@ -157,6 +145,8 @@ def make_superalgebra(dim: int, degree, bracket,
     # graded Jacobi on basis triples:
     # (-1)^{|i||k|}[e_i,[e_j,e_k]] + (-1)^{|j||i|}[e_j,[e_k,e_i]]
     #   + (-1)^{|k||j|}[e_k,[e_i,e_j]] = 0
+    basis = [tuple(ONE if k == i else ZERO for k in range(dim))
+             for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -166,16 +156,10 @@ def make_superalgebra(dim: int, degree, bracket,
                     (deg[j] * deg[i], j, k, i),
                     (deg[k] * deg[j], k, i, j),
                 ):
-                    sign = -1 if a % 2 else 1
-                    for l in range(dim):
-                        inner = b[y][z][l]
-                        if inner.is_zero:
-                            continue
-                        for m in range(dim):
-                            term = inner * b[x][l][m]
-                            if sign < 0:
-                                term = -term
-                            acc[m] = acc[m] + term
+                    term = bilinear(b, basis[x], b[y][z])
+                    for m, t in enumerate(term):
+                        if not t.is_zero:
+                            acc[m] = acc[m] - t if a else acc[m] + t
                 if any(not e.is_zero for e in acc):
                     raise JacobiError((i, j, k))
 
@@ -213,6 +197,8 @@ def superalgebra_from_json_obj(obj: dict) -> LieSuperalgebra:
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"superalgebra object is missing field {exc}") from None
     labels = obj.get("labels")
+    check_field_types(dim, {"degree": (degree, 1), "structure": (bracket, 3),
+                            "labels": (labels, 1)})
     return make_superalgebra(dim, degree, bracket, labels)
 
 

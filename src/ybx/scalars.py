@@ -23,10 +23,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Mapping, Union
-
-# The concrete rational type of the ground field.
-Ratio = Fraction
+from typing import Mapping, Union
 
 ScalarLike = Union["ParamScalar", int, Fraction, str]
 
@@ -142,18 +139,6 @@ class Poly:
     def variable(cls, name: str) -> "Poly":
         return cls({((name, 1),): 1})
 
-    @classmethod
-    def from_terms(cls, items: Iterable) -> "Poly":
-        terms: dict = {}
-        for mono, c in items:
-            mono = tuple(sorted((n, e) for n, e in mono if e))
-            c = terms.get(mono, 0) + int(c)
-            if c:
-                terms[mono] = c
-            elif mono in terms:
-                del terms[mono]
-        return cls(terms)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -167,12 +152,6 @@ class Poly:
             for name, _ in mono:
                 out.add(name)
         return frozenset(out)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
@@ -505,15 +484,6 @@ class ParamScalar:
     def names(self) -> frozenset:
         return self.num.names | self.den.names
 
-    def is_constant(self) -> bool:
-        return not self.names
-
-    def as_ratio(self) -> Fraction:
-        """The value as a rational number; only for constant scalars."""
-        if self.names:
-            raise IncompleteAssignmentError(self.names)
-        return self.evaluate({})
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "ParamScalar":
@@ -659,12 +629,6 @@ def _canonical(num: Poly, den: Poly):
     return num, den
 
 
-def normalize(s: ParamScalar) -> ParamScalar:
-    """Return the canonical form of s (the identity on this representation:
-    every ParamScalar is canonicalized at construction)."""
-    return ParamScalar(s.num, s.den)
-
-
 # -- public constructors ----------------------------------------------------
 
 def var(name: str) -> ParamScalar:
@@ -732,10 +696,16 @@ def _tokenize(text: str):
     return out
 
 
+# Each level of parentheses costs the recursive descent five frames, so an
+# explicit bound keeps hostile input far from the interpreter's limit.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, text):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.text = text
 
     def peek(self):
@@ -785,12 +755,14 @@ class _Parser:
                 return value
 
     def unary(self) -> ParamScalar:
+        negate = False
         kind, val = self.peek()
-        if kind == "op" and val in "+-":
+        while kind == "op" and val in "+-":
             self.take()
-            inner = self.unary()
-            return inner if val == "+" else -inner
-        return self.power()
+            negate ^= val == "-"
+            kind, val = self.peek()
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> ParamScalar:
         base = self.atom()
@@ -817,8 +789,13 @@ class _Parser:
         if kind == "name":
             return ParamScalar(Poly.variable(val))
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ScalarParseError(
+                    f"parentheses nested more than {_MAX_NESTING} deep")
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ScalarParseError(f"unexpected end of expression in {self.text!r}")
 
@@ -829,10 +806,6 @@ def parse_scalar(text: str) -> ParamScalar:
     if not tokens:
         raise ScalarParseError("empty scalar expression")
     return _Parser(tokens, text).parse()
-
-
-def format_scalar(s: ParamScalar) -> str:
-    return str(s)
 
 
 def fresh_name(base: str, taken) -> str:

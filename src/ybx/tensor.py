@@ -48,18 +48,31 @@ class _Operator:
         return self.dim ** self.legs
 
     @classmethod
-    def identity(cls, dim: int):
+    def from_columns(cls, dim: int, columns):
+        """The operator whose column c is the sum of the (row, ParamScalar)
+        pairs in columns[c]; zero terms are dropped and missing columns are
+        zero. Unlike the constructor, which converts outside input, this
+        takes the entries as they are, so they must be ParamScalars."""
         size = dim ** cls.legs
-        return cls(dim, [[ONE if i == j else ZERO for j in range(size)]
-                         for i in range(size)])
+        rows = [[ZERO] * size for _ in range(size)]
+        for c, column in enumerate(columns):
+            for r, e in column:
+                if not e.is_zero:
+                    row = rows[r]
+                    row[c] = e if row[c].is_zero else row[c] + e
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "rows", tuple(map(tuple, rows)))
+        return op
+
+    @classmethod
+    def identity(cls, dim: int):
+        return cls.from_columns(dim, ([(c, ONE)]
+                                      for c in range(dim ** cls.legs)))
 
     @classmethod
     def zero(cls, dim: int):
-        size = dim ** cls.legs
-        return cls(dim, [[ZERO] * size for _ in range(size)])
-
-    def entry(self, row: int, col: int) -> ParamScalar:
-        return self.rows[row][col]
+        return cls.from_columns(dim, ())
 
     # -- algebra ------------------------------------------------------------
 
@@ -72,22 +85,12 @@ class _Operator:
 
     def __matmul__(self, other):
         self._require_same(other)
-        size = self.size
-        brows = other.rows
-        out = []
-        for i in range(size):
-            arow = self.rows[i]
-            nz = [(k, arow[k]) for k in range(size) if not arow[k].is_zero]
-            row = []
-            for j in range(size):
-                acc = ZERO
-                for k, a in nz:
-                    b = brows[k][j]
-                    if not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return type(self)(self.dim, out)
+        acols = [[(i, row[k]) for i, row in enumerate(self.rows)
+                  if not row[k].is_zero] for k in range(self.size)]
+        return type(self).from_columns(self.dim, (
+            [(i, a * b) for k, b in enumerate(bcol) if not b.is_zero
+             for i, a in acols[k]]
+            for bcol in zip(*other.rows)))
 
     def __add__(self, other):
         self._require_same(other)
@@ -109,12 +112,6 @@ class _Operator:
     def scale(self, c) -> "_Operator":
         c = as_scalar(c)
         return type(self)(self.dim, [[c * a for a in r] for r in self.rows])
-
-    def transpose(self):
-        size = self.size
-        return type(self)(self.dim, [
-            [self.rows[j][i] for j in range(size)] for i in range(size)
-        ])
 
     # -- predicates ---------------------------------------------------------
 
@@ -216,18 +213,31 @@ def operator_from_json_obj(obj: dict):
     return cls(obj["dim"], obj["matrix"])
 
 
+def bilinear(table, x, y) -> tuple:
+    """sum_ij x_i y_j table[i][j]: the bilinear extension of an n x n x n
+    structure table to two coordinate vectors of ParamScalars."""
+    out = [ZERO] * len(table)
+    for i, xi in enumerate(x):
+        if xi.is_zero:
+            continue
+        for j, yj in enumerate(y):
+            if yj.is_zero:
+                continue
+            coeff = xi * yj
+            for k, t in enumerate(table[i][j]):
+                if not t.is_zero:
+                    out[k] = out[k] + coeff * t
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # the basic operators and leg embeddings
 # ---------------------------------------------------------------------------
 
 def twist(n: int) -> Operator2:
     """The flip v⊗w -> w⊗v as a permutation matrix."""
-    size = n * n
-    rows = [[ZERO] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            rows[j * n + i][i * n + j] = ONE
-    return Operator2(n, rows)
+    return Operator2.from_columns(n, ([(j * n + i, ONE)]
+                                      for i in range(n) for j in range(n)))
 
 
 # positions in (i, j, k) of R's first leg, R's second leg and the spectator
@@ -253,17 +263,7 @@ def _leg_action(R: Operator2, legs: int):
 def embed(R: Operator2, legs: int) -> Operator3:
     """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors: legs 12
     is R⊗I, legs 23 is I⊗R, and legs 13 puts R on the outer pair."""
-    size3 = R.dim ** 3
-    rows = [[ZERO] * size3 for _ in range(size3)]
-    for x, column in enumerate(_leg_action(R, legs)):
-        for y, e in column:
-            rows[y][x] = e
-    return Operator3(R.dim, rows)
-
-
-def compose(A, B):
-    """Function composition A∘B (apply B first); an exact matrix product."""
-    return A @ B
+    return Operator3.from_columns(R.dim, _leg_action(R, legs))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +285,10 @@ def _apply(actions, col: int) -> dict:
 
 def _defect(dim: int, lhs, rhs) -> Operator3:
     """lhs - rhs for two products of leg actions, column by column."""
-    size = dim ** 3
-    rows = [[ZERO] * size for _ in range(size)]
-    for col in range(size):
-        diff = _apply(lhs, col)
-        for y, e in _apply(rhs, col).items():
-            diff[y] = diff[y] - e if y in diff else -e
-        for y, e in diff.items():
-            if not e.is_zero:
-                rows[y][col] = e
-    return Operator3(dim, rows)
+    return Operator3.from_columns(dim, (
+        [*_apply(lhs, col).items(),
+         *((y, -e) for y, e in _apply(rhs, col).items())]
+        for col in range(dim ** 3)))
 
 
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Operator3:
@@ -400,7 +394,7 @@ def invert(op: Operator2) -> InverseResult:
     if sign < 0:
         det = -det
     # back-substitute each augmented column through the triangular left block
-    inv_rows = [[ZERO] * size for _ in range(size)]
+    columns = []
     for col in range(size):
         x = [ZERO] * size
         for i in range(size - 1, -1, -1):
@@ -409,9 +403,8 @@ def invert(op: Operator2) -> InverseResult:
                 if not M[i][j].is_zero and not x[j].is_zero:
                     acc = acc - M[i][j] * x[j]
             x[i] = acc / M[i][i]
-        for i in range(size):
-            inv_rows[i][col] = x[i]
-    return InverseResult(True, Operator2(op.dim, inv_rows), det)
+        columns.append(enumerate(x))
+    return InverseResult(True, Operator2.from_columns(op.dim, columns), det)
 
 
 def nullspace(rows: Sequence[Sequence[ParamScalar]]):

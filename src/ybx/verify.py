@@ -15,9 +15,9 @@ from typing import Optional
 
 from .algebra import Algebra
 from .constructors import WxzTriple, colored_operator
-from .scalars import ParamScalar, as_scalar, fresh_name
-from .tensor import (Operator2, braid_defect, colored_defect, compose,
-                     qybe_defect, yb_commutator)
+from .scalars import as_scalar, fresh_name, var
+from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
+                     yb_commutator)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _entry_witness(defect, extra=None) -> Optional[dict]:
+def entry_witness(defect, extra=None) -> Optional[dict]:
+    """The first nonzero entry of defect (row-major) as a witness dict,
+    with the extra context keys added; None when defect is zero."""
     found = defect.first_nonzero()
     if found is None:
         return None
@@ -74,20 +76,27 @@ def _entry_witness(defect, extra=None) -> Optional[dict]:
     return witness
 
 
+def report(identity: str, mode: str, t0: float, witness: Optional[dict],
+           detail: Optional[dict] = None) -> VerificationReport:
+    """A report that passes exactly when witness is None, timed from t0
+    (a time.perf_counter() reading)."""
+    return VerificationReport(
+        identity=identity,
+        mode=mode,
+        status="pass" if witness is None else "fail",
+        witness=witness,
+        elapsed=time.perf_counter() - t0,
+        detail=detail or {},
+    )
+
+
 def verify_constant(R: Operator2, which: str = "braid") -> VerificationReport:
     """Check the braid identity or the constant QYBE for one operator."""
     if which not in ("braid", "qybe"):
         raise ValueError("which must be 'braid' or 'qybe'")
     t0 = time.perf_counter()
     defect = braid_defect(R) if which == "braid" else qybe_defect(R)
-    witness = _entry_witness(defect)
-    return VerificationReport(
-        identity=which,
-        mode="symbolic",
-        status="pass" if witness is None else "fail",
-        witness=witness,
-        elapsed=time.perf_counter() - t0,
-    )
+    return report(which, "symbolic", t0, entry_witness(defect))
 
 
 def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
@@ -102,6 +111,14 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
     p = as_scalar(p)
     q = as_scalar(q)
     t0 = time.perf_counter()
+
+    def defect_at(u, v, w):
+        return colored_defect(
+            colored_operator(A, p, q, u, v),
+            colored_operator(A, p, q, u, w),
+            colored_operator(A, p, q, v, w),
+        )
+
     if mode == "symbolic":
         taken = set(A.names | p.names | q.names)
         uvw = []
@@ -109,22 +126,9 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
             name = fresh_name(base, taken)
             taken.add(name)
             uvw.append(name)
-        from .scalars import var
-        u, v, w = (var(nm) for nm in uvw)
-        defect = colored_defect(
-            colored_operator(A, p, q, u, v),
-            colored_operator(A, p, q, u, w),
-            colored_operator(A, p, q, v, w),
-        )
-        witness = _entry_witness(defect)
-        return VerificationReport(
-            identity="colored",
-            mode="symbolic",
-            status="pass" if witness is None else "fail",
-            witness=witness,
-            elapsed=time.perf_counter() - t0,
-            detail={"parameters": uvw},
-        )
+        witness = entry_witness(defect_at(*(var(nm) for nm in uvw)))
+        return report("colored", "symbolic", t0, witness,
+                      {"parameters": uvw})
     if mode != "sampled":
         raise ValueError("mode must be 'symbolic' or 'sampled'")
 
@@ -134,83 +138,48 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
     witness = None
     for _ in range(samples):
         u, v, w = (rng.randint(-9, 9) for _ in range(3))
-        on_locus = False
-        for (s, t) in ((u, v), (u, w), (v, w)):
-            if (p * s - q * t).is_zero or (q * s - p * t).is_zero:
-                on_locus = True
-                break
-        if on_locus:
+        if any((p * s - q * t).is_zero or (q * s - p * t).is_zero
+               for s, t in ((u, v), (u, w), (v, w))):
             skipped += 1
             continue
-        defect = colored_defect(
-            colored_operator(A, p, q, u, v),
-            colored_operator(A, p, q, u, w),
-            colored_operator(A, p, q, v, w),
-        )
         evaluated += 1
-        witness = _entry_witness(defect, extra={"point": {"u": u, "v": v, "w": w}})
+        witness = entry_witness(defect_at(u, v, w),
+                                extra={"point": {"u": u, "v": v, "w": w}})
         if witness is not None:
             break
-    status = "pass" if witness is None and evaluated > 0 else "fail"
-    if status == "fail" and witness is None:
+    if evaluated == 0:
         witness = {"reason": "no sample point off the degenerate locus"}
-    return VerificationReport(
-        identity="colored",
-        mode="sampled",
-        status=status,
-        witness=witness,
-        elapsed=time.perf_counter() - t0,
-        detail={"evaluated": evaluated, "skipped": skipped, "seed": seed},
-    )
-
-
-_WXZ_CONDITIONS = ("[W,W,W]", "[Z,Z,Z]", "[W,X,X]", "[X,X,Z]")
+    return report("colored", "sampled", t0, witness,
+                  {"evaluated": evaluated, "skipped": skipped, "seed": seed})
 
 
 def verify_wxz(t: WxzTriple) -> VerificationReport:
     """Check all four commutator conditions; the witness names the first
     failing one."""
     t0 = time.perf_counter()
-    picks = {
-        "[W,W,W]": (t.W, t.W, t.W),
-        "[Z,Z,Z]": (t.Z, t.Z, t.Z),
-        "[W,X,X]": (t.W, t.X, t.X),
-        "[X,X,Z]": (t.X, t.X, t.Z),
-    }
+    conditions = (
+        ("[W,W,W]", (t.W, t.W, t.W)),
+        ("[Z,Z,Z]", (t.Z, t.Z, t.Z)),
+        ("[W,X,X]", (t.W, t.X, t.X)),
+        ("[X,X,Z]", (t.X, t.X, t.Z)),
+    )
     detail = {}
     witness = None
-    for cond in _WXZ_CONDITIONS:
-        defect = yb_commutator(*picks[cond])
-        found = _entry_witness(defect, extra={"condition": cond})
+    for cond, ops in conditions:
+        found = entry_witness(yb_commutator(*ops), extra={"condition": cond})
         detail[cond] = "zero" if found is None else "nonzero"
         if found is not None and witness is None:
             witness = found
-    return VerificationReport(
-        identity="wxz",
-        mode="symbolic",
-        status="pass" if witness is None else "fail",
-        witness=witness,
-        elapsed=time.perf_counter() - t0,
-        detail=detail,
-    )
+    return report("wxz", "symbolic", t0, witness, detail)
 
 
 def verify_inverse_pair(R: Operator2, Rinv: Operator2) -> VerificationReport:
     """Check that both compositions are the identity."""
     t0 = time.perf_counter()
     witness = None
-    for side, prod in (("R o Rinv", compose(R, Rinv)),
-                       ("Rinv o R", compose(Rinv, R))):
-        from .tensor import Operator2 as _O2
-        diff = prod - _O2.identity(R.dim)
-        found = _entry_witness(diff, extra={"side": side})
-        if found is not None:
-            witness = found
+    identity = Operator2.identity(R.dim)
+    for side, prod in (("R o Rinv", R @ Rinv), ("Rinv o R", Rinv @ R)):
+        witness = entry_witness(prod - identity, extra={"side": side})
+        if witness is not None:
             break
-    return VerificationReport(
-        identity="inverse-roundtrip",
-        mode="symbolic",
-        status="pass" if witness is None else "fail",
-        witness=witness,
-        elapsed=time.perf_counter() - t0,
-    )
+    return report("inverse-roundtrip", "symbolic", t0, witness)

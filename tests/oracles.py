@@ -26,14 +26,8 @@ def matmul(A, B):
 
 
 def kron(A, B):
-    na, nb = len(A), len(B)
-    out = [[None] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = A[i][j] * B[k][l]
-    return out
+    """Kronecker product; A and B may be rectangular."""
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -148,3 +142,89 @@ def symbolic_zero():
 def scalar_matrix_equal(A, B):
     return all(as_scalar(a) == as_scalar(b)
                for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+# -- the operator families, straight from the structure tables -------------
+#
+# A table t (t[i][j][k] = coefficient of e_k in e_i*e_j or [e_i, e_j]) is
+# read as the n x n^2 matrix of the map V(x)V -> V, and a vector v as the
+# n x 1 matrix of k -> V; then ab(x)1 is kron(M, u), 1(x)ab is kron(u, M)
+# and b(x)a is the twist.
+
+def table_map(table):
+    """The n x n^2 matrix of e_i (x) e_j -> sum_k table[i][j][k] e_k."""
+    n = len(table)
+    return [[table[i][j][k] for i in range(n) for j in range(n)]
+            for k in range(n)]
+
+
+def column(v):
+    return [[x] for x in v]
+
+
+def combo(*terms):
+    """sum of coefficient * matrix over the (coefficient, matrix) terms."""
+    size = len(terms[0][1])
+    return [[sum(c * M[i][j] for c, M in terms) for j in range(size)]
+            for i in range(size)]
+
+
+def _product_terms(table, unit):
+    M, u = table_map(table), column(unit)
+    return kron(M, u), kron(u, M), twist_matrix(len(unit))
+
+
+def dn_matrix(table, unit, alpha, beta, gamma):
+    """a(x)b -> alpha*ab(x)1 + beta*1(x)ab - gamma*a(x)b."""
+    ab1, one_ab, _ = _product_terms(table, unit)
+    return combo((alpha, ab1), (beta, one_ab),
+                 (-gamma, identity(len(unit) ** 2)))
+
+
+def colored_matrix(table, unit, p, q, u, v):
+    """a(x)b -> q(u-v)ab(x)1 + p(u-v)1(x)ab - (pu-qv)b(x)a."""
+    ab1, one_ab, tau = _product_terms(table, unit)
+    return combo((q * (u - v), ab1), (p * (u - v), one_ab),
+                 (-(p * u - q * v), tau))
+
+
+def colored_inverse_matrix(table, unit, p, q, u, v):
+    """a(x)b -> (p(u-v)ba(x)1 + q(u-v)1(x)ba)/((qu-pv)(pu-qv))
+    - b(x)a/(pu-qv)."""
+    ab1, one_ab, tau = _product_terms(table, unit)
+    dd = (q * u - p * v) * (p * u - q * v)
+    return combo((p * (u - v) / dd, matmul(ab1, tau)),
+                 (q * (u - v) / dd, matmul(one_ab, tau)),
+                 (-1 / (p * u - q * v), tau))
+
+
+def wxz_matrices(table, unit, lam, mu):
+    """W, X, Z: ab(x)1 and 1(x)ab with coefficients (1, lam), (1, 1),
+    (mu, 1), each minus b(x)a."""
+    ab1, one_ab, tau = _product_terms(table, unit)
+    return tuple(combo((a, ab1), (b, one_ab), (-1, tau))
+                 for a, b in ((1, lam), (1, 1), (mu, 1)))
+
+
+def super_phi_matrix(bracket, degree, z, alpha, z_first=False):
+    """x(x)y -> alpha*[x,y](x)z (alpha*z(x)[x,y] when z_first)
+    + (-1)^{|x||y|} y(x)x."""
+    n = len(degree)
+    B, zc = table_map(bracket), column(z)
+    graded = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            graded[j * n + i][i * n + j] = (-1) ** (degree[i] * degree[j])
+    return combo((alpha, kron(zc, B) if z_first else kron(B, zc)),
+                 (1, graded))
+
+
+def split_center_matrix(f, g, n, c):
+    """v(x)w -> (f(v(x)w) projected on V(x)c) + (g(v(x)w) projected on
+    c(x)V)."""
+    size = n * n
+    on_right = [[int(i == j and i % n == c) for j in range(size)]
+                for i in range(size)]
+    on_left = [[int(i == j and i // n == c) for j in range(size)]
+               for i in range(size)]
+    return combo((1, matmul(on_right, f)), (1, matmul(on_left, g)))

@@ -57,7 +57,6 @@ from ybx.tensor import (
     Operator2,
     braid_defect,
     colored_defect,
-    compose,
     invert,
     qybe_defect,
     twist,
@@ -144,13 +143,13 @@ def test_criterion_3_inverse_round_trips():
         for args in ((a, b, a), (a, b, b), (ZERO, ZERO, a)):
             R = dn_operator(A, *args)
             Rinv = dn_inverse(A, *args)
-            assert compose(R, Rinv).is_identity()
-            assert compose(Rinv, R).is_identity()
+            assert (R @ Rinv).is_identity()
+            assert (Rinv @ R).is_identity()
         p, q, u, v = var("p"), var("q"), var("u"), var("v")
         C = colored_operator(A, p, q, u, v)
         Cinv = colored_inverse(A, p, q, u, v)
-        assert compose(C, Cinv).is_identity()
-        assert compose(Cinv, C).is_identity()
+        assert (C @ Cinv).is_identity()
+        assert (Cinv @ C).is_identity()
         al = var("al")
         for name in ("gl11.json", "abelian-super.json",
                      "heisenberg-super.json"):
@@ -158,8 +157,8 @@ def test_criterion_3_inverse_round_trips():
             z = even_center(L)[0]
             phi = super_phi(L, z, al)
             phi_inv = super_phi_inverse(L, z, al)
-            assert compose(phi, phi_inv).is_identity()
-            assert compose(phi_inv, phi).is_identity()
+            assert (phi @ phi_inv).is_identity()
+            assert (phi_inv @ phi).is_identity()
 
     run_criterion(3, 10, body)
 
@@ -287,12 +286,12 @@ def test_criterion_10_superalgebra_family():
         al = var("al")
         phi = super_phi(gl, z, al)
         assert braid_defect(phi).is_zero()
-        assert compose(phi, super_phi_inverse(gl, z, al)).is_identity()
+        assert (phi @ super_phi_inverse(gl, z, al)).is_identity()
         ab = load_superalgebra(fixture_path("abelian-super.json"))
         za = even_center(ab)[0]
         psi = super_phi(ab, za, al)
         assert braid_defect(psi).is_zero()
-        assert compose(psi, super_phi_inverse(ab, za, al)).is_identity()
+        assert (psi @ super_phi_inverse(ab, za, al)).is_identity()
 
     run_criterion(10, 60, body)
 
@@ -301,8 +300,8 @@ def test_criterion_11_equivalence_suite():
     def body():
         def agree(R):
             lhs = braid_defect(R).is_zero()
-            mid = qybe_defect(compose(R, twist(R.dim))).is_zero()
-            rhs = qybe_defect(compose(twist(R.dim), R)).is_zero()
+            mid = qybe_defect(R @ twist(R.dim)).is_zero()
+            rhs = qybe_defect(twist(R.dim) @ R).is_zero()
             assert lhs == mid == rhs, (lhs, mid, rhs)
             return lhs
 
@@ -334,7 +333,7 @@ def test_criterion_11_equivalence_suite():
         for R in qybe_solutions:
             agree(R)
             assert qybe_defect(R).is_zero()
-            assert agree(compose(R, twist(R.dim)))
+            assert agree(R @ twist(R.dim))
 
     run_criterion(11, 30, body)
 

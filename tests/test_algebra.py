@@ -2,12 +2,15 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybx.algebra import (
     Algebra,
+    AlgebraError,
     AssociativityError,
+    FieldTypeError,
     ShapeError,
     UnitError,
     algebra_from_json_obj,
@@ -212,6 +215,28 @@ class TestSerialization:
             pass
         else:
             raise AssertionError("missing unit accepted")
+
+    def test_field_types_checked_before_axioms(self):
+        good = json.load(open(fixture_path("quadratic.json")))
+        bad_objects = [
+            dict(good, dim="2"),
+            dict(good, dim=True),
+            dict(good, dim=2.0),
+            dict(good, unit=[1.5, 0]),
+            dict(good, unit=[None, 0]),
+            dict(good, unit="10"),
+            dict(good, structure=[[["1", "0"], ["0", "1"]], [["0", "1"], 7]]),
+            dict(good, structure=[[["1", "0"], ["0", "1"]],
+                                  [["0", "1"], ["n", False]]]),
+            dict(good, labels=3),
+        ]
+        for obj in bad_objects:
+            with pytest.raises(FieldTypeError) as info:
+                algebra_from_json_obj(obj)
+            # bad input, not a failed axiom check
+            assert not isinstance(info.value, AlgebraError)
+        A = algebra_from_json_obj(dict(good, unit=[1, 0], labels=[1, "x"]))
+        assert A == load_algebra(fixture_path("quadratic.json"))
 
     def test_bad_dim_rejected(self):
         obj = json.load(open(fixture_path("quadratic.json")))

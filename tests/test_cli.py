@@ -354,6 +354,47 @@ class TestHostileInput:
         assert str(dest) in err
         assert out == ""
 
+    def test_deeply_nested_alpha(self):
+        code, out, err = run_process("check", "constant", "--algebra",
+                                     QUADRATIC, "--alpha",
+                                     "(" * 2000 + "1" + ")" * 2000)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "--alpha" in err and "nested" in err
+        assert out == ""
+
+    def test_json_field_types(self, tmp_path, capsys):
+        algebra = json.load(open(QUADRATIC))
+        superalgebra = json.load(open(GL11))
+        cases = [
+            ("algebra", dict(algebra, unit=[1.5, 0]), "unit"),
+            ("algebra", dict(algebra, dim="2"), "dim"),
+            ("algebra", dict(algebra, dim=True), "dim"),
+            ("superalgebra", dict(superalgebra, dim="3"), "dim"),
+            ("superalgebra", dict(superalgebra, degree=[0, 0.5, 1]),
+             "degree"),
+        ]
+        check = {"algebra": "constant", "superalgebra": "super"}
+        for n, (kind, obj, field) in enumerate(cases):
+            bad = tmp_path / f"bad{n}.json"
+            bad.write_text(json.dumps(obj))
+            for verb in (["validate", kind], ["check", check[kind]]):
+                code, out, err = run(capsys, *verb, f"--{kind}", str(bad))
+                assert code == 2, (verb, obj)
+                assert field in err and str(bad) in err
+                assert out == ""
+
+    def test_deeply_nested_structure_file(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        for kind in ("algebra", "superalgebra"):
+            code, out, err = run_process("validate", kind, f"--{kind}",
+                                         str(deep))
+            assert code == 2
+            assert "Traceback" not in err
+            assert "not valid JSON" in err
+            assert out == ""
+
     def test_split_center_needs_a_sample(self, capsys):
         for samples in ("0", "-1"):
             code, out, err = run(capsys, "check", "split-center",

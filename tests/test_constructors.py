@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from ybx.algebra import mul_elements, quadratic_quotient_algebra
+from ybx.algebra import Algebra, mul_elements, quadratic_quotient_algebra
 from ybx.constructors import (
     FreeIndeterminateError,
     InvalidCenterError,
@@ -26,13 +26,12 @@ from ybx.constructors import (
     super_phi_inverse,
     wxz_system,
 )
-from ybx.lie_super import even_center, load_superalgebra
+from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
 from ybx.scalars import ONE, ZERO, as_scalar, const, var
 from ybx.tensor import (
     Operator2,
     braid_defect,
     colored_defect,
-    compose,
     invert,
     qybe_defect,
     twist,
@@ -139,8 +138,8 @@ class TestDnInverse:
         for alpha, beta, gamma in triples:
             R = dn_operator(A, alpha, beta, gamma)
             Rinv = dn_inverse(A, alpha, beta, gamma)
-            assert compose(R, Rinv).is_identity()
-            assert compose(Rinv, R).is_identity()
+            assert (R @ Rinv).is_identity()
+            assert (Rinv @ R).is_identity()
 
     def test_case_iii_inverse(self):
         A = numeric_quadratic()
@@ -236,16 +235,16 @@ class TestColoredFamily:
         A = symbolic_quadratic()
         p, q = var("p"), var("q")
         Rv0 = colored_operator(A, p, q, ONE, ZERO)
-        assert compose(twist(2), Rv0) == dn_operator(A, p, q, p)
-        assert compose(Rv0, twist(2)) == dn_operator(A, q, p, p)
+        assert twist(2) @ Rv0 == dn_operator(A, p, q, p)
+        assert Rv0 @ twist(2) == dn_operator(A, q, p, p)
 
     def test_inverse_round_trip_symbolic(self):
         A = symbolic_quadratic()
         p, q, u, v = var("p"), var("q"), var("u"), var("v")
         R = colored_operator(A, p, q, u, v)
         Rinv = colored_inverse(A, p, q, u, v)
-        assert compose(R, Rinv).is_identity()
-        assert compose(Rinv, R).is_identity()
+        assert (R @ Rinv).is_identity()
+        assert (Rinv @ R).is_identity()
 
     def test_inverse_matches_exact_matrix_inversion(self):
         A = numeric_quadratic()
@@ -273,7 +272,7 @@ class TestWxzSystem:
     def test_x_is_twisted_constant_operator(self):
         A = symbolic_quadratic()
         t = wxz_system(A, var("l"), var("u"))
-        assert t.X == compose(dn_operator(A, ONE, ONE, ONE), twist(2))
+        assert t.X == dn_operator(A, ONE, ONE, ONE) @ twist(2)
 
     def test_four_commutators_vanish_symbolically(self):
         A = symbolic_quadratic()
@@ -376,6 +375,135 @@ class TestSplitCenter:
             SplitSpace(3, 0, W_indices=(0, 1))
 
 
+def random_table(n, rng):
+    return [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            for _ in range(n)]
+
+
+def scalar_table(table):
+    return tuple(tuple(tuple(as_scalar(e) for e in row) for row in plane)
+                 for plane in table)
+
+
+def evaluated(values, point):
+    """Nested lists of scalar-like entries -> the same nesting of Fractions."""
+    if isinstance(values, (list, tuple)):
+        return [evaluated(v, point) for v in values]
+    return as_scalar(values).evaluate(point)
+
+
+def random_central_bracket(n, rng):
+    """(degree, bracket table, z): a random bracket table in which the
+    basis vectors 0 and 1 (0 alone when n = 2) are even and bracket to
+    zero with everything, and z a nonzero vector on them. Only the center
+    is arranged; the builders never read the superalgebra axioms."""
+    central = range(min(2, n - 1))
+    degree = [0 if i in central else rng.randint(0, 1) for i in range(n)]
+    table = random_table(n, rng)
+    for i in central:
+        for j in range(n):
+            table[i][j] = [0] * n
+            table[j][i] = [0] * n
+    z = [rng.choice([-2, -1, 1, 2]) if i in central else 0 for i in range(n)]
+    return degree, table, z
+
+
+def off_locus_colors(p, q, rng):
+    while True:
+        u, v = (Fraction(rng.randint(-5, 5)) for _ in range(2))
+        if p * u != q * v and q * u != p * v:
+            return u, v
+
+
+class TestBuildersAgainstTableOracles:
+    """Each builder against a Fraction matrix written from its formula in
+    oracles.py. The tables are random and unvalidated (Algebra and
+    LieSuperalgebra are constructed directly), because the builders read
+    only the tables."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_product_families(self, n):
+        rng = random.Random(100 + n)
+        table = random_table(n, rng)
+        unit = [rng.randint(-3, 3) for _ in range(n)]
+        A = Algebra(n, scalar_table(table), tuple(map(const, unit)), ())
+        a, b, g, p, q, lam, mu = (Fraction(rng.choice([-3, -1, 1, 2, 5]))
+                                  for _ in range(7))
+        u, v = off_locus_colors(p, q, rng)
+        frac = oracles.frac_matrix
+        assert frac(dn_operator(A, a, b, g)) == oracles.dn_matrix(
+            table, unit, a, b, g)
+        assert frac(colored_operator(A, p, q, u, v)) == \
+            oracles.colored_matrix(table, unit, p, q, u, v)
+        assert frac(colored_inverse(A, p, q, u, v)) == \
+            oracles.colored_inverse_matrix(table, unit, p, q, u, v)
+        t = wxz_system(A, lam, mu)
+        assert (frac(t.W), frac(t.X), frac(t.Z)) == oracles.wxz_matrices(
+            table, unit, lam, mu)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_super_phi_with_z_on_either_side(self, n):
+        rng = random.Random(200 + n)
+        degree, table, z = random_central_bracket(n, rng)
+        L = LieSuperalgebra(n, tuple(degree), scalar_table(table), ())
+        alpha = Fraction(rng.choice([-2, 3]))
+        zs = tuple(map(const, z))
+        assert oracles.frac_matrix(super_phi(L, zs, alpha)) == \
+            oracles.super_phi_matrix(table, degree, z, alpha)
+        assert oracles.frac_matrix(super_phi_inverse(L, zs, alpha)) == \
+            oracles.super_phi_matrix(table, degree, z, alpha, z_first=True)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_split_center(self, n):
+        rng = random.Random(300 + n)
+        c = rng.randrange(n)
+        f, g = random_supported_pair(n, c, rng)
+        frac = oracles.frac_matrix
+        assert frac(split_center_operator(SplitSpace(n, c), f, g)) == \
+            oracles.split_center_matrix(frac(f), frac(g), n, c)
+
+    def test_every_builder_at_a_symbolic_point(self):
+        rng = random.Random(400)
+        n = 3
+        names = ("a", "b", "g", "p", "q", "u", "v", "lam", "mu")
+        pv = [Fraction(x) for x in (2, -3, 5, 2, 3, 5, 7, -1, 4)]
+        point = dict(zip(names, pv), s=Fraction(3, 2))
+        a, b, g, p, q, u, v, lam, mu = map(var, names)
+        frac = oracles.frac_matrix
+
+        table = random_table(n, rng)
+        table[1][2][0] = "s"
+        unit = [1, "s", 0]
+        A = Algebra(n, scalar_table(table), tuple(map(as_scalar, unit)), ())
+        T, U = evaluated(table, point), evaluated(unit, point)
+        assert frac(dn_operator(A, a, b, g), point) == oracles.dn_matrix(
+            T, U, *pv[:3])
+        assert frac(colored_operator(A, p, q, u, v), point) == \
+            oracles.colored_matrix(T, U, *pv[3:7])
+        assert frac(colored_inverse(A, p, q, u, v), point) == \
+            oracles.colored_inverse_matrix(T, U, *pv[3:7])
+        t = wxz_system(A, lam, mu)
+        assert tuple(frac(op, point) for op in (t.W, t.X, t.Z)) == \
+            oracles.wxz_matrices(T, U, *pv[7:])
+
+        degree, table, z = random_central_bracket(n, rng)
+        table[2][2][2] = "s"
+        L = LieSuperalgebra(n, tuple(degree), scalar_table(table), ())
+        zs = tuple(map(const, z))
+        B = evaluated(table, point)
+        assert frac(super_phi(L, zs, a), point) == \
+            oracles.super_phi_matrix(B, degree, z, pv[0])
+        assert frac(super_phi_inverse(L, zs, a), point) == \
+            oracles.super_phi_matrix(B, degree, z, pv[0], z_first=True)
+
+        f, g = random_supported_pair(n, 0, rng)
+        rows = [list(r) for r in f.rows]
+        rows[0][4] = var("s")
+        f = Operator2(n, rows)
+        assert frac(split_center_operator(SplitSpace(n, 0), f, g), point) == \
+            oracles.split_center_matrix(frac(f, point), frac(g), n, 0)
+
+
 class TestSuperPhi:
     def test_abelian_reduces_to_graded_twist(self):
         L = load_superalgebra(fixture_path("abelian-super.json"))
@@ -405,8 +533,8 @@ class TestSuperPhi:
         a = var("a")
         phi = super_phi(L, z, a)
         phi_inv = super_phi_inverse(L, z, a)
-        assert compose(phi, phi_inv).is_identity()
-        assert compose(phi_inv, phi).is_identity()
+        assert (phi @ phi_inv).is_identity()
+        assert (phi_inv @ phi).is_identity()
 
     def test_gl11_inverse_matches_exact_matrix_inversion(self):
         L = load_superalgebra(fixture_path("gl11.json"))
@@ -422,7 +550,7 @@ class TestSuperPhi:
         a = var("a")
         phi = super_phi(L, z, a)
         assert braid_defect(phi).is_zero()
-        assert compose(phi, super_phi_inverse(L, z, a)).is_identity()
+        assert (phi @ super_phi_inverse(L, z, a)).is_identity()
 
     def test_non_central_z_rejected(self):
         L = load_superalgebra(fixture_path("gl11.json"))

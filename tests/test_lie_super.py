@@ -3,9 +3,11 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybx.algebra import FieldTypeError
 from ybx.lie_super import (
     AntisymmetryError,
     even_center,
@@ -13,6 +15,7 @@ from ybx.lie_super import (
     JacobiError,
     LieSuperalgebra,
     ShapeError,
+    SuperalgebraError,
     bracket_elements,
     load_superalgebra,
     make_superalgebra,
@@ -228,6 +231,21 @@ class TestSerialization:
             M = superalgebra_from_json_obj(L.to_json_obj())
             assert L == M
             assert L.labels == M.labels
+
+    def test_field_types_checked_before_axioms(self):
+        good = json.load(open(fixture_path("gl11.json")))
+        bad_objects = [
+            dict(good, dim="3"),
+            dict(good, dim=False),
+            dict(good, degree=[0, 1.0, 1, 0]),
+            dict(good, degree=1),
+            dict(good, structure=[[[2.5] * 4] * 4] * 4),
+            dict(good, structure={"0": 1}),
+        ]
+        for obj in bad_objects:
+            with pytest.raises(FieldTypeError) as info:
+                superalgebra_from_json_obj(obj)
+            assert not isinstance(info.value, SuperalgebraError)
 
     def test_missing_degree_rejected(self):
         obj = json.load(open(fixture_path("gl11.json")))

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import det_permutation_expansion
 from ybx.scalars import (IncompleteAssignmentError, MalformedScalarError,
                          ONE, ParamScalar, PoleError, ScalarParseError, ZERO,
-                         as_scalar, const, format_scalar, fresh_name,
-                         normalize, parse_scalar, var)
+                         as_scalar, const, fresh_name, parse_scalar, var)
 from ybx.scalars import Poly
 
 p, q, u, v, w = (var(nm) for nm in "pquvw")
@@ -41,8 +40,9 @@ class TestCanonicalForm:
 
     def test_normalize_is_identity_on_values(self):
         for s in (x / y, (x + y) ** 3 / (2 * x), const(Fraction(-3, 7))):
-            assert normalize(s) == s
-            assert normalize(normalize(s)) == normalize(s)
+            canonical = ParamScalar(s.num, s.den)
+            assert canonical == s
+            assert ParamScalar(canonical.num, canonical.den) == canonical
 
     def test_multivariate_cancellation(self):
         num = (u - v) * (u + v) * (p * u - q * v)
@@ -123,12 +123,12 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("text", ROUND_TRIPS)
     def test_canonical_string_round_trip(self, text):
-        assert format_scalar(parse_scalar(text)) == text
+        assert str(parse_scalar(text)) == text
 
     def test_value_round_trip(self):
         for s in (x / y, (x + 1) ** 2 / (3 * y), p * u - q * v,
                   const(Fraction(22, 7))):
-            assert parse_scalar(format_scalar(s)) == s
+            assert parse_scalar(str(s)) == s
 
     def test_grammar_variants(self):
         assert parse_scalar("x**2") == x ** 2
@@ -140,6 +140,19 @@ class TestParseFormat:
     def test_parse_errors(self, bad):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+    def test_nesting_is_bounded(self):
+        assert parse_scalar("(" * 100 + "x" + ")" * 100) == x
+        with pytest.raises(ScalarParseError, match="nested"):
+            parse_scalar("(" * 101 + "x" + ")" * 101)
+        with pytest.raises(ScalarParseError, match="nested"):
+            parse_scalar("(" * 2000 + "1" + ")" * 2000)
+
+    def test_sign_chains_parse_without_recursion(self):
+        assert parse_scalar("-" * 2001 + "x") == -x
+        assert parse_scalar("+-" * 2000 + "x") == x
+        assert parse_scalar("--x^2") == x ** 2
+        assert parse_scalar("-2^2") == const(-4)
 
     def test_ordering_is_graded_lex(self):
         assert str(2 * p * u - q * v) == "2*p*u - q*v"
@@ -223,10 +236,10 @@ def test_equality_matches_difference_being_zero(s, t):
 
 @given(small_scalars())
 def test_canonical_form_is_stable(s):
-    assert normalize(s) == s
-    rebuilt = parse_scalar(format_scalar(s))
+    assert ParamScalar(s.num, s.den) == s
+    rebuilt = parse_scalar(str(s))
     assert rebuilt == s
-    assert format_scalar(rebuilt) == format_scalar(s)
+    assert str(rebuilt) == str(s)
 
 
 @given(small_polys(), st.integers(-5, 5).filter(lambda k: k not in (0, 1)))

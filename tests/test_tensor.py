@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ybx.scalars import ONE, ZERO, const, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
-                        braid_defect, colored_defect, compose, determinant,
+                        braid_defect, colored_defect, determinant,
                         embed, invert, nullspace, operator_from_json_obj,
                         qybe_defect, twist, yb_commutator)
 
@@ -38,7 +38,31 @@ class TestTwist:
 
     def test_involution(self):
         t = twist(3)
-        assert compose(t, t).is_identity()
+        assert (t @ t).is_identity()
+
+
+class TestFromColumns:
+    def test_sums_repeated_pairs_and_drops_zero_sums(self):
+        x = var("x")
+        op = Operator2.from_columns(2, [
+            [(1, x), (3, ZERO), (1, ONE), (2, x)],
+            [],
+            [(0, x), (0, -x), (2, const(5))],
+        ])
+        expect = [[ZERO] * 4 for _ in range(4)]
+        expect[1][0] = x + 1
+        expect[2][0] = x
+        expect[2][2] = const(5)
+        assert op == Operator2(2, expect)
+        assert op.rows[0][2].is_zero
+        assert op.first_nonzero() == (1, 0, x + 1)
+
+    def test_builds_the_calling_class(self):
+        op = Operator3.from_columns(2, [[(7, ONE)]])
+        assert type(op) is Operator3
+        assert op.first_nonzero() == (7, 0, ONE)
+        assert Operator3.from_columns(2, ()) == Operator3(
+            2, [[0] * 8 for _ in range(8)])
 
 
 class TestEmbed:
@@ -89,14 +113,14 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = random.Random(3)
         R = random_op2(2, rng)
-        assert compose(R, Operator2.identity(2)) == R
-        assert compose(Operator2.identity(2), R) == R
+        assert R @ Operator2.identity(2) == R
+        assert Operator2.identity(2) @ R == R
 
     def test_matches_oracle_product(self):
         rng = random.Random(4)
         A = random_op2(2, rng)
         B = random_op2(2, rng)
-        assert oracles.frac_matrix(compose(A, B)) == oracles.matmul(
+        assert oracles.frac_matrix(A @ B) == oracles.matmul(
             oracles.frac_matrix(A), oracles.frac_matrix(B))
 
     def test_evaluation_commutes_with_composition(self):
@@ -105,14 +129,14 @@ class TestCompose:
         R = Operator2(2, [[a, 0, 0, 0], [0, 1, a, 0], [0, 0, b, 0], [1, 0, 0, a * b]])
         S = Operator2(2, [[b, 1, 0, 0], [0, a, 0, 0], [0, 0, 1, a], [0, b, 0, 1]])
         point = {"a": 3, "b": Fraction(-1, 2)}
-        left = oracles.frac_matrix(compose(R, S), point)
+        left = oracles.frac_matrix(R @ S, point)
         right = oracles.matmul(oracles.frac_matrix(R, point),
                                oracles.frac_matrix(S, point))
         assert left == right
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            compose(twist(2), twist(3))
+            twist(2) @ twist(3)
         with pytest.raises(DimensionMismatch):
             yb_commutator(twist(2), twist(2), twist(3))
 
@@ -136,8 +160,8 @@ class TestInverse:
         R = Operator2(2, [[a, 1, 0, 2], [0, b, 1, 0], [1, 0, a, 0], [0, 2, 0, 1]])
         res = invert(R)
         assert res.invertible
-        assert compose(R, res.operator).is_identity()
-        assert compose(res.operator, R).is_identity()
+        assert (R @ res.operator).is_identity()
+        assert (res.operator @ R).is_identity()
 
     def test_determinant_matches_expansion(self):
         rng = random.Random(5)
@@ -305,8 +329,8 @@ class TestEquivalence:
     def check(self, R):
         t = twist(R.dim)
         b = braid_defect(R).is_zero()
-        q1 = qybe_defect(compose(R, t)).is_zero()
-        q2 = qybe_defect(compose(t, R)).is_zero()
+        q1 = qybe_defect(R @ t).is_zero()
+        q2 = qybe_defect(t @ R).is_zero()
         assert b == q1 == q2
 
     def test_on_twist(self):
@@ -359,8 +383,8 @@ def small_operators(draw):
 def test_equivalence_property(R):
     t = twist(2)
     b = braid_defect(R).is_zero()
-    assert b == qybe_defect(compose(R, t)).is_zero()
-    assert b == qybe_defect(compose(t, R)).is_zero()
+    assert b == qybe_defect(R @ t).is_zero()
+    assert b == qybe_defect(t @ R).is_zero()
 
 
 @given(small_operators(), small_operators())
@@ -369,7 +393,7 @@ def test_inverse_round_trip_property(A, B):
     R = A @ B
     res = invert(R)
     if res.invertible:
-        assert compose(R, res.operator).is_identity()
-        assert compose(res.operator, R).is_identity()
+        assert (R @ res.operator).is_identity()
+        assert (res.operator @ R).is_identity()
     else:
         assert res.determinant.is_zero

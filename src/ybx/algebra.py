@@ -208,12 +208,20 @@ def quadratic_quotient_algebra(m, n) -> Algebra:
     return make_algebra(2, structure, [ONE, ZERO], ["1", "x"])
 
 
+def check_json_object(obj, what: str) -> None:
+    """Reject a structure file whose top-level value is not an object."""
+    if not isinstance(obj, dict):
+        raise FieldTypeError(
+            f"{what} must be a JSON object, got {type(obj).__name__}")
+
+
 def algebra_from_json_obj(obj: dict) -> Algebra:
+    check_json_object(obj, "algebra")
     try:
         dim = obj["dim"]
         structure = obj["structure"]
         unit = obj["unit"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ShapeError(f"algebra object is missing field {exc}") from None
     labels = obj.get("labels")
     check_field_types(dim, {"structure": (structure, 3), "unit": (unit, 1),

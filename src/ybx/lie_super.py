@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .algebra import check_field_types
+from .algebra import check_field_types, check_json_object
 from .scalars import ONE, ZERO, as_scalar
 from .tensor import bilinear, nullspace
 
@@ -190,11 +190,12 @@ def even_center(L: LieSuperalgebra):
 
 
 def superalgebra_from_json_obj(obj: dict) -> LieSuperalgebra:
+    check_json_object(obj, "superalgebra")
     try:
         dim = obj["dim"]
         degree = obj["degree"]
         bracket = obj["structure"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ShapeError(f"superalgebra object is missing field {exc}") from None
     labels = obj.get("labels")
     check_field_types(dim, {"degree": (degree, 1), "structure": (bracket, 3),

@@ -15,14 +15,33 @@ Canonical form of a quotient num/den:
 
 Monomials are ordered graded-lexicographically over alphabetically sorted
 indeterminate names, which makes string output reproducible bit for bit.
+A monomial is a tuple of (name, exponent) pairs sorted by name, and its sort
+key is ``(-degree, ((name, -exponent), ...))``. Plain tuple comparison of
+these keys is graded lex with the leading term first: a higher degree gives
+a smaller first entry; at equal degree the first pair that differs decides,
+and either the names agree and the larger exponent is the smaller -exponent,
+or the names differ, in which case the monomial with the alphabetically
+earlier name has that indeterminate and the other lacks it, so the earlier
+name, the smaller one, marks the larger monomial. Hence ``leading()`` is a
+``min`` and ``str`` sorts ascending.
+
+Exact division works in integer arithmetic throughout: a division by an
+integer content divides each coefficient, and ``Poly.divexact`` keeps the
+remainder's monomials in a heap. ``poly_gcd`` removes the integer and
+monomial contents first and answers 1 at once when what is left of either
+operand is a single term or when the two share no indeterminate. Otherwise
+it takes the alphabetically first indeterminate: if only one operand has it,
+it divides out through that operand's content in it, and if both have it,
+a primitive remainder sequence in it gives the gcd. Contents are gcds of
+coefficients, taken smallest first, so that a trivial gcd shows early.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Mapping, Union
 
 ScalarLike = Union["ParamScalar", int, Fraction, str]
@@ -56,6 +75,18 @@ Mono = tuple  # tuple[tuple[str, int], ...]
 
 _EMPTY_MONO: Mono = ()
 
+# Equal monomials built by different polynomials share one tuple, so results
+# kept alive hold one copy of each monomial. The table only saves memory, so
+# it is cleared, not evicted, when it reaches its bound.
+_MONOS: dict = {}
+_MONOS_LIMIT = 1 << 14
+
+
+def _intern(m: Mono) -> Mono:
+    if len(_MONOS) >= _MONOS_LIMIT:
+        _MONOS.clear()
+    return _MONOS.setdefault(m, m)
+
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
@@ -65,7 +96,7 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     exps = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    return _intern(tuple(sorted(exps.items())))
 
 
 def _mono_div(a: Mono, b: Mono):
@@ -79,7 +110,7 @@ def _mono_div(a: Mono, b: Mono):
             del exps[name]
         else:
             exps[name] = r
-    return tuple(sorted(exps.items()))
+    return _intern(tuple(sorted(exps.items())))
 
 
 def _mono_gcd(a: Mono, b: Mono) -> Mono:
@@ -94,26 +125,14 @@ def _mono_gcd(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def _mono_degree(a: Mono) -> int:
-    return sum(e for _, e in a)
-
-
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lex: higher total degree wins, ties broken lexicographically
-    with alphabetically earlier names more significant."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ea, eb = dict(a), dict(b)
-    for name in sorted(set(ea) | set(eb)):
-        xa, xb = ea.get(name, 0), eb.get(name, 0)
-        if xa != xb:
-            # a higher power of an earlier variable sorts above
-            return 1 if xa > xb else -1
-    return 0
-
-
-_MONO_KEY = cmp_to_key(_mono_cmp)
+def _mono_key(m: Mono) -> tuple:
+    """Sort key under which ascending order is descending graded lex."""
+    degree = 0
+    pairs = []
+    for name, e in m:
+        degree += e
+        pairs.append((name, -e))
+    return -degree, tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +174,7 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        mono = max(self.terms, key=_MONO_KEY)
+        mono = min(self.terms, key=_mono_key)
         return mono, self.terms[mono]
 
     def int_content(self) -> int:
@@ -205,6 +224,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return _P_ZERO
+        # a product with 1 shares the other factor, which is immutable
+        if other.terms == _P_ONE.terms:
+            return self
+        if self.terms == _P_ONE.terms:
+            return other
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -240,25 +264,54 @@ class Poly:
             return self
         return Poly({_mono_mul(m, mono): c for m, c in self.terms.items()})
 
+    def div_int(self, k: int) -> "Poly":
+        """Division by a nonzero integer that divides every coefficient."""
+        if k == 1:
+            return self
+        return Poly({m: c // k for m, c in self.terms.items()})
+
     def divexact(self, g: "Poly") -> "Poly":
-        """Exact multivariate division; raises ArithmeticError if not exact."""
+        """Exact multivariate division; raises ArithmeticError if not exact.
+
+        The remainder's monomials wait in a heap ordered by _mono_key, so
+        each step pops the leading one instead of rescanning the remainder.
+        Each step only adds terms below the one it removes, so a monomial
+        popped once never returns; a monomial cancelled to zero and added
+        again may sit in the heap twice, and the stale entry finds no
+        coefficient left in the remainder when popped.
+        """
         if g.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return _P_ZERO
-        q: dict = {}
-        r = self
         gmono, gc = g.leading()
-        while not r.is_zero:
-            rmono, rc = r.leading()
-            m = _mono_div(rmono, gmono)
-            if m is None:
+        tail = [(m, c) for m, c in g.terms.items() if m != gmono]
+        r = dict(self.terms)
+        heap = [(_mono_key(m), m) for m in r]
+        heapq.heapify(heap)
+        q: dict = {}
+        while heap:
+            m = heapq.heappop(heap)[1]
+            rc = r.pop(m, 0)
+            if not rc:
+                continue
+            qm = _mono_div(m, gmono)
+            if qm is None:
                 raise ArithmeticError("inexact polynomial division")
-            c, rem = divmod(rc, gc)
+            qc, rem = divmod(rc, gc)
             if rem:
                 raise ArithmeticError("inexact polynomial division")
-            q[m] = q.get(m, 0) + c
-            r = r - g.scale(c).mul_mono(m)
+            q[qm] = qc
+            for tm, tc in tail:
+                t = _mono_mul(qm, tm)
+                s = r.get(t)
+                if s is None:
+                    r[t] = -qc * tc
+                    heapq.heappush(heap, (_mono_key(t), t))
+                elif s == qc * tc:
+                    del r[t]
+                else:
+                    r[t] = s - qc * tc
         return Poly(q)
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -287,7 +340,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=_MONO_KEY, reverse=True):
+        for mono in sorted(self.terms, key=_mono_key):
             c = self.terms[mono]
             factors = []
             if abs(c) != 1 or not mono:
@@ -345,7 +398,7 @@ def _from_univar(coeffs: dict, v: str) -> Poly:
 
 def _coeff_content(coeffs: dict) -> Poly:
     g = _P_ZERO
-    for poly in coeffs.values():
+    for poly in sorted(coeffs.values(), key=lambda p: len(p.terms)):
         g = poly_gcd(g, poly)
         if g == _P_ONE:
             break
@@ -394,8 +447,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     cf = f.int_content()
     cg = g.int_content()
     c = math.gcd(cf, cg)
-    pf = f.divexact(Poly.const(cf))
-    pg = g.divexact(Poly.const(cg))
+    pf = f.div_int(cf)
+    pg = g.div_int(cg)
     mf = pf.mono_content()
     mg = pg.mono_content()
     mc = _mono_gcd(mf, mg)
@@ -403,15 +456,26 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         pf = Poly({_mono_div(m, mf): v for m, v in pf.terms.items()})
     if mg:
         pg = Poly({_mono_div(m, mg): v for m, v in pg.terms.items()})
-    h = _gcd_primitive(pf, pg)
+    # With the contents removed, a single term is a unit, and so is a
+    # common divisor of two operands that share no indeterminate: it can
+    # only involve indeterminates both have.
+    fnames, gnames = pf.names, pg.names
+    if len(pf.terms) == 1 or len(pg.terms) == 1 or fnames.isdisjoint(gnames):
+        return _P_ONE if c == 1 and not mc else Poly({_intern(mc): c})
+    v = min(fnames | gnames)
+    if v in fnames and v in gnames:
+        h = _gcd_primitive(pf, pg, v)
+    else:
+        # only one operand has v, so v divides out through that operand's
+        # content in v: gcd(f, g) = gcd(cont_v(f), g)
+        a, b = (pf, pg) if v in fnames else (pg, pf)
+        h = poly_gcd(_coeff_content(_univar(a, v)), b)
     return _normalize_sign(h.scale(c).mul_mono(mc))
 
 
-def _gcd_primitive(f: Poly, g: Poly) -> Poly:
-    names = sorted(f.names | g.names)
-    if not names:
-        return _P_ONE
-    v = names[0]
+def _gcd_primitive(f: Poly, g: Poly, v: str) -> Poly:
+    """gcd of f and g by the primitive remainder sequence in v, which both
+    contain; the result is primitive up to its sign."""
     F = _univar(f, v)
     G = _univar(g, v)
     contF = _coeff_content(F)
@@ -424,23 +488,12 @@ def _gcd_primitive(f: Poly, g: Poly) -> Poly:
     while True:
         r = _prem(F, G)
         if not r:
-            result = _from_univar(G, v)
-            break
+            # G is primitive: it was divided by its content
+            return _from_univar(G, v) * d
         if max(r) == 0:
             # nontrivial constant (in v) remainder: the pp-gcd is trivial
-            result = _P_ONE
-            break
-        rc = _coeff_content(r)
-        F, G = G, _coeff_divexact(r, rc)
-    # drop any residual content picked up by the remainder sequence
-    if result != _P_ONE:
-        rcont = _coeff_content(_univar(result, v))
-        if rcont != _P_ONE:
-            result = _from_univar(_coeff_divexact(_univar(result, v), rcont), v)
-        c = result.int_content()
-        if c > 1:
-            result = result.divexact(Poly.const(c))
-    return result * d
+            return d
+        F, G = G, _coeff_divexact(r, _coeff_content(r))
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +543,25 @@ class ParamScalar:
         other = as_scalar(other)
         if self.den == _P_ONE and other.den == _P_ONE:
             return ParamScalar(self.num + other.num)
-        return ParamScalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici's sum of canonical quotients (Knuth, TAOCP 4.5.1): with
+        # g = gcd of the denominators, only a factor of g can cancel
+        g = poly_gcd(self.den, other.den)
+        if g == _P_ONE:
+            return _reduced(self.num * other.den + other.num * self.den,
+                            self.den * other.den)
+        b = self.den.divexact(g)
+        t = self.num * other.den.divexact(g) + other.num * b
+        if t.is_zero:
+            return ZERO
+        h = poly_gcd(t, g)
+        if h == _P_ONE:
+            return _reduced(t, b * other.den)
+        return _reduced(t.divexact(h), b * other.den.divexact(h))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamScalar":
-        out = object.__new__(ParamScalar)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other: ScalarLike) -> "ParamScalar":
         return self + (-as_scalar(other))
@@ -514,21 +575,23 @@ class ParamScalar:
             return ZERO
         if self.den == _P_ONE and other.den == _P_ONE:
             return ParamScalar(self.num * other.num)
-        # canonical inputs: cross-cancel, then only content/sign work remains
+        # canonical inputs: after cross-cancelling nothing else can cancel
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         n1 = self.num.divexact(g1) if g1 != _P_ONE else self.num
         d2 = other.den.divexact(g1) if g1 != _P_ONE else other.den
         n2 = other.num.divexact(g2) if g2 != _P_ONE else other.num
         d1 = self.den.divexact(g2) if g2 != _P_ONE else self.den
-        return ParamScalar(n1 * n2, d1 * d2)
+        return _reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "ParamScalar":
         if self.num.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        return ParamScalar(self.den, self.num)
+        if self.num.leading()[1] < 0:
+            return _reduced(-self.den, -self.num)
+        return _reduced(self.den, self.num)
 
     def __truediv__(self, other: ScalarLike) -> "ParamScalar":
         return self * as_scalar(other).reciprocal()
@@ -539,10 +602,7 @@ class ParamScalar:
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = object.__new__(ParamScalar)
-        object.__setattr__(out, "num", self.num ** n)
-        object.__setattr__(out, "den", self.den ** n)
-        return out
+        return _reduced(self.num ** n, self.den ** n)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -607,6 +667,17 @@ class ParamScalar:
         return f"<scalar {self}>"
 
 
+def _reduced(num: Poly, den: Poly) -> ParamScalar:
+    """num/den as it stands, for callers that know num and den share no
+    factor and den has a positive leading coefficient."""
+    if num.is_zero:
+        return ZERO
+    out = object.__new__(ParamScalar)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
 def _canonical(num: Poly, den: Poly):
     if den.is_zero:
         raise MalformedScalarError("zero denominator")
@@ -620,9 +691,8 @@ def _canonical(num: Poly, den: Poly):
         num = num.divexact(g)
         den = den.divexact(g)
     c = math.gcd(num.int_content(), den.int_content())
-    if c > 1:
-        num = num.divexact(Poly.const(c))
-        den = den.divexact(Poly.const(c))
+    num = num.div_int(c)
+    den = den.div_int(c)
     if den.leading()[1] < 0:
         num = num.scale(-1)
         den = den.scale(-1)

@@ -228,3 +228,20 @@ def split_center_matrix(f, g, n, c):
     on_left = [[int(i == j and i // n == c) for j in range(size)]
                for i in range(size)]
     return combo((1, matmul(on_right, f)), (1, matmul(on_left, g)))
+
+
+def mono_cmp(a, b) -> int:
+    """Graded lex on monomials given as sorted (name, exponent) tuples:
+    higher total degree wins, ties broken lexicographically with
+    alphabetically earlier names more significant. A comparator, for
+    functools.cmp_to_key; the library encodes the same order as a key."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ea, eb = dict(a), dict(b)
+    for name in sorted(set(ea) | set(eb)):
+        xa, xb = ea.get(name, 0), eb.get(name, 0)
+        if xa != xb:
+            # a higher power of an earlier variable sorts above
+            return 1 if xa > xb else -1
+    return 0

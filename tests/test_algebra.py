@@ -229,6 +229,8 @@ class TestSerialization:
             dict(good, structure=[[["1", "0"], ["0", "1"]],
                                   [["0", "1"], ["n", False]]]),
             dict(good, labels=3),
+            [1, 2],
+            "x",
         ]
         for obj in bad_objects:
             with pytest.raises(FieldTypeError) as info:

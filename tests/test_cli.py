@@ -384,6 +384,20 @@ class TestHostileInput:
                 assert field in err and str(bad) in err
                 assert out == ""
 
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        verbs = [("algebra", ["validate", "algebra"]),
+                 ("algebra", ["check", "constant"]),
+                 ("superalgebra", ["validate", "superalgebra"]),
+                 ("superalgebra", ["check", "super"])]
+        for n, top in enumerate(([1, 2], "x", 3, None)):
+            bad = tmp_path / f"top{n}.json"
+            bad.write_text(json.dumps(top))
+            for kind, verb in verbs:
+                code, out, err = run(capsys, *verb, f"--{kind}", str(bad))
+                assert code == 2, (verb, top)
+                assert "JSON object" in err and str(bad) in err
+                assert out == ""
+
     def test_deeply_nested_structure_file(self, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000 + "]" * 100000)

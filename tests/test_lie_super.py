@@ -241,6 +241,8 @@ class TestSerialization:
             dict(good, degree=1),
             dict(good, structure=[[[2.5] * 4] * 4] * 4),
             dict(good, structure={"0": 1}),
+            [good],
+            "gl11",
         ]
         for obj in bad_objects:
             with pytest.raises(FieldTypeError) as info:

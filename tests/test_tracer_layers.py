@@ -4,6 +4,7 @@ traced run fail when the tracer installs itself."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,38 @@ def test_every_traced_name_resolves():
             else:
                 assert callable(getattr(owner, attr, None)), \
                     (group, module_name, attr)
+
+
+def test_scalar_kernel_names_are_plain_attributes():
+    # a rename, an alias or a closure here would drop the scalar kernel
+    # from the benchmark's trace without any error
+    from ybx import scalars
+    gcd = vars(scalars)["poly_gcd"]
+    assert inspect.isfunction(gcd) and gcd.__qualname__ == "poly_gcd"
+    div = vars(scalars.Poly)["divexact"]
+    assert inspect.isfunction(div) and div.__qualname__ == "Poly.divexact"
+
+
+def test_replaced_scalar_kernel_sees_internal_calls(monkeypatch):
+    # the tracer replaces these attributes; ybx's own calls must go
+    # through them, not through a reference taken at import time
+    from ybx import scalars
+    calls = {"poly_gcd": 0, "divexact": 0}
+    gcd, div = scalars.poly_gcd, scalars.Poly.divexact
+
+    def counted_gcd(f, g):
+        calls["poly_gcd"] += 1
+        return gcd(f, g)
+
+    def counted_div(self, g):
+        calls["divexact"] += 1
+        return div(self, g)
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(scalars.Poly, "divexact", counted_div)
+    x, y = scalars.var("x"), scalars.var("y")
+    assert scalars.poly_gcd((x * x - y * y).num, (x - y).num) == (x - y).num
+    # the gcd's own recursion goes through the replaced name as well
+    assert calls["poly_gcd"] > 1
+    assert (x * x - y * y) / (x - y) == x + y
+    assert calls["divexact"] > 0

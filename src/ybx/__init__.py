@@ -18,10 +18,10 @@ from .lie_super import (AntisymmetryError, GradingError, JacobiError,
                         LieSuperalgebra, SuperalgebraError, bracket_elements,
                         even_center, load_superalgebra, make_superalgebra,
                         superalgebra_from_json_obj)
-from .tensor import (DimensionMismatch, InverseResult, Operator2, Operator3,
-                     braid_defect, colored_defect, determinant, embed,
-                     invert, nullspace, operator_from_json_obj, qybe_defect,
-                     twist, yb_commutator)
+from .tensor import (Defect, DimensionMismatch, InverseResult, Operator2,
+                     Operator3, braid_defect, colored_defect, determinant,
+                     embed, invert, nullspace, operator_from_json_obj,
+                     qybe_defect, twist, yb_commutator)
 from .constructors import (FreeIndeterminateError, InvalidCenterError,
                            InvertibilityLocusError, NotYangBaxterError,
                            SplitSpace, SupportViolationError, WxzTriple,

@@ -20,16 +20,18 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import Algebra, AlgebraError, FieldTypeError, load_algebra
-from .constructors import (InvalidCenterError, InvertibilityLocusError,
-                           NotYangBaxterError, SplitSpace,
+from .constructors import (FreeIndeterminateError, InvalidCenterError,
+                           InvertibilityLocusError, NotYangBaxterError,
+                           SplitSpace, SupportViolationError,
                            _dn_case_symbolic, colored_operator, dn_operator,
                            split_center_operator, super_phi,
                            super_phi_inverse, wxz_system)
 from .lie_super import (LieSuperalgebra, SuperalgebraError, even_center,
                         load_superalgebra)
-from .scalars import (MalformedScalarError, ParamScalar, ScalarParseError,
-                      const, fresh_name, parse_scalar, var)
-from .tensor import Operator2, invert, qybe_defect
+from .scalars import (IncompleteAssignmentError, MalformedScalarError,
+                      ParamScalar, PoleError, ScalarParseError, const,
+                      fresh_name, parse_scalar, var)
+from .tensor import DimensionMismatch, Operator2, invert, qybe_defect
 from .verify import (entry_witness, report, verify_colored_family,
                      verify_constant, verify_inverse_pair, verify_wxz)
 
@@ -58,14 +60,36 @@ class InputError(Exception):
     """Anything wrong with the invocation's inputs; exits with status 2."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+# Every error class of ybx: one that a handler lets through still exits
+# with status 2 and a one-line message, never with a traceback.
+_YBX_ERRORS = (InputError, AlgebraError, FieldTypeError, SuperalgebraError,
+               ScalarParseError, MalformedScalarError, PoleError,
+               IncompleteAssignmentError, DimensionMismatch,
+               NotYangBaxterError, FreeIndeterminateError,
+               InvertibilityLocusError, SupportViolationError,
+               InvalidCenterError)
+
+# Each split-center instance is a dense dim^4 operator; a one-sample check
+# at this dim takes about 2 s and 100 MB on a 2-vCPU x86-64 VM.
+MAX_SPLIT_DIM = 16
+
+
+def _int_in_range(low: int, high=None):
+    """An argparse type for an int in [low, high], unbounded above when
+    high is None."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(sub, algebra=False, superalgebra=False, params=(),
@@ -83,10 +107,11 @@ def _add_common(sub, algebra=False, superalgebra=False, params=(),
         else:
             sub.add_argument(f"--{name}", metavar="EXPR")
     if sampling:
-        sub.add_argument("--samples", type=_positive_int, metavar="N")
+        sub.add_argument("--samples", type=_int_in_range(1), metavar="N")
         sub.add_argument("--seed", type=int, default=0, metavar="S")
     if dim:
-        sub.add_argument("--dim", type=int, default=3)
+        sub.add_argument("--dim", type=_int_in_range(2, MAX_SPLIT_DIM),
+                         default=3)
     if family:
         sub.add_argument("--family", required=True,
                          choices=["dn", "colored", "wxz", "super"])
@@ -325,8 +350,6 @@ def _random_split_instance(space: SplitSpace, rng: random.Random) -> Operator2:
 
 
 def _cmd_check_split_center(cfg: CliConfig) -> int:
-    if cfg.dim < 2:
-        raise InputError("--dim must be at least 2")
     t0 = time.perf_counter()
     samples = cfg.samples if cfg.samples is not None else 20
     rng = random.Random(cfg.seed)
@@ -454,11 +477,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotYangBaxterError, InvertibilityLocusError,
-            InvalidCenterError) as exc:
+    except _YBX_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -248,8 +248,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c: int) -> "Poly":
@@ -714,6 +715,23 @@ def const(value: Union[int, Fraction]) -> ParamScalar:
     return ParamScalar(Poly.const(f.numerator), Poly.const(f.denominator))
 
 
+def clear_denominators(rows):
+    """(d, rows times d as lists of ints) for the least d >= 1 that makes
+    every entry of the matrix rows an integer, or None when an entry is not
+    a rational constant."""
+    nums = [e.num.terms for row in rows for e in row]
+    dens = [e.den.terms for row in rows for e in row]
+    # a denominator is never empty, so both tests leave only constants
+    constant = {_EMPTY_MONO}.issuperset
+    if not (all(map(constant, nums)) and all(map(constant, dens))):
+        return None
+    qs = [den[_EMPTY_MONO] for den in dens]
+    d = math.lcm(*qs)
+    flat = [num.get(_EMPTY_MONO, 0) * (d // q) for num, q in zip(nums, qs)]
+    width = len(rows[0])
+    return d, [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
 def as_scalar(value: ScalarLike) -> ParamScalar:
     if isinstance(value, ParamScalar):
         return value
@@ -769,6 +787,33 @@ def _tokenize(text: str):
 # Each level of parentheses costs the recursive descent five frames, so an
 # explicit bound keeps hostile input far from the interpreter's limit.
 _MAX_NESTING = 100
+
+# Bounds on a power p^e in an expression, checked before it is computed, on
+# the numerator and the denominator of p^e alike: its total degree, the bit
+# length of its coefficients, at most e*log2 of the sum of the absolute
+# coefficients of p, and its number of terms, at most the number of
+# multisets of e of the t terms of p.
+_MAX_POWER_DEGREE = 1000
+_MAX_POWER_BITS = 10_000
+_MAX_POWER_TERMS = 2_000
+
+
+def _check_power(base: ParamScalar, e: int, text: str) -> None:
+    for p in (base.num, base.den):
+        t = len(p.terms)
+        if not t:
+            continue
+        degree = max(sum(k for _, k in m) for m in p.terms)
+        bits = (sum(abs(c) for c in p.terms.values()) - 1).bit_length()
+        if e * degree > _MAX_POWER_DEGREE:
+            bound = f"total degree above {_MAX_POWER_DEGREE}"
+        elif e * bits > _MAX_POWER_BITS:
+            bound = f"coefficients longer than {_MAX_POWER_BITS} bits"
+        elif math.comb(e + t - 1, t - 1) > _MAX_POWER_TERMS:
+            bound = f"more than {_MAX_POWER_TERMS} terms"
+        else:
+            continue
+        raise ScalarParseError(f"power too large in {text!r}: {bound}")
 
 
 class _Parser:
@@ -849,6 +894,7 @@ class _Parser:
             e = int(v)
             if neg and base.is_zero:
                 raise MalformedScalarError("zero to a negative power")
+            _check_power(base, e, self.text)
             return base ** (-e if neg else e)
         return base
 

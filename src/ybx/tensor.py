@@ -7,16 +7,21 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-All entries are ParamScalar, so every zero test below is exact.
+Operator entries are ParamScalar. The defect kernel also runs on plain
+ints, for operators whose entries are all rational constants, once their
+denominators are cleared; either way every zero test below is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, ParamScalar, as_scalar
+from .scalars import (ONE, ZERO, ParamScalar, as_scalar, clear_denominators,
+                      const)
 
 
 class DimensionMismatch(ValueError):
@@ -150,7 +155,6 @@ class _Operator:
 
     def evaluate(self, assignment):
         """Specialize every entry at a point (entries become constants)."""
-        from .scalars import const
         return type(self)(self.dim, [
             [const(e.evaluate(assignment)) for e in r] for r in self.rows
         ])
@@ -244,73 +248,142 @@ def twist(n: int) -> Operator2:
 _LEG_POSITIONS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
-def _leg_action(R: Operator2, legs: int):
-    """R on the chosen pair of tensor factors of V⊗V⊗V: for each flat input
-    index, the list of nonzero (flat output index, entry) pairs."""
+def _leg_action(entries, n: int, legs: int):
+    """The n^2 x n^2 matrix M with column c equal to entries[c], on the
+    chosen pair of tensor factors of V⊗V⊗V: for each flat input index, the
+    list of nonzero (flat output index, entry) pairs. Fed the columns of R
+    this is R's embedding; fed R.rows it is the embedding of R's transpose.
+    Entries may be ParamScalars or ints."""
     if legs not in _LEG_POSITIONS:
         raise ValueError("legs must be one of 12, 23, 13")
-    n = R.dim
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
-    cols = [[(r, row[c]) for r, row in enumerate(R.rows) if not row[c].is_zero]
-            for c in range(n * n)]
+    out_index = [r // n * sa + r % n * sb for r in range(n * n)]
+    cols = [[(out_index[r], e) for r, e in enumerate(col) if e]
+            for col in entries]
     action = [None] * n ** 3
     for a, b, c in product(range(n), repeat=3):
-        action[a * sa + b * sb + c * sc] = [
-            (r // n * sa + r % n * sb + c * sc, e) for r, e in cols[a * n + b]]
+        shift = c * sc
+        action[a * sa + b * sb + shift] = [(y + shift, e)
+                                           for y, e in cols[a * n + b]]
     return action
 
 
 def embed(R: Operator2, legs: int) -> Operator3:
     """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors: legs 12
     is R⊗I, legs 23 is I⊗R, and legs 13 puts R on the outer pair."""
-    return Operator3.from_columns(R.dim, _leg_action(R, legs))
+    return Operator3.from_columns(
+        R.dim, _leg_action(tuple(zip(*R.rows)), R.dim, legs))
 
 
 # ---------------------------------------------------------------------------
 # defects: LHS - RHS of the identities under test
 # ---------------------------------------------------------------------------
 
-def _apply(actions, col: int) -> dict:
+def _apply(actions, x: int) -> dict:
     """The product of leg actions (listed in the order they apply) on the
-    basis tensor e_col, as a sparse {flat index: nonzero scalar} map."""
-    vec = dict(actions[0][col])
+    basis tensor e_x, as a sparse {flat index: nonzero entry} map."""
+    vec = dict(actions[0][x])
     for action in actions[1:]:
         out = {}
         for x, s in vec.items():
             for y, e in action[x]:
                 out[y] = out[y] + s * e if y in out else s * e
-        vec = {y: e for y, e in out.items() if not e.is_zero}
+        vec = {y: e for y, e in out.items() if e}
     return vec
 
 
-def _defect(dim: int, lhs, rhs) -> Operator3:
-    """lhs - rhs for two products of leg actions, column by column."""
-    return Operator3.from_columns(dim, (
-        [*_apply(lhs, col).items(),
-         *((y, -e) for y, e in _apply(rhs, col).items())]
-        for col in range(dim ** 3)))
+def _defect_rows(n: int, lhs, rhs):
+    """(row, {col: entry}) for each nonzero row of lhs - rhs, in order; lhs
+    and rhs list the transposed leg actions of the two products from the
+    left, so applying them to e_y gives row y."""
+    for y in range(n ** 3):
+        left, right = _apply(lhs, y), _apply(rhs, y)
+        if left != right:
+            diffs = ((c, left.get(c, 0) - right.get(c, 0))
+                     for c in sorted(left.keys() | right.keys()))
+            yield y, {c: e for c, e in diffs if e}
 
 
-def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Operator3:
+class Defect:
+    """LHS - RHS of an identity on V⊗V⊗V, scanned when it is built: the
+    scan stops at the first nonzero row and keeps its first nonzero entry.
+    The full matrix is recomputed on demand by ``dense``."""
+
+    __slots__ = ("dim", "_rows", "_scalar", "_first")
+
+    def __init__(self, dim: int, rows, scalar):
+        # rows() yields the nonzero rows as in _defect_rows; scalar turns
+        # one of their entries into the defect's ParamScalar entry
+        self.dim = dim
+        self._rows = rows
+        self._scalar = scalar
+        found = next(rows(), None)
+        if found is None:
+            self._first = None
+        else:
+            y, row = found
+            col = min(row)
+            self._first = (y, col, scalar(row[col]))
+
+    def is_zero(self) -> bool:
+        return self._first is None
+
+    def first_nonzero(self):
+        """(row, col, entry) of the first nonzero entry in row-major order,
+        or None."""
+        return self._first
+
+    def dense(self) -> Operator3:
+        """The whole defect as an n^3 x n^3 operator."""
+        columns = [[] for _ in range(self.dim ** 3)]
+        for y, row in self._rows():
+            for c, e in row.items():
+                columns[c].append((y, self._scalar(e)))
+        return Operator3.from_columns(self.dim, columns)
+
+    def __repr__(self):
+        return f"Defect(dim={self.dim}, first_nonzero={self._first})"
+
+
+def _defect(ops, legs, lhs, rhs) -> Defect:
+    """ops[i] on the leg pair legs[i]; lhs and rhs index the three factors
+    of each product, leftmost first. When every entry is a rational
+    constant, each operator goes in as d*op with int entries, and an entry
+    of that defect is the true one times the product of the d of one side."""
+    n = ops[0].dim
+    distinct = {id(op): op for op in ops}
+    cleared = {k: clear_denominators(op.rows) for k, op in distinct.items()}
+    if None in cleared.values():
+        entries = [op.rows for op in ops]
+        scalar = lambda e: e  # noqa: E731
+    else:
+        entries = [cleared[id(op)][1] for op in ops]
+        denom = math.prod(cleared[id(ops[i])][0] for i in lhs)
+        scalar = lambda e: const(Fraction(e, denom))  # noqa: E731
+    actions = [_leg_action(e, n, leg) for e, leg in zip(entries, legs)]
+    lhs = [actions[i] for i in lhs]
+    rhs = [actions[i] for i in rhs]
+    return Defect(n, lambda: _defect_rows(n, lhs, rhs), scalar)
+
+
+def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Defect:
     """R^12 S^13 T^23 - T^23 S^13 R^12."""
     if not (R.dim == S.dim == T.dim):
         raise DimensionMismatch("yb_commutator needs equal dims")
-    r12, s13, t23 = _leg_action(R, 12), _leg_action(S, 13), _leg_action(T, 23)
-    return _defect(R.dim, [t23, s13, r12], [r12, s13, t23])
+    return _defect((R, S, T), (12, 13, 23), (0, 1, 2), (2, 1, 0))
 
 
-def braid_defect(R: Operator2) -> Operator3:
+def braid_defect(R: Operator2) -> Defect:
     """Defect of R^12 R^23 R^12 = R^23 R^12 R^23."""
-    r12, r23 = _leg_action(R, 12), _leg_action(R, 23)
-    return _defect(R.dim, [r12, r23, r12], [r23, r12, r23])
+    return _defect((R, R), (12, 23), (0, 1, 0), (1, 0, 1))
 
 
-def qybe_defect(R: Operator2) -> Operator3:
+def qybe_defect(R: Operator2) -> Defect:
     """Defect of R^12 R^13 R^23 = R^23 R^13 R^12 (the constant QYBE)."""
     return yb_commutator(R, R, R)
 
 
-def colored_defect(Rxy: Operator2, Rxz: Operator2, Ryz: Operator2) -> Operator3:
+def colored_defect(Rxy: Operator2, Rxz: Operator2, Ryz: Operator2) -> Defect:
     """Defect of the two-parameter QYBE for the three given specializations
     R(u,v), R(u,w), R(v,w)."""
     return yb_commutator(Rxy, Rxz, Ryz)

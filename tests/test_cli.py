@@ -165,6 +165,14 @@ class TestCheckSplitCenter:
         assert code == 2
         assert "dim" in err
 
+    def test_dim_is_capped(self, capsys):
+        from ybx.cli import MAX_SPLIT_DIM
+        code, out, err = run(capsys, "check", "split-center", "--samples",
+                             "1", "--dim", str(MAX_SPLIT_DIM + 1))
+        assert code == 2
+        assert f"--dim: must be at most {MAX_SPLIT_DIM}" in err
+        assert out == ""
+
 
 class TestExportMatrix:
     def test_colored_symbolic_json_round_trips(self, capsys):
@@ -407,6 +415,50 @@ class TestHostileInput:
             assert code == 2
             assert "Traceback" not in err
             assert "not valid JSON" in err
+            assert out == ""
+
+    def test_huge_powers(self, tmp_path, capsys, monkeypatch):
+        power_of = ybx.ParamScalar.__pow__
+
+        def guarded(base, e):
+            # a power past the bounds fails the test instead of running
+            assert abs(e) <= 1000, "a power past the bounds was computed"
+            return power_of(base, e)
+
+        monkeypatch.setattr(ybx.ParamScalar, "__pow__", guarded)
+        for power in ("x^999999999", "(x+1)^999999999", "2^999999999",
+                      "((x+1)^100)^100"):
+            code, out, err = run(capsys, "check", "constant", "--algebra",
+                                 QUADRATIC, "--alpha", power)
+            assert code == 2, power
+            assert "--alpha" in err and "power too large" in err
+            assert out == ""
+            obj = json.load(open(QUADRATIC))
+            obj["structure"][1][1] = [power, "m"]
+            bad = tmp_path / "power.json"
+            bad.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "validate", "algebra",
+                                 "--algebra", str(bad))
+            assert code == 2, power
+            assert str(bad) in err and "power too large" in err
+        code, out, err = run_process("check", "constant", "--algebra",
+                                     QUADRATIC, "--beta", "x^999999999")
+        assert code == 2
+        assert "Traceback" not in err and "power too large" in err
+
+    def test_pole_under_substitution(self, tmp_path):
+        # a ybx error no handler catches still exits 2 with one line
+        obj = json.load(open(QUADRATIC))
+        obj["structure"][1][1] = ["n/(m - 1)", "0"]
+        bad = tmp_path / "pole.json"
+        bad.write_text(json.dumps(obj))
+        for verb in (["validate", "algebra"], ["check", "constant"]):
+            code, out, err = run_process(*verb, "--algebra", str(bad),
+                                         "--m", "1")
+            assert code == 2, verb
+            assert "Traceback" not in err
+            assert err == "error: denominator m - 1 vanishes under " \
+                          "substitution\n"
             assert out == ""
 
     def test_split_center_needs_a_sample(self, capsys):

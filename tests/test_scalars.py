@@ -157,6 +157,50 @@ class TestParseFormat:
         assert parse_scalar("--x^2") == x ** 2
         assert parse_scalar("-2^2") == const(-4)
 
+    @pytest.mark.parametrize("text, inner", [
+        ("x^999999999", []), ("(x+1)^999999999", []), ("2^999999999", []),
+        ("x^-999999999", []), ("(1/2)^-999999999", []), ("(a+b+c+d)^21", []),
+        ("((x+1)^100)^100", [100]), ("((x+1)^30)^30", [30])])
+    def test_powers_are_bounded_before_they_are_computed(self, text, inner,
+                                                         monkeypatch):
+        computed = []
+        power = ParamScalar.__pow__
+
+        def recorded(base, e):
+            computed.append(e)
+            # a power past the bounds fails the test instead of running
+            assert computed == inner[:len(computed)], computed
+            return power(base, e)
+
+        monkeypatch.setattr(ParamScalar, "__pow__", recorded)
+        with pytest.raises(ScalarParseError, match="power too large"):
+            parse_scalar(text)
+        # only the inner power of a nested one is computed
+        assert computed == inner
+
+    def test_powers_at_the_bounds(self):
+        assert parse_scalar("x^1000") == x ** 1000
+        assert parse_scalar("x^-1000") == 1 / x ** 1000
+        assert str(parse_scalar("2^10000")) == str(2 ** 10000)
+        a, b, c, d = (var(nm) for nm in "abcd")
+        assert parse_scalar("(a+b+c+d)^20") == (a + b + c + d) ** 20
+        assert parse_scalar("1^999999999") == ONE
+        assert parse_scalar("(-1)^999999999") == const(-1)
+        assert parse_scalar("0^999999999") == ZERO
+        with pytest.raises(ScalarParseError, match="degree"):
+            parse_scalar("x^1001")
+        with pytest.raises(ScalarParseError, match="bits"):
+            parse_scalar("2^10001")
+        with pytest.raises(ScalarParseError, match="terms"):
+            parse_scalar("(a+b+c+d)^21")
+
+    def test_power_matches_repeated_products(self):
+        base = (x - 2 * y + 1).num
+        product = Poly.const(1)
+        for n in range(10):
+            assert base ** n == product
+            product = product * base
+
     def test_ordering_is_graded_lex(self):
         assert str(2 * p * u - q * v) == "2*p*u - q*v"
         assert str(x + x * y + y + 1) == "x*y + x + y + 1"

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx.scalars import ONE, ZERO, const, var
+from ybx import tensor
+from ybx.scalars import ONE, ZERO, clear_denominators, const, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
                         embed, invert, nullspace, operator_from_json_obj,
@@ -224,24 +225,24 @@ class TestDefects:
     def test_random_non_solution_matches_oracle(self):
         rng = random.Random(7)
         R = random_op2(2, rng)
-        got = oracles.frac_matrix(braid_defect(R))
+        got = oracles.frac_matrix(braid_defect(R).dense())
         want = oracles.braid_defect_matrix(oracles.frac_matrix(R), 2)
         assert got == want
         assert not oracles.is_zero_matrix(want)
 
-        got_q = oracles.frac_matrix(qybe_defect(R))
+        got_q = oracles.frac_matrix(qybe_defect(R).dense())
         want_q = oracles.qybe_defect_matrix(oracles.frac_matrix(R), 2)
         assert got_q == want_q
 
     def test_commutator_restates_qybe(self):
         rng = random.Random(8)
         R = random_op2(2, rng)
-        assert yb_commutator(R, R, R) == qybe_defect(R)
+        assert yb_commutator(R, R, R).dense() == qybe_defect(R).dense()
 
     def test_swapping_sides_negates(self):
         rng = random.Random(9)
         R, S, T = (random_op2(2, rng) for _ in range(3))
-        lhs = yb_commutator(R, S, T)
+        lhs = yb_commutator(R, S, T).dense()
         swapped = (embed(T, 23) @ embed(S, 13) @ embed(R, 12)
                    - embed(R, 12) @ embed(S, 13) @ embed(T, 23))
         assert swapped == -lhs
@@ -280,10 +281,12 @@ class TestDefectKernel:
         return [random_sparse_op2(dim, rng, symbolic) for _ in range(3)]
 
     def check(self, got, dense, oracle_matrix):
-        assert got == dense
+        full = got.dense()
+        assert full == dense
         assert not got.is_zero()
+        assert got.first_nonzero() == full.first_nonzero()
         assert got.first_nonzero() == dense.first_nonzero()
-        assert oracles.frac_matrix(got, self.POINT) == oracle_matrix
+        assert oracles.frac_matrix(full, self.POINT) == oracle_matrix
 
     def at_point(self, op):
         """Integer matrix of op at POINT, so the oracles run on ints."""
@@ -320,6 +323,114 @@ class TestDefectKernel:
             assert braid_defect(R).is_zero()
             assert qybe_defect(R).is_zero()
             assert yb_commutator(R, R, R).first_nonzero() is None
+
+
+def random_fraction_op2(dim, rng, dens):
+    """About half the entries zero, the others small integers over a
+    denominator drawn from dens."""
+    size = dim * dim
+    return Operator2(dim, [
+        [const(Fraction(rng.randint(-3, 3), rng.choice(dens)))
+         if rng.random() < 0.5 else ZERO for _ in range(size)]
+        for _ in range(size)])
+
+
+def oracle_first_nonzero(M):
+    """(row, col, entry) of the first nonzero entry of a Fraction matrix."""
+    return next(((i, j, const(e)) for i, row in enumerate(M)
+                 for j, e in enumerate(row) if e), None)
+
+
+class TestClearedDenominators:
+    """Constant operators go through the defect kernel as integer matrices
+    over a denominator, and the witness is divided back by the product of
+    the denominators of one side of the identity: d^3 for braid and QYBE,
+    d_R * d_S * d_T for the commutator. Each defect is compared with the
+    same defect computed on ParamScalar entries and with the Fraction
+    oracles."""
+
+    def lanes(self, defect_fn, ops, monkeypatch):
+        """The defect from the integer lane and from the ParamScalar lane,
+        the second forced by reporting every operator as not constant."""
+        cleared = defect_fn(*ops)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "clear_denominators", lambda rows: None)
+            scalar = defect_fn(*ops)
+        return cleared, scalar
+
+    def check(self, defect_fn, ops, oracle_matrix, monkeypatch):
+        cleared, scalar = self.lanes(defect_fn, ops, monkeypatch)
+        want = oracle_first_nonzero(oracle_matrix)
+        assert want is not None
+        assert cleared.first_nonzero() == scalar.first_nonzero() == want
+        assert str(cleared.first_nonzero()[2]) == str(want[2])
+        assert cleared.dense() == scalar.dense()
+        assert oracles.frac_matrix(cleared.dense()) == oracle_matrix
+        return want
+
+    def test_clear_denominators(self):
+        R = Operator2(1, [["1/2"]])
+        assert clear_denominators(R.rows) == (2, [[1]])
+        rows = Operator2(2, [[0, "1/2", "-2/3", 1], [0] * 4, [0] * 4,
+                             ["5/6", 0, 0, -4]]).rows
+        assert clear_denominators(rows) == (
+            6, [[0, 3, -4, 6], [0] * 4, [0] * 4, [5, 0, 0, -24]])
+        assert clear_denominators(Operator2(1, [["a/2"]]).rows) is None
+        assert clear_denominators(Operator2(1, [["1/a"]]).rows) is None
+
+    def test_braid_and_qybe_with_halves_and_thirds(self, monkeypatch):
+        R = Operator2(2, [["1/2", "1/3", 0, 1], [0, "-2/3", 1, 0],
+                          ["5/6", 1, "1/2", 0], [0, 0, "1/3", "-1/2"]])
+        Rf = oracles.frac_matrix(R)
+        got = self.check(braid_defect, (R,),
+                         oracles.braid_defect_matrix(Rf, 2), monkeypatch)
+        # divided by d = 6 in place of d^3 = 216 this would read 25
+        assert str(got[2]) == "25/36"
+        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix(Rf, 2),
+                   monkeypatch)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_mixed_denominators(self, dim, monkeypatch):
+        rng = random.Random(40 + dim)
+        R = random_fraction_op2(dim, rng, (1, 2, 3))
+        Rf = oracles.frac_matrix(R)
+        self.check(braid_defect, (R,), oracles.braid_defect_matrix(Rf, dim),
+                   monkeypatch)
+        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix(Rf, dim),
+                   monkeypatch)
+
+    def test_commutator_with_three_denominators(self, monkeypatch):
+        rng = random.Random(43)
+        ops = [random_fraction_op2(2, rng, dens)
+               for dens in ((1, 2), (1, 3), (5,))]
+        assert [clear_denominators(X.rows)[0] for X in ops] == [2, 3, 5]
+        Rf, Sf, Tf = (oracles.frac_matrix(X) for X in ops)
+        self.check(yb_commutator, ops, oracles.commutator_matrix(Rf, Sf, Tf, 2),
+                   monkeypatch)
+        self.check(yb_commutator, ops[::-1],
+                   oracles.commutator_matrix(Tf, Sf, Rf, 2), monkeypatch)
+
+    def test_colored_inverse_at_a_point(self, monkeypatch):
+        from ybx.algebra import quadratic_quotient_algebra
+        from ybx.constructors import colored_inverse, colored_operator
+        A = quadratic_quotient_algebra(const(1), const(1))
+        table = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+        unit = [1, 0]
+        p, q, u, v, w = (Fraction(x) for x in (2, 3, 5, 1, -2))
+        ops = (colored_inverse(A, p, q, u, v), colored_operator(A, p, q, u, w),
+               colored_inverse(A, p, q, v, w))
+        want = (oracles.colored_inverse_matrix(table, unit, p, q, u, v),
+                oracles.colored_matrix(table, unit, p, q, u, w),
+                oracles.colored_inverse_matrix(table, unit, p, q, v, w))
+        assert [oracles.frac_matrix(X) for X in ops] == list(want)
+        assert clear_denominators(ops[0].rows)[0] > 1
+        self.check(colored_defect, ops, oracles.commutator_matrix(*want, 2),
+                   monkeypatch)
+        # the inverse family solves the colored equation as well
+        inverses = (ops[0], colored_inverse(A, p, q, u, w), ops[2])
+        for defect in self.lanes(colored_defect, inverses, monkeypatch):
+            assert defect.is_zero()
+            assert defect.dense().is_zero()
 
 
 class TestEquivalence:

@@ -69,3 +69,36 @@ def test_replaced_scalar_kernel_sees_internal_calls(monkeypatch):
     assert calls["poly_gcd"] > 1
     assert (x * x - y * y) / (x - y) == x + y
     assert calls["divexact"] > 0
+
+
+def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
+    # the tracer times the kernel as the tensor.defect span, so the scan
+    # must be done when a defect returns: reading the witness afterwards
+    # does no scalar arithmetic, on a symbolic defect whose first nonzero
+    # row is not the first row
+    from ybx import scalars
+    from ybx.tensor import Operator2, braid_defect
+    from ybx.verify import entry_witness
+    tracer = load_tracer()
+    methods = [attr.split(".")[1]
+               for _, attr in tracer.LAYERS["scalars.arith"]]
+    calls = []
+    for name in methods + ["__neg__", "__pow__", "reciprocal"]:
+        original = vars(scalars.ParamScalar)[name]
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(scalars.ParamScalar, name, counted)
+    a = scalars.var("a")
+    R = Operator2(2, [[a, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1 - a, 0],
+                      [0, 0, 0, a * a]])
+    calls.clear()
+    defect = braid_defect(R)
+    assert calls, "the defect did no ParamScalar arithmetic"
+    calls.clear()
+    witness = entry_witness(defect)
+    assert witness == {"row": 4, "col": 4, "entry": "2*a^3 - 3*a^2 + 1"}
+    assert not defect.is_zero()
+    assert calls == []

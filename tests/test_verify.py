@@ -105,7 +105,7 @@ class TestVerifyColored:
             colored_operator(A, p, q, u, v),
             colored_operator(A, p, q, u, w),
             colored_operator(A, p, q, v, w),
-        )
+        ).dense()
         points = [
             {"p": 2, "q": 3, "u": 5, "v": 1, "w": -2, "sigma": 7},
             {"p": 1, "q": 1, "u": 0, "v": 4, "w": 9, "sigma": -1},
@@ -195,3 +195,29 @@ class TestVerifyInversePair:
     def test_dimension_mismatch_propagates(self):
         with pytest.raises(Exception):
             verify_inverse_pair(twist(2), twist(3))
+
+
+def test_checks_build_no_three_leg_operator(monkeypatch, capsys):
+    # the defects scan rows of V⊗V⊗V without filling an n^3 x n^3 matrix
+    from ybx.cli import main
+    from ybx.tensor import Operator3
+
+    def refuse(*_):
+        raise AssertionError("an Operator3 was built")
+
+    monkeypatch.setattr(Operator3, "__init__", refuse)
+    monkeypatch.setattr(Operator3, "from_columns", classmethod(refuse))
+    A = load_algebra(fixture_path("quadratic.json"))
+    a, b = var("a"), var("b")
+    R = dn_operator(A, a, b, a)
+    assert verify_constant(R, "braid").passed
+    assert verify_constant(R @ twist(2), "qybe").passed
+    for which in ("braid", "qybe"):
+        assert not verify_constant(dn_operator(A, 1, 2, 3), which).passed
+    B = load_algebra(fixture_path("cubic.json"))
+    assert verify_colored_family(B, const(2), const(3)).passed
+    assert verify_colored_family(B, const(2), const(3), mode="sampled",
+                                 samples=3).passed
+    assert verify_wxz(wxz_system(A, var("l"), var("m"))).passed
+    assert main(["check", "split-center", "--dim", "4", "--samples", "2"]) == 0
+    assert "PASS" in capsys.readouterr().out

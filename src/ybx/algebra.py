@@ -53,17 +53,6 @@ class FieldTypeError(ValueError):
     not a violated axiom, so it is deliberately not an AlgebraError."""
 
 
-def check_field_types(dim, fields) -> None:
-    """Reject a structure object whose dim is not an integer, or whose
-    fields (name -> (value, depth); None means absent) are not lists
-    nested depth deep with integer or string entries."""
-    if type(dim) is not int:
-        raise FieldTypeError(f"dim must be an integer, got {dim!r}")
-    for name, (value, depth) in fields.items():
-        if value is not None:
-            _check_nested(name, value, depth)
-
-
 def _check_nested(name, value, depth) -> None:
     if depth == 0:
         if type(value) not in (int, str):
@@ -80,30 +69,36 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-class Algebra:
+class FrozenRecord:
+    """An immutable record over the __slots__ of its subclass, built from
+    positional values, equal and hashed by the fields that _key names."""
+
+    __slots__ = ()
+    _key = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and other._fields() == self._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Algebra(FrozenRecord):
     """Validated unital associative algebra. Immutable."""
 
     __slots__ = ("dim", "structure", "unit", "labels")
-
-    def __init__(self, dim, structure, unit, labels):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Algebra is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and other.dim == self.dim
-            and other.structure == self.structure
-            and other.unit == self.unit
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.structure, self.unit))
+    _key = ("dim", "structure", "unit")
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -147,30 +142,44 @@ def mul_elements(A: Algebra, a: Sequence, b: Sequence):
                     [as_scalar(x) for x in b])
 
 
+def freeze_table(dim, table, vector, vector_error, convert, labels, error,
+                 noun):
+    """The dim x dim x dim table with scalar entries, the vector (unit or
+    degrees) through convert, and the labels as strings, defaulting to
+    e0, e1, ... Raises error on the first of: dim below 1, a table of the
+    wrong shape, vector_error (a message, or None for a good vector), and
+    labels of the wrong length."""
+    if dim < 1:
+        raise error("dim must be >= 1")
+    if len(table) != dim or any(
+        len(plane) != dim or any(len(row) != dim for row in plane)
+        for plane in table
+    ):
+        raise error(f"{noun} table must be {dim}x{dim}x{dim}")
+    if vector_error is not None:
+        raise error(vector_error)
+    frozen = tuple(
+        tuple(tuple(as_scalar(e) for e in row) for row in plane)
+        for plane in table
+    )
+    vector = tuple(convert(e) for e in vector)
+    if labels is None:
+        labels = [f"e{i}" for i in range(dim)]
+    elif len(labels) != dim:
+        raise error(f"labels must have length {dim}")
+    return frozen, vector, tuple(str(s) for s in labels)
+
+
 def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = None) -> Algebra:
     """Validate and freeze a structure-constant table.
 
     Rejections carry a witness: the basis triple where associativity breaks,
     or the basis index where the unit law breaks.
     """
-    if dim < 1:
-        raise ShapeError("dim must be >= 1")
-    if len(structure) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane)
-        for plane in structure
-    ):
-        raise ShapeError(f"structure table must be {dim}x{dim}x{dim}")
-    if len(unit) != dim:
-        raise ShapeError(f"unit vector must have length {dim}")
-    c = tuple(
-        tuple(tuple(as_scalar(e) for e in row) for row in plane)
-        for plane in structure
-    )
-    u = tuple(as_scalar(e) for e in unit)
-    if labels is None:
-        labels = [f"e{i}" for i in range(dim)]
-    elif len(labels) != dim:
-        raise ShapeError(f"labels must have length {dim}")
+    c, u, labels = freeze_table(
+        dim, structure, unit,
+        f"unit vector must have length {dim}" if len(unit) != dim else None,
+        as_scalar, labels, ShapeError, "structure")
 
     basis = [tuple(ONE if k == i else ZERO for k in range(dim))
              for i in range(dim)]
@@ -193,7 +202,7 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
                 if lhs != rhs:
                     raise AssociativityError((i, j, k), lhs, rhs)
 
-    return Algebra(dim, c, u, tuple(str(s) for s in labels))
+    return Algebra(dim, c, u, labels)
 
 
 def quadratic_quotient_algebra(m, n) -> Algebra:
@@ -208,28 +217,37 @@ def quadratic_quotient_algebra(m, n) -> Algebra:
     return make_algebra(2, structure, [ONE, ZERO], ["1", "x"])
 
 
-def check_json_object(obj, what: str) -> None:
-    """Reject a structure file whose top-level value is not an object."""
+def read_structure(obj, what: str, error, fields: dict) -> tuple:
+    """(dim, the required fields in the order given, labels or None) of a
+    structure file's object. fields maps each required field to its list
+    depth. A missing field raises error; a wrong JSON type, FieldTypeError."""
     if not isinstance(obj, dict):
         raise FieldTypeError(
             f"{what} must be a JSON object, got {type(obj).__name__}")
+    try:
+        dim, *values = [obj[name] for name in ("dim", *fields)]
+    except KeyError as exc:
+        raise error(f"{what} object is missing field {exc}") from None
+    if type(dim) is not int:
+        raise FieldTypeError(f"dim must be an integer, got {dim!r}")
+    for (name, depth), value in zip(fields.items(), values):
+        _check_nested(name, value, depth)
+    labels = obj.get("labels")
+    if labels is not None:
+        _check_nested("labels", labels, 1)
+    return (dim, *values, labels)
+
+
+def load_structure(path, from_json_obj):
+    """Read a structure file with from_json_obj."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return from_json_obj(json.load(fh))
 
 
 def algebra_from_json_obj(obj: dict) -> Algebra:
-    check_json_object(obj, "algebra")
-    try:
-        dim = obj["dim"]
-        structure = obj["structure"]
-        unit = obj["unit"]
-    except KeyError as exc:
-        raise ShapeError(f"algebra object is missing field {exc}") from None
-    labels = obj.get("labels")
-    check_field_types(dim, {"structure": (structure, 3), "unit": (unit, 1),
-                            "labels": (labels, 1)})
-    return make_algebra(dim, structure, unit, labels)
+    return make_algebra(*read_structure(
+        obj, "algebra", ShapeError, {"structure": 3, "unit": 1}))
 
 
 def load_algebra(path) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return algebra_from_json_obj(obj)
+    return load_structure(path, algebra_from_json_obj)

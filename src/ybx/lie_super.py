@@ -10,10 +10,10 @@ defined on the basis and extended bilinearly.
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
-from .algebra import check_field_types, check_json_object
+from .algebra import (FrozenRecord, freeze_table, load_structure,
+                      read_structure)
 from .scalars import ONE, ZERO, as_scalar
 from .tensor import bilinear, nullspace
 
@@ -54,30 +54,11 @@ class JacobiError(SuperalgebraError):
         self.witness = witness
 
 
-class LieSuperalgebra:
+class LieSuperalgebra(FrozenRecord):
     """Validated Lie superalgebra. Immutable."""
 
     __slots__ = ("dim", "degree", "bracket", "labels")
-
-    def __init__(self, dim, degree, bracket, labels):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LieSuperalgebra is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieSuperalgebra)
-            and other.dim == self.dim
-            and other.degree == self.degree
-            and other.bracket == self.bracket
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, self.bracket))
+    _key = ("dim", "degree", "bracket")
 
     def __repr__(self):
         return f"LieSuperalgebra(dim={self.dim}, degree={list(self.degree)})"
@@ -107,24 +88,11 @@ def bracket_elements(L: LieSuperalgebra, x: Sequence, y: Sequence):
 def make_superalgebra(dim: int, degree, bracket,
                       labels: Optional[Sequence[str]] = None) -> LieSuperalgebra:
     """Validate and freeze a graded bracket table."""
-    if dim < 1:
-        raise ShapeError("dim must be >= 1")
-    if len(degree) != dim or any(d not in (0, 1) for d in degree):
-        raise ShapeError("degree must list one of 0, 1 per basis vector")
-    if len(bracket) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane)
-        for plane in bracket
-    ):
-        raise ShapeError(f"bracket table must be {dim}x{dim}x{dim}")
-    b = tuple(
-        tuple(tuple(as_scalar(e) for e in row) for row in plane)
-        for plane in bracket
-    )
-    deg = tuple(int(d) for d in degree)
-    if labels is None:
-        labels = [f"e{i}" for i in range(dim)]
-    elif len(labels) != dim:
-        raise ShapeError(f"labels must have length {dim}")
+    bad_degree = len(degree) != dim or any(d not in (0, 1) for d in degree)
+    b, deg, labels = freeze_table(
+        dim, bracket, degree,
+        "degree must list one of 0, 1 per basis vector" if bad_degree
+        else None, int, labels, ShapeError, "bracket")
 
     # grading: [e_i, e_j] must be homogeneous of degree |e_i| + |e_j|
     for i in range(dim):
@@ -163,7 +131,7 @@ def make_superalgebra(dim: int, degree, bracket,
                 if any(not e.is_zero for e in acc):
                     raise JacobiError((i, j, k))
 
-    return LieSuperalgebra(dim, deg, b, tuple(str(s) for s in labels))
+    return LieSuperalgebra(dim, deg, b, labels)
 
 
 def even_center(L: LieSuperalgebra):
@@ -190,20 +158,9 @@ def even_center(L: LieSuperalgebra):
 
 
 def superalgebra_from_json_obj(obj: dict) -> LieSuperalgebra:
-    check_json_object(obj, "superalgebra")
-    try:
-        dim = obj["dim"]
-        degree = obj["degree"]
-        bracket = obj["structure"]
-    except KeyError as exc:
-        raise ShapeError(f"superalgebra object is missing field {exc}") from None
-    labels = obj.get("labels")
-    check_field_types(dim, {"degree": (degree, 1), "structure": (bracket, 3),
-                            "labels": (labels, 1)})
-    return make_superalgebra(dim, degree, bracket, labels)
+    return make_superalgebra(*read_structure(
+        obj, "superalgebra", ShapeError, {"degree": 1, "structure": 3}))
 
 
 def load_superalgebra(path) -> LieSuperalgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return superalgebra_from_json_obj(obj)
+    return load_structure(path, superalgebra_from_json_obj)

@@ -792,10 +792,11 @@ _MAX_NESTING = 100
 # the numerator and the denominator of p^e alike: its total degree, the bit
 # length of its coefficients, at most e*log2 of the sum of the absolute
 # coefficients of p, and its number of terms, at most the number of
-# multisets of e of the t terms of p.
+# multisets of e of the t terms of p. The term bound holds for products and
+# quotients too (see _check_product).
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10_000
-_MAX_POWER_TERMS = 2_000
+_MAX_TERMS = 2_000
 
 
 def _check_power(base: ParamScalar, e: int, text: str) -> None:
@@ -809,11 +810,39 @@ def _check_power(base: ParamScalar, e: int, text: str) -> None:
             bound = f"total degree above {_MAX_POWER_DEGREE}"
         elif e * bits > _MAX_POWER_BITS:
             bound = f"coefficients longer than {_MAX_POWER_BITS} bits"
-        elif math.comb(e + t - 1, t - 1) > _MAX_POWER_TERMS:
-            bound = f"more than {_MAX_POWER_TERMS} terms"
+        elif math.comb(e + t - 1, t - 1) > _MAX_TERMS:
+            bound = f"more than {_MAX_TERMS} terms"
         else:
             continue
         raise ScalarParseError(f"power too large in {text!r}: {bound}")
+
+
+def _product_terms(p: Poly, q: Poly) -> int:
+    """An upper bound on the number of terms of p*q: the product of their
+    term counts, or the number of monomials in their indeterminates with a
+    total degree between the sums of their lowest and of their highest
+    degrees, whichever is smaller."""
+    t = len(p.terms) * len(q.terms)
+    if t <= _MAX_TERMS:
+        return t
+    v = len(p.names | q.names)
+    low = high = 0
+    for f in (p, q):
+        degrees = [sum(k for _, k in m) for m in f.terms]
+        low += min(degrees)
+        high += max(degrees)
+    return min(t, math.comb(high + v, v) - math.comb(low - 1 + v, v))
+
+
+def _check_product(a: ParamScalar, b: ParamScalar, divide: bool,
+                   text: str) -> None:
+    """Refuse a*b (a/b when divide) before it is computed when the bound
+    of _product_terms on its numerator or denominator passes _MAX_TERMS."""
+    pairs = ((a.num, b.den), (a.den, b.num)) if divide else \
+        ((a.num, b.num), (a.den, b.den))
+    if any(_product_terms(p, q) > _MAX_TERMS for p, q in pairs):
+        raise ScalarParseError(
+            f"product too large in {text!r}: more than {_MAX_TERMS} terms")
 
 
 class _Parser:
@@ -860,9 +889,10 @@ class _Parser:
             if kind == "op" and val in ("*", "/"):
                 self.take()
                 rhs = self.unary()
+                if val == "/" and rhs.is_zero:
+                    raise MalformedScalarError("division by zero in expression")
+                _check_product(value, rhs, val == "/", self.text)
                 if val == "/":
-                    if rhs.is_zero:
-                        raise MalformedScalarError("division by zero in expression")
                     value = value / rhs
                 else:
                     value = value * rhs

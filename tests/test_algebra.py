@@ -225,6 +225,8 @@ class TestSerialization:
             dict(good, unit=[1.5, 0]),
             dict(good, unit=[None, 0]),
             dict(good, unit="10"),
+            dict(good, unit=None),
+            dict(good, structure=None),
             dict(good, structure=[[["1", "0"], ["0", "1"]], [["0", "1"], 7]]),
             dict(good, structure=[[["1", "0"], ["0", "1"]],
                                   [["0", "1"], ["n", False]]]),

@@ -24,12 +24,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=None):
     """`python -m ybx.cli argv...` in a fresh interpreter, so an uncaught
     exception shows as a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(ybx.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "ybx.cli", *argv], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -332,6 +332,16 @@ class TestUsage:
         )
         assert code == 2
 
+    def test_symbolic_only_on_check_colored(self, capsys):
+        for argv in (["check", "constant", "--algebra", QUADRATIC],
+                     ["validate", "algebra", "--algebra", QUADRATIC],
+                     ["invert", "--family", "dn", "--algebra", QUADRATIC]):
+            code, out, err = run(capsys, *argv, "--symbolic")
+            assert code == 2, argv
+            assert "unrecognized arguments: --symbolic" in err
+            assert "Traceback" not in err
+            assert out == ""
+
 
 class TestHostileInput:
     """Bad input ends in exit status 2 with a message, never a traceback."""
@@ -381,6 +391,8 @@ class TestHostileInput:
             ("superalgebra", dict(superalgebra, dim="3"), "dim"),
             ("superalgebra", dict(superalgebra, degree=[0, 0.5, 1]),
              "degree"),
+            ("algebra", dict(algebra, unit=None), "unit"),
+            ("superalgebra", dict(superalgebra, structure=None), "structure"),
         ]
         check = {"algebra": "constant", "superalgebra": "super"}
         for n, (kind, obj, field) in enumerate(cases):
@@ -445,6 +457,25 @@ class TestHostileInput:
                                      QUADRATIC, "--beta", "x^999999999")
         assert code == 2
         assert "Traceback" not in err and "power too large" in err
+
+    def test_long_products(self):
+        for factors in (20, 30):
+            # unbounded, 30 factors took 43 s and 345 MB
+            code, out, err = run_process(
+                "check", "constant", "--algebra", QUADRATIC,
+                "--alpha", "*".join(["(a+b+c+d+e+f)"] * factors), timeout=10)
+            assert code == 2
+            assert "Traceback" not in err
+            assert "--alpha" in err and "product too large" in err
+            assert out == ""
+
+    def test_directory_as_structure_file(self, tmp_path):
+        code, out, err = run_process("validate", "algebra", "--algebra",
+                                     str(tmp_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"cannot read {tmp_path}" in err
+        assert out == ""
 
     def test_pole_under_substitution(self, tmp_path):
         # a ybx error no handler catches still exits 2 with one line

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.algebra import FieldTypeError
+from ybx.algebra import Algebra, FieldTypeError, load_algebra
 from ybx.lie_super import (
     AntisymmetryError,
     even_center,
@@ -241,6 +241,8 @@ class TestSerialization:
             dict(good, degree=1),
             dict(good, structure=[[[2.5] * 4] * 4] * 4),
             dict(good, structure={"0": 1}),
+            dict(good, degree=None),
+            dict(good, structure=None),
             [good],
             "gl11",
         ]
@@ -248,6 +250,8 @@ class TestSerialization:
             with pytest.raises(FieldTypeError) as info:
                 superalgebra_from_json_obj(obj)
             assert not isinstance(info.value, SuperalgebraError)
+        L = superalgebra_from_json_obj(dict(good, labels=None))
+        assert L.labels == ("e0", "e1", "e2", "e3")
 
     def test_missing_degree_rejected(self):
         obj = json.load(open(fixture_path("gl11.json")))
@@ -258,6 +262,32 @@ class TestSerialization:
             pass
         else:
             raise AssertionError("missing degree accepted")
+
+
+class TestRecords:
+    """Algebra and LieSuperalgebra share one frozen-record base."""
+
+    def test_equal_by_table_not_labels(self):
+        A = load_algebra(fixture_path("quadratic.json"))
+        B = Algebra(A.dim, A.structure, A.unit, ("one", "ex"))
+        assert A == B and hash(A) == hash(B)
+        L = load_superalgebra(fixture_path("gl11.json"))
+        M = LieSuperalgebra(L.dim, L.degree, L.bracket, ())
+        assert L == M and hash(L) == hash(M)
+        assert A != L and L != A
+        assert L != LieSuperalgebra(L.dim, (0, 0, 0, 0), L.bracket, ())
+
+    def test_immutable(self):
+        A = load_algebra(fixture_path("quadratic.json"))
+        L = load_superalgebra(fixture_path("gl11.json"))
+        for record, name in ((A, "Algebra"), (L, "LieSuperalgebra")):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable"):
+                record.dim = 3
+            assert record.dim in (2, 4)
+
+    def test_positional_fields_must_all_be_given(self):
+        with pytest.raises(ValueError):
+            LieSuperalgebra(1, (0,), ((((ZERO,),),)))
 
 
 @given(

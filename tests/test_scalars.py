@@ -3,6 +3,7 @@ field/homomorphism properties."""
 
 import random
 import re
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -193,6 +194,39 @@ class TestParseFormat:
             parse_scalar("2^10001")
         with pytest.raises(ScalarParseError, match="terms"):
             parse_scalar("(a+b+c+d)^21")
+
+    @pytest.mark.parametrize("text", [
+        "*".join(["(a+b+c+d+e+f)"] * 20), "*".join(["(a+b+c+d+e+f)"] * 30),
+        "*".join(["(a+b+c+d)"] * 21), "1/" + "/".join(["(a+b+c+d+e+f)"] * 30),
+        "*".join(f"(x{i}+1)" for i in range(11))])
+    def test_products_are_bounded_before_they_are_computed(self, text,
+                                                           monkeypatch):
+        products = []
+        for name in ("__mul__", "__truediv__"):
+            op = getattr(ParamScalar, name)
+
+            def recorded(a, b, op=op):
+                c = op(a, b)
+                products.append(max(len(c.num.terms), len(c.den.terms)))
+                # a product past the bound fails the test instead of running
+                assert products[-1] <= 2000, products
+                return c
+
+            monkeypatch.setattr(ParamScalar, name, recorded)
+        t0 = time.perf_counter()
+        with pytest.raises(ScalarParseError, match="product too large"):
+            parse_scalar(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert products
+
+    def test_products_at_the_bound(self):
+        a, b, c, d = (var(nm) for nm in "abcd")
+        assert parse_scalar("*".join(["(a+b+c+d)"] * 20)) == \
+            (a + b + c + d) ** 20
+        assert parse_scalar("1/" + "/".join(["(a+b+c+d)"] * 20)) == \
+            1 / (a + b + c + d) ** 20
+        ten = parse_scalar("*".join(f"(x{i}+1)" for i in range(10)))
+        assert len(ten.num.terms) == 1024
 
     def test_power_matches_repeated_products(self):
         base = (x - 2 * y + 1).num

@@ -8,8 +8,8 @@ numerical one.
 from pathlib import Path
 
 from .scalars import (IncompleteAssignmentError, MalformedScalarError,
-                      ONE, ParamScalar, PoleError, ScalarParseError, ZERO,
-                      as_scalar, const, fresh_name, parse_scalar, var)
+                      ONE, ParamScalar, PoleError, ScalarParseError, YbxError,
+                      ZERO, as_scalar, const, fresh_name, parse_scalar, var)
 from .algebra import (Algebra, AlgebraError, AssociativityError,
                       FieldTypeError, ShapeError, UnitError,
                       algebra_from_json_obj, load_algebra, make_algebra,

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar
 from .tensor import bilinear
 
 
-class AlgebraError(ValueError):
+class AlgebraError(ValueError, YbxError):
     """Base for structure-table rejections."""
 
 
@@ -48,7 +48,7 @@ class UnitError(AlgebraError):
         self.side = side
 
 
-class FieldTypeError(ValueError):
+class FieldTypeError(ValueError, YbxError):
     """A structure file field has the wrong JSON type. This is bad input,
     not a violated axiom, so it is deliberately not an AlgebraError."""
 
@@ -67,31 +67,6 @@ def _check_nested(name, value, depth) -> None:
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
-
-
-class FrozenRecord:
-    """An immutable record over the __slots__ of its subclass, built from
-    positional values, equal and hashed by the fields that _key names."""
-
-    __slots__ = ()
-    _key = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self._key)
-
-    def __eq__(self, other):
-        return (isinstance(other, type(self))
-                and other._fields() == self._fields())
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 class Algebra(FrozenRecord):

@@ -16,40 +16,34 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 
-from .algebra import AlgebraError, FieldTypeError, load_algebra
-from .constructors import (FreeIndeterminateError, InvalidCenterError,
-                           InvertibilityLocusError, NotYangBaxterError,
-                           SplitSpace, SupportViolationError,
-                           _dn_case_symbolic, colored_operator, dn_operator,
-                           split_center_operator, super_phi,
+from .algebra import AlgebraError, load_algebra
+from .constructors import (SplitSpace, _dn_case_symbolic, colored_operator,
+                           dn_operator, split_center_operator, super_phi,
                            super_phi_inverse, wxz_system)
 from .lie_super import SuperalgebraError, even_center, load_superalgebra
-from .scalars import (IncompleteAssignmentError, MalformedScalarError,
-                      ParamScalar, PoleError, ScalarParseError, const,
-                      fresh_name, parse_scalar, var)
-from .tensor import DimensionMismatch, Operator2, invert, qybe_defect
-from .verify import (entry_witness, report, verify_colored_family,
-                     verify_constant, verify_inverse_pair, verify_wxz)
+from .scalars import (ParamScalar, YbxError, const, fresh_name, parse_scalar,
+                      var)
+from .tensor import Operator2, invert, qybe_defect
+from .verify import (VerificationReport, entry_witness, report,
+                     verify_colored_family, verify_constant,
+                     verify_inverse_pair, verify_wxz)
 
 
-class InputError(Exception):
+class InputError(YbxError):
     """Anything wrong with the invocation's inputs; exits with status 2."""
 
-
-# Every error class of ybx: one that a handler lets through still exits
-# with status 2 and a one-line message, never with a traceback.
-_YBX_ERRORS = (InputError, AlgebraError, FieldTypeError, SuperalgebraError,
-               ScalarParseError, MalformedScalarError, PoleError,
-               IncompleteAssignmentError, DimensionMismatch,
-               NotYangBaxterError, FreeIndeterminateError,
-               InvertibilityLocusError, SupportViolationError,
-               InvalidCenterError)
 
 # Each split-center instance is a dense dim^4 operator; a one-sample check
 # at this dim takes about 2 s and 100 MB on a 2-vCPU x86-64 VM.
 MAX_SPLIT_DIM = 16
+
+# The flags (as argparse dests) that each --family of export and invert reads
+_ALGEBRA_FLAGS = ("algebra", "m", "n", "sigma")
+_FAMILY_FLAGS = {"dn": ("alpha", "beta", "gamma", *_ALGEBRA_FLAGS),
+                 "colored": ("p", "q", "u", "v", *_ALGEBRA_FLAGS),
+                 "wxz": ("lambda", "mu", *_ALGEBRA_FLAGS),
+                 "super": ("alpha", "superalgebra", "z_index")}
 
 
 def _int_in_range(low: int, high=None):
@@ -77,9 +71,8 @@ def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
     and needs no structure file until its family is known."""
     sub.set_defaults(handler=handler)
     if family:
-        sub.add_argument("--family", required=True,
-                         choices=["dn", "colored", "wxz", "super"])
-        params = ("alpha", "beta", "gamma", "p", "q", "u", "v", "lam", "mu")
+        sub.add_argument("--family", required=True, choices=_FAMILY_FLAGS)
+        params = ("alpha", "beta", "gamma", "p", "q", "u", "v", "lambda", "mu")
     if algebra or family:
         sub.add_argument("--algebra", metavar="PATH", required=not family)
         for name in ("m", "n", "sigma"):
@@ -87,12 +80,10 @@ def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
     if superalgebra or family:
         sub.add_argument("--superalgebra", metavar="PATH",
                          required=not family)
-        sub.add_argument("--z-index", type=int, default=0)
+    if family or superalgebra and params:  # the commands that build phi
+        sub.add_argument("--z-index", type=int)
     for name in params:
-        if name == "lam":
-            sub.add_argument("--lambda", metavar="EXPR", dest="lam")
-        else:
-            sub.add_argument(f"--{name}", metavar="EXPR")
+        sub.add_argument(f"--{name}", metavar="EXPR")
     if sampling:
         sub.add_argument("--samples", type=_int_in_range(1), metavar="N")
         sub.add_argument("--seed", type=int, default=0, metavar="S")
@@ -124,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sampling=True)
     sub.add_argument("--symbolic", action="store_true")
     sub = which.add_parser("wxz", help="the four commutator conditions")
-    _add_common(sub, _cmd_check_wxz, algebra=True, params=("lam", "mu"))
+    _add_common(sub, _cmd_check_wxz, algebra=True, params=("lambda", "mu"))
     sub = which.add_parser("super", help="braid identity and inverse for "
                            "the superalgebra family")
     _add_common(sub, _cmd_check_super, superalgebra=True, params=("alpha",))
@@ -167,8 +158,7 @@ def _load(args, kind: str):
     except (json.JSONDecodeError, RecursionError) as exc:
         # json raises RecursionError on arrays nested past the stack limit
         raise InputError(f"not valid JSON: {path}: {exc}") from exc
-    except (AlgebraError, SuperalgebraError, FieldTypeError,
-            ScalarParseError, MalformedScalarError) as exc:
+    except YbxError as exc:
         raise InputError(f"bad {kind} file {path}: {exc}") from exc
     if kind == "superalgebra":
         return structure
@@ -180,7 +170,7 @@ def _load(args, kind: str):
 def _parse(text: str, flag: str) -> ParamScalar:
     try:
         return parse_scalar(text)
-    except (ScalarParseError, MalformedScalarError) as exc:
+    except YbxError as exc:
         raise InputError(f"--{flag}: {exc}") from exc
 
 
@@ -191,8 +181,7 @@ def _param(args, name: str, taken: set) -> ParamScalar:
         s = _parse(text, name)
         taken.update(s.names)
         return s
-    display = "lambda" if name == "lam" else name
-    fresh = fresh_name(display, taken)
+    fresh = fresh_name(name, taken)
     taken.add(fresh)
     return var(fresh)
 
@@ -232,8 +221,9 @@ def _cmd_check_constant(args) -> int:
     detail = {"parameters": {"alpha": str(alpha), "beta": str(beta),
                              "gamma": str(gamma)},
               "case": _dn_case_symbolic(alpha, beta, gamma) or "none"}
-    return _emit_reports(args, [replace(verify_constant(R, "braid"),
-                                        detail=detail)])
+    rep = verify_constant(R, "braid")
+    return _emit_reports(args, [VerificationReport(
+        rep.identity, rep.mode, rep.status, rep.witness, rep.elapsed, detail)])
 
 
 def _cmd_check_colored(args) -> int:
@@ -252,7 +242,7 @@ def _cmd_check_colored(args) -> int:
 def _cmd_check_wxz(args) -> int:
     A = _load(args, "algebra")
     taken = set(A.names)
-    lam = _param(args, "lam", taken)
+    lam = _param(args, "lambda", taken)
     mu = _param(args, "mu", taken)
     return _emit_reports(args, [verify_wxz(wxz_system(A, lam, mu))])
 
@@ -268,12 +258,13 @@ def _build_super_pair(args):
     basis = even_center(L)
     if not basis:
         raise InputError("the superalgebra has no even central element")
-    if not 0 <= args.z_index < len(basis):
+    index = args.z_index or 0
+    if not 0 <= index < len(basis):
         raise InputError(
-            f"--z-index {args.z_index} out of range: the even center has "
+            f"--z-index {index} out of range: the even center has "
             f"{len(basis)} basis vector(s)"
         )
-    z = basis[args.z_index]
+    z = basis[index]
     taken = set()
     for vec in basis:
         for c in vec:
@@ -312,7 +303,14 @@ def _cmd_check_split_center(args) -> int:
 
 
 def _build_family(args):
-    """(label, operator) pairs for export/invert."""
+    """(label, operator) pairs for export/invert; a flag that the family
+    does not read is an input error."""
+    stray = [name for flags in _FAMILY_FLAGS.values() for name in flags
+             if name not in _FAMILY_FLAGS[args.family]
+             and getattr(args, name) is not None]
+    if stray:
+        raise InputError(f"--family {args.family} does not read "
+                         f"--{stray[0].replace('_', '-')}")
     if args.family == "super":
         return [("phi", _build_super_pair(args)[0])]
     A = _load(args, "algebra")
@@ -328,7 +326,8 @@ def _build_family(args):
                              _param(args, "u", taken),
                              _param(args, "v", taken))
         return [("R", R)]
-    t = wxz_system(A, _param(args, "lam", taken), _param(args, "mu", taken))
+    t = wxz_system(A, _param(args, "lambda", taken),
+                   _param(args, "mu", taken))
     return [("W", t.W), ("X", t.X), ("Z", t.Z)]
 
 
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except _YBX_ERRORS as exc:
+    except YbxError as exc:  # every ybx error: one line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,20 +10,20 @@ operator came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
-from .scalars import ONE, ZERO, ParamScalar, as_scalar
+from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, YbxError,
+                      as_scalar)
 from .tensor import Operator2
 
 
-class NotYangBaxterError(ValueError):
+class NotYangBaxterError(ValueError, YbxError):
     """Parameters outside every family for which an inverse formula holds."""
 
 
-class FreeIndeterminateError(ValueError):
+class FreeIndeterminateError(ValueError, YbxError):
     """Classification needs constants; a symbol was left unbound."""
 
     def __init__(self, names):
@@ -33,7 +33,7 @@ class FreeIndeterminateError(ValueError):
         self.names = frozenset(names)
 
 
-class InvertibilityLocusError(ValueError):
+class InvertibilityLocusError(ValueError, YbxError):
     """The requested point lies where the inverse formula degenerates;
     carries the factor that vanishes."""
 
@@ -42,7 +42,7 @@ class InvertibilityLocusError(ValueError):
         self.factor = factor
 
 
-class SupportViolationError(ValueError):
+class SupportViolationError(ValueError, YbxError):
     """A split-center component takes a nonzero value on a basis tensor
     with a distinguished-vector leg."""
 
@@ -56,7 +56,7 @@ class SupportViolationError(ValueError):
         self.tensor = tensor
 
 
-class InvalidCenterError(ValueError):
+class InvalidCenterError(ValueError, YbxError):
     """The chosen element is not an even central element."""
 
     def __init__(self, reason: str, witness=None):
@@ -174,18 +174,16 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
 # WXZ triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WxzTriple:
+class WxzTriple(FrozenRecord):
     """Three operators on the same square tensor space, as one object so
     the four-commutator check can't be fed mismatched pieces."""
 
-    W: Operator2
-    X: Operator2
-    Z: Operator2
+    __slots__ = _key = ("W", "X", "Z")
 
-    def __post_init__(self):
-        if not (self.W.dim == self.X.dim == self.Z.dim):
+    def __init__(self, W: Operator2, X: Operator2, Z: Operator2):
+        if not (W.dim == X.dim == Z.dim):
             raise ValueError("W, X, Z must share a dimension")
+        super().__init__(W, X, Z)
 
 
 def wxz_system(A: Algebra, lam, mu) -> WxzTriple:
@@ -203,23 +201,17 @@ def wxz_system(A: Algebra, lam, mu) -> WxzTriple:
 # split-center solutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitSpace:
+class SplitSpace(FrozenRecord):
     """V = W + k*c: a space with one distinguished basis vector c; the
     W_indices are all the others."""
 
-    total_dim: int
-    c_index: int
-    W_indices: Tuple[int, ...] = field(default=())
+    __slots__ = _key = ("total_dim", "c_index", "W_indices")
 
-    def __post_init__(self):
-        if not 0 <= self.c_index < self.total_dim:
+    def __init__(self, total_dim: int, c_index: int):
+        if not 0 <= c_index < total_dim:
             raise ValueError("c_index out of range")
-        expected = tuple(i for i in range(self.total_dim) if i != self.c_index)
-        if self.W_indices == ():
-            object.__setattr__(self, "W_indices", expected)
-        elif tuple(sorted(self.W_indices)) != expected:
-            raise ValueError("W_indices must be every index except c_index")
+        super().__init__(total_dim, c_index,
+                         tuple(i for i in range(total_dim) if i != c_index))
 
 
 def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Operator2:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import (FrozenRecord, freeze_table, load_structure,
-                      read_structure)
-from .scalars import ONE, ZERO, as_scalar
+from .algebra import freeze_table, load_structure, read_structure
+from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar
 from .tensor import bilinear, nullspace
 
 
-class SuperalgebraError(ValueError):
+class SuperalgebraError(ValueError, YbxError):
     """Base for bracket-table rejections; subclasses carry a witness."""
 
 

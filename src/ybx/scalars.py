@@ -47,11 +47,40 @@ from typing import Mapping, Union
 ScalarLike = Union["ParamScalar", int, Fraction, str]
 
 
-class MalformedScalarError(ValueError):
+class YbxError(Exception):
+    """Base of every error that ybx raises for bad input or a failed axiom."""
+
+
+class FrozenRecord:
+    """An immutable record over the __slots__ of its subclass, built from
+    positional values, equal and hashed by the fields that _key names."""
+
+    __slots__ = ()
+    _key = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and other._fields() == self._fields())
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class MalformedScalarError(ValueError, YbxError):
     """Raised when a scalar would have an identically zero denominator."""
 
 
-class IncompleteAssignmentError(ValueError):
+class IncompleteAssignmentError(ValueError, YbxError):
     """Raised by evaluate() when indeterminates are left unassigned."""
 
     def __init__(self, missing):
@@ -59,11 +88,11 @@ class IncompleteAssignmentError(ValueError):
         super().__init__("no value assigned for: " + ", ".join(self.missing))
 
 
-class PoleError(ZeroDivisionError):
+class PoleError(ZeroDivisionError, YbxError):
     """Raised by evaluate() when the denominator vanishes at the point."""
 
 
-class ScalarParseError(ValueError):
+class ScalarParseError(ValueError, YbxError):
     """Raised when a scalar expression string does not parse."""
 
 

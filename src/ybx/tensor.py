@@ -15,23 +15,22 @@ denominators are cleared; either way every zero test below is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .scalars import (ONE, ZERO, ParamScalar, as_scalar, clear_denominators,
-                      const)
+from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, YbxError,
+                      as_scalar, clear_denominators, const)
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ValueError, YbxError):
     """Operands live on tensor powers of different spaces."""
 
 
-class _Operator:
+class _Operator(FrozenRecord):
     """Shared machinery for square operators on a tensor power of V."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = _key = ("dim", "rows")
     legs: int = 0
 
     def __init__(self, dim: int, rows: Sequence[Sequence]):
@@ -40,13 +39,8 @@ class _Operator:
         size = dim ** self.legs
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"expected a {size}x{size} matrix for dim {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "rows", tuple(tuple(as_scalar(e) for e in r) for r in rows)
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("operators are immutable")
+        super().__init__(
+            dim, tuple(tuple(as_scalar(e) for e in r) for r in rows))
 
     @property
     def size(self) -> int:
@@ -66,8 +60,7 @@ class _Operator:
                     row = rows[r]
                     row[c] = e if row[c].is_zero else row[c] + e
         op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "rows", tuple(map(tuple, rows)))
+        FrozenRecord.__init__(op, dim, tuple(map(tuple, rows)))
         return op
 
     @classmethod
@@ -141,16 +134,6 @@ class _Operator:
                     return i, j, e
         return None
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.dim == self.dim
-            and other.rows == self.rows
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.dim, self.rows))
-
     # -- point evaluation and substitution ----------------------------------
 
     def evaluate(self, assignment):
@@ -163,14 +146,6 @@ class _Operator:
         return type(self)(self.dim, [
             [e.substitute(mapping) for e in r] for r in self.rows
         ])
-
-    @property
-    def names(self) -> frozenset:
-        out = frozenset()
-        for r in self.rows:
-            for e in r:
-                out = out | e.names
-        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -393,14 +368,12 @@ def colored_defect(Rxy: Operator2, Rxz: Operator2, Ryz: Operator2) -> Defect:
 # exact elimination: determinant, inverse, nullspace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InverseResult:
-    """Outcome of an exact inversion; non-invertibility is a result, not an
-    error, and carries the vanishing determinant."""
+class InverseResult(FrozenRecord):
+    """Outcome of an exact inversion: (invertible, the inverse Operator2 or
+    None, determinant). Non-invertibility is a result, not an error, and
+    carries the vanishing determinant."""
 
-    invertible: bool
-    operator: Optional[Operator2]
-    determinant: ParamScalar
+    __slots__ = _key = ("invertible", "operator", "determinant")
 
 
 def _forward_eliminate(M, pivot_limit):

@@ -10,30 +10,30 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Algebra
 from .constructors import WxzTriple, colored_operator
-from .scalars import as_scalar, fresh_name, var
+from .scalars import FrozenRecord, as_scalar, fresh_name, var
 from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
                      yb_commutator)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str                 # braid | qybe | colored | wxz |
-                                  # inverse-roundtrip | algebra-axioms |
-                                  # super-axioms
-    mode: str                     # symbolic | sampled
-    status: str                   # pass | fail
-    witness: Optional[dict] = None
-    elapsed: float = 0.0
-    detail: dict = field(default_factory=dict)
+class VerificationReport(FrozenRecord):
+    """identity is braid | qybe | colored | wxz | inverse-roundtrip |
+    algebra-axioms | super-axioms; mode is symbolic | sampled; status is
+    pass | fail, and a failing report must carry a witness."""
 
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
+    __slots__ = _key = ("identity", "mode", "status", "witness", "elapsed",
+                        "detail")
+
+    def __init__(self, identity: str, mode: str, status: str,
+                 witness: Optional[dict] = None, elapsed: float = 0.0,
+                 detail: Optional[dict] = None):
+        if status == "fail" and witness is None:
             raise ValueError("a failing report must carry a witness")
+        super().__init__(identity, mode, status, witness, elapsed,
+                         {} if detail is None else detail)
 
     @property
     def passed(self) -> bool:
@@ -86,7 +86,7 @@ def report(identity: str, mode: str, t0: float, witness: Optional[dict],
         status="pass" if witness is None else "fail",
         witness=witness,
         elapsed=time.perf_counter() - t0,
-        detail=detail or {},
+        detail=detail,
     )
 
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import ybx
-from ybx.cli import main
+from ybx.cli import InputError, main
 from ybx.tensor import operator_from_json_obj
 from ybx import fixture_path
 
@@ -316,6 +316,99 @@ class TestInvert:
         )
         assert code == 2
         assert "single operator" in err
+
+
+class TestFamilyFlags:
+    """export matrix and invert refuse a flag the chosen family does not
+    read, instead of ignoring it."""
+
+    OWN = {
+        "dn": ["--algebra", QUADRATIC, "--m", "1", "--n", "1",
+               "--sigma", "2", "--alpha", "1", "--beta", "2", "--gamma", "1"],
+        "colored": ["--algebra", SIGMA, "--m", "1", "--n", "1",
+                    "--sigma", "2", "--p", "1", "--q", "2", "--u", "3",
+                    "--v", "5"],
+        "wxz": ["--algebra", QUADRATIC, "--m", "1", "--n", "1",
+                "--sigma", "2", "--lambda", "2", "--mu", "3"],
+        "super": ["--superalgebra", ABELIAN, "--z-index", "1",
+                  "--alpha", "2"],
+    }
+    ALL = ["--algebra", "--m", "--n", "--sigma", "--superalgebra",
+           "--z-index", "--alpha", "--beta", "--gamma", "--p", "--q", "--u",
+           "--v", "--lambda", "--mu"]
+
+    def test_stray_flags_exit_two_without_traceback(self):
+        code, out, err = run_process(
+            "export", "matrix", "--family", "dn", "--algebra", SIGMA,
+            "--alpha", "1", "--beta", "1", "--gamma", "1", "--p", "3",
+            "--superalgebra", "nothing.json", "--z-index", "9")
+        assert code == 2
+        assert err == "error: --family dn does not read --p\n"
+        assert out == ""
+
+    def test_each_stray_flag_is_named(self, capsys):
+        for family, own in self.OWN.items():
+            for flag in self.ALL:
+                if flag in own:
+                    continue
+                value = "0" if flag == "--z-index" else QUADRATIC
+                for verb in (["export", "matrix"], ["invert"]):
+                    code, out, err = run(capsys, *verb, "--family", family,
+                                         *own, flag, value)
+                    assert code == 2, (verb, family, flag)
+                    assert err == (f"error: --family {family} does not "
+                                   f"read {flag}\n")
+                    assert out == ""
+
+    def test_each_family_accepts_its_own_flags(self, capsys):
+        for family, own in self.OWN.items():
+            code, out, err = run(capsys, "export", "matrix", "--family",
+                                 family, *own)
+            assert code == 0, (family, err)
+            assert err == ""
+            assert out
+
+    def test_z_index_is_not_a_validate_flag(self, capsys):
+        code, out, err = run(capsys, "validate", "superalgebra",
+                             "--superalgebra", GL11, "--z-index", "0")
+        assert code == 2
+        assert "unrecognized arguments: --z-index 0" in err
+        assert out == ""
+
+
+def test_every_error_root_is_a_ybx_error():
+    # each keeps its stdlib base, so except ValueError still catches it
+    roots = {
+        ybx.MalformedScalarError: ValueError,
+        ybx.IncompleteAssignmentError: ValueError,
+        ybx.PoleError: ZeroDivisionError,
+        ybx.ScalarParseError: ValueError,
+        ybx.AlgebraError: ValueError,
+        ybx.FieldTypeError: ValueError,
+        ybx.SuperalgebraError: ValueError,
+        ybx.DimensionMismatch: ValueError,
+        ybx.NotYangBaxterError: ValueError,
+        ybx.FreeIndeterminateError: ValueError,
+        ybx.InvertibilityLocusError: ValueError,
+        ybx.SupportViolationError: ValueError,
+        ybx.InvalidCenterError: ValueError,
+        InputError: Exception,
+    }
+    for cls, base in roots.items():
+        assert issubclass(cls, ybx.YbxError), cls
+        assert issubclass(cls, base), cls
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # the CLI runs one process per invocation, so every module its import
+    # pulls in is paid for on each run
+    env = dict(os.environ, PYTHONPATH=str(Path(ybx.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = ("import ybx.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 class TestUsage:

@@ -371,8 +371,6 @@ class TestSplitCenter:
             SplitSpace(3, 3)
         sp = SplitSpace(4, 1)
         assert sp.W_indices == (0, 2, 3)
-        with pytest.raises(ValueError):
-            SplitSpace(3, 0, W_indices=(0, 1))
 
 
 def random_table(n, rng):

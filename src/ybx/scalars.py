@@ -30,10 +30,12 @@ integer content divides each coefficient, and ``Poly.divexact`` keeps the
 remainder's monomials in a heap. ``poly_gcd`` removes the integer and
 monomial contents first and answers 1 at once when what is left of either
 operand is a single term or when the two share no indeterminate. Otherwise
-it takes the alphabetically first indeterminate: if only one operand has it,
-it divides out through that operand's content in it, and if both have it,
-a primitive remainder sequence in it gives the gcd. Contents are gcds of
-coefficients, taken smallest first, so that a trivial gcd shows early.
+the indeterminates that only one operand has divide out together through
+that operand's content in them. When both operands have the same
+indeterminates, the gcd is the smaller one if it divides the other, or
+else the heuristic gcd GCDHEU finds it from integer evaluations; only if
+that gives up does a primitive remainder sequence run. Contents are gcds
+of coefficients, taken smallest first, so that a trivial gcd shows early.
 """
 
 from __future__ import annotations
@@ -393,28 +395,31 @@ _P_ONE = Poly.const(1)
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive polynomial remainder sequence)
+# multivariate gcd
 # ---------------------------------------------------------------------------
 
-def _univar(p: Poly, v: str) -> dict:
-    """View p as a univariate polynomial in v with Poly coefficients."""
+def _split(p: Poly, names) -> dict:
+    """View p as a polynomial in the given indeterminates with Poly
+    coefficients: {monomial in names: coefficient}."""
     coeffs: dict = {}
     for mono, c in p.terms.items():
-        deg = 0
+        key = []
         rest = []
-        for name, e in mono:
-            if name == v:
-                deg = e
-            else:
-                rest.append((name, e))
+        for pair in mono:
+            (key if pair[0] in names else rest).append(pair)
+        cur = coeffs.setdefault(tuple(key), {})
         rest = tuple(rest)
-        cur = coeffs.setdefault(deg, {})
         s = cur.get(rest, 0) + c
         if s:
             cur[rest] = s
         elif rest in cur:
             del cur[rest]
-    return {d: Poly(t) for d, t in coeffs.items() if t}
+    return {k: Poly(t) for k, t in coeffs.items() if t}
+
+
+def _univar(p: Poly, v: str) -> dict:
+    """View p as a univariate polynomial in v: {degree: Poly coefficient}."""
+    return {k[0][1] if k else 0: q for k, q in _split(p, (v,)).items()}
 
 
 def _from_univar(coeffs: dict, v: str) -> Poly:
@@ -492,15 +497,85 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     fnames, gnames = pf.names, pg.names
     if len(pf.terms) == 1 or len(pg.terms) == 1 or fnames.isdisjoint(gnames):
         return _P_ONE if c == 1 and not mc else Poly({_intern(mc): c})
-    v = min(fnames | gnames)
-    if v in fnames and v in gnames:
-        h = _gcd_primitive(pf, pg, v)
+    only_f, only_g = fnames - gnames, gnames - fnames
+    if only_f or only_g:
+        # a common divisor has none of the indeterminates that only one
+        # operand has, so they divide out in one step through that operand's
+        # content in them: gcd(f, g) = gcd(cont_E(f), g)
+        if only_f:
+            pf = _coeff_content(_split(pf, only_f))
+        if only_g:
+            pg = _coeff_content(_split(pg, only_g))
+        h = poly_gcd(pf, pg)
     else:
-        # only one operand has v, so v divides out through that operand's
-        # content in v: gcd(f, g) = gcd(cont_v(f), g)
-        a, b = (pf, pg) if v in fnames else (pg, pf)
-        h = poly_gcd(_coeff_content(_univar(a, v)), b)
+        small, big = sorted((pf, pg), key=lambda p: len(p.terms))
+        v = min(fnames)
+        h = small if _divides(small, big) else (
+            _gcd_heuristic(pf, pg, v) or _gcd_primitive(pf, pg, v))
     return _normalize_sign(h.scale(c).mul_mono(mc))
+
+
+def _divides(d: Poly, p: Poly) -> bool:
+    try:
+        p.divexact(d)
+    except ArithmeticError:
+        return False
+    return True
+
+
+# evaluation points the heuristic gcd tries before it gives up
+_HEURISTIC_TRIES = 6
+
+
+def _gcd_heuristic(f: Poly, g: Poly, v: str):
+    """gcd of the primitive f and g by GCDHEU (Char, Geddes & Gonnet 1989),
+    or None when it finds none: the gcd of f and g at v = xi, read back as
+    digits of base xi in (-xi/2, xi/2], is a candidate in v, kept if its
+    primitive part divides both. With xi >= 2 + 2*min(|f|, |g|), where |f|
+    is the largest absolute value of a coefficient of f, a primitive common
+    divisor found that way is the gcd: every root of a divisor lies below
+    xi/2 in modulus, so a cofactor of degree >= 1 would be larger at xi
+    than the gcd of the digits, which it divides."""
+    norm = min(max(map(abs, f.terms.values())),
+               max(map(abs, g.terms.values())))
+    xi = 2 * norm + 29
+    F, G = _univar(f, v), _univar(g, v)
+    for _ in range(_HEURISTIC_TRIES):
+        at_f, at_g = _evaluate_univar(F, xi), _evaluate_univar(G, xi)
+        if at_f and at_g:
+            h = _xi_adic(poly_gcd(at_f, at_g), v, xi)
+            if not h.names:
+                return _P_ONE
+            h = h.div_int(h.int_content())
+            if _divides(h, f) and _divides(h, g):
+                return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_univar(coeffs: dict, xi: int) -> Poly:
+    """The polynomial {degree: coefficient} in v at v = xi."""
+    out = _P_ZERO
+    for d, p in coeffs.items():
+        out = out + p.scale(xi ** d)
+    return out
+
+
+def _xi_adic(h: Poly, v: str, xi: int) -> Poly:
+    """The polynomial in v whose coefficients are the base-xi digits, in
+    (-xi/2, xi/2], of the coefficients of h, which lacks v."""
+    terms: dict = {}
+    for mono, c in h.terms.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                terms[_mono_mul(mono, ((v, k),)) if k else mono] = d
+            c = (c - d) // xi
+            k += 1
+    return Poly(terms)
 
 
 def _gcd_primitive(f: Poly, g: Poly, v: str) -> Poly:
@@ -759,6 +834,20 @@ def clear_denominators(rows):
     flat = [num.get(_EMPTY_MONO, 0) * (d // q) for num, q in zip(nums, qs)]
     width = len(rows[0])
     return d, [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def clear_row(row):
+    """(s, [e*s as a Poly for e in row]) for s the lcm of the denominators
+    of the ParamScalars in row; no gcd runs when every denominator is 1."""
+    scale = _P_ONE
+    for e in row:
+        d = e.den
+        if d != _P_ONE and d != scale:
+            scale = scale * d.divexact(poly_gcd(scale, d))
+    if scale == _P_ONE:
+        return scale, [e.num for e in row]
+    return scale, [e.num if e.den == scale or not e.num
+                   else e.num * scale.divexact(e.den) for e in row]
 
 
 def as_scalar(value: ScalarLike) -> ParamScalar:

@@ -9,7 +9,9 @@ Conventions, fixed globally:
 
 Operator entries are ParamScalar. The defect kernel also runs on plain
 ints, for operators whose entries are all rational constants, once their
-denominators are cleared; either way every zero test below is exact.
+denominators are cleared, and the elimination runs on integer-coefficient
+polynomials (Poly), once each row's denominators are cleared; either way
+every zero test below is exact.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, YbxError,
-                      as_scalar, clear_denominators, const)
+from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
+                      as_scalar, clear_denominators, clear_row, const)
+
+
+_P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -376,38 +381,39 @@ class InverseResult(FrozenRecord):
     __slots__ = _key = ("invertible", "operator", "determinant")
 
 
-def _forward_eliminate(M, pivot_limit):
-    """Fraction-free (Bareiss) forward elimination in place.
+def _eliminate(M, pivot_limit):
+    """Bareiss (1968) forward elimination in place over Z[params].
 
-    Pivots are searched in the first pivot_limit columns only; returns
-    (pivot_columns, sign). Divisions by the previous pivot are exact.
+    M is a matrix of Polys. Pivots are searched in the first pivot_limit
+    columns only; returns (pivot_columns, sign of the row permutation).
+    After k pivots every entry below them is a minor of order k + 1 of the
+    input (Sylvester's identity), so the division by the previous pivot is
+    exact and no gcd runs.
     """
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     sign = 1
-    prev = ONE
+    prev = _P_ONE
     pivots = []
     r = 0
     for c in range(pivot_limit):
-        p = None
-        for i in range(r, nrows):
-            if not M[i][c].is_zero:
-                p = i
-                break
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
         if p is None:
             continue
         if p != r:
             M[r], M[p] = M[p], M[r]
             sign = -sign
-        piv = M[r][c]
+        top = M[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            f = M[i][c]
-            if f.is_zero:
-                for j in range(c, ncols):
-                    M[i][j] = (piv * M[i][j]) / prev
-                continue
-            for j in range(c, ncols):
-                M[i][j] = (piv * M[i][j] - f * M[r][j]) / prev
+            row = M[i]
+            f = row[c]
+            row[c] = _P_ZERO
+            for j in range(c + 1, ncols):
+                e = piv * row[j]
+                if f and top[j]:
+                    e = e - f * top[j]
+                row[j] = e if prev == _P_ONE else e.divexact(prev)
         prev = piv
         pivots.append(c)
         r += 1
@@ -416,67 +422,111 @@ def _forward_eliminate(M, pivot_limit):
     return pivots, sign
 
 
+def _cleared(rows):
+    """(matrix of Polys, row scales): each row of ParamScalars times the
+    lcm of its denominators."""
+    cleared = [clear_row(row) for row in rows]
+    return [polys for _, polys in cleared], [s for s, _ in cleared]
+
+
+def _over(D):
+    """x -> the canonical x/D, for many x over one D. The canonical
+    denominator d of each result divides D, so when D/d for a d seen
+    before divides the next x, that x/D is (x/(D/d))/d and is reduced by a
+    gcd with the small d rather than with D."""
+    seen = []
+
+    def over(x) -> ParamScalar:
+        if not x:
+            return ZERO
+        for d, q in seen:
+            try:
+                return ParamScalar(x.divexact(q), d)
+            except ArithmeticError:
+                pass
+        out = ParamScalar(x, D)
+        seen.append((out.den, D.divexact(out.den)))
+        return out
+
+    return over
+
+
+def _determinant(M, size, sign, scales) -> ParamScalar:
+    """The determinant from the last pivot of the cleared matrix."""
+    last = M[size - 1][size - 1]
+    return ParamScalar(-last if sign < 0 else last,
+                       math.prod(scales, start=_P_ONE))
+
+
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
     size = op.size
-    M = [list(r) for r in op.rows]
-    pivots, sign = _forward_eliminate(M, size)
+    M, scales = _cleared(op.rows)
+    pivots, sign = _eliminate(M, size)
     if len(pivots) < size:
         return ZERO
-    det = M[size - 1][size - 1]
-    return -det if sign < 0 else det
+    return _determinant(M, size, sign, scales)
 
 
 def invert(op: Operator2) -> InverseResult:
     """Exact inverse over the rational-function field, via fraction-free
-    elimination; reports the determinant either way."""
+    elimination over Z[params]; reports the determinant either way.
+
+    Row i of the cleared matrix is row i of op times its scale s_i, so the
+    inverse of op solves the cleared system for the right-hand side
+    diag(s). With D the last pivot, D times that solution has polynomial
+    entries (Cramer's rule), and fraction-free back-substitution finds them
+    by exact divisions. Each entry is then canonicalised once (``_over``)."""
     size = op.size
-    M = [list(r) + [ONE if i == j else ZERO for j in range(size)]
-         for i, r in enumerate(op.rows)]
-    pivots, sign = _forward_eliminate(M, size)
+    M, scales = _cleared(op.rows)
+    for i, row in enumerate(M):
+        row.extend(scales[i] if j == i else _P_ZERO for j in range(size))
+    pivots, sign = _eliminate(M, size)
     if len(pivots) < size:
         return InverseResult(False, None, ZERO)
-    det = M[size - 1][size - 1]
-    if sign < 0:
-        det = -det
-    # back-substitute each augmented column through the triangular left block
+    D = M[size - 1][size - 1]
+    over = _over(D)
     columns = []
     for col in range(size):
-        x = [ZERO] * size
-        for i in range(size - 1, -1, -1):
-            acc = M[i][size + col]
+        # the last pivot is D itself, so the last unknown is its right side
+        X = [_P_ZERO] * (size - 1) + [M[size - 1][size + col]]
+        for i in range(size - 2, -1, -1):
+            row = M[i]
+            acc = D * row[size + col]
             for j in range(i + 1, size):
-                if not M[i][j].is_zero and not x[j].is_zero:
-                    acc = acc - M[i][j] * x[j]
-            x[i] = acc / M[i][i]
-        columns.append(enumerate(x))
-    return InverseResult(True, Operator2.from_columns(op.dim, columns), det)
+                if row[j] and X[j]:
+                    acc = acc - row[j] * X[j]
+            X[i] = acc.divexact(row[i])
+        columns.append([(i, over(x)) for i, x in enumerate(X) if x])
+    return InverseResult(True, Operator2.from_columns(op.dim, columns),
+                         _determinant(M, size, sign, scales))
 
 
 def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     """A basis of the right nullspace of a rectangular scalar matrix.
 
-    Returns a list of coordinate tuples; exact over the rational-function
-    field."""
-    nrows = len(rows)
-    if nrows == 0:
+    Returns a list of coordinate tuples, one per non-pivot column fc, with
+    1 at fc and 0 at the other non-pivot columns; exact over the
+    rational-function field. As in ``invert``, D times each vector, for D
+    the last pivot, is found over Z[params] and canonicalised once."""
+    if not rows:
         return []
     ncols = len(rows[0])
-    M = [list(r) for r in rows]
-    pivots, _ = _forward_eliminate(M, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    M, _ = _cleared(rows)
+    pivots, _ = _eliminate(M, ncols)
+    D = M[len(pivots) - 1][pivots[-1]] if pivots else _P_ONE
+    over = _over(D)
     basis = []
-    for fc in free_cols:
-        x = [ZERO] * ncols
-        x[fc] = ONE
-        # echelon row r has pivot at pivots[r]; solve bottom-up
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        X = {fc: D}
+        # echelon row r has its pivot at pivots[r]; solve bottom-up
         for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            acc = ZERO
-            for c in range(pc + 1, ncols):
-                if not M[r][c].is_zero and not x[c].is_zero:
-                    acc = acc + M[r][c] * x[c]
-            x[pc] = -acc / M[r][pc]
-        basis.append(tuple(x))
+            pc, row = pivots[r], M[r]
+            acc = _P_ZERO
+            for c, x in X.items():
+                if c > pc and row[c] and x:
+                    acc = acc + row[c] * x
+            X[pc] = (-acc).divexact(row[pc])
+        basis.append(tuple(ONE if c == fc else over(X.get(c, _P_ZERO))
+                           for c in range(ncols)))
     return basis

@@ -245,3 +245,118 @@ def mono_cmp(a, b) -> int:
             # a higher power of an earlier variable sorts above
             return 1 if xa > xb else -1
     return 0
+
+
+# -- elimination ------------------------------------------------------------
+#
+# Bareiss elimination over canonical ParamScalars, dividing in the field,
+# is the reference for the library's elimination over Z[params]; Gaussian
+# elimination over Fractions is the reference at a point.
+
+def bareiss_eliminate(M, pivot_limit):
+    """Fraction-free (Bareiss) forward elimination of a ParamScalar matrix
+    in place, pivots searched in the first pivot_limit columns; returns
+    (pivot_columns, sign of the row permutation)."""
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    sign = 1
+    prev = as_scalar(1)
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        p = next((i for i in range(r, nrows) if not M[i][c].is_zero), None)
+        if p is None:
+            continue
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            sign = -sign
+        piv = M[r][c]
+        for i in range(r + 1, nrows):
+            f = M[i][c]
+            for j in range(c, ncols):
+                M[i][j] = (piv * M[i][j] - f * M[r][j]) / prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign
+
+
+def bareiss_determinant(rows):
+    M = [[as_scalar(e) for e in row] for row in rows]
+    n = len(M)
+    pivots, sign = bareiss_eliminate(M, n)
+    if len(pivots) < n:
+        return ZERO
+    return -M[n - 1][n - 1] if sign < 0 else M[n - 1][n - 1]
+
+
+def bareiss_inverse(rows):
+    """The inverse as a list of rows of ParamScalars, or None if singular."""
+    n = len(rows)
+    one = as_scalar(1)
+    M = [[as_scalar(e) for e in row] + [one if i == j else ZERO
+                                         for j in range(n)]
+         for i, row in enumerate(rows)]
+    pivots, _ = bareiss_eliminate(M, n)
+    if len(pivots) < n:
+        return None
+    inverse = [[ZERO] * n for _ in range(n)]
+    for col in range(n):
+        for i in range(n - 1, -1, -1):
+            acc = M[i][n + col]
+            for j in range(i + 1, n):
+                acc = acc - M[i][j] * inverse[j][col]
+            inverse[i][col] = acc / M[i][i]
+    return inverse
+
+
+def bareiss_nullspace(rows):
+    """One vector per non-pivot column fc: 1 at fc, 0 at the other
+    non-pivot columns."""
+    if not rows:
+        return []
+    M = [[as_scalar(e) for e in row] for row in rows]
+    ncols = len(M[0])
+    pivots, _ = bareiss_eliminate(M, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [ZERO] * ncols
+        x[fc] = as_scalar(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            acc = ZERO
+            for c in range(pc + 1, ncols):
+                acc = acc + M[r][c] * x[c]
+            x[pc] = -acc / M[r][pc]
+        basis.append(tuple(x))
+    return basis
+
+
+def frac_solve(rows):
+    """(determinant, inverse or None, rank) of a square Fraction matrix by
+    Gauss-Jordan elimination."""
+    n = len(rows)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    rank = 0
+    for c in range(n):
+        p = next((i for i in range(rank, n) if M[i][c]), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != rank:
+            M[rank], M[p] = M[p], M[rank]
+            det = -det
+        piv = M[rank][c]
+        det *= piv
+        M[rank] = [e / piv for e in M[rank]]
+        for i in range(n):
+            if i != rank and M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+    inverse = [row[n:] for row in M] if rank == n else None
+    return det, inverse, rank

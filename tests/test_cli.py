@@ -65,6 +65,22 @@ class TestCheckConstant:
         assert "FAIL" in out
         assert "witness" in out
 
+    def test_value_starting_with_minus_takes_the_equals_form(self, capsys):
+        # argparse reads "-3/2" after a space as an option, not as a value
+        code, out, _ = run(
+            capsys, "check", "constant", "--algebra", QUADRATIC,
+            "--alpha=-3/2", "--beta", "1", "--gamma=-3/2",
+        )
+        assert code == 0
+        assert "case: i" in out
+        assert "'alpha': '-3/2'" in out
+        code, out, err = run_process(
+            "check", "constant", "--algebra", QUADRATIC, "--alpha", "-3/2")
+        assert code == 2
+        assert out == ""
+        assert "argument --alpha: expected one argument" in err
+        assert "Traceback" not in err
+
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "check", "constant", "--algebra", QUADRATIC,

@@ -190,3 +190,26 @@ def test_mutated_structure_files_exit_0_1_or_2(workdir, data, kind):
          ["export", "matrix", "--family",
           "dn" if kind == "algebra" else "super"]]))
     _check_contract(verb + [f"--{kind}", str(path)], workdir / "out.txt")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_poles_under_drawn_parameters_exit_0_1_or_2(workdir, data):
+    # an entry such as n/(m - 1) is fine as written and has a pole under
+    # --m 1; the error that substitution raises is one no handler wraps
+    with open(fixture_path("quadratic.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    flag, other = data.draw(st.sampled_from([("m", "n"), ("n", "m")]))
+    pole = data.draw(st.integers(-1, 1))
+    i, j, k = (data.draw(st.integers(0, 1)) for _ in range(3))
+    obj["structure"][i][j][k] = f"{other}/({flag} - {pole})"
+    path = workdir / "pole.json"
+    path.write_text(json.dumps(obj))
+    verb = data.draw(st.sampled_from(
+        [["validate", "algebra"], ["check", "constant"], ["check", "wxz"],
+         ["export", "matrix", "--family", "dn"],
+         ["invert", "--family", "colored"]]))
+    value = str(data.draw(_rarely(st.just(pole), st.integers(-1, 1))))
+    _check_contract(verb + ["--algebra", str(path), f"--{flag}", value],
+                    workdir / "out.txt")

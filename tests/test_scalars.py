@@ -406,6 +406,57 @@ class TestKernelOracles:
             assert diff == 0 or total == 0, (f, g, got, want)
             assert got.leading()[1] > 0
 
+    def test_gcd_of_the_stalling_pair(self):
+        # a primitive remainder sequence in a ran for minutes on this pair
+        f = parse_scalar("36*a^3*d - 12*a*d^3 - 30*d^4").num
+        g = parse_scalar("-24*a^3*b*c^3*d^3 + 36*a^2*b^2*c^3*d^2 "
+                         "- 24*a^2*b*c^2*d^4 - 30*a^3*b^2*d^3 + 12*d").num
+        start = time.perf_counter()
+        assert str(poly_gcd(f, g)) == str(poly_gcd(g, f)) == "6*d"
+        assert time.perf_counter() - start < 2.0
+
+    @staticmethod
+    def stress_pairs(seed, count):
+        """Seeded gcd inputs in 1 to 4 indeterminates, each operand in its
+        own indeterminates, with a shared factor three times in four."""
+        rng = random.Random(seed)
+        for i in range(count):
+            common = random_poly(rng, random_names(rng), max_terms=2,
+                                 max_exp=2)
+            if i % 4 == 0:
+                common = Poly.const(rng.choice([1, 6, -4]))
+            yield (random_poly(rng, random_names(rng), max_exp=4) * common,
+                   random_poly(rng, random_names(rng), max_exp=4) * common)
+
+    def test_gcd_stress_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        start = time.perf_counter()
+        for f, g in self.stress_pairs(11, 400):
+            got = poly_gcd(f, g)
+            want = sympy.gcd(to_sympy(sympy, f), to_sympy(sympy, g))
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0 or \
+                sympy.expand(to_sympy(sympy, got) + want) == 0, (f, g, got)
+            assert got.leading()[1] > 0
+        # the primitive remainder sequence alone stalled on several of
+        # these for more than 3 s each
+        assert time.perf_counter() - start < 60
+
+    def test_remainder_sequence_behind_the_heuristic(self, monkeypatch):
+        # the heuristic gcd gives up after a few evaluation points; the
+        # primitive remainder sequence behind it answers the same. It is
+        # slow on some inputs (case 73 of seed 12 runs for seconds), so
+        # this runs it on a prefix only.
+        from ybx import scalars
+        pairs = list(self.stress_pairs(12, 60))
+        want = [poly_gcd(f, g) for f, g in pairs]
+        calls = []
+        sequence = scalars._gcd_primitive
+        monkeypatch.setattr(scalars, "_gcd_heuristic", lambda f, g, v: None)
+        monkeypatch.setattr(scalars, "_gcd_primitive",
+                            lambda *args: calls.append(1) or sequence(*args))
+        assert [poly_gcd(f, g) for f, g in pairs] == want
+        assert calls
+
     def test_exact_division(self):
         rng = random.Random(6)
         for _ in range(150):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx import tensor
-from ybx.scalars import ONE, ZERO, clear_denominators, const, var
+from ybx import scalars, tensor
+from ybx.scalars import (ONE, ZERO, clear_denominators, const, parse_scalar,
+                         var)
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
                         embed, invert, nullspace, operator_from_json_obj,
@@ -206,6 +207,171 @@ class TestNullspace:
                 for c, r in zip(vec, row):
                     acc = acc + c * r
                 assert acc.is_zero
+
+
+# entries for the elimination over Z[params]: zeros for pivot swaps,
+# polynomials, rational constants and quotients with polynomial
+# denominators, none of which vanishes at POINTS
+ENTRIES = ["0", "0", "0", "1", "-2", "1/2", "-2/3", "a", "b - 1",
+           "a*b + 2", "a^2 - b", "1/(a + 1)", "(a - b)/(2*b + 3)",
+           "a/(a^2 + 1)", "3/(b - 2)", "(a + 1)/a", "b^2/(3*a - 1)"]
+POINTS = ({"a": Fraction(7, 3), "b": Fraction(-5, 2)},
+          {"a": Fraction(-4), "b": Fraction(9, 7)})
+
+
+def random_rows(rng, nrows, ncols):
+    return [[parse_scalar(rng.choice(ENTRIES)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def dependent_row(rng, rows):
+    """A combination of the given rows with quotient coefficients."""
+    out = [ZERO] * len(rows[0])
+    for row in rows:
+        c = parse_scalar(rng.choice(ENTRIES[3:]))
+        out = [x + c * e for x, e in zip(out, row)]
+    return out
+
+
+def at(rows, point):
+    return [[e.evaluate(point) for e in row] for row in rows]
+
+
+class TestEliminationOverPolys:
+    """determinant, invert and nullspace clear each row to Z[params] and
+    run Bareiss over Poly. They are compared with the Bareiss elimination
+    over ParamScalars in tests/oracles.py, exactly and by their strings,
+    and with Gauss-Jordan over Fractions at points, on rows with
+    polynomial and rational denominators, swaps, and singular or
+    rank-deficient inputs."""
+
+    def check_square(self, rows):
+        R = Operator2(2, rows)
+        det = determinant(R)
+        want = oracles.bareiss_determinant(rows)
+        assert det == want and str(det) == str(want)
+        res = invert(R)
+        ref = oracles.bareiss_inverse(rows)
+        assert res.invertible == (ref is not None) == (not det.is_zero)
+        if ref is not None:
+            assert res.operator.rows == tuple(map(tuple, ref))
+            assert [[str(e) for e in r] for r in res.operator.rows] == \
+                [[str(e) for e in r] for r in ref]
+            assert res.determinant == det
+        else:
+            assert res.operator is None and res.determinant.is_zero
+        for point in POINTS:
+            fdet, finv, _ = oracles.frac_solve(at(rows, point))
+            assert det.evaluate(point) == fdet
+            if fdet:
+                assert oracles.frac_matrix(res.operator, point) == finv
+        return res
+
+    def test_random_rows_with_denominators(self):
+        rng = random.Random(21)
+        swaps = 0
+        for _ in range(30):
+            rows = random_rows(rng, 4, 4)
+            swaps += rows[0][0].is_zero
+            self.check_square(rows)
+        assert swaps > 3
+
+    def test_pivot_swaps(self):
+        a, b = var("a"), var("b")
+        # a zero pivot at the first step, and one that the first step's
+        # elimination creates at the second
+        rows = [[ZERO, 1 / a, ZERO, ONE],
+                [b, ZERO, ONE, ZERO],
+                [2 * b, ZERO, 2 / (a + 1), a / (b + 1)],
+                [ZERO, const(2), 1 / (a + 1), ZERO]]
+        res = self.check_square(rows)
+        assert res.invertible
+        # a 4-cycle up to scales: each pivot needs a swap, three in all
+        rows = [[ZERO, ZERO, ZERO, 1 / a], [b / 2, ZERO, ZERO, ZERO],
+                [ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, 3 / (b - 2), ZERO]]
+        res = self.check_square(rows)
+        assert str(res.determinant) == "-3*b/(2*a*b - 4*a)"
+
+    def test_singular(self):
+        rng = random.Random(22)
+        for k in range(12):
+            rows = random_rows(rng, 3, 4)
+            rows.insert(k % 4, dependent_row(rng, rows[:2]))
+            res = self.check_square(rows)
+            assert not res.invertible
+            assert determinant(Operator2(2, rows)) == ZERO
+
+    def test_nullspace_of_rank_deficient_rows(self):
+        rng = random.Random(23)
+        for k in range(12):
+            nrows, ncols = 2 + k % 3, 3 + k % 4
+            rows = random_rows(rng, nrows, ncols)
+            rows.append(dependent_row(rng, rows))
+            if k % 2:
+                for row in rows:
+                    row[k % ncols] = ZERO
+            basis = nullspace(rows)
+            want = oracles.bareiss_nullspace(rows)
+            assert basis == want
+            assert [list(map(str, v)) for v in basis] == \
+                [list(map(str, v)) for v in want]
+            assert len(basis) >= ncols - nrows
+            for point in POINTS:
+                A = at(rows, point)
+                for vec in basis:
+                    x = [e.evaluate(point) for e in vec]
+                    assert all(sum(r * y for r, y in zip(row, x)) == 0
+                               for row in A)
+
+    def test_denominators_of_one_row_share_a_scale(self):
+        # the row's lcm is (a + 1)*a*(b - 2); entries over its factors
+        rows = [[parse_scalar(t) for t in row] for row in (
+            ["1/(a + 1)", "(a + 1)/a", "3/(b - 2)", "1/(a^2 + a)"],
+            ["1", "a", "0", "b"], ["0", "1/(a + 1)", "1/(a + 1)", "2"],
+            ["a/(b - 2)", "0", "1", "(a - b)/(2*b + 3)"])]
+        self.check_square(rows)
+
+
+class TestEliminationCounts:
+    """The elimination pays no gcd on polynomial entries, and invert builds
+    each result once, as a ParamScalar over the last pivot."""
+
+    @staticmethod
+    def colored():
+        from ybx import fixture_path
+        from ybx.algebra import load_algebra
+        from ybx.constructors import colored_operator
+        A = load_algebra(fixture_path("cubic.json"))
+        return colored_operator(A, var("p"), var("q"), var("u"), var("v"))
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(scalars, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(scalars, name, counted)
+        return calls
+
+    def test_polynomial_determinant_runs_no_gcd(self, monkeypatch):
+        R = self.colored()
+        assert R.size == 9
+        want = determinant(R)
+        calls = self.count(monkeypatch, "poly_gcd")
+        assert determinant(R) == want
+        assert calls == []
+
+    def test_invert_canonicalises_each_entry_once(self, monkeypatch):
+        R = self.colored()
+        calls = self.count(monkeypatch, "_canonical")
+        res = invert(R)
+        entries = sum(1 for row in res.operator.rows for e in row if e)
+        # one per nonzero entry of the inverse and one for the determinant
+        assert len(calls) == entries + 1
+        assert (R @ res.operator).is_identity()
 
 
 class TestDefects:

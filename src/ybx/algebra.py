@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar
+from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar, bounded_int
 from .tensor import bilinear
 
 
@@ -214,9 +214,9 @@ def read_structure(obj, what: str, error, fields: dict) -> tuple:
 
 
 def load_structure(path, from_json_obj):
-    """Read a structure file with from_json_obj."""
+    """Read a structure file with from_json_obj, its integers bounded."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_obj(json.load(fh))
+        return from_json_obj(json.load(fh, parse_int=bounded_int))
 
 
 def algebra_from_json_obj(obj: dict) -> Algebra:

@@ -38,12 +38,14 @@ class InputError(YbxError):
 # at this dim takes about 2 s and 100 MB on a 2-vCPU x86-64 VM.
 MAX_SPLIT_DIM = 16
 
-# The flags (as argparse dests) that each --family of export and invert reads
-_ALGEBRA_FLAGS = ("algebra", "m", "n", "sigma")
-_FAMILY_FLAGS = {"dn": ("alpha", "beta", "gamma", *_ALGEBRA_FLAGS),
-                 "colored": ("p", "q", "u", "v", *_ALGEBRA_FLAGS),
-                 "wxz": ("lambda", "mu", *_ALGEBRA_FLAGS),
-                 "super": ("alpha", "superalgebra", "z_index")}
+# Each --family's structure kind and parameter flags, in the order its
+# builder takes them; the flags (as argparse dests) that each kind reads
+_FAMILIES = {"dn": ("algebra", ("alpha", "beta", "gamma")),
+             "colored": ("algebra", ("p", "q", "u", "v")),
+             "wxz": ("algebra", ("lambda", "mu")),
+             "super": ("superalgebra", ("alpha",))}
+_STRUCTURE_FLAGS = {"algebra": ("algebra", "m", "n", "sigma"),
+                    "superalgebra": ("superalgebra", "z_index")}
 
 
 def _int_in_range(low: int, high=None):
@@ -71,8 +73,9 @@ def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
     and needs no structure file until its family is known."""
     sub.set_defaults(handler=handler)
     if family:
-        sub.add_argument("--family", required=True, choices=_FAMILY_FLAGS)
-        params = ("alpha", "beta", "gamma", "p", "q", "u", "v", "lambda", "mu")
+        sub.add_argument("--family", required=True, choices=_FAMILIES)
+        params = dict.fromkeys(name for _, names in _FAMILIES.values()
+                               for name in names)
     if algebra or family:
         sub.add_argument("--algebra", metavar="PATH", required=not family)
         for name in ("m", "n", "sigma"):
@@ -108,17 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = which.add_parser("constant", help="braid identity for the "
                            "three-parameter product family")
     _add_common(sub, _cmd_check_constant, algebra=True,
-                params=("alpha", "beta", "gamma"))
+                params=_FAMILIES["dn"][1])
     sub = which.add_parser("colored", help="two-parameter identity for the "
                            "colored family")
     _add_common(sub, _cmd_check_colored, algebra=True, params=("p", "q"),
                 sampling=True)
     sub.add_argument("--symbolic", action="store_true")
     sub = which.add_parser("wxz", help="the four commutator conditions")
-    _add_common(sub, _cmd_check_wxz, algebra=True, params=("lambda", "mu"))
+    _add_common(sub, _cmd_check_wxz, algebra=True, params=_FAMILIES["wxz"][1])
     sub = which.add_parser("super", help="braid identity and inverse for "
                            "the superalgebra family")
-    _add_common(sub, _cmd_check_super, superalgebra=True, params=("alpha",))
+    _add_common(sub, _cmd_check_super, superalgebra=True,
+                params=_FAMILIES["super"][1])
     sub = which.add_parser("split-center", help="constant QYBE for random "
                            "admissible split-center operators")
     _add_common(sub, _cmd_check_split_center, sampling=True, dim=True)
@@ -174,16 +178,22 @@ def _parse(text: str, flag: str) -> ParamScalar:
         raise InputError(f"--{flag}: {exc}") from exc
 
 
-def _param(args, name: str, taken: set) -> ParamScalar:
-    """A bound parameter parses; an unbound one becomes a fresh symbol."""
-    text = getattr(args, name)
-    if text is not None:
-        s = _parse(text, name)
+def _params(args, names, taken: set) -> list:
+    """The named parameters in order: a bound one parses, an unbound one
+    becomes a fresh symbol; taken, the names in use, grows with each."""
+    params = []
+    for name in names:
+        text = getattr(args, name)
+        s = var(fresh_name(name, taken)) if text is None else _parse(text, name)
         taken.update(s.names)
-        return s
-    fresh = fresh_name(name, taken)
-    taken.add(fresh)
-    return var(fresh)
+        params.append(s)
+    return params
+
+
+def _bind(args, names):
+    """The algebra that --algebra names and the named parameters in it."""
+    A = _load(args, "algebra")
+    return A, _params(args, names, set(A.names))
 
 
 def _emit(args, text_body: str, json_obj) -> None:
@@ -212,25 +222,17 @@ def _emit_reports(args, reports) -> int:
 # -- command handlers: each takes the parsed argparse namespace ------------
 
 def _cmd_check_constant(args) -> int:
-    A = _load(args, "algebra")
-    taken = set(A.names)
-    alpha = _param(args, "alpha", taken)
-    beta = _param(args, "beta", taken)
-    gamma = _param(args, "gamma", taken)
-    R = dn_operator(A, alpha, beta, gamma)
-    detail = {"parameters": {"alpha": str(alpha), "beta": str(beta),
-                             "gamma": str(gamma)},
-              "case": _dn_case_symbolic(alpha, beta, gamma) or "none"}
-    rep = verify_constant(R, "braid")
+    names = _FAMILIES["dn"][1]
+    A, params = _bind(args, names)
+    detail = {"parameters": {k: str(s) for k, s in zip(names, params)},
+              "case": _dn_case_symbolic(*params) or "none"}
+    rep = verify_constant(dn_operator(A, *params), "braid")
     return _emit_reports(args, [VerificationReport(
         rep.identity, rep.mode, rep.status, rep.witness, rep.elapsed, detail)])
 
 
 def _cmd_check_colored(args) -> int:
-    A = _load(args, "algebra")
-    taken = set(A.names)
-    p = _param(args, "p", taken)
-    q = _param(args, "q", taken)
+    A, (p, q) = _bind(args, ("p", "q"))
     if args.samples is not None and not args.symbolic:
         checked = verify_colored_family(A, p, q, mode="sampled",
                                         samples=args.samples, seed=args.seed)
@@ -240,11 +242,8 @@ def _cmd_check_colored(args) -> int:
 
 
 def _cmd_check_wxz(args) -> int:
-    A = _load(args, "algebra")
-    taken = set(A.names)
-    lam = _param(args, "lambda", taken)
-    mu = _param(args, "mu", taken)
-    return _emit_reports(args, [verify_wxz(wxz_system(A, lam, mu))])
+    A, params = _bind(args, _FAMILIES["wxz"][1])
+    return _emit_reports(args, [verify_wxz(wxz_system(A, *params))])
 
 
 def _cmd_check_super(args) -> int:
@@ -265,11 +264,8 @@ def _build_super_pair(args):
             f"{len(basis)} basis vector(s)"
         )
     z = basis[index]
-    taken = set()
-    for vec in basis:
-        for c in vec:
-            taken.update(c.names)
-    alpha = _param(args, "alpha", taken)
+    taken = {name for vec in basis for c in vec for name in c.names}
+    alpha, = _params(args, _FAMILIES["super"][1], taken)
     return (super_phi(L, z, alpha), super_phi_inverse(L, z, alpha))
 
 
@@ -305,30 +301,22 @@ def _cmd_check_split_center(args) -> int:
 def _build_family(args):
     """(label, operator) pairs for export/invert; a flag that the family
     does not read is an input error."""
-    stray = [name for flags in _FAMILY_FLAGS.values() for name in flags
-             if name not in _FAMILY_FLAGS[args.family]
+    reads = {family: names + _STRUCTURE_FLAGS[kind]
+             for family, (kind, names) in _FAMILIES.items()}
+    stray = [name for flags in reads.values() for name in flags
+             if name not in reads[args.family]
              and getattr(args, name) is not None]
     if stray:
         raise InputError(f"--family {args.family} does not read "
                          f"--{stray[0].replace('_', '-')}")
     if args.family == "super":
         return [("phi", _build_super_pair(args)[0])]
-    A = _load(args, "algebra")
-    taken = set(A.names)
-    if args.family == "dn":
-        R = dn_operator(A, _param(args, "alpha", taken),
-                        _param(args, "beta", taken),
-                        _param(args, "gamma", taken))
-        return [("R", R)]
-    if args.family == "colored":
-        R = colored_operator(A, _param(args, "p", taken),
-                             _param(args, "q", taken),
-                             _param(args, "u", taken),
-                             _param(args, "v", taken))
-        return [("R", R)]
-    t = wxz_system(A, _param(args, "lambda", taken),
-                   _param(args, "mu", taken))
-    return [("W", t.W), ("X", t.X), ("Z", t.Z)]
+    A, params = _bind(args, _FAMILIES[args.family][1])
+    if args.family == "wxz":
+        t = wxz_system(A, *params)
+        return [("W", t.W), ("X", t.X), ("Z", t.Z)]
+    build = dn_operator if args.family == "dn" else colored_operator
+    return [("R", build(A, *params))]
 
 
 def _cmd_export_matrix(args) -> int:
@@ -394,11 +382,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact results print in full; inputs are bounded (scalars.bounded_int)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except YbxError as exc:  # every ybx error: one line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -106,18 +106,6 @@ Mono = tuple  # tuple[tuple[str, int], ...]
 
 _EMPTY_MONO: Mono = ()
 
-# Equal monomials built by different polynomials share one tuple, so results
-# kept alive hold one copy of each monomial. The table only saves memory, so
-# it is cleared, not evicted, when it reaches its bound.
-_MONOS: dict = {}
-_MONOS_LIMIT = 1 << 14
-
-
-def _intern(m: Mono) -> Mono:
-    if len(_MONOS) >= _MONOS_LIMIT:
-        _MONOS.clear()
-    return _MONOS.setdefault(m, m)
-
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
@@ -127,7 +115,7 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     exps = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
-    return _intern(tuple(sorted(exps.items())))
+    return tuple(sorted(exps.items()))
 
 
 def _mono_div(a: Mono, b: Mono):
@@ -141,7 +129,7 @@ def _mono_div(a: Mono, b: Mono):
             del exps[name]
         else:
             exps[name] = r
-    return _intern(tuple(sorted(exps.items())))
+    return tuple(sorted(exps.items()))
 
 
 def _mono_gcd(a: Mono, b: Mono) -> Mono:
@@ -496,7 +484,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     # only involve indeterminates both have.
     fnames, gnames = pf.names, pg.names
     if len(pf.terms) == 1 or len(pg.terms) == 1 or fnames.isdisjoint(gnames):
-        return _P_ONE if c == 1 and not mc else Poly({_intern(mc): c})
+        return _P_ONE if c == 1 and not mc else Poly({mc: c})
     only_f, only_g = fnames - gnames, gnames - fnames
     if only_f or only_g:
         # a common divisor has none of the indeterminates that only one
@@ -893,7 +881,7 @@ def _tokenize(text: str):
                 )
             break
         if m.group("int") is not None:
-            out.append(("int", m.group("int")))
+            out.append(("int", bounded_int(m.group("int"))))
         elif m.group("name") is not None:
             out.append(("name", m.group("name")))
         else:
@@ -910,11 +898,31 @@ _MAX_NESTING = 100
 # the numerator and the denominator of p^e alike: its total degree, the bit
 # length of its coefficients, at most e*log2 of the sum of the absolute
 # coefficients of p, and its number of terms, at most the number of
-# multisets of e of the t terms of p. The term bound holds for products and
-# quotients too (see _check_product).
+# multisets of e of the t terms of p. The bit and term bounds hold for
+# products and quotients too (see _check_product), and the bit bound for
+# integer literals, which are at most 2^_MAX_POWER_BITS.
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10_000
 _MAX_TERMS = 2_000
+_MAX_LITERAL = 1 << _MAX_POWER_BITS
+_MAX_LITERAL_DIGITS = int(_MAX_POWER_BITS * math.log10(2)) + 1  # its digits
+
+
+def bounded_int(digits: str) -> int:
+    """The decimal integer digits, with an optional sign, refused past
+    2^_MAX_POWER_BITS in absolute value before a long conversion runs."""
+    magnitude = digits.lstrip("-").lstrip("0") or "0"
+    if len(magnitude) > _MAX_LITERAL_DIGITS or int(magnitude) > _MAX_LITERAL:
+        raise ScalarParseError(
+            f"integer literal larger than 2^{_MAX_POWER_BITS}")
+    return -int(magnitude) if digits[0] == "-" else int(magnitude)
+
+
+def _bits(p: Poly) -> int:
+    """ceil(log2) of the sum of the absolute coefficients of p (0 for p = 0):
+    a coefficient of p^e has at most e*_bits(p) bits, and one of p*q at most
+    _bits(p) + _bits(q)."""
+    return max(sum(map(abs, p.terms.values())) - 1, 0).bit_length()
 
 
 def _check_power(base: ParamScalar, e: int, text: str) -> None:
@@ -923,10 +931,9 @@ def _check_power(base: ParamScalar, e: int, text: str) -> None:
         if not t:
             continue
         degree = max(sum(k for _, k in m) for m in p.terms)
-        bits = (sum(abs(c) for c in p.terms.values()) - 1).bit_length()
         if e * degree > _MAX_POWER_DEGREE:
             bound = f"total degree above {_MAX_POWER_DEGREE}"
-        elif e * bits > _MAX_POWER_BITS:
+        elif e * _bits(p) > _MAX_POWER_BITS:
             bound = f"coefficients longer than {_MAX_POWER_BITS} bits"
         elif math.comb(e + t - 1, t - 1) > _MAX_TERMS:
             bound = f"more than {_MAX_TERMS} terms"
@@ -954,13 +961,18 @@ def _product_terms(p: Poly, q: Poly) -> int:
 
 def _check_product(a: ParamScalar, b: ParamScalar, divide: bool,
                    text: str) -> None:
-    """Refuse a*b (a/b when divide) before it is computed when the bound
-    of _product_terms on its numerator or denominator passes _MAX_TERMS."""
+    """Refuse a*b (a/b when divide) before it is computed when, on its
+    numerator or denominator, the bound of _product_terms passes _MAX_TERMS
+    or the sum of the factors' _bits passes _MAX_POWER_BITS."""
     pairs = ((a.num, b.den), (a.den, b.num)) if divide else \
         ((a.num, b.num), (a.den, b.den))
     if any(_product_terms(p, q) > _MAX_TERMS for p, q in pairs):
-        raise ScalarParseError(
-            f"product too large in {text!r}: more than {_MAX_TERMS} terms")
+        bound = f"more than {_MAX_TERMS} terms"
+    elif any(_bits(p) + _bits(q) > _MAX_POWER_BITS for p, q in pairs):
+        bound = f"coefficients longer than {_MAX_POWER_BITS} bits"
+    else:
+        return
+    raise ScalarParseError(f"product too large in {text!r}: {bound}")
 
 
 class _Parser:
@@ -1039,7 +1051,7 @@ class _Parser:
                 k, v = self.take()
             if k != "int":
                 raise ScalarParseError(f"expected integer exponent in {self.text!r}")
-            e = int(v)
+            e = v
             if neg and base.is_zero:
                 raise MalformedScalarError("zero to a negative power")
             _check_power(base, e, self.text)
@@ -1049,7 +1061,7 @@ class _Parser:
     def atom(self) -> ParamScalar:
         kind, val = self.take()
         if kind == "int":
-            return const(int(val))
+            return const(val)
         if kind == "name":
             return ParamScalar(Poly.variable(val))
         if kind == "op" and val == "(":

@@ -104,10 +104,7 @@ class _Operator(FrozenRecord):
 
     def __sub__(self, other):
         self._require_same(other)
-        return type(self)(self.dim, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self + (-other)
 
     def __neg__(self):
         return type(self)(self.dim, [[-a for a in r] for r in self.rows])
@@ -122,14 +119,7 @@ class _Operator(FrozenRecord):
         return all(e.is_zero for r in self.rows for e in r)
 
     def is_identity(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if i == j:
-                    if not e.is_one:
-                        return False
-                elif not e.is_zero:
-                    return False
-        return True
+        return self == type(self).identity(self.dim)
 
     def first_nonzero(self):
         """(row, col, entry) of the first nonzero entry, or None."""

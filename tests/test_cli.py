@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import ybx
+from oracles import det_permutation_expansion, dn_matrix
 from ybx.cli import InputError, main
 from ybx.tensor import operator_from_json_obj
 from ybx import fixture_path
@@ -616,3 +618,50 @@ class TestHostileInput:
             assert code == 2
             assert "--samples" in err
             assert out == ""
+
+    def test_integers_past_the_digit_limit(self, tmp_path):
+        # int() and str() raise ValueError past 4,300 digits, which ended in
+        # a traceback: a literal, a product of two powers in bounds, and a
+        # structure entry as a JSON integer or a string
+        nines = "9" * 5000
+        cases = [
+            (["check", "constant", "--algebra", QUADRATIC, "--alpha", nines],
+             "integer literal larger than 2^10000"),
+            (["check", "constant", "--algebra", QUADRATIC, "--alpha",
+              "(2^9000)*(2^9000)", "--beta", "1", "--gamma", "1"],
+             "coefficients longer than 10000 bits")]
+        obj = json.load(open(QUADRATIC))
+        obj["structure"][1][1][0] = "@"
+        for n, entry in enumerate((nines, f'"{nines}"')):
+            bad = tmp_path / f"big{n}.json"
+            bad.write_text(json.dumps(obj).replace('"@"', entry))
+            cases.append((["validate", "algebra", "--algebra", str(bad)],
+                          "integer literal larger than 2^10000"))
+        for argv, message in cases:
+            code, out, err = run_process(*argv)
+            assert code == 2, argv
+            assert "Traceback" not in err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+            assert out == ""
+
+    def test_determinant_past_the_digit_limit(self, capsys):
+        argv = ("invert", "--family", "dn", "--algebra", QUADRATIC, "--m", "1",
+                "--n", "1", "--alpha", "2^9000", "--beta", "1", "--gamma", "1",
+                "--format", "json")
+        code, out, err = run_process(*argv)
+        assert code == 0 and err == ""
+        table = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+        expected = det_permutation_expansion(
+            dn_matrix(table, [1, 0], Fraction(2 ** 9000), 1, 1))
+        limit = sys.get_int_max_str_digits()
+        try:
+            # main lifts the limit while it runs and restores it
+            sys.set_int_max_str_digits(4321)
+            assert run(capsys, *argv)[0] == 0
+            assert sys.get_int_max_str_digits() == 4321
+            sys.set_int_max_str_digits(0)
+            assert json.loads(out)["determinant"] == str(expected)
+            assert len(str(expected)) > 4321
+        finally:
+            sys.set_int_max_str_digits(limit)

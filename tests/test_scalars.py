@@ -194,11 +194,19 @@ class TestParseFormat:
             parse_scalar("2^10001")
         with pytest.raises(ScalarParseError, match="terms"):
             parse_scalar("(a+b+c+d)^21")
+        # integer literals share the coefficient bound, refused before int()
+        # meets its 4,300-digit limit
+        assert parse_scalar(str(2 ** 10000)) == const(2 ** 10000)
+        assert parse_scalar("0" * 5000 + "7") == const(7)
+        for text in (str(2 ** 10000 + 1), "9" * 5000, "x^" + "9" * 5000):
+            with pytest.raises(ScalarParseError, match="integer literal"):
+                parse_scalar(text)
 
     @pytest.mark.parametrize("text", [
         "*".join(["(a+b+c+d+e+f)"] * 20), "*".join(["(a+b+c+d+e+f)"] * 30),
         "*".join(["(a+b+c+d)"] * 21), "1/" + "/".join(["(a+b+c+d+e+f)"] * 30),
-        "*".join(f"(x{i}+1)" for i in range(11))])
+        "*".join(f"(x{i}+1)" for i in range(11)), "2^5000*2^5000*2^5000",
+        "1/2^5000/2^5000/2^5000", "(2^6000*x)/(1/2^6000)"])
     def test_products_are_bounded_before_they_are_computed(self, text,
                                                            monkeypatch):
         products = []
@@ -227,6 +235,8 @@ class TestParseFormat:
             1 / (a + b + c + d) ** 20
         ten = parse_scalar("*".join(f"(x{i}+1)" for i in range(10)))
         assert len(ten.num.terms) == 1024
+        assert parse_scalar("2^5000*2^5000") == const(2 ** 10000)
+        assert parse_scalar("1/2^5000/2^5000") == const(Fraction(1, 2 ** 10000))
 
     def test_power_matches_repeated_products(self):
         base = (x - 2 * y + 1).num

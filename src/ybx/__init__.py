@@ -5,7 +5,7 @@ coefficients, so every identity check is a symbolic zero test, not a
 numerical one.
 """
 
-from pathlib import Path
+import os
 
 from .scalars import (IncompleteAssignmentError, MalformedScalarError,
                       ONE, ParamScalar, PoleError, ScalarParseError, YbxError,
@@ -35,6 +35,6 @@ from .verify import (VerificationReport, verify_colored_family,
 __version__ = "0.1.0"
 
 
-def fixture_path(name: str) -> Path:
-    """Path of a bundled algebra/superalgebra definition file."""
-    return Path(__file__).parent / "fixtures" / name
+def fixture_path(name: str) -> str:
+    """Path of a bundled algebra/superalgebra definition file, as a str."""
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)

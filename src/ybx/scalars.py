@@ -34,8 +34,13 @@ the indeterminates that only one operand has divide out together through
 that operand's content in them. When both operands have the same
 indeterminates, the gcd is the smaller one if it divides the other, or
 else the heuristic gcd GCDHEU finds it from integer evaluations; only if
-that gives up does a primitive remainder sequence run. Contents are gcds
-of coefficients, taken smallest first, so that a trivial gcd shows early.
+that gives up does the subresultant remainder sequence run. Contents are
+gcds of coefficients, taken smallest first, so that a trivial gcd shows
+early.
+
+Monomials stay tuples here. The elimination in ``tensor`` packs them into
+ints for the length of one call; packing per operation in ``Poly.__mul__``
+or ``divexact`` costs more than it saves.
 """
 
 from __future__ import annotations
@@ -435,10 +440,14 @@ def _coeff_divexact(coeffs: dict, g: Poly) -> dict:
 
 
 def _prem(f: dict, g: dict) -> dict:
-    """Pseudo-remainder of univariate polynomials with Poly coefficients."""
+    """Pseudo-remainder of univariate polynomials with Poly coefficients:
+    the remainder of lc(g)^(d+1)*f on division by g, for d = deg f - deg g.
+    Each reduction step multiplies by lc(g) once, and the steps that a
+    vanishing coefficient skips are made up at the end."""
     dg = max(g)
     lg = g[dg]
     r = dict(f)
+    missing = max(f) - dg + 1
     while r and max(r) >= dg:
         dr = max(r)
         lr = r[dr]
@@ -450,6 +459,10 @@ def _prem(f: dict, g: dict) -> dict:
             q = nr.get(d + k, _P_ZERO) - p * lr
             nr[d + k] = q
         r = {d: p for d, p in nr.items() if not p.is_zero and d != dr}
+        missing -= 1
+    if missing > 0 and r:
+        scale = lg ** missing
+        r = {d: p * scale for d, p in r.items()}
     return r
 
 
@@ -499,7 +512,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         small, big = sorted((pf, pg), key=lambda p: len(p.terms))
         v = min(fnames)
         h = small if _divides(small, big) else (
-            _gcd_heuristic(pf, pg, v) or _gcd_primitive(pf, pg, v))
+            _gcd_heuristic(pf, pg, v) or _gcd_subresultant(pf, pg, v))
     return _normalize_sign(h.scale(c).mul_mono(mc))
 
 
@@ -566,9 +579,14 @@ def _xi_adic(h: Poly, v: str, xi: int) -> Poly:
     return Poly(terms)
 
 
-def _gcd_primitive(f: Poly, g: Poly, v: str) -> Poly:
-    """gcd of f and g by the primitive remainder sequence in v, which both
-    contain; the result is primitive up to its sign."""
+def _gcd_subresultant(f: Poly, g: Poly, v: str) -> Poly:
+    """gcd of f and g by the subresultant remainder sequence in v, which
+    both contain (Collins 1967; Brown & Traub 1971); the result is
+    primitive up to its sign. Each pseudo-remainder is divided exactly by
+    lc*h^d, for d the drop in degree, lc the leading coefficient of the
+    previous divisor and h = lc^d / h^(d-1) carried along, which keeps the
+    coefficients as small as the subresultants, where a primitive sequence
+    pays a content gcd at every step."""
     F = _univar(f, v)
     G = _univar(g, v)
     contF = _coeff_content(F)
@@ -578,15 +596,20 @@ def _gcd_primitive(f: Poly, g: Poly, v: str) -> Poly:
     G = _coeff_divexact(G, contG)
     if max(F) < max(G):
         F, G = G, F
+    lc = h = _P_ONE
     while True:
+        delta = max(F) - max(G)
         r = _prem(F, G)
         if not r:
-            # G is primitive: it was divided by its content
+            G = _coeff_divexact(G, _coeff_content(G))
             return _from_univar(G, v) * d
         if max(r) == 0:
             # nontrivial constant (in v) remainder: the pp-gcd is trivial
             return d
-        F, G = G, _coeff_divexact(r, _coeff_content(r))
+        F, G = G, _coeff_divexact(r, lc * h ** delta)
+        lc = F[max(F)]
+        if delta:
+            h = lc if delta == 1 else (lc ** delta).divexact(h ** (delta - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ Conventions, fixed globally:
 Operator entries are ParamScalar. The defect kernel also runs on plain
 ints, for operators whose entries are all rational constants, once their
 denominators are cleared, and the elimination runs on integer-coefficient
-polynomials (Poly), once each row's denominators are cleared; either way
-every zero test below is exact.
+polynomials, once each row's denominators are cleared, with each monomial
+packed into one int (``_Packing``) so that a product of monomials is an
+int addition; either way every zero test below is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import product
@@ -26,6 +28,7 @@ from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
+_ONE_TERMS = {0: 1}  # the packed 1 under every _Packing; never mutated
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -371,19 +374,135 @@ class InverseResult(FrozenRecord):
     __slots__ = _key = ("invertible", "operator", "determinant")
 
 
-def _eliminate(M, pivot_limit):
+class _Packing:
+    """Monomials of one matrix of Polys packed into ints (Monagan & Pearce
+    2007, "Polynomial division using dynamic arrays, heaps, and packed
+    exponent vectors").
+
+    The names are the sorted union of the matrix's indeterminates. A
+    monomial becomes one int with W-bit fields: its total degree in the top
+    field, then one field per exponent, the first name highest. The top bit
+    of each field is a guard bit that no exponent or degree reaches. Then a
+    product of monomials is the sum of their ints; int comparison is graded
+    lex, the order of ``Poly``, so the leading term is the ``max``; and m is
+    divisible by g exactly when no field of m - g borrows, that is when
+    (m - g) & guard == 0 (the lowest field that borrows sets its guard bit).
+
+    W is (2*S).bit_length() + 1 for S the sum over rows of the largest
+    total degree in the row. That is enough for every monomial that the
+    elimination forms. Each Bareiss entry is a minor of the matrix, and each
+    unknown of the back-substitution is, by Cramer's rule, the last pivot D
+    times a quotient of minors, itself a minor; a minor takes at most one
+    entry from each row, so its degree is at most S. Each product formed is
+    a product of two of them, of degree at most 2*S, and a division, exact
+    or not, forms only monomials of degree at most its dividend's: every
+    term it adds is a quotient monomial times a term of the divisor no
+    higher than the divisor's leading one. A field is at most the total
+    degree, so it stays at most 2*S < 2^(W - 1), below its guard bit.
+    """
+
+    __slots__ = ("fields", "units", "mask", "guard", "monos", "pairs")
+
+    def __init__(self, M):
+        names = sorted(set().union(*(p.names for row in M for p in row)))
+        S = sum(max((sum(e for _, e in m) for p in row for m in p.terms),
+                    default=0) for row in M)
+        W = (2 * S).bit_length() + 1
+        n = len(names)
+        self.fields = [(name, (n - 1 - i) * W) for i, name in enumerate(names)]
+        # the unit of a name adds 1 to its field and 1 to the degree
+        self.units = {name: 1 << shift | 1 << n * W
+                      for name, shift in self.fields}
+        self.mask = (1 << W) - 1
+        self.guard = sum(1 << (i * W + W - 1) for i in range(n + 1))
+        self.monos, self.pairs = {}, {}
+
+    def pack(self, p: Poly) -> dict:
+        units = self.units
+        return {sum(e * units[name] for name, e in m): c
+                for m, c in p.terms.items()}
+
+    def unpack(self, terms: dict) -> Poly:
+        """The Poly of packed terms. Each monomial and each (name,
+        exponent) pair is built once per packing, so the entries of one
+        result share them."""
+        monos, pairs = self.monos, self.pairs
+        fields, mask = self.fields, self.mask
+        out = {}
+        for k, c in terms.items():
+            mono = monos.get(k)
+            if mono is None:
+                mono = monos[k] = tuple(
+                    pairs.setdefault((name, e), (name, e))
+                    for name, shift in fields if (e := k >> shift & mask))
+            out[mono] = c
+        return Poly(out)
+
+
+def _dot(pairs) -> dict:
+    """The sum of a*b over the (a, b) pairs of packed polynomials."""
+    out: dict = {}
+    get = out.get
+    for a, b in pairs:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _neg(a: dict) -> dict:
+    return {k: -c for k, c in a.items()}
+
+
+def _divexact(p: dict, g: dict, guard: int) -> dict:
+    """Exact division of packed polynomials; raises ArithmeticError if not
+    exact. As in ``Poly.divexact``, the remainder's monomials wait in a heap
+    (of -k, so that each step pops the leading one), and a monomial
+    cancelled to zero and added again may sit there twice."""
+    gk = max(g)
+    gc = g[gk]
+    tail = [(k, c) for k, c in g.items() if k != gk]
+    r = dict(p)
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        rc = r.pop(k, 0)
+        if not rc:
+            continue
+        qk = k - gk
+        qc, rem = divmod(rc, gc)
+        if rem or qk & guard:
+            raise ArithmeticError("inexact polynomial division")
+        q[qk] = qc
+        for tk, tc in tail:
+            t = qk + tk
+            s = r.get(t)
+            if s is None:
+                r[t] = -qc * tc
+                heapq.heappush(heap, -t)
+            elif s == qc * tc:
+                del r[t]
+            else:
+                r[t] = s - qc * tc
+    return q
+
+
+def _eliminate(M, pivot_limit, guard):
     """Bareiss (1968) forward elimination in place over Z[params].
 
-    M is a matrix of Polys. Pivots are searched in the first pivot_limit
-    columns only; returns (pivot_columns, sign of the row permutation).
-    After k pivots every entry below them is a minor of order k + 1 of the
-    input (Sylvester's identity), so the division by the previous pivot is
-    exact and no gcd runs.
+    M is a matrix of packed polynomials. Pivots are searched in the first
+    pivot_limit columns only; returns (pivot_columns, sign of the row
+    permutation). After k pivots every entry below them is a minor of order
+    k + 1 of the input (Sylvester's identity), so the division by the
+    previous pivot is exact and no gcd runs.
     """
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     sign = 1
-    prev = _P_ONE
+    prev = _ONE_TERMS
     pivots = []
     r = 0
     for c in range(pivot_limit):
@@ -397,13 +516,11 @@ def _eliminate(M, pivot_limit):
         piv = top[c]
         for i in range(r + 1, nrows):
             row = M[i]
-            f = row[c]
-            row[c] = _P_ZERO
+            f = _neg(row[c])
+            row[c] = {}
             for j in range(c + 1, ncols):
-                e = piv * row[j]
-                if f and top[j]:
-                    e = e - f * top[j]
-                row[j] = e if prev == _P_ONE else e.divexact(prev)
+                e = _dot(((piv, row[j]), (f, top[j])))
+                row[j] = e if prev == _ONE_TERMS else _divexact(e, prev, guard)
         prev = piv
         pivots.append(c)
         r += 1
@@ -412,18 +529,40 @@ def _eliminate(M, pivot_limit):
     return pivots, sign
 
 
-def _cleared(rows):
-    """(matrix of Polys, row scales): each row of ParamScalars times the
-    lcm of its denominators."""
+def _cleared(rows, augment=False):
+    """(packed matrix, row scales, its _Packing): each row of ParamScalars
+    times the lcm s of its denominators, followed, when augment, by s times
+    the row of the identity matrix."""
     cleared = [clear_row(row) for row in rows]
-    return [polys for _, polys in cleared], [s for s, _ in cleared]
+    M = [polys for _, polys in cleared]
+    scales = [s for s, _ in cleared]
+    if augment:
+        for i, row in enumerate(M):
+            row.extend(scales[i] if j == i else _P_ZERO for j in range(len(M)))
+    packing = _Packing(M)
+    return [[packing.pack(p) for p in row] for row in M], scales, packing
 
 
-def _over(D):
-    """x -> the canonical x/D, for many x over one D. The canonical
-    denominator d of each result divides D, so when D/d for a d seen
-    before divides the next x, that x/D is (x/(D/d))/d and is reduced by a
-    gcd with the small d rather than with D."""
+def _square(op: _Operator, augment: bool):
+    """(echelon form, its _Packing, determinant) of the operator's cleared
+    matrix, augmented as in ``_cleared``; the determinant is read off the
+    last pivot, the only entry unpacked."""
+    size = op.size
+    M, scales, packing = _cleared(op.rows, augment)
+    pivots, sign = _eliminate(M, size, packing.guard)
+    if len(pivots) < size:
+        return M, packing, ZERO
+    last = packing.unpack(M[size - 1][size - 1])
+    return M, packing, ParamScalar(-last if sign < 0 else last,
+                                   math.prod(scales, start=_P_ONE))
+
+
+def _over(D, packing):
+    """x -> the canonical x/D, for many packed x over one packed D. The
+    canonical denominator d of each result divides D, so when D/d for a d
+    seen before divides the next x, that x/D is (x/(D/d))/d and is reduced
+    by a gcd with the small d rather than with D."""
+    den = packing.unpack(D)
     seen = []
 
     def over(x) -> ParamScalar:
@@ -431,31 +570,21 @@ def _over(D):
             return ZERO
         for d, q in seen:
             try:
-                return ParamScalar(x.divexact(q), d)
+                return ParamScalar(
+                    packing.unpack(_divexact(x, q, packing.guard)), d)
             except ArithmeticError:
                 pass
-        out = ParamScalar(x, D)
-        seen.append((out.den, D.divexact(out.den)))
+        out = ParamScalar(packing.unpack(x), den)
+        seen.append((out.den, _divexact(D, packing.pack(out.den),
+                                        packing.guard)))
         return out
 
     return over
 
 
-def _determinant(M, size, sign, scales) -> ParamScalar:
-    """The determinant from the last pivot of the cleared matrix."""
-    last = M[size - 1][size - 1]
-    return ParamScalar(-last if sign < 0 else last,
-                       math.prod(scales, start=_P_ONE))
-
-
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
-    size = op.size
-    M, scales = _cleared(op.rows)
-    pivots, sign = _eliminate(M, size)
-    if len(pivots) < size:
-        return ZERO
-    return _determinant(M, size, sign, scales)
+    return _square(op, False)[2]
 
 
 def invert(op: Operator2) -> InverseResult:
@@ -468,28 +597,23 @@ def invert(op: Operator2) -> InverseResult:
     entries (Cramer's rule), and fraction-free back-substitution finds them
     by exact divisions. Each entry is then canonicalised once (``_over``)."""
     size = op.size
-    M, scales = _cleared(op.rows)
-    for i, row in enumerate(M):
-        row.extend(scales[i] if j == i else _P_ZERO for j in range(size))
-    pivots, sign = _eliminate(M, size)
-    if len(pivots) < size:
+    M, packing, det = _square(op, True)
+    if det.is_zero:
         return InverseResult(False, None, ZERO)
+    guard = packing.guard
     D = M[size - 1][size - 1]
-    over = _over(D)
+    over = _over(D, packing)
+    negated = [[_neg(e) for e in row[:size]] for row in M]
     columns = []
     for col in range(size):
         # the last pivot is D itself, so the last unknown is its right side
-        X = [_P_ZERO] * (size - 1) + [M[size - 1][size + col]]
+        X = [{}] * (size - 1) + [M[size - 1][size + col]]
         for i in range(size - 2, -1, -1):
-            row = M[i]
-            acc = D * row[size + col]
-            for j in range(i + 1, size):
-                if row[j] and X[j]:
-                    acc = acc - row[j] * X[j]
-            X[i] = acc.divexact(row[i])
+            acc = _dot([(D, M[i][size + col])] + [
+                (negated[i][j], X[j]) for j in range(i + 1, size)])
+            X[i] = _divexact(acc, M[i][i], guard)
         columns.append([(i, over(x)) for i, x in enumerate(X) if x])
-    return InverseResult(True, Operator2.from_columns(op.dim, columns),
-                         _determinant(M, size, sign, scales))
+    return InverseResult(True, Operator2.from_columns(op.dim, columns), det)
 
 
 def nullspace(rows: Sequence[Sequence[ParamScalar]]):
@@ -502,21 +626,18 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     if not rows:
         return []
     ncols = len(rows[0])
-    M, _ = _cleared(rows)
-    pivots, _ = _eliminate(M, ncols)
-    D = M[len(pivots) - 1][pivots[-1]] if pivots else _P_ONE
-    over = _over(D)
+    M, _, packing = _cleared(rows)
+    pivots, _ = _eliminate(M, ncols, packing.guard)
+    D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
+    over = _over(D, packing)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         X = {fc: D}
         # echelon row r has its pivot at pivots[r]; solve bottom-up
         for r in range(len(pivots) - 1, -1, -1):
             pc, row = pivots[r], M[r]
-            acc = _P_ZERO
-            for c, x in X.items():
-                if c > pc and row[c] and x:
-                    acc = acc + row[c] * x
-            X[pc] = (-acc).divexact(row[pc])
-        basis.append(tuple(ONE if c == fc else over(X.get(c, _P_ZERO))
+            acc = _dot((row[c], x) for c, x in X.items() if c > pc)
+            X[pc] = _divexact(acc, _neg(row[pc]), packing.guard)
+        basis.append(tuple(ONE if c == fc else over(X.get(c, {}))
                            for c in range(ncols)))
     return basis

@@ -451,20 +451,40 @@ class TestKernelOracles:
         # these for more than 3 s each
         assert time.perf_counter() - start < 60
 
+    @staticmethod
+    def sequence_only(monkeypatch):
+        """Make poly_gcd skip the heuristic gcd, so that every gcd it
+        cannot answer at once runs the subresultant remainder sequence;
+        returns the list that records each run."""
+        from ybx import scalars
+        calls = []
+        sequence = scalars._gcd_subresultant
+        monkeypatch.setattr(scalars, "_gcd_heuristic", lambda f, g, v: None)
+        monkeypatch.setattr(scalars, "_gcd_subresultant",
+                            lambda *args: calls.append(1) or sequence(*args))
+        return calls
+
     def test_remainder_sequence_behind_the_heuristic(self, monkeypatch):
         # the heuristic gcd gives up after a few evaluation points; the
-        # primitive remainder sequence behind it answers the same. It is
-        # slow on some inputs (case 73 of seed 12 runs for seconds), so
-        # this runs it on a prefix only.
-        from ybx import scalars
-        pairs = list(self.stress_pairs(12, 60))
+        # subresultant remainder sequence behind it answers the same on
+        # every pair of two seeds
+        pairs = [pair for seed in (11, 12)
+                 for pair in self.stress_pairs(seed, 400)]
         want = [poly_gcd(f, g) for f, g in pairs]
-        calls = []
-        sequence = scalars._gcd_primitive
-        monkeypatch.setattr(scalars, "_gcd_heuristic", lambda f, g, v: None)
-        monkeypatch.setattr(scalars, "_gcd_primitive",
-                            lambda *args: calls.append(1) or sequence(*args))
+        calls = self.sequence_only(monkeypatch)
         assert [poly_gcd(f, g) for f, g in pairs] == want
+        assert calls
+
+    @pytest.mark.parametrize("seed, case", [(12, 73), (11, 16), (11, 146)])
+    def test_remainder_sequence_does_not_stall(self, seed, case,
+                                               monkeypatch):
+        # a primitive remainder sequence ran past 20 s on each of these
+        f, g = list(self.stress_pairs(seed, case + 1))[case]
+        want = poly_gcd(f, g)
+        calls = self.sequence_only(monkeypatch)
+        start = time.perf_counter()
+        assert poly_gcd(f, g) == want
+        assert time.perf_counter() - start < 2.0
         assert calls
 
     def test_exact_division(self):

@@ -245,7 +245,7 @@ class TestEliminationOverPolys:
     polynomial and rational denominators, swaps, and singular or
     rank-deficient inputs."""
 
-    def check_square(self, rows):
+    def check_square(self, rows, points=POINTS):
         R = Operator2(2, rows)
         det = determinant(R)
         want = oracles.bareiss_determinant(rows)
@@ -260,7 +260,7 @@ class TestEliminationOverPolys:
             assert res.determinant == det
         else:
             assert res.operator is None and res.determinant.is_zero
-        for point in POINTS:
+        for point in points:
             fdet, finv, _ = oracles.frac_solve(at(rows, point))
             assert det.evaluate(point) == fdet
             if fdet:
@@ -332,6 +332,159 @@ class TestEliminationOverPolys:
         self.check_square(rows)
 
 
+# six indeterminates, exponents at and next to powers of two
+NAMES = "abcdef"
+EXPONENTS = (1, 3, 4, 5, 7, 8, 9, 15, 16, 17)
+WIDE_POINTS = ({n: Fraction(k + 2, 3 - 2 * k) for k, n in enumerate(NAMES)},
+               {n: Fraction(-1) ** k * (k + 1) for k, n in enumerate(NAMES)})
+
+
+def random_monomial(rng):
+    return parse_scalar("*".join(
+        f"{n}^{rng.choice(EXPONENTS)}"
+        for n in rng.sample(NAMES, rng.randint(1, 2))))
+
+
+def random_wide_entry(rng):
+    """0, or one or two terms in NAMES with small coefficients."""
+    return sum((rng.choice((1, -2, 3)) * random_monomial(rng)
+                for _ in range(rng.randrange(3))), ZERO)
+
+
+def monomial_determinant_rows(rng, n):
+    """P*L*U*Q for random permutations P and Q, L unit lower triangular and
+    U upper triangular with single terms on its diagonal, each row then
+    divided by a random monomial: so the determinant and every canonical
+    denominator of the inverse are single terms, and the gcds that
+    canonicalise the results stay cheap, while the pivots the elimination
+    meets are general polynomials. (A gcd of two general polynomials in
+    six names of these degrees runs for more than 30 s.)"""
+    L = [[ONE if i == j else random_wide_entry(rng) if i > j else ZERO
+          for j in range(n)] for i in range(n)]
+    U = [[random_monomial(rng) if i == j else random_wide_entry(rng)
+          if i < j else ZERO for j in range(n)] for i in range(n)]
+    rows = [[sum((L[i][k] * U[k][j] for k in range(n)), ZERO)
+             for j in range(n)] for i in range(n)]
+    cols = rng.sample(range(n), n)
+    return [[e / m for e in (row[c] for c in cols)]
+            for row, m in ((rows[i], random_monomial(rng))
+                           for i in rng.sample(range(n), n))]
+
+
+class TestPackedExponents:
+    """The elimination packs each monomial into one int with W-bit fields,
+    W = (2*S).bit_length() + 1 for S the sum of the rows' largest total
+    degrees, and works on those ints until it unpacks the results."""
+
+    def recorded(self, monkeypatch):
+        """Record every _Packing the elimination builds and every product
+        it forms."""
+        packings, products = [], []
+
+        class Recorded(tensor._Packing):
+            def __init__(self, M):
+                super().__init__(M)
+                packings.append(self)
+
+        dot = tensor._dot
+
+        def recorded_dot(pairs):
+            out = dot(pairs)
+            products.append(out)
+            return out
+
+        monkeypatch.setattr(tensor, "_Packing", Recorded)
+        monkeypatch.setattr(tensor, "_dot", recorded_dot)
+        return packings, products
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_products_reach_twice_the_degree_sum(self, k, monkeypatch):
+        # the first row has total degree S = 2^k and the others are
+        # constant; x^S at the first pivot times x^S in a minor puts x^(2S)
+        # in a product at the second step, the most a field has to hold
+        x, y = var("x"), var("y")
+        S = 2 ** k
+        rows = [[x ** S, x ** S + y, 2 * x ** S - y ** (S - 1), ONE],
+                [const(1), const(2), const(0), const(3)],
+                [const(3), const(-1), const(4), const(1)],
+                [const(2), const(5), const(1), const(-2)]]
+        packings, products = self.recorded(monkeypatch)
+        TestEliminationOverPolys().check_square(
+            rows, ({"x": Fraction(3, 2), "y": Fraction(-2)},))
+        for packing in packings:
+            fields = dict(packing.fields)
+            W = packing.mask.bit_length()
+            assert W == (2 * S).bit_length() + 1
+            largest = 0
+            for product in products:
+                for key in product:
+                    # no field reaches its guard bit: products never carry
+                    assert key & packing.guard == 0
+                    largest = max(largest, key >> fields["x"] & packing.mask)
+                    # nothing above the degree field
+                    assert key >> (len(fields) + 1) * W == 0
+            assert largest == 2 * S
+
+    def test_order_product_and_division_match_poly(self):
+        # int order on packed monomials is the graded lex order of Poly,
+        # with the first name in the highest field
+        rng = random.Random(31)
+        for _ in range(20):
+            rows = [[random_wide_entry(rng).num for _ in range(4)]
+                    for _ in range(3)]
+            packing = tensor._Packing(rows)
+            entries = [p for row in rows for p in row if p]
+            for p in entries:
+                packed = packing.pack(p)
+                assert packing.unpack(packed) == p
+                assert packing.unpack({max(packed): 1}).terms == \
+                    {p.leading()[0]: 1}
+                assert [packing.unpack({k: 1}) for k in sorted(packed)] == \
+                    [scalars.Poly({m: 1}) for m in sorted(
+                        p.terms, key=scalars._mono_key, reverse=True)]
+            for p, q in zip(entries, entries[1:]):
+                product = tensor._dot([(packing.pack(p), packing.pack(q))])
+                assert packing.unpack(product) == p * q
+                assert tensor._divexact(product, packing.pack(q),
+                                        packing.guard) == packing.pack(p)
+                if q.names - p.names:
+                    # a monomial of q has a name that p lacks
+                    with pytest.raises(ArithmeticError):
+                        tensor._divexact(packing.pack(p), packing.pack(q),
+                                         packing.guard)
+
+    def test_six_names_near_powers_of_two(self):
+        rng = random.Random(32)
+        for _ in range(6):
+            rows = monomial_determinant_rows(rng, 4)
+            res = TestEliminationOverPolys().check_square(rows, WIDE_POINTS)
+            assert res.invertible
+
+    def test_nullspace_with_six_names(self):
+        # rows [B | B*C] with B as above: the nullspace is spanned by the
+        # columns of [-C; I], and every vector has a monomial denominator
+        rng = random.Random(33)
+        for k in range(4):
+            r, extra = 2 + k % 2, 1 + k // 2
+            B = monomial_determinant_rows(rng, r)
+            C = [[random_wide_entry(rng) for _ in range(extra)]
+                 for _ in range(r)]
+            rows = [row + [sum((row[i] * C[i][j] for i in range(r)), ZERO)
+                           for j in range(extra)] for row in B]
+            basis = nullspace(rows)
+            want = oracles.bareiss_nullspace(rows)
+            assert len(basis) == extra
+            assert basis == want
+            assert [list(map(str, v)) for v in basis] == \
+                [list(map(str, v)) for v in want]
+            for point in WIDE_POINTS:
+                A = at(rows, point)
+                for vec in basis:
+                    x = [e.evaluate(point) for e in vec]
+                    assert all(sum(r * y for r, y in zip(row, x)) == 0
+                               for row in A)
+
+
 class TestEliminationCounts:
     """The elimination pays no gcd on polynomial entries, and invert builds
     each result once, as a ParamScalar over the last pivot."""
@@ -357,12 +510,17 @@ class TestEliminationCounts:
         return calls
 
     def test_polynomial_determinant_runs_no_gcd(self, monkeypatch):
+        # and no Poly division either: the elimination divides packed terms
         R = self.colored()
         assert R.size == 9
         want = determinant(R)
         calls = self.count(monkeypatch, "poly_gcd")
+        divisions = []
+        divexact = scalars.Poly.divexact
+        monkeypatch.setattr(scalars.Poly, "divexact", lambda self, g: (
+            divisions.append(1), divexact(self, g))[1])
         assert determinant(R) == want
-        assert calls == []
+        assert calls == [] and divisions == []
 
     def test_invert_canonicalises_each_entry_once(self, monkeypatch):
         R = self.colored()

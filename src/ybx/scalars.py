@@ -757,7 +757,10 @@ class ParamScalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, str)):
-            other = as_scalar(other)
+            try:
+                other = as_scalar(other)
+            except (ScalarParseError, MalformedScalarError):
+                return False  # text that names no scalar equals none
         if not isinstance(other, ParamScalar):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -828,23 +831,6 @@ def const(value: Union[int, Fraction]) -> ParamScalar:
     """Embed a rational constant into the scalar field."""
     f = Fraction(value)
     return ParamScalar(Poly.const(f.numerator), Poly.const(f.denominator))
-
-
-def clear_denominators(rows):
-    """(d, rows times d as lists of ints) for the least d >= 1 that makes
-    every entry of the matrix rows an integer, or None when an entry is not
-    a rational constant."""
-    nums = [e.num.terms for row in rows for e in row]
-    dens = [e.den.terms for row in rows for e in row]
-    # a denominator is never empty, so both tests leave only constants
-    constant = {_EMPTY_MONO}.issuperset
-    if not (all(map(constant, nums)) and all(map(constant, dens))):
-        return None
-    qs = [den[_EMPTY_MONO] for den in dens]
-    d = math.lcm(*qs)
-    flat = [num.get(_EMPTY_MONO, 0) * (d // q) for num, q in zip(nums, qs)]
-    width = len(rows[0])
-    return d, [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 def clear_row(row):

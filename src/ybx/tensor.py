@@ -7,12 +7,12 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-Operator entries are ParamScalar. The defect kernel also runs on plain
-ints, for operators whose entries are all rational constants, once their
-denominators are cleared, and the elimination runs on integer-coefficient
-polynomials, once each row's denominators are cleared, with each monomial
-packed into one int (``_Packing``) so that a product of monomials is an
-int addition; either way every zero test below is exact.
+Operator entries are ParamScalar. Products (``@`` and the defects) run on
+each operator times the lcm of its denominators, in ints or in integer-
+coefficient polynomials, and the elimination on the polynomials of each
+row times the lcm of its denominators, with each monomial packed into one
+int (``_Packing``) so that a product of monomials is an int addition;
+either way every zero test below is exact.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
-                      as_scalar, clear_denominators, clear_row, const)
+                      as_scalar, clear_row, const)
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
@@ -60,6 +60,8 @@ class _Operator(FrozenRecord):
         pairs in columns[c]; zero terms are dropped and missing columns are
         zero. Unlike the constructor, which converts outside input, this
         takes the entries as they are, so they must be ParamScalars."""
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
         size = dim ** cls.legs
         rows = [[ZERO] * size for _ in range(size)]
         for c, column in enumerate(columns):
@@ -70,6 +72,16 @@ class _Operator(FrozenRecord):
         op = object.__new__(cls)
         FrozenRecord.__init__(op, dim, tuple(map(tuple, rows)))
         return op
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows, scalar):
+        """The operator with scalar(e) at (y, c) for each (y, {c: e}) in
+        rows, and zero elsewhere: the last step of every product."""
+        columns = [[] for _ in range(dim ** cls.legs)]
+        for y, row in rows:
+            for c, e in row.items():
+                columns[c].append((y, scalar(e)))
+        return cls.from_columns(dim, columns)
 
     @classmethod
     def identity(cls, dim: int):
@@ -90,13 +102,12 @@ class _Operator(FrozenRecord):
             )
 
     def __matmul__(self, other):
+        """Row y of A @ B is e_y pushed through the rows of A, then of B."""
         self._require_same(other)
-        acols = [[(i, row[k]) for i, row in enumerate(self.rows)
-                  if not row[k].is_zero] for k in range(self.size)]
-        return type(self).from_columns(self.dim, (
-            [(i, a * b) for k, b in enumerate(bcol) if not b.is_zero
-             for i, a in acols[k]]
-            for bcol in zip(*other.rows)))
+        actions, scalar = _clear((self, other), (0, 1))
+        return type(self)._from_rows(
+            self.dim, ((y, _apply(actions, y)) for y in range(self.size)),
+            scalar)
 
     def __add__(self, other):
         self._require_same(other)
@@ -221,40 +232,73 @@ def twist(n: int) -> Operator2:
 _LEG_POSITIONS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
-def _leg_action(entries, n: int, legs: int):
-    """The n^2 x n^2 matrix M with column c equal to entries[c], on the
-    chosen pair of tensor factors of V⊗V⊗V: for each flat input index, the
-    list of nonzero (flat output index, entry) pairs. Fed the columns of R
-    this is R's embedding; fed R.rows it is the embedding of R's transpose.
-    Entries may be ParamScalars or ints."""
+def _leg_action(rows, n: int, legs: int):
+    """The rows of R's embedding on the chosen pair of tensor factors of
+    V⊗V⊗V, for R an n^2 x n^2 matrix given as the nonzero (column, entry)
+    pairs of each row, and listed the same way. Fed R's columns as (row,
+    entry) pairs, it gives the columns of the embedding."""
     if legs not in _LEG_POSITIONS:
         raise ValueError("legs must be one of 12, 23, 13")
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
-    out_index = [r // n * sa + r % n * sb for r in range(n * n)]
-    cols = [[(out_index[r], e) for r, e in enumerate(col) if e]
-            for col in entries]
+    index = [r // n * sa + r % n * sb for r in range(n * n)]
+    moved = [[(index[c], e) for c, e in row] for row in rows]
     action = [None] * n ** 3
     for a, b, c in product(range(n), repeat=3):
         shift = c * sc
         action[a * sa + b * sb + shift] = [(y + shift, e)
-                                           for y, e in cols[a * n + b]]
+                                           for y, e in moved[a * n + b]]
     return action
 
 
 def embed(R: Operator2, legs: int) -> Operator3:
     """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors: legs 12
     is R⊗I, legs 23 is I⊗R, and legs 13 puts R on the outer pair."""
-    return Operator3.from_columns(
-        R.dim, _leg_action(tuple(zip(*R.rows)), R.dim, legs))
+    columns = [[(r, e) for r, e in enumerate(col) if e]
+               for col in zip(*R.rows)]
+    return Operator3.from_columns(R.dim, _leg_action(columns, R.dim, legs))
 
 
 # ---------------------------------------------------------------------------
-# defects: LHS - RHS of the identities under test
+# products: @ and the defects, LHS - RHS of the identities under test
 # ---------------------------------------------------------------------------
+
+def _clear(ops, side):
+    """(rows, scalar): for each operator X and d the lcm of its entries'
+    denominators, rows lists the nonzero (column, entry) pairs of each row
+    of d*X, and scalar(e) is the canonical e over the product of the d of
+    ops[i] for i in side. The entries are ints when every entry of every
+    operator is a rational constant, and Polys otherwise."""
+    size = ops[0].size
+    flat = {id(op): list(chain.from_iterable(op.rows)) for op in ops}
+    nums = {k: [e.num.terms for e in es] for k, es in flat.items()}
+    dens = {k: [e.den.terms for e in es] for k, es in flat.items()}
+    # a denominator is never empty, so the two tests leave only constants
+    constant = all(all(map({()}.issuperset, terms))
+                   for terms in (*nums.values(), *dens.values()))
+    cleared = {}
+    for k, es in flat.items():
+        nonzero = [i for i, t in enumerate(nums[k]) if t]
+        if constant:
+            qs = [dens[k][i][()] for i in nonzero]
+            d = math.lcm(*qs)
+            values = [nums[k][i][()] * (d // q) for i, q in zip(nonzero, qs)]
+        else:
+            d, values = clear_row([es[i] for i in nonzero])
+        rows = [[] for _ in range(size)]
+        for i, e in zip(nonzero, values):
+            rows[i // size].append((i % size, e))
+        cleared[k] = d, rows
+    d = math.prod((cleared[id(ops[i])][0] for i in side),
+                  start=1 if constant else _P_ONE)
+    scalar = ((lambda e: const(Fraction(e, d))) if constant
+              else (lambda e: ParamScalar(e, d)))
+    return [cleared[id(op)][1] for op in ops], scalar
+
 
 def _apply(actions, x: int) -> dict:
-    """The product of leg actions (listed in the order they apply) on the
-    basis tensor e_x, as a sparse {flat index: nonzero entry} map."""
+    """e_x pushed through the row actions, first to last (each lists the
+    nonzero (column, entry) pairs of each row): row x of their product, as
+    a sparse {column: nonzero entry} map."""
     vec = dict(actions[0][x])
     for action in actions[1:]:
         out = {}
@@ -272,9 +316,9 @@ def _defect_rows(n: int, lhs, rhs):
     for y in range(n ** 3):
         left, right = _apply(lhs, y), _apply(rhs, y)
         if left != right:
-            diffs = ((c, left.get(c, 0) - right.get(c, 0))
-                     for c in sorted(left.keys() | right.keys()))
-            yield y, {c: e for c, e in diffs if e}
+            for c, e in right.items():
+                left[c] = left[c] - e if c in left else -e
+            yield y, {c: e for c, e in left.items() if e}
 
 
 class Defect:
@@ -308,11 +352,7 @@ class Defect:
 
     def dense(self) -> Operator3:
         """The whole defect as an n^3 x n^3 operator."""
-        columns = [[] for _ in range(self.dim ** 3)]
-        for y, row in self._rows():
-            for c, e in row.items():
-                columns[c].append((y, self._scalar(e)))
-        return Operator3.from_columns(self.dim, columns)
+        return Operator3._from_rows(self.dim, self._rows(), self._scalar)
 
     def __repr__(self):
         return f"Defect(dim={self.dim}, first_nonzero={self._first})"
@@ -320,20 +360,11 @@ class Defect:
 
 def _defect(ops, legs, lhs, rhs) -> Defect:
     """ops[i] on the leg pair legs[i]; lhs and rhs index the three factors
-    of each product, leftmost first. When every entry is a rational
-    constant, each operator goes in as d*op with int entries, and an entry
-    of that defect is the true one times the product of the d of one side."""
+    of each product, leftmost first. The kernel runs on the cleared
+    operators, so its entries are over the product of the d of one side."""
     n = ops[0].dim
-    distinct = {id(op): op for op in ops}
-    cleared = {k: clear_denominators(op.rows) for k, op in distinct.items()}
-    if None in cleared.values():
-        entries = [op.rows for op in ops]
-        scalar = lambda e: e  # noqa: E731
-    else:
-        entries = [cleared[id(op)][1] for op in ops]
-        denom = math.prod(cleared[id(ops[i])][0] for i in lhs)
-        scalar = lambda e: const(Fraction(e, denom))  # noqa: E731
-    actions = [_leg_action(e, n, leg) for e, leg in zip(entries, legs)]
+    rows, scalar = _clear(ops, lhs)
+    actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
     return Defect(n, lambda: _defect_rows(n, lhs, rhs), scalar)

@@ -338,6 +338,14 @@ def test_equality_matches_difference_being_zero(s, t):
     assert (s == t) == (s - t).is_zero
 
 
+def test_equality_with_text_that_names_no_scalar():
+    a = var("a")
+    assert a == "a" and const(Fraction(1, 2)) == "1/2"
+    for text in ("not a scalar!", "(", "1/0", "a^99999999"):
+        assert a != text
+        assert not a == text
+
+
 @given(small_scalars(), small_scalars())
 def test_arithmetic_results_are_canonical(s, t):
     # sums, products and quotients skip the full canonicalisation of their

@@ -2,6 +2,7 @@
 and the defect computations, all against brute-force Kronecker oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ybx import scalars, tensor
-from ybx.scalars import (ONE, ZERO, clear_denominators, const, parse_scalar,
-                         var)
+from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
                         embed, invert, nullspace, operator_from_json_obj,
@@ -65,6 +65,22 @@ class TestFromColumns:
         assert op.first_nonzero() == (7, 0, ONE)
         assert Operator3.from_columns(2, ()) == Operator3(
             2, [[0] * 8 for _ in range(8)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Operator2.identity(-1),
+        lambda: Operator2.zero(0),
+        lambda: Operator3.identity(0),
+        lambda: Operator2.from_columns(0, ()),
+        lambda: Operator3._from_rows(-2, (), str),
+        lambda: twist(0),
+    ], ids=["identity(-1)", "zero(0)", "Operator3.identity(0)",
+            "from_columns(0)", "_from_rows(-2)", "twist(0)"])
+    def test_dim_below_one_is_refused(self, build):
+        # the constructor's check, which every builder shares: without it
+        # identity(-1) would be a 1x1 operator with dim -1, and twist(0) an
+        # operator with no rows
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            build()
 
 
 class TestEmbed:
@@ -604,13 +620,23 @@ class TestDefectKernel:
         rng = random.Random(100 * dim + symbolic)
         return [random_sparse_op2(dim, rng, symbolic) for _ in range(3)]
 
-    def check(self, got, dense, oracle_matrix):
+    def check(self, got, dense, oracle_fn, ops):
+        """got, a Defect, and dense, the same defect as a product of
+        embeddings, against oracle_fn: the naive products of the oracles on
+        ParamScalar entries up to dim 3, exactly, and on the integer
+        matrices at POINT at every dim (at dim 4 the naive products over
+        ParamScalars take seconds)."""
         full = got.dense()
         assert full == dense
         assert not got.is_zero()
         assert got.first_nonzero() == full.first_nonzero()
         assert got.first_nonzero() == dense.first_nonzero()
-        assert oracles.frac_matrix(full, self.POINT) == oracle_matrix
+        dim = ops[0].dim
+        if dim <= 3:
+            assert oracles.symbolic_matrix(full) == oracle_fn(
+                *map(oracles.symbolic_matrix, ops), dim, ONE, ZERO)
+        assert oracles.frac_matrix(full, self.POINT) == oracle_fn(
+            *map(self.at_point, ops), dim, 1, 0)
 
     def at_point(self, op):
         """Integer matrix of op at POINT, so the oracles run on ints."""
@@ -623,7 +649,7 @@ class TestDefectKernel:
         R, _, _ = self.operators(dim, symbolic)
         r12, r23 = embed(R, 12), embed(R, 23)
         self.check(braid_defect(R), r12 @ r23 @ r12 - r23 @ r12 @ r23,
-                   oracles.braid_defect_matrix(self.at_point(R), dim, 1, 0))
+                   oracles.braid_defect_matrix, (R,))
 
     @pytest.mark.parametrize("symbolic", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -631,16 +657,15 @@ class TestDefectKernel:
         R, _, _ = self.operators(dim, symbolic)
         r12, r13, r23 = embed(R, 12), embed(R, 13), embed(R, 23)
         self.check(qybe_defect(R), r12 @ r13 @ r23 - r23 @ r13 @ r12,
-                   oracles.qybe_defect_matrix(self.at_point(R), dim, 1, 0))
+                   oracles.qybe_defect_matrix, (R,))
 
     @pytest.mark.parametrize("symbolic", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_commutator(self, dim, symbolic):
         R, S, T = self.operators(dim, symbolic)
         r12, s13, t23 = embed(R, 12), embed(S, 13), embed(T, 23)
-        Rf, Sf, Tf = (self.at_point(X) for X in (R, S, T))
         self.check(yb_commutator(R, S, T), r12 @ s13 @ t23 - t23 @ s13 @ r12,
-                   oracles.commutator_matrix(Rf, Sf, Tf, dim, 1, 0))
+                   oracles.commutator_matrix, (R, S, T))
 
     def test_solutions_at_dim_4(self):
         for R in (twist(4), Operator2.identity(4)):
@@ -660,81 +685,72 @@ def random_fraction_op2(dim, rng, dens):
 
 
 def oracle_first_nonzero(M):
-    """(row, col, entry) of the first nonzero entry of a Fraction matrix."""
-    return next(((i, j, const(e)) for i, row in enumerate(M)
+    """(row, col, entry) of the first nonzero entry of an oracle matrix."""
+    return next(((i, j, as_scalar(e)) for i, row in enumerate(M)
                  for j, e in enumerate(row) if e), None)
 
 
 class TestClearedDenominators:
-    """Constant operators go through the defect kernel as integer matrices
-    over a denominator, and the witness is divided back by the product of
-    the denominators of one side of the identity: d^3 for braid and QYBE,
-    d_R * d_S * d_T for the commutator. Each defect is compared with the
-    same defect computed on ParamScalar entries and with the Fraction
-    oracles."""
+    """Every product runs on d*X for each operator X, d the lcm of X's
+    denominators: on ints when every entry of every operator is a rational
+    constant, on Polys otherwise. Each entry is then divided by the product
+    of the d of one side: d_A * d_B for A @ B, d^3 for braid and QYBE, and
+    d_R * d_S * d_T for the commutator. Each result is compared exactly
+    with the naive products of the oracles on ParamScalar entries, and, for
+    constant operators, with the Fraction oracles."""
 
-    def lanes(self, defect_fn, ops, monkeypatch):
-        """The defect from the integer lane and from the ParamScalar lane,
-        the second forced by reporting every operator as not constant."""
-        cleared = defect_fn(*ops)
-        with monkeypatch.context() as m:
-            m.setattr(tensor, "clear_denominators", lambda rows: None)
-            scalar = defect_fn(*ops)
-        return cleared, scalar
+    def check(self, defect_fn, ops, oracle_fn):
+        """The defect against oracle_fn; returns its first nonzero entry."""
+        got = defect_fn(*ops)
+        dim = ops[0].dim
+        want = oracle_fn(*map(oracles.symbolic_matrix, ops), dim, ONE, ZERO)
+        first = oracle_first_nonzero(want)
+        assert first is not None
+        assert got.first_nonzero() == first
+        assert str(got.first_nonzero()[2]) == str(first[2])
+        assert oracles.symbolic_matrix(got.dense()) == want
+        if not any(e.names for X in ops for row in X.rows for e in row):
+            assert oracles.frac_matrix(got.dense()) == oracle_fn(
+                *map(oracles.frac_matrix, ops), dim)
+        return first
 
-    def check(self, defect_fn, ops, oracle_matrix, monkeypatch):
-        cleared, scalar = self.lanes(defect_fn, ops, monkeypatch)
-        want = oracle_first_nonzero(oracle_matrix)
-        assert want is not None
-        assert cleared.first_nonzero() == scalar.first_nonzero() == want
-        assert str(cleared.first_nonzero()[2]) == str(want[2])
-        assert cleared.dense() == scalar.dense()
-        assert oracles.frac_matrix(cleared.dense()) == oracle_matrix
-        return want
+    @staticmethod
+    def denominators(*ops):
+        """The lcm of the denominators of each constant operator."""
+        return [math.lcm(*(e.evaluate({}).denominator
+                           for row in X.rows for e in row)) for X in ops]
 
-    def test_clear_denominators(self):
-        R = Operator2(1, [["1/2"]])
-        assert clear_denominators(R.rows) == (2, [[1]])
-        rows = Operator2(2, [[0, "1/2", "-2/3", 1], [0] * 4, [0] * 4,
-                             ["5/6", 0, 0, -4]]).rows
-        assert clear_denominators(rows) == (
-            6, [[0, 3, -4, 6], [0] * 4, [0] * 4, [5, 0, 0, -24]])
-        assert clear_denominators(Operator2(1, [["a/2"]]).rows) is None
-        assert clear_denominators(Operator2(1, [["1/a"]]).rows) is None
+    @staticmethod
+    def symbolic():
+        """Entries 1/a, a/2 and 1/(a + 1), so d = 2*a^2 + 2*a."""
+        return Operator2(2, [["1/a", "a/2", 0, 1], [0, "-1/a", 1, "a/2"],
+                             ["a/2", 1, "1/(a+1)", 0], [0, 0, "a/2", "1/a"]])
 
-    def test_braid_and_qybe_with_halves_and_thirds(self, monkeypatch):
+    def test_braid_and_qybe_with_halves_and_thirds(self):
         R = Operator2(2, [["1/2", "1/3", 0, 1], [0, "-2/3", 1, 0],
                           ["5/6", 1, "1/2", 0], [0, 0, "1/3", "-1/2"]])
-        Rf = oracles.frac_matrix(R)
-        got = self.check(braid_defect, (R,),
-                         oracles.braid_defect_matrix(Rf, 2), monkeypatch)
+        assert self.denominators(R) == [6]
+        got = self.check(braid_defect, (R,), oracles.braid_defect_matrix)
         # divided by d = 6 in place of d^3 = 216 this would read 25
         assert str(got[2]) == "25/36"
-        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix(Rf, 2),
-                   monkeypatch)
+        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_random_mixed_denominators(self, dim, monkeypatch):
+    def test_random_mixed_denominators(self, dim):
         rng = random.Random(40 + dim)
         R = random_fraction_op2(dim, rng, (1, 2, 3))
-        Rf = oracles.frac_matrix(R)
-        self.check(braid_defect, (R,), oracles.braid_defect_matrix(Rf, dim),
-                   monkeypatch)
-        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix(Rf, dim),
-                   monkeypatch)
+        self.check(braid_defect, (R,), oracles.braid_defect_matrix)
+        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix)
 
-    def test_commutator_with_three_denominators(self, monkeypatch):
+    def test_commutator_with_three_denominators(self):
         rng = random.Random(43)
         ops = [random_fraction_op2(2, rng, dens)
                for dens in ((1, 2), (1, 3), (5,))]
-        assert [clear_denominators(X.rows)[0] for X in ops] == [2, 3, 5]
-        Rf, Sf, Tf = (oracles.frac_matrix(X) for X in ops)
-        self.check(yb_commutator, ops, oracles.commutator_matrix(Rf, Sf, Tf, 2),
-                   monkeypatch)
-        self.check(yb_commutator, ops[::-1],
-                   oracles.commutator_matrix(Tf, Sf, Rf, 2), monkeypatch)
+        assert self.denominators(*ops) == [2, 3, 5]
+        self.check(yb_commutator, ops, oracles.commutator_matrix)
+        self.check(yb_commutator, ops[::-1], oracles.commutator_matrix)
 
-    def test_colored_inverse_at_a_point(self, monkeypatch):
+    def test_colored_inverse_at_a_point(self):
         from ybx.algebra import quadratic_quotient_algebra
         from ybx.constructors import colored_inverse, colored_operator
         A = quadratic_quotient_algebra(const(1), const(1))
@@ -747,14 +763,55 @@ class TestClearedDenominators:
                 oracles.colored_matrix(table, unit, p, q, u, w),
                 oracles.colored_inverse_matrix(table, unit, p, q, v, w))
         assert [oracles.frac_matrix(X) for X in ops] == list(want)
-        assert clear_denominators(ops[0].rows)[0] > 1
-        self.check(colored_defect, ops, oracles.commutator_matrix(*want, 2),
-                   monkeypatch)
+        assert self.denominators(*ops) == [91, 1, 56]
+        self.check(colored_defect, ops, oracles.commutator_matrix)
         # the inverse family solves the colored equation as well
-        inverses = (ops[0], colored_inverse(A, p, q, u, w), ops[2])
-        for defect in self.lanes(colored_defect, inverses, monkeypatch):
-            assert defect.is_zero()
-            assert defect.dense().is_zero()
+        defect = colored_defect(ops[0], colored_inverse(A, p, q, u, w), ops[2])
+        assert defect.is_zero()
+        assert defect.dense().is_zero()
+
+    def test_braid_and_qybe_with_symbolic_denominators(self):
+        R = self.symbolic()
+        self.check(braid_defect, (R,), oracles.braid_defect_matrix)
+        self.check(qybe_defect, (R,), oracles.qybe_defect_matrix)
+
+    def test_symbolic_inverses(self):
+        # dn_inverse and colored_inverse with free parameters: each entry
+        # of the defect is over the product of three polynomial d's
+        from ybx.algebra import quadratic_quotient_algebra
+        from ybx.constructors import (colored_inverse, colored_operator,
+                                      dn_inverse)
+        A = quadratic_quotient_algebra(var("m"), const(1))
+        a, b, p, q, u, v, w = map(var, "abpquvw")
+        Rinv = dn_inverse(A, a, b, a)
+        self.check(qybe_defect, (Rinv,), oracles.qybe_defect_matrix)
+        ops = (colored_inverse(A, p, q, u, v), colored_operator(A, p, q, u, w),
+               colored_inverse(A, p, q, v, w))
+        self.check(yb_commutator, ops[::-1], oracles.commutator_matrix)
+
+    def test_constant_and_symbolic_operators_together(self):
+        rng = random.Random(44)
+        X = random_fraction_op2(2, rng, (2, 3))
+        W = self.symbolic()
+        # both go in as Polys, X over its constant d
+        assert self.denominators(X) == [6]
+        self.check(yb_commutator, (W, X, X), oracles.commutator_matrix)
+        self.check(yb_commutator, (X, W, X), oracles.commutator_matrix)
+        for A, B in ((X, W), (W, X)):
+            assert oracles.symbolic_matrix(A @ B) == oracles.matmul(
+                oracles.symbolic_matrix(A), oracles.symbolic_matrix(B))
+
+    def test_product_over_d_squared(self):
+        R = self.symbolic()
+        got = oracles.symbolic_matrix(R @ R)
+        assert got == oracles.matmul(oracles.symbolic_matrix(R),
+                                     oracles.symbolic_matrix(R))
+        # the kernel's entry is 4*(a + 1)^2, over d^2 = 4*a^2*(a + 1)^2
+        assert str(got[0][0]) == "1/a^2"
+        rng = random.Random(45)
+        C = random_fraction_op2(3, rng, (2, 3))
+        assert oracles.frac_matrix(C @ C) == oracles.matmul(
+            oracles.frac_matrix(C), oracles.frac_matrix(C))
 
 
 class TestEquivalence:

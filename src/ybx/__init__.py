@@ -21,7 +21,7 @@ from .lie_super import (AntisymmetryError, GradingError, JacobiError,
 from .tensor import (Defect, DimensionMismatch, InverseResult, Operator2,
                      Operator3, braid_defect, colored_defect, determinant,
                      embed, invert, nullspace, operator_from_json_obj,
-                     qybe_defect, twist, yb_commutator)
+                     qybe_defect, roundtrip_defect, twist, yb_commutator)
 from .constructors import (FreeIndeterminateError, InvalidCenterError,
                            InvertibilityLocusError, NotYangBaxterError,
                            SplitSpace, SupportViolationError, WxzTriple,

@@ -7,18 +7,22 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-Operator entries are ParamScalar. Products (``@`` and the defects) run on
-each operator times the lcm of its denominators, in ints or in integer-
-coefficient polynomials, and the elimination on the polynomials of each
-row times the lcm of its denominators, with each monomial packed into one
-int (``_Packing``) so that a product of monomials is an int addition;
-either way every zero test below is exact.
+Operator entries are ParamScalar. Products (``@``, the defects and the
+round trips A∘B - I) run on each operator times the lcm of its
+denominators, in ints or in integer-coefficient polynomials, and the
+elimination on the polynomials of each row times the lcm of its
+denominators. Polynomials have each monomial packed into one int
+(``_Packing``), once per product or elimination, so that a product of
+monomials is an int addition. A round trip is compared with d times the
+identity, d the product of the two lcms, so every zero test below is exact
+and no entry is canonicalised until it leaves the kernel.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, product
 from typing import Sequence
@@ -28,7 +32,8 @@ from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
-_ONE_TERMS = {0: 1}  # the packed 1 under every _Packing; never mutated
+# the packed 1 and -1 under every _Packing; never mutated
+_ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -104,9 +109,9 @@ class _Operator(FrozenRecord):
     def __matmul__(self, other):
         """Row y of A @ B is e_y pushed through the rows of A, then of B."""
         self._require_same(other)
-        actions, scalar = _clear((self, other), (0, 1))
+        actions, (apply, _), _, scalar = _clear((self, other), (0, 1))
         return type(self)._from_rows(
-            self.dim, ((y, _apply(actions, y)) for y in range(self.size)),
+            self.dim, ((y, apply(actions, y)) for y in range(self.size)),
             scalar)
 
     def __add__(self, other):
@@ -259,15 +264,22 @@ def embed(R: Operator2, legs: int) -> Operator3:
 
 
 # ---------------------------------------------------------------------------
-# products: @ and the defects, LHS - RHS of the identities under test
+# products: @, the round trips and the defects, LHS - RHS of the identities
 # ---------------------------------------------------------------------------
 
 def _clear(ops, side):
-    """(rows, scalar): for each operator X and d the lcm of its entries'
-    denominators, rows lists the nonzero (column, entry) pairs of each row
-    of d*X, and scalar(e) is the canonical e over the product of the d of
-    ops[i] for i in side. The entries are ints when every entry of every
-    operator is a rational constant, and Polys otherwise."""
+    """(rows, kernel, d, scalar) for a product whose factors are ops[i] for
+    i in side, every operator among them. For each operator X and d_X the
+    lcm of its entries' denominators, rows lists the nonzero (column,
+    entry) pairs of each row of d_X*X; d is the product of the factors'
+    d_X, and scalar(e) is the canonical e/d. kernel is the (apply, minus)
+    pair of the lane, as _defect_rows takes it.
+
+    The entries and d are ints when every entry of every operator is a
+    rational constant. Otherwise they are polynomials packed by one
+    _Packing whose rows are the factors, each its operator's cleared
+    entries and d_X, so that S bounds the degree of d and of every entry
+    the product forms: each takes at most one entry from each factor."""
     size = ops[0].size
     flat = {id(op): list(chain.from_iterable(op.rows)) for op in ops}
     nums = {k: [e.num.terms for e in es] for k, es in flat.items()}
@@ -275,30 +287,40 @@ def _clear(ops, side):
     # a denominator is never empty, so the two tests leave only constants
     constant = all(all(map({()}.issuperset, terms))
                    for terms in (*nums.values(), *dens.values()))
-    cleared = {}
+    cleared, scales = {}, {}
     for k, es in flat.items():
         nonzero = [i for i, t in enumerate(nums[k]) if t]
         if constant:
             qs = [dens[k][i][()] for i in nonzero]
-            d = math.lcm(*qs)
+            scales[k] = d = math.lcm(*qs)
             values = [nums[k][i][()] * (d // q) for i, q in zip(nonzero, qs)]
         else:
-            d, values = clear_row([es[i] for i in nonzero])
+            scales[k], values = clear_row([es[i] for i in nonzero])
+        cleared[k] = nonzero, values
+    factors = [id(ops[i]) for i in side]
+    if constant:
+        d = math.prod(scales[k] for k in factors)
+        kernel, scalar = _INT_KERNEL, (lambda e: const(Fraction(e, d)))
+    else:
+        packing = _Packing([cleared[k][1] + [scales[k]] for k in factors])
+        den = math.prod((scales[k] for k in factors), start=_P_ONE)
+        d = packing.pack(den)
+        kernel = _PACKED_KERNEL
+        scalar = (lambda e: ParamScalar(packing.unpack(e), den))
+        cleared = {k: (nonzero, list(map(packing.pack, values)))
+                   for k, (nonzero, values) in cleared.items()}
+    for k, (nonzero, values) in cleared.items():
         rows = [[] for _ in range(size)]
         for i, e in zip(nonzero, values):
             rows[i // size].append((i % size, e))
-        cleared[k] = d, rows
-    d = math.prod((cleared[id(ops[i])][0] for i in side),
-                  start=1 if constant else _P_ONE)
-    scalar = ((lambda e: const(Fraction(e, d))) if constant
-              else (lambda e: ParamScalar(e, d)))
-    return [cleared[id(op)][1] for op in ops], scalar
+        cleared[k] = rows
+    return [cleared[id(op)] for op in ops], kernel, d, scalar
 
 
 def _apply(actions, x: int) -> dict:
     """e_x pushed through the row actions, first to last (each lists the
     nonzero (column, entry) pairs of each row): row x of their product, as
-    a sparse {column: nonzero entry} map."""
+    a sparse {column: nonzero entry} map. The int lane."""
     vec = dict(actions[0][x])
     for action in actions[1:]:
         out = {}
@@ -309,28 +331,63 @@ def _apply(actions, x: int) -> dict:
     return vec
 
 
-def _defect_rows(n: int, lhs, rhs):
-    """(row, {col: entry}) for each nonzero row of lhs - rhs, in order; lhs
-    and rhs list the transposed leg actions of the two products from the
-    left, so applying them to e_y gives row y."""
-    for y in range(n ** 3):
-        left, right = _apply(lhs, y), _apply(rhs, y)
+def _apply_packed(actions, x: int) -> dict:
+    """As _apply, on packed polynomials: each entry of a step is one _dot
+    of the products that land on its column."""
+    vec = dict(actions[0][x])
+    for action in actions[1:]:
+        pairs = defaultdict(list)
+        for x, s in vec.items():
+            for y, e in action[x]:
+                pairs[y].append((s, e))
+        vec = {y: p for y, terms in pairs.items() if (p := _dot(terms))}
+    return vec
+
+
+def _minus(left: dict, right: dict) -> dict:
+    """left - right for two sparse rows of ints, without its zeros; reuses
+    left."""
+    for c, e in right.items():
+        left[c] = left[c] - e if c in left else -e
+    return {c: e for c, e in left.items() if e}
+
+
+def _minus_packed(left: dict, right: dict) -> dict:
+    """As _minus, on packed polynomials."""
+    for c, e in right.items():
+        left[c] = (_dot(((left[c], _ONE_TERMS), (e, _MINUS_ONE_TERMS)))
+                   if c in left else _neg(e))
+    return {c: e for c, e in left.items() if e}
+
+
+# the two lanes of every product, as _clear returns them
+_INT_KERNEL = (_apply, _minus)
+_PACKED_KERNEL = (_apply_packed, _minus_packed)
+
+
+def _defect_rows(size: int, lhs, rhs, kernel):
+    """(row, {col: entry}) for each nonzero row of lhs - rhs, in order, for
+    size x size products; lhs and rhs list the row actions of the two
+    products from the left, so applying them to e_y gives row y."""
+    apply, minus = kernel
+    for y in range(size):
+        left, right = apply(lhs, y), apply(rhs, y)
         if left != right:
-            for c, e in right.items():
-                left[c] = left[c] - e if c in left else -e
-            yield y, {c: e for c, e in left.items() if e}
+            yield y, minus(left, right)
 
 
 class Defect:
-    """LHS - RHS of an identity on V⊗V⊗V, scanned when it is built: the
-    scan stops at the first nonzero row and keeps its first nonzero entry.
-    The full matrix is recomputed on demand by ``dense``."""
+    """LHS - RHS of an identity between operators of one class, scanned
+    when it is built: the scan stops at the first nonzero row and keeps its
+    first nonzero entry. The full matrix is recomputed on demand by
+    ``dense``."""
 
-    __slots__ = ("dim", "_rows", "_scalar", "_first")
+    __slots__ = ("dim", "_cls", "_rows", "_scalar", "_first")
 
-    def __init__(self, dim: int, rows, scalar):
+    def __init__(self, cls, dim: int, rows, scalar):
         # rows() yields the nonzero rows as in _defect_rows; scalar turns
         # one of their entries into the defect's ParamScalar entry
+        self._cls = cls
         self.dim = dim
         self._rows = rows
         self._scalar = scalar
@@ -350,9 +407,9 @@ class Defect:
         or None."""
         return self._first
 
-    def dense(self) -> Operator3:
-        """The whole defect as an n^3 x n^3 operator."""
-        return Operator3._from_rows(self.dim, self._rows(), self._scalar)
+    def dense(self):
+        """The whole defect as an operator of its operands' class."""
+        return self._cls._from_rows(self.dim, self._rows(), self._scalar)
 
     def __repr__(self):
         return f"Defect(dim={self.dim}, first_nonzero={self._first})"
@@ -363,11 +420,24 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
     of each product, leftmost first. The kernel runs on the cleared
     operators, so its entries are over the product of the d of one side."""
     n = ops[0].dim
-    rows, scalar = _clear(ops, lhs)
+    rows, kernel, _, scalar = _clear(ops, lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
-    return Defect(n, lambda: _defect_rows(n, lhs, rhs), scalar)
+    return Defect(Operator3, n,
+                  lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar)
+
+
+def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
+    """Defect of A∘B = I, that is A @ B minus the identity. The kernel
+    compares row y of the cleared product with d*e_y, for d the product of
+    the two operators' lcms, so the product is never canonicalised."""
+    A._require_same(B)
+    rows, kernel, d, scalar = _clear((A, B), (0, 1))
+    identity = [[(y, d)] for y in range(A.size)]
+    return Defect(type(A), A.dim,
+                  lambda: _defect_rows(A.size, rows, [identity], kernel),
+                  scalar)
 
 
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Defect:
@@ -398,7 +468,7 @@ def colored_defect(Rxy: Operator2, Rxz: Operator2, Ryz: Operator2) -> Defect:
 # ---------------------------------------------------------------------------
 
 class InverseResult(FrozenRecord):
-    """Outcome of an exact inversion: (invertible, the inverse Operator2 or
+    """Outcome of an exact inversion: (invertible, the inverse operator or
     None, determinant). Non-invertibility is a result, not an error, and
     carries the vanishing determinant."""
 
@@ -430,6 +500,8 @@ class _Packing:
     term it adds is a quotient monomial times a term of the divisor no
     higher than the divisor's leading one. A field is at most the total
     degree, so it stays at most 2*S < 2^(W - 1), below its guard bit.
+    For a product (``_clear``) the rows are its factors, so S bounds every
+    entry it forms, and the same W leaves room to spare.
     """
 
     __slots__ = ("fields", "units", "mask", "guard", "monos", "pairs")
@@ -618,7 +690,7 @@ def determinant(op: _Operator) -> ParamScalar:
     return _square(op, False)[2]
 
 
-def invert(op: Operator2) -> InverseResult:
+def invert(op: _Operator) -> InverseResult:
     """Exact inverse over the rational-function field, via fraction-free
     elimination over Z[params]; reports the determinant either way.
 
@@ -644,7 +716,7 @@ def invert(op: Operator2) -> InverseResult:
                 (negated[i][j], X[j]) for j in range(i + 1, size)])
             X[i] = _divexact(acc, M[i][i], guard)
         columns.append([(i, over(x)) for i, x in enumerate(X) if x])
-    return InverseResult(True, Operator2.from_columns(op.dim, columns), det)
+    return InverseResult(True, type(op).from_columns(op.dim, columns), det)
 
 
 def nullspace(rows: Sequence[Sequence[ParamScalar]]):
@@ -657,7 +729,11 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     if not rows:
         return []
     ncols = len(rows[0])
-    M, _, packing = _cleared(rows)
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"nullspace: row {i} has {len(row)} entries, "
+                             f"row 0 has {ncols}")
+    M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
     pivots, _ = _eliminate(M, ncols, packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
     over = _over(D, packing)

@@ -15,7 +15,7 @@ from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
                         embed, invert, nullspace, operator_from_json_obj,
-                        qybe_defect, twist, yb_commutator)
+                        qybe_defect, roundtrip_defect, twist, yb_commutator)
 
 
 def random_op2(dim, rng, lo=-3, hi=3):
@@ -193,6 +193,31 @@ class TestInverse:
             if res.invertible:
                 assert res.determinant == expect
 
+    def test_operator3_inverse_round_trips(self):
+        # invert builds its result with the operand's class
+        assert invert(Operator3.identity(2)).operator == Operator3.identity(2)
+        rng = random.Random(7)
+        a = var("a")
+        for symbolic in (False, True):
+            while True:
+                rows = [[const(rng.randint(-2, 2)) if rng.random() < 0.4
+                         else ZERO for _ in range(8)] for _ in range(8)]
+                if symbolic:
+                    rows[rng.randrange(8)][rng.randrange(8)] += a
+                op = Operator3(2, rows)
+                res = invert(op)
+                if res.invertible:
+                    break
+            inverse = res.operator
+            assert type(inverse) is Operator3
+            assert roundtrip_defect(op, inverse).is_zero()
+            assert roundtrip_defect(inverse, op).is_zero()
+            assert oracles.symbolic_matrix(inverse) == \
+                oracles.bareiss_inverse(rows)
+            point = {"a": Fraction(5, 3)}
+            _, want, _ = oracles.frac_solve(oracles.frac_matrix(op, point))
+            assert oracles.frac_matrix(inverse, point) == want
+
     def test_degenerate_family_point_is_singular(self):
         # the colored family at p=q, u=v collapses to the zero operator
         from ybx.algebra import quadratic_quotient_algebra
@@ -213,6 +238,18 @@ class TestNullspace:
 
     def test_full_rank_kernel_empty(self):
         assert nullspace([[ONE, ZERO], [ZERO, ONE]]) == []
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError, match="row 1 has 1 entries"):
+            nullspace([[var("a"), 1], [1]])
+        with pytest.raises(ValueError, match="row 2 has 3 entries"):
+            nullspace([[ONE, ZERO], [ZERO, ONE], [ONE, ONE, ONE]])
+
+    def test_entries_are_converted_as_by_the_constructor(self):
+        rows = [[var("a"), 1, "b/2"], [1, Fraction(2, 3), 0]]
+        basis = nullspace(rows)
+        assert basis == oracles.bareiss_nullspace(rows)
+        assert len(basis) == 1
 
     def test_members_annihilate(self):
         rng = random.Random(6)
@@ -499,6 +536,61 @@ class TestPackedExponents:
                     x = [e.evaluate(point) for e in vec]
                     assert all(sum(r * y for r, y in zip(row, x)) == 0
                                for row in A)
+
+
+class TestPackedProducts:
+    """Every product with a polynomial entry packs its operators with one
+    _Packing, whose rows are the factors of one side, each holding its
+    operator's cleared entries and d. So S is the sum of the factors'
+    largest total degrees, W = (2*S).bit_length() + 1 as in the
+    elimination, and the kernel's products reach degree S. Each result is
+    compared exactly with the naive oracles on ParamScalar entries."""
+
+    @staticmethod
+    def operator(k, x, y):
+        """Denominators y, so d = y; the cleared entries have total degree
+        at most 2^k, reached by x^(2^k) at (0, 0)."""
+        D = 2 ** k
+        return Operator2(2, [[f"{x}^{D}/{y}", f"1/{y}", 0, y],
+                             [0, f"{x}*{y} - 1", f"2/{y}", 0],
+                             [f"{y}^2 - {x}", 0, 1, f"{x}/{y}"],
+                             [1, 0, 0, f"-{x}^{D - 1}/{y}"]])
+
+    def check(self, monkeypatch, factors, k, product, want):
+        """product() against the oracle matrix want, with one packing of
+        width W for S = factors * 2^k, and a kernel product of degree S."""
+        with monkeypatch.context() as patch:
+            packings, products = TestPackedExponents().recorded(patch)
+            got = product()
+        S = factors * 2 ** k
+        assert len(packings) == 1
+        packing = packings[0]
+        W = packing.mask.bit_length()
+        assert W == (2 * S).bit_length() + 1
+        top = len(packing.fields) * W
+        assert max(key >> top for p in products for key in p) == S
+        assert all(key & packing.guard == 0 for p in products for key in p)
+        if isinstance(got, tensor.Defect):
+            assert oracle_first_nonzero(want) == got.first_nonzero()
+            got = got.dense()
+        assert oracles.symbolic_matrix(got) == want
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_products_reach_the_degree_sum(self, k, monkeypatch):
+        # A and B name different indeterminates, so operators packed with
+        # packings of their own would put y and z in one field
+        A, B = self.operator(k, "x", "y"), self.operator(k, "z", "y")
+        a, b = oracles.symbolic_matrix(A), oracles.symbolic_matrix(B)
+        ab = oracles.matmul(a, b)
+        self.check(monkeypatch, 2, k, lambda: A @ B, ab)
+        self.check(monkeypatch, 2, k, lambda: roundtrip_defect(A, B),
+                   oracles.sub(ab, oracles.identity(4, ONE, ZERO)))
+        self.check(monkeypatch, 3, k, lambda: braid_defect(A),
+                   oracles.braid_defect_matrix(a, 2, ONE, ZERO))
+        self.check(monkeypatch, 3, k, lambda: qybe_defect(B),
+                   oracles.qybe_defect_matrix(b, 2, ONE, ZERO))
+        self.check(monkeypatch, 3, k, lambda: yb_commutator(A, B, A),
+                   oracles.commutator_matrix(a, b, a, 2, ONE, ZERO))
 
 
 class TestEliminationCounts:
@@ -800,6 +892,26 @@ class TestClearedDenominators:
         for A, B in ((X, W), (W, X)):
             assert oracles.symbolic_matrix(A @ B) == oracles.matmul(
                 oracles.symbolic_matrix(A), oracles.symbolic_matrix(B))
+
+    def test_roundtrip_defect(self):
+        # A @ B - I over d_A * d_B, the identity side being d_A * d_B * I;
+        # dense() gives the operands' class
+        def roundtrip(A, B, dim, one=ONE, zero=ZERO):
+            return oracles.sub(oracles.matmul(A, B),
+                               oracles.identity(dim * dim, one, zero))
+
+        rng = random.Random(46)
+        X = random_fraction_op2(2, rng, (2, 3))
+        Y = random_fraction_op2(2, rng, (1, 5))
+        W = self.symbolic()
+        for ops in ((X, Y), (W, X), (W, W), (X, W)):
+            self.check(roundtrip_defect, ops, roundtrip)
+            assert type(roundtrip_defect(*ops).dense()) is Operator2
+        assert roundtrip_defect(twist(3), twist(3)).is_zero()
+        with pytest.raises(DimensionMismatch):
+            roundtrip_defect(twist(2), twist(3))
+        with pytest.raises(DimensionMismatch):
+            roundtrip_defect(Operator3.identity(2), Operator2.identity(2))
 
     def test_product_over_d_squared(self):
         R = self.symbolic()

@@ -88,17 +88,17 @@ def _param_scalar_arithmetic():
 def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
     # the tracer times the kernel as the tensor.defect span, so the scan
     # must be done when a defect returns: reading the witness afterwards
-    # does no scalar arithmetic, of ParamScalars or of the Polys the kernel
-    # runs on, on a symbolic defect whose first nonzero row is not the
-    # first row
-    from ybx import scalars
+    # does no scalar arithmetic, of ParamScalars, of Polys or of the packed
+    # polynomials the kernel runs on (tensor._dot), on a symbolic defect
+    # whose first nonzero row is not the first row
+    from ybx import scalars, tensor
     from ybx.tensor import Operator2, braid_defect
     from ybx.verify import entry_witness
     calls = []
 
     def counted(original):
         def method(*args):
-            calls.append(1)
+            calls.append(original.__name__)
             return original(*args)
         return method
 
@@ -107,12 +107,13 @@ def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
     _patch_arithmetic(monkeypatch, scalars.Poly,
                       ("__add__", "__sub__", "__mul__", "__neg__",
                        "divexact"), counted)
+    monkeypatch.setattr(tensor, "_dot", counted(tensor._dot))
     a = scalars.var("a")
     R = Operator2(2, [[a, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1 - a, 0],
                       [0, 0, 0, a * a]])
     calls.clear()
     defect = braid_defect(R)
-    assert calls, "the defect did no arithmetic"
+    assert "_dot" in calls, "the kernel formed no product"
     calls.clear()
     witness = entry_witness(defect)
     assert witness == {"row": 4, "col": 4, "entry": "2*a^3 - 3*a^2 + 1"}
@@ -121,14 +122,16 @@ def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
 
 
 def test_products_do_no_param_scalar_arithmetic(monkeypatch):
-    # @ and the defects run on cleared Polys and canonicalise each entry
-    # once, with no ParamScalar arithmetic, also when the entries have
-    # symbolic denominators and when constant and symbolic operators meet
-    from ybx import scalars
+    # @, the defects and the round trips of verify_inverse_pair run on
+    # cleared Polys and canonicalise each entry once, with no ParamScalar
+    # arithmetic, also when the entries have symbolic denominators and when
+    # constant and symbolic operators meet
+    from ybx import scalars, tensor
     from ybx.algebra import quadratic_quotient_algebra
     from ybx.constructors import dn_inverse, dn_operator
     from ybx.tensor import (Operator2, braid_defect, qybe_defect,
                             yb_commutator)
+    from ybx.verify import verify_inverse_pair
     A = quadratic_quotient_algebra(scalars.var("m"), scalars.var("n"))
     a, b = scalars.var("a"), scalars.var("b")
     R, Rinv = dn_operator(A, a, b, a), dn_inverse(A, a, b, a)
@@ -140,12 +143,23 @@ def test_products_do_no_param_scalar_arithmetic(monkeypatch):
 
     def refused(original):
         def method(*args):
-            raise AssertionError(f"ParamScalar.{original.__name__} called")
+            raise AssertionError(f"{original.__qualname__} called")
         return method
 
     _patch_arithmetic(monkeypatch, scalars.ParamScalar,
                       _param_scalar_arithmetic(), refused)
     assert (R @ Rinv) == identity and (Rinv @ R) == identity
+    # round trips are defects: they build no product, no identity and no
+    # difference of operators either
+    with monkeypatch.context() as patch:
+        _patch_arithmetic(patch, tensor._Operator,
+                          ("__matmul__", "__sub__", "__add__", "__neg__"),
+                          refused)
+        patch.setattr(tensor._Operator, "identity",
+                      refused(tensor._Operator.identity))
+        assert verify_inverse_pair(R, Rinv).passed
+        assert verify_inverse_pair(X, X).witness["side"] == "R o Rinv"
+        assert verify_inverse_pair(Rinv, X).witness["side"] == "R o Rinv"
     assert oracles.symbolic_matrix(X @ Rinv) == mixed
     assert braid_defect(R).is_zero() and braid_defect(Rinv).is_zero()
     assert not qybe_defect(Rinv).is_zero()

@@ -1,6 +1,7 @@
 """Tests for the verification drivers and their reports."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from ybx.constructors import (
     wxz_system,
 )
 from ybx.scalars import ONE, ZERO, const, parse_scalar, var
-from ybx.tensor import Operator2, colored_defect, twist
+from ybx.tensor import Operator2, Operator3, colored_defect, twist
 from ybx.verify import (
     VerificationReport,
     verify_colored_family,
@@ -195,6 +196,58 @@ class TestVerifyInversePair:
     def test_dimension_mismatch_propagates(self):
         with pytest.raises(Exception):
             verify_inverse_pair(twist(2), twist(3))
+
+    def test_three_leg_identity_pair(self):
+        identity = Operator3.identity(2)
+        assert verify_inverse_pair(identity, identity).passed
+
+    @staticmethod
+    def oracle_witness(A, B):
+        """The first nonzero row-major entry of A B - I, in ParamScalars."""
+        prod = oracles.matmul(oracles.symbolic_matrix(A),
+                              oracles.symbolic_matrix(B))
+        size = len(prod)
+        diff = oracles.sub(prod, oracles.identity(size, ONE, ZERO))
+        return next(({"row": i, "col": j, "entry": str(e)}
+                     for i, row in enumerate(diff)
+                     for j, e in enumerate(row) if not e.is_zero), None)
+
+    @staticmethod
+    def symbolic_pairs():
+        from ybx.constructors import (colored_inverse, super_phi,
+                                      super_phi_inverse)
+        from ybx.lie_super import even_center, load_superalgebra
+        A = quadratic_quotient_algebra(var("m"), var("n"))
+        a, b, p, q, u, v = map(var, "abpquv")
+        yield dn_operator(A, a, b, a), dn_inverse(A, a, b, a)
+        yield (colored_operator(A, p, q, u, v),
+               colored_inverse(A, p, q, u, v))
+        L = load_superalgebra(fixture_path("gl11.json"))
+        z = even_center(L)[0]
+        yield super_phi(L, z, a), super_phi_inverse(L, z, a)
+
+    def test_witness_on_perturbed_inverses_matches_oracle(self):
+        # side 2 is scanned only when side 1 passes, and then it passes
+        # too, so every failing witness names "R o Rinv"
+        rng = random.Random(12)
+        perturbations = [ONE, var("t"), parse_scalar("1/(a + 2)"),
+                         parse_scalar("-a/3")]
+        failures = 0
+        for R, Rinv in self.symbolic_pairs():
+            assert verify_inverse_pair(R, Rinv).passed
+            assert verify_inverse_pair(Rinv, R).passed
+            for delta in perturbations:
+                rows = [list(row) for row in Rinv.rows]
+                i, j = rng.randrange(Rinv.size), rng.randrange(Rinv.size)
+                rows[i][j] = rows[i][j] + delta
+                B = Operator2(Rinv.dim, rows)
+                for X, Y in ((R, B), (B, R)):
+                    rep = verify_inverse_pair(X, Y)
+                    want = self.oracle_witness(X, Y)
+                    assert want is not None
+                    assert rep.witness == dict(want, side="R o Rinv")
+                    failures += 1
+        assert failures == 24
 
 
 def test_checks_build_no_three_leg_operator(monkeypatch, capsys):

@@ -11,9 +11,12 @@ Operator entries are ParamScalar. Products (``@``, the defects and the
 round trips A∘B - I) run on each operator times the lcm of its
 denominators, in ints or in integer-coefficient polynomials, and the
 elimination on the polynomials of each row times the lcm of its
-denominators. Polynomials have each monomial packed into one int
-(``_Packing``), once per product or elimination, so that a product of
-monomials is an int addition. A round trip is compared with d times the
+denominators, permuted by its zero pattern to block triangular form for
+``determinant`` and ``invert`` and eliminated block by block: up to sign
+and the row scales, the determinant is the product of the blocks' last
+pivots. Polynomials have each monomial packed into
+one int (``_Packing``), once per product or elimination, so that a product
+of monomials is an int addition. A round trip is compared with d times the
 identity, d the product of the two lcms, so every zero test below is exact
 and no entry is canonicalised until it leaves the kernel.
 """
@@ -24,7 +27,8 @@ import heapq
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, product
+from functools import reduce
+from itertools import accumulate, chain, combinations, product
 from typing import Sequence
 
 from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
@@ -491,17 +495,18 @@ class _Packing:
 
     W is (2*S).bit_length() + 1 for S the sum over rows of the largest
     total degree in the row. That is enough for every monomial that the
-    elimination forms. Each Bareiss entry is a minor of the matrix, and each
-    unknown of the back-substitution is, by Cramer's rule, the last pivot D
-    times a quotient of minors, itself a minor; a minor takes at most one
-    entry from each row, so its degree is at most S. Each product formed is
-    a product of two of them, of degree at most 2*S, and a division, exact
-    or not, forms only monomials of degree at most its dividend's: every
-    term it adds is a quotient monomial times a term of the divisor no
-    higher than the divisor's leading one. A field is at most the total
-    degree, so it stays at most 2*S < 2^(W - 1), below its guard bit.
-    For a product (``_clear``) the rows are its factors, so S bounds every
-    entry it forms, and the same W leaves room to spare.
+    elimination forms. Each Bareiss entry of block k is a minor of block
+    k's rows, so of the matrix; D, the product of the blocks' last pivots,
+    is the determinant up to sign, and each unknown of the back-substitution
+    is, by Cramer's rule, D times a quotient of minors, itself a minor up to
+    sign. A minor takes at most one entry from each row, so its degree is at
+    most S. Each product formed is a product of two of them, of degree at
+    most 2*S, and a division, exact or not, forms only monomials of degree
+    at most its dividend's: every term it adds is a quotient monomial times
+    a term of the divisor no higher than the divisor's leading one. A field
+    is at most the total degree, so it stays at most 2*S < 2^(W - 1), below
+    its guard bit. For a product (``_clear``) the rows are its factors, so
+    S bounds every entry it forms, and the same W leaves room to spare.
     """
 
     __slots__ = ("fields", "units", "mask", "guard", "monos", "pairs")
@@ -593,43 +598,109 @@ def _divexact(p: dict, g: dict, guard: int) -> dict:
     return q
 
 
-def _eliminate(M, pivot_limit, guard):
+def _eliminate(M, blocks, guard):
     """Bareiss (1968) forward elimination in place over Z[params].
 
-    M is a matrix of packed polynomials. Pivots are searched in the first
-    pivot_limit columns only; returns (pivot_columns, sign of the row
-    permutation). After k pivots every entry below them is a minor of order
-    k + 1 of the input (Sylvester's identity), so the division by the
-    previous pivot is exact and no gcd runs.
-    """
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
+    M is a matrix of packed polynomials, block upper triangular with the
+    (rows, columns) ranges of its diagonal blocks in blocks. Each block's
+    pivots are searched among its rows in its columns, and its pivot chain
+    starts at 1. Returns (pivot_columns, sign of the row swaps). After k
+    pivots of a block, every entry below them is a minor of order k + 1 of
+    the block's rows (Sylvester's identity), so the division by the
+    previous pivot is exact and no gcd runs."""
+    ncols = len(M[0]) if M else 0
     sign = 1
-    prev = _ONE_TERMS
     pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        p = next((i for i in range(r, nrows) if M[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            M[r], M[p] = M[p], M[r]
-            sign = -sign
-        top = M[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            row = M[i]
-            f = _neg(row[c])
-            row[c] = {}
-            for j in range(c + 1, ncols):
-                e = _dot(((piv, row[j]), (f, top[j])))
-                row[j] = e if prev == _ONE_TERMS else _divexact(e, prev, guard)
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    for rows, columns in blocks:
+        prev = _ONE_TERMS
+        r, end = rows.start, rows.stop
+        for c in columns:
+            p = next((i for i in range(r, end) if M[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                M[r], M[p] = M[p], M[r]
+                sign = -sign
+            top = M[r]
+            piv = top[c]
+            for i in range(r + 1, end):
+                row = M[i]
+                f = _neg(row[c])
+                row[c] = {}
+                for j in range(c + 1, ncols):
+                    if row[j] or (f and top[j]):    # else 0 stays 0
+                        e = _dot(((piv, row[j]), (f, top[j])))
+                        row[j] = (e if prev == _ONE_TERMS
+                                  else _divexact(e, prev, guard))
+            prev = piv
+            pivots.append(c)
+            r += 1
     return pivots, sign
+
+
+def _block_order(pattern):
+    """(rows, cols, ends): row t of the square zero pattern permuted to
+    block upper triangular form is row rows[t], column u is column cols[u],
+    and block k ends before ends[k]. None if the pattern, whose row i lists
+    its nonzero columns, has no perfect matching: then it is singular.
+
+    A maximum transversal (Duff 1981) matches rows with columns by
+    augmenting paths. The blocks are the strongly connected components
+    (Tarjan 1972; Duff & Reid 1978) of the graph with an edge from row i to
+    the row matched with each column of row i, which Tarjan emits sinks
+    first. Both searches keep explicit stacks and go in index order, so no
+    pattern reaches the recursion limit, and the order is deterministic."""
+    n = len(pattern)
+    owner, seen = [None] * n, [None] * n    # per column: row, last root
+    for root in range(n):
+        path, via = [(root, iter(pattern[root]))], []
+        while path:
+            c = next((c for c in path[-1][1] if seen[c] != root), None)
+            if c is None:
+                path.pop()
+                del via[-1:]
+                continue
+            seen[c] = root
+            via.append(c)
+            if owner[c] is None:
+                # row k of the path takes via[k], which row k + 1 gives up
+                for (r, _), c in zip(path, via):
+                    owner[c] = r
+                break
+            path.append((owner[c], iter(pattern[owner[c]])))
+        else:
+            return None
+    # a finished row's index is n, which no low link takes
+    index, low, edges, stack, blocks = {}, {}, {}, [], []
+    for root in range(n):
+        work = [] if root in index else [root]
+        while work:
+            v = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                edges[v] = iter(pattern[v])
+                stack.append(v)
+            for c in edges[v]:
+                if owner[c] not in index:
+                    work.append(owner[c])
+                    break
+                low[v] = min(low[v], index[owner[c]])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    block = [stack.pop()]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    index.update(dict.fromkeys(block, n))
+                    blocks.append(sorted(block))
+    blocks.reverse()
+    match = {r: c for c, r in enumerate(owner)}
+    return (list(chain.from_iterable(blocks)),
+            list(chain.from_iterable(sorted(match[r] for r in block)
+                                     for block in blocks)),
+            list(accumulate(map(len, blocks))))
 
 
 def _cleared(rows, augment=False):
@@ -647,17 +718,31 @@ def _cleared(rows, augment=False):
 
 
 def _square(op: _Operator, augment: bool):
-    """(echelon form, its _Packing, determinant) of the operator's cleared
-    matrix, augmented as in ``_cleared``; the determinant is read off the
-    last pivot, the only entry unpacked."""
+    """(echelon form, cols, D, its _Packing, determinant), or None if the
+    operator is singular. The cleared matrix, augmented as in ``_cleared``,
+    has its rows and first size columns permuted by ``_block_order``, so
+    echelon column u < size is column cols[u]. D, the product of the
+    blocks' last pivots and the only entry unpacked, over the row scales is
+    the determinant up to the signs of the permutations and swaps."""
     size = op.size
     M, scales, packing = _cleared(op.rows, augment)
-    pivots, sign = _eliminate(M, size, packing.guard)
+    order = _block_order([[c for c in range(size) if row[c]] for row in M])
+    if order is None:
+        return None
+    rows, cols, ends = order
+    M = [[M[r][c] for c in cols] + M[r][size:] for r in rows]
+    blocks = [(range(a, b),) * 2 for a, b in zip([0, *ends], ends)]
+    pivots, sign = _eliminate(M, blocks, packing.guard)
     if len(pivots) < size:
-        return M, packing, ZERO
-    last = packing.unpack(M[size - 1][size - 1])
-    return M, packing, ParamScalar(-last if sign < 0 else last,
-                                   math.prod(scales, start=_P_ONE))
+        return None
+    D = reduce(lambda x, y: _dot([(x, y)]), (M[b - 1][b - 1] for b in ends))
+    det = packing.unpack(D)
+    # the two permutations' signs, from their inversions
+    if sign * (-1) ** sum(a > b for p in (rows, cols)
+                          for a, b in combinations(p, 2)) < 0:
+        det = -det
+    return M, cols, D, packing, ParamScalar(
+        det, math.prod(scales, start=_P_ONE))
 
 
 def _over(D, packing):
@@ -687,7 +772,8 @@ def _over(D, packing):
 
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
-    return _square(op, False)[2]
+    solved = _square(op, False)
+    return solved[4] if solved else ZERO
 
 
 def invert(op: _Operator) -> InverseResult:
@@ -696,26 +782,30 @@ def invert(op: _Operator) -> InverseResult:
 
     Row i of the cleared matrix is row i of op times its scale s_i, so the
     inverse of op solves the cleared system for the right-hand side
-    diag(s). With D the last pivot, D times that solution has polynomial
-    entries (Cramer's rule), and fraction-free back-substitution finds them
-    by exact divisions. Each entry is then canonicalised once (``_over``)."""
+    diag(s). D is the cleared determinant up to sign, so D times that
+    solution is polynomial (Cramer's rule), and back-substitution finds it
+    by exact divisions: X_i = (D*rhs_i - sum_{j>i} M[i][j]*X_j) / M[i][i]
+    is row cols[i] of the inverse. Each entry is then canonicalised once
+    (``_over``)."""
     size = op.size
-    M, packing, det = _square(op, True)
-    if det.is_zero:
+    solved = _square(op, True)
+    if solved is None:
         return InverseResult(False, None, ZERO)
-    guard = packing.guard
-    D = M[size - 1][size - 1]
+    M, cols, D, packing, det = solved
     over = _over(D, packing)
-    negated = [[_neg(e) for e in row[:size]] for row in M]
+    # the nonzero entries right of each diagonal entry, negated
+    right = [[(j, _neg(row[j])) for j in range(i + 1, size) if row[j]]
+             for i, row in enumerate(M)]
     columns = []
     for col in range(size):
-        # the last pivot is D itself, so the last unknown is its right side
-        X = [{}] * (size - 1) + [M[size - 1][size + col]]
-        for i in range(size - 2, -1, -1):
-            acc = _dot([(D, M[i][size + col])] + [
-                (negated[i][j], X[j]) for j in range(i + 1, size)])
-            X[i] = _divexact(acc, M[i][i], guard)
-        columns.append([(i, over(x)) for i, x in enumerate(X) if x])
+        X = [{}] * size
+        for i in range(size - 1, -1, -1):
+            rhs = M[i][size + col]
+            pairs = [(D, rhs)] if rhs else []
+            pairs += [(e, X[j]) for j, e in right[i] if X[j]]
+            if pairs:
+                X[i] = _divexact(_dot(pairs), M[i][i], packing.guard)
+        columns.append([(cols[i], over(x)) for i, x in enumerate(X) if x])
     return InverseResult(True, type(op).from_columns(op.dim, columns), det)
 
 
@@ -734,7 +824,7 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
             raise ValueError(f"nullspace: row {i} has {len(row)} entries, "
                              f"row 0 has {ncols}")
     M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
-    pivots, _ = _eliminate(M, ncols, packing.guard)
+    pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
     over = _over(D, packing)
     basis = []

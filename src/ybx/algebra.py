@@ -121,9 +121,10 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
                  noun):
     """The dim x dim x dim table with scalar entries, the vector (unit or
     degrees) through convert, and the labels as strings, defaulting to
-    e0, e1, ... Raises error on the first of: dim below 1, a table of the
-    wrong shape, vector_error (a message, or None for a good vector), and
-    labels of the wrong length."""
+    e0, e1, ... Equal entries of the table become one shared object.
+    Raises error on the first of: dim below 1, a table of the wrong shape,
+    vector_error (a message, or None for a good vector), and labels of the
+    wrong length."""
     if dim < 1:
         raise error("dim must be >= 1")
     if len(table) != dim or any(
@@ -133,8 +134,10 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
         raise error(f"{noun} table must be {dim}x{dim}x{dim}")
     if vector_error is not None:
         raise error(vector_error)
+    pool = {}
     frozen = tuple(
-        tuple(tuple(as_scalar(e) for e in row) for row in plane)
+        tuple(tuple(pool.setdefault(s, s) for s in map(as_scalar, row))
+              for row in plane)
         for plane in table
     )
     vector = tuple(convert(e) for e in vector)

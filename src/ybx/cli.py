@@ -46,6 +46,9 @@ _FAMILIES = {"dn": ("algebra", ("alpha", "beta", "gamma")),
              "super": ("superalgebra", ("alpha",))}
 _STRUCTURE_FLAGS = {"algebra": ("algebra", "m", "n", "sigma"),
                     "superalgebra": ("superalgebra", "z_index")}
+# the flags that take a scalar expression
+_SCALAR_FLAGS = frozenset(f"--{name}" for name in (
+    "m", "n", "sigma", *(p for _, names in _FAMILIES.values() for p in names)))
 
 
 def _int_in_range(low: int, high=None):
@@ -377,9 +380,24 @@ def _cmd_invert(args) -> int:
     return 0
 
 
+def _join_values(argv):
+    """argv with each scalar flag joined by "=" to a following value that
+    starts with a single "-", such as -3/2 or -a, which argparse would
+    otherwise read as an option."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _SCALAR_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact results print in full; inputs are bounded (scalars.bounded_int)

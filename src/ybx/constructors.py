@@ -73,23 +73,34 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
     """The map a(x)b -> left*ab(x)1 + right*1(x)ab - diag*(b(x)a or a(x)b).
 
     reverse replaces the product ab by ba in both product terms.
+
+    Each scale times each structure constant is formed once per call,
+    keyed by the ids of the two objects; the scales live in unit and the
+    constants in A, so no id is reused before the call returns. Equal
+    constants of a table built by make_algebra are one object.
     """
     n = A.dim
     left = as_scalar(left)
     right = as_scalar(right)
-    diag = as_scalar(diag)
-    unit = [(l, ul) for l, ul in enumerate(A.unit) if not ul.is_zero]
+    neg = -as_scalar(diag)
+    unit = [(l, left, right) if ul.is_one else (l, left * ul, right * ul)
+            for l, ul in enumerate(A.unit) if not ul.is_zero]
+    products = {}
     columns = []
     for i in range(n):
         for j in range(n):
             prod = A.structure[j][i] if reverse else A.structure[i][j]
-            column = [((j * n + i) if swap else (i * n + j), -diag)]
+            column = {(j * n + i) if swap else (i * n + j): neg}
             for k, pk in enumerate(prod):
                 if not pk.is_zero:
-                    for l, ul in unit:
-                        column.append((k * n + l, left * pk * ul))
-                        column.append((l * n + k, right * ul * pk))
-            columns.append(column)
+                    for l, sl, sr in unit:
+                        for r, scale in ((k * n + l, sl), (l * n + k, sr)):
+                            key = (id(scale), id(pk))
+                            e = products.get(key)
+                            if e is None:
+                                e = products[key] = scale * pk
+                            column[r] = column[r] + e if r in column else e
+            columns.append(column.items())
     return Operator2.from_columns(n, columns)
 
 

@@ -324,15 +324,16 @@ def _clear(ops, side):
 def _apply(actions, x: int) -> dict:
     """e_x pushed through the row actions, first to last (each lists the
     nonzero (column, entry) pairs of each row): row x of their product, as
-    a sparse {column: nonzero entry} map. The int lane."""
-    vec = dict(actions[0][x])
+    a sparse {column: nonzero entry} map. The int lane; a zero that
+    cancels on the way is carried along and dropped at the end."""
+    vec = actions[0][x]
     for action in actions[1:]:
         out = {}
-        for x, s in vec.items():
+        for x, s in vec:
             for y, e in action[x]:
-                out[y] = out[y] + s * e if y in out else s * e
-        vec = {y: e for y, e in out.items() if e}
-    return vec
+                out[y] = out.get(y, 0) + s * e
+        vec = out.items()
+    return {y: e for y, e in vec if e}
 
 
 def _apply_packed(actions, x: int) -> dict:

@@ -67,17 +67,34 @@ class TestCheckConstant:
         assert "FAIL" in out
         assert "witness" in out
 
-    def test_value_starting_with_minus_takes_the_equals_form(self, capsys):
-        # argparse reads "-3/2" after a space as an option, not as a value
-        code, out, _ = run(
-            capsys, "check", "constant", "--algebra", QUADRATIC,
-            "--alpha=-3/2", "--beta", "1", "--gamma=-3/2",
-        )
+    def test_value_starting_with_minus(self, capsys):
+        # after a space as after "=", a value that starts with one "-" is
+        # the flag's value, not an option
+        for argv in (("--alpha", "-3/2", "--beta", "1", "--gamma", "-3/2"),
+                     ("--alpha=-3/2", "--beta", "1", "--gamma=-3/2")):
+            code, out, _ = run(capsys, "check", "constant", "--algebra",
+                               QUADRATIC, *argv)
+            assert code == 0
+            assert "case: i" in out
+            assert "'alpha': '-3/2'" in out
+        code, out, _ = run(capsys, "check", "constant", "--algebra", QUADRATIC,
+                           "--alpha", "-a", "--beta", "b", "--gamma", "-a",
+                           "--n", "-b")
         assert code == 0
-        assert "case: i" in out
-        assert "'alpha': '-3/2'" in out
+        assert "'alpha': '-a'" in out
         code, out, err = run_process(
-            "check", "constant", "--algebra", QUADRATIC, "--alpha", "-3/2")
+            "export", "matrix", "--family", "colored", "--algebra", QUADRATIC,
+            "--p", "-a", "--q", "-3/2", "--u", "1", "--v", "-1",
+            "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matrix"][0][0] == "(-2*a - 3)/2"
+        assert run(capsys, "export", "matrix", "--family", "colored",
+                   "--algebra", QUADRATIC, "--p=-a", "--q=-3/2", "--u", "1",
+                   "--v", "-1", "--format", "json") == (0, out, "")
+
+    def test_double_dash_after_a_scalar_flag_stays_an_option(self):
+        code, out, err = run_process(
+            "check", "constant", "--algebra", QUADRATIC, "--alpha", "--beta")
         assert code == 2
         assert out == ""
         assert "argument --alpha: expected one argument" in err

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from ybx.algebra import Algebra, mul_elements, quadratic_quotient_algebra
+from ybx import constructors
+from ybx.algebra import (Algebra, make_algebra, mul_elements,
+                         quadratic_quotient_algebra)
 from ybx.constructors import (
     FreeIndeterminateError,
     InvalidCenterError,
@@ -27,7 +29,7 @@ from ybx.constructors import (
     wxz_system,
 )
 from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
-from ybx.scalars import ONE, ZERO, as_scalar, const, var
+from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
 from ybx.tensor import (
     Operator2,
     braid_defect,
@@ -592,3 +594,124 @@ class TestCanonicalTwoDim:
         R = canonical_two_dim_solution(const(3), 0)
         res = invert(R)
         assert res.invertible
+
+
+# ---------------------------------------------------------------------------
+# one product per scale and distinct structure constant
+# ---------------------------------------------------------------------------
+
+def table_entries(table):
+    return [e for plane in table for row in plane for e in row]
+
+
+def monic_quotient(coeffs):
+    """k[x]/(f), f = x^n + coeffs[n-1]*x^(n-1) + ... + coeffs[0], in the
+    basis 1, x, ..., x^(n-1), validated by make_algebra."""
+    n = len(coeffs)
+    powers = [[int(k == i) for k in range(n)] for i in range(n)]
+    for _ in range(n - 1):
+        prev = powers[-1]
+        powers.append([(prev[k - 1] if k else 0) - prev[-1] * coeffs[k]
+                       for k in range(n)])
+    return make_algebra(n, [[powers[i + j] for j in range(n)]
+                            for i in range(n)], powers[0])
+
+
+class TestSharedConstants:
+    """make_algebra and make_superalgebra keep one object per distinct
+    value of a table; _product_map forms each scale times each distinct
+    constant once, and still adds every term that lands on a row."""
+
+    def test_equal_constants_are_one_object(self):
+        A = make_algebra(2, [[[1, 0], [0, "1"]],
+                             [["0", Fraction(2, 2)], ["2/2", 1]]], [1, 0])
+        L = load_superalgebra(fixture_path("gl11.json"))
+        for table in (A.structure, L.bracket):
+            first = {}
+            for e in table_entries(table):
+                assert first.setdefault(e, e) is e
+        assert len({id(e) for e in table_entries(A.structure)}) == 2
+
+    def test_records_still_compare_by_value(self):
+        def copied(table):
+            # parsing makes a new object for every entry
+            return tuple(tuple(tuple(as_scalar(str(e)) for e in row)
+                               for row in plane) for plane in table)
+
+        A = monic_quotient([1, -1, 2])
+        B = Algebra(A.dim, copied(A.structure), A.unit, A.labels)
+        L = load_superalgebra(fixture_path("gl11.json"))
+        M = LieSuperalgebra(L.dim, L.degree, copied(L.bracket), L.labels)
+        for shared, distinct, table in ((A, B, B.structure),
+                                        (L, M, M.bracket)):
+            entries = table_entries(table)
+            assert len({id(e) for e in entries}) == len(entries)
+            assert shared == distinct and distinct == shared
+            assert hash(shared) == hash(distinct)
+
+    @pytest.mark.parametrize("build, names", [
+        (dn_operator, ("a", "b", "g")),
+        (colored_operator, ("p", "q", "u", "v")),
+        (colored_inverse, ("p", "q", "u", "v")),
+    ])
+    def test_at_most_two_products_per_distinct_constant(self, monkeypatch,
+                                                         build, names):
+        A = monic_quotient([3, -1, 2, 0, -2])
+        nonzero = [e for e in table_entries(A.structure) if not e.is_zero]
+        d = len(set(nonzero))
+        assert d < len(nonzero)
+        calls, inside = [], []
+        mul, product_map = ParamScalar.__mul__, constructors._product_map
+
+        def counted(self, other):
+            calls.extend(inside)
+            return mul(self, other)
+
+        def traced(*args, **kwargs):
+            inside.append(1)
+            try:
+                return product_map(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ParamScalar, "__mul__", counted)
+        monkeypatch.setattr(constructors, "_product_map", traced)
+        R = build(A, *map(var, names))
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 2 * d
+        values = (Fraction(2), Fraction(-3), Fraction(5), Fraction(7))
+        point = dict(zip(names, values))
+        T = evaluated(A.structure, {})
+        U = evaluated(A.unit, {})
+        oracle = {dn_operator: oracles.dn_matrix,
+                  colored_operator: oracles.colored_matrix,
+                  colored_inverse: oracles.colored_inverse_matrix}[build]
+        assert oracles.frac_matrix(R, point) == oracle(
+            T, U, *values[:len(names)])
+
+    @pytest.mark.parametrize("unit", [(1, -2, 0), (2, 0, -1), (1, 1, 0)])
+    def test_shared_constants_against_the_oracles(self, unit):
+        # repeated constants share one object, the unit has two nonzero
+        # coordinates, and left != right in every family but X
+        rng = random.Random(500 + sum(unit))
+        n = 3
+        pool = {v: const(v) for v in range(-2, 3)}
+        table = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)]
+        A = Algebra(n, tuple(tuple(tuple(pool[v] for v in row)
+                                   for row in plane) for plane in table),
+                    tuple(pool[v] for v in unit), ())
+        assert len({id(e) for e in table_entries(A.structure)}) <= 5
+        a, b, g, lam, mu = map(Fraction, (2, -3, 5, 3, -2))
+        p, q = Fraction(2), Fraction(-1)
+        u, v = off_locus_colors(p, q, rng)
+        frac = oracles.frac_matrix
+        assert frac(dn_operator(A, a, b, g)) == oracles.dn_matrix(
+            table, unit, a, b, g)
+        assert frac(colored_operator(A, p, q, u, v)) == \
+            oracles.colored_matrix(table, unit, p, q, u, v)
+        assert frac(colored_inverse(A, p, q, u, v)) == \
+            oracles.colored_inverse_matrix(table, unit, p, q, u, v)
+        t = wxz_system(A, lam, mu)
+        assert (frac(t.W), frac(t.X), frac(t.Z)) == oracles.wxz_matrices(
+            table, unit, lam, mu)

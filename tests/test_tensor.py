@@ -930,6 +930,75 @@ class TestDefectKernel:
             assert yb_commutator(R, R, R).first_nonzero() is None
 
 
+class TestIntKernelCancellation:
+    """The int lane carries an entry that cancels to zero to the end of a
+    product and drops it there: products whose first two factors cancel in
+    some columns agree with the Fraction oracles, and no row the kernel
+    returns holds an explicit zero."""
+
+    @staticmethod
+    def operators(seed, count):
+        rng = random.Random(seed)
+        return [Operator2(2, [[const(rng.choice((-1, 0, 1)))
+                               for _ in range(4)] for _ in range(4)])
+                for _ in range(count)]
+
+    @staticmethod
+    def cancels(M, N):
+        """Whether some entry of M N is zero although a term of it is not."""
+        return any(sum(a * b for a, b in zip(row, col)) == 0
+                   and any(a * b for a, b in zip(row, col))
+                   for row in M for col in zip(*N))
+
+    @staticmethod
+    def sparse(M):
+        return [{c: e for c, e in enumerate(row) if e} for row in M]
+
+    def test_apply_drops_a_cancelled_entry_at_the_end(self):
+        actions = [[[(0, 1), (1, 1)]],
+                   [[(0, 1)], [(0, -1), (1, 2)]],
+                   [[(0, 5), (1, 1)], [(1, 3)]]]
+        assert tensor._apply(actions[:1], 0) == {0: 1, 1: 1}
+        assert tensor._apply(actions[:2], 0) == {1: 2}
+        assert tensor._apply(actions, 0) == {1: 6}
+
+    def test_product(self):
+        A, B = self.operators(11, 2)
+        fa, fb = oracles.frac_matrix(A), oracles.frac_matrix(B)
+        assert self.cancels(fa, fb)
+        expected = oracles.matmul(fa, fb)
+        assert oracles.frac_matrix(A @ B) == expected
+        rows, (apply, _), d, _ = tensor._clear((A, B), (0, 1))
+        assert d == 1
+        assert [apply(rows, y) for y in range(4)] == self.sparse(expected)
+
+    def kernel_rows(self, ops, legs, side):
+        rows, (apply, _), d, _ = tensor._clear(ops, side)
+        assert d == 1
+        actions = [tensor._leg_action(r, 2, leg) for r, leg in zip(rows, legs)]
+        return [apply([actions[i] for i in side], y) for y in range(8)]
+
+    def test_braid_defect(self):
+        R, = self.operators(12, 1)
+        f = oracles.frac_matrix(R)
+        r12, r23 = oracles.embed12(f, 2), oracles.embed23(f, 2)
+        assert self.cancels(r12, r23)
+        assert oracles.frac_matrix(braid_defect(R).dense()) == \
+            oracles.braid_defect_matrix(f, 2)
+        assert self.kernel_rows((R, R), (12, 23), (0, 1, 0)) == self.sparse(
+            oracles.matmul(oracles.matmul(r12, r23), r12))
+
+    def test_yb_commutator(self):
+        ops = self.operators(13, 3)
+        R, S, T = map(oracles.frac_matrix, ops)
+        r12, s13 = oracles.embed12(R, 2), oracles.embed13(S, 2)
+        assert self.cancels(r12, s13)
+        assert oracles.frac_matrix(yb_commutator(*ops).dense()) == \
+            oracles.commutator_matrix(R, S, T, 2)
+        assert self.kernel_rows(ops, (12, 13, 23), (0, 1, 2)) == self.sparse(
+            oracles.matmul(oracles.matmul(r12, s13), oracles.embed23(T, 2)))
+
+
 def random_fraction_op2(dim, rng, dens):
     """About half the entries zero, the others small integers over a
     denominator drawn from dens."""

@@ -12,7 +12,7 @@ import json
 from typing import Optional, Sequence
 
 from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar, bounded_int
-from .tensor import bilinear
+from .tensor import bilinear, first_failing_triple
 
 
 class AlgebraError(ValueError, YbxError):
@@ -80,12 +80,8 @@ class Algebra(FrozenRecord):
 
     @property
     def names(self) -> frozenset:
-        out = frozenset()
-        for plane in self.structure:
-            for row in plane:
-                for e in row:
-                    out = out | e.names
-        return out
+        return frozenset().union(*(e.names for plane in self.structure
+                                   for row in plane for e in row))
 
     def substitute(self, mapping) -> "Algebra":
         """Specialize symbolic structure constants; the result is re-validated
@@ -164,21 +160,19 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
 
     # unit law on every basis vector, both sides
     for i, e in enumerate(basis):
-        left = bilinear(c, u, e)
-        if left != e:
-            raise UnitError(i, "unit*e", left)
-        right = bilinear(c, e, u)
-        if right != e:
-            raise UnitError(i, "e*unit", right)
+        for side, got in (("unit*e", bilinear(c, u, e)),
+                          ("e*unit", bilinear(c, e, u))):
+            if got != e:
+                raise UnitError(i, side, got)
 
-    # associativity on every basis triple
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = bilinear(c, c[i][j], basis[k])
-                rhs = bilinear(c, basis[i], c[j][k])
-                if lhs != rhs:
-                    raise AssociativityError((i, j, k), lhs, rhs)
+    # associativity: m∘(m⊗1) = m∘(1⊗m) on every basis triple
+    def sides(i, j, k, m):
+        return ([(l * dim + k, e) for l, e in m[i * dim + j]],
+                [(i * dim + l, e) for l, e in m[j * dim + k]])
+    if failing := first_failing_triple(c, sides):
+        i, j, k = failing
+        raise AssociativityError(failing, bilinear(c, c[i][j], basis[k]),
+                                 bilinear(c, basis[i], c[j][k]))
 
     return Algebra(dim, c, u, labels)
 

@@ -380,24 +380,31 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _join_values(argv):
+def _join_values(parser, argv):
     """argv with each scalar flag joined by "=" to a following value that
     starts with a single "-", such as -3/2 or -a, which argparse would
-    otherwise read as an option."""
+    otherwise read as an option. As in argparse, a flag may also be named
+    by a prefix of exactly one long option of its command."""
     out = []
     for token in argv:
-        if (out and out[-1] in _SCALAR_FLAGS and token.startswith("-")
-                and not token.startswith("--")):
+        flags = {s for a in parser._actions for s in a.option_strings}
+        last = out[-1] if out else ""
+        named = {last} & flags or {s for s in flags if s.startswith(last)}
+        if (len(named) == 1 and named <= _SCALAR_FLAGS
+                and token.startswith("-") and not token.startswith("--")):
             out[-1] += "=" + token
         else:
             out.append(token)
+            parser = next((a.choices for a in parser._actions if isinstance(
+                a, argparse._SubParsersAction)), {}).get(token, parser)
     return out
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(
-            _join_values(sys.argv[1:] if argv is None else argv))
+        parser = build_parser()
+        args = parser.parse_args(
+            _join_values(parser, sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact results print in full; inputs are bounded (scalars.bounded_int)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import freeze_table, load_structure, read_structure
-from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar
-from .tensor import bilinear, nullspace
+from .scalars import ZERO, FrozenRecord, YbxError, as_scalar
+from .tensor import bilinear, first_failing_triple, nullspace
 
 
 class SuperalgebraError(ValueError, YbxError):
@@ -109,26 +109,16 @@ def make_superalgebra(dim: int, degree, bracket,
                 if b[i][j][k] != other:
                     raise AntisymmetryError((i, j))
 
-    # graded Jacobi on basis triples:
-    # (-1)^{|i||k|}[e_i,[e_j,e_k]] + (-1)^{|j||i|}[e_j,[e_k,e_i]]
-    #   + (-1)^{|k||j|}[e_k,[e_i,e_j]] = 0
-    basis = [tuple(ONE if k == i else ZERO for k in range(dim))
-             for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                acc = [ZERO] * dim
-                for (a, x, y, z) in (
-                    (deg[i] * deg[k], i, j, k),
-                    (deg[j] * deg[i], j, k, i),
-                    (deg[k] * deg[j], k, i, j),
-                ):
-                    term = bilinear(b, basis[x], b[y][z])
-                    for m, t in enumerate(term):
-                        if not t.is_zero:
-                            acc[m] = acc[m] - t if a else acc[m] + t
-                if any(not e.is_zero for e in acc):
-                    raise JacobiError((i, j, k))
+    # graded Jacobi on basis triples: the cyclic terms
+    # (-1)^{|x||z|}[e_x,[e_y,e_z]] of sign + equal those of sign -
+    def cyclic_terms(i, j, k, m):
+        sides = ([], [])
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            sides[deg[x] * deg[z]].extend(
+                (x * dim + l, e) for l, e in m[y * dim + z])
+        return sides
+    if failing := first_failing_triple(b, cyclic_terms):
+        raise JacobiError(failing)
 
     return LieSuperalgebra(dim, deg, b, labels)
 
@@ -140,20 +130,11 @@ def even_center(L: LieSuperalgebra):
     basis vectors; an exact nullspace over the scalar field.
     """
     even = L.even_indices()
-    if not even:
-        return []
     # rows: one equation per (probe basis vector j, output coordinate k)
-    rows = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            rows.append([L.bracket[i][j][k] for i in even])
-    basis = []
-    for vec in nullspace(rows):
-        full = [ZERO] * L.dim
-        for pos, i in enumerate(even):
-            full[i] = vec[pos]
-        basis.append(tuple(full))
-    return basis
+    rows = [[L.bracket[i][j][k] for i in even]
+            for j in range(L.dim) for k in range(L.dim)]
+    return [tuple(full.get(i, ZERO) for i in range(L.dim))
+            for full in (dict(zip(even, vec)) for vec in nullspace(rows))]
 
 
 def superalgebra_from_json_obj(obj: dict) -> LieSuperalgebra:

@@ -7,18 +7,20 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-Operator entries are ParamScalar. Products (``@``, the defects and the
-round trips A∘B - I) run on each operator times the lcm of its
+Operator entries are ParamScalar. Products (``@``, the defects, the round
+trips A∘B - I, and associativity and graded Jacobi of a structure table,
+``first_failing_triple``) run on each matrix times the lcm of its
 denominators, in ints or in integer-coefficient polynomials, and the
 elimination on the polynomials of each row times the lcm of its
 denominators, permuted by its zero pattern to block triangular form for
 ``determinant`` and ``invert`` and eliminated block by block: up to sign
 and the row scales, the determinant is the product of the blocks' last
-pivots. Polynomials have each monomial packed into
-one int (``_Packing``), once per product or elimination, so that a product
-of monomials is an int addition. A round trip is compared with d times the
-identity, d the product of the two lcms, so every zero test below is exact
-and no entry is canonicalised until it leaves the kernel.
+pivots. Polynomials have each monomial packed into one int (``_Packing``),
+once per product or elimination, so that a product of monomials is an int
+addition. A round trip is compared with d times the identity, d the product
+of the two lcms, so every zero test below is exact and no entry is
+canonicalised until it leaves the kernel; an axiom canonicalises only the
+two sides of its first failing triple.
 """
 
 from __future__ import annotations
@@ -113,9 +115,9 @@ class _Operator(FrozenRecord):
     def __matmul__(self, other):
         """Row y of A @ B is e_y pushed through the rows of A, then of B."""
         self._require_same(other)
-        actions, (apply, _), _, scalar = _clear((self, other), (0, 1))
+        rows, (apply, _), _, scalar = _clear((self.rows, other.rows), (0, 1))
         return type(self)._from_rows(
-            self.dim, ((y, apply(actions, y)) for y in range(self.size)),
+            self.dim, ((y, apply(rows, y)) for y in range(self.size)),
             scalar)
 
     def __add__(self, other):
@@ -271,21 +273,24 @@ def embed(R: Operator2, legs: int) -> Operator3:
 # products: @, the round trips and the defects, LHS - RHS of the identities
 # ---------------------------------------------------------------------------
 
-def _clear(ops, side):
-    """(rows, kernel, d, scalar) for a product whose factors are ops[i] for
-    i in side, every operator among them. For each operator X and d_X the
-    lcm of its entries' denominators, rows lists the nonzero (column,
-    entry) pairs of each row of d_X*X; d is the product of the factors'
-    d_X, and scalar(e) is the canonical e/d. kernel is the (apply, minus)
-    pair of the lane, as _defect_rows takes it.
+def _clear(mats, side):
+    """(rows, kernel, d, scalar) for a product whose factors are mats[i] for
+    i in side, each matrix given by its rows: an operator's ``rows``, or the
+    n^2 rows (i, j) -> table[i][j] of an n x n x n structure table, on
+    which ``first_failing_triple`` checks associativity and graded Jacobi
+    without canonicalising any entry. For each matrix X and d_X the lcm of
+    its entries' denominators, rows lists the nonzero (column, entry) pairs
+    of each row of d_X*X; d is the product of the factors' d_X, and
+    scalar(e) is the canonical e/d. kernel is the (apply, minus) pair of the
+    lane, as _defect_rows takes it.
 
-    The entries and d are ints when every entry of every operator is a
+    The entries and d are ints when every entry of every matrix is a
     rational constant. Otherwise they are polynomials packed by one
-    _Packing whose rows are the factors, each its operator's cleared
-    entries and d_X, so that S bounds the degree of d and of every entry
-    the product forms: each takes at most one entry from each factor."""
-    size = ops[0].size
-    flat = {id(op): list(chain.from_iterable(op.rows)) for op in ops}
+    _Packing whose rows are the factors, each its matrix's cleared entries
+    and d_X, so that S bounds the degree of d and of every entry the
+    product forms: each takes at most one entry from each factor."""
+    width = {id(m): len(m[0]) for m in mats}
+    flat = {id(m): list(chain.from_iterable(m)) for m in mats}
     nums = {k: [e.num.terms for e in es] for k, es in flat.items()}
     dens = {k: [e.den.terms for e in es] for k, es in flat.items()}
     # a denominator is never empty, so the two tests leave only constants
@@ -301,7 +306,7 @@ def _clear(ops, side):
         else:
             scales[k], values = clear_row([es[i] for i in nonzero])
         cleared[k] = nonzero, values
-    factors = [id(ops[i]) for i in side]
+    factors = [id(mats[i]) for i in side]
     if constant:
         d = math.prod(scales[k] for k in factors)
         kernel, scalar = _INT_KERNEL, (lambda e: const(Fraction(e, d)))
@@ -314,18 +319,18 @@ def _clear(ops, side):
         cleared = {k: (nonzero, list(map(packing.pack, values)))
                    for k, (nonzero, values) in cleared.items()}
     for k, (nonzero, values) in cleared.items():
-        rows = [[] for _ in range(size)]
+        rows = [[] for _ in range(len(flat[k]) // width[k])]
         for i, e in zip(nonzero, values):
-            rows[i // size].append((i % size, e))
+            rows[i // width[k]].append((i % width[k], e))
         cleared[k] = rows
-    return [cleared[id(op)] for op in ops], kernel, d, scalar
+    return [cleared[id(m)] for m in mats], kernel, d, scalar
 
 
 def _apply(actions, x: int) -> dict:
     """e_x pushed through the row actions, first to last (each lists the
-    nonzero (column, entry) pairs of each row): row x of their product, as
-    a sparse {column: nonzero entry} map. The int lane; a zero that
-    cancels on the way is carried along and dropped at the end."""
+    nonzero (column, entry) pairs of each row, adding on a repeated column):
+    row x of their product, as a sparse {column: nonzero entry} map. The int
+    lane; a zero that cancels on the way is carried along and dropped."""
     vec = actions[0][x]
     for action in actions[1:]:
         out = {}
@@ -339,14 +344,14 @@ def _apply(actions, x: int) -> dict:
 def _apply_packed(actions, x: int) -> dict:
     """As _apply, on packed polynomials: each entry of a step is one _dot
     of the products that land on its column."""
-    vec = dict(actions[0][x])
+    vec = actions[0][x]
     for action in actions[1:]:
         pairs = defaultdict(list)
-        for x, s in vec.items():
+        for x, s in vec:
             for y, e in action[x]:
                 pairs[y].append((s, e))
-        vec = {y: p for y, terms in pairs.items() if (p := _dot(terms))}
-    return vec
+        vec = [(y, p) for y, terms in pairs.items() if (p := _dot(terms))]
+    return dict(vec)
 
 
 def _minus(left: dict, right: dict) -> dict:
@@ -425,7 +430,7 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
     of each product, leftmost first. The kernel runs on the cleared
     operators, so its entries are over the product of the d of one side."""
     n = ops[0].dim
-    rows, kernel, _, scalar = _clear(ops, lhs)
+    rows, kernel, _, scalar = _clear([op.rows for op in ops], lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
@@ -433,12 +438,25 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
                   lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar)
 
 
+def first_failing_triple(table, steps):
+    """The first basis triple (i, j, k), in row-major order, on which two
+    products differ, or None: each is a first step, then m, the table's
+    n^2 x n matrix, on the product kernel. steps(i, j, k, m) gives the two
+    first steps' rows, as (column, entry) pairs of m's cleared rows."""
+    n = len(table)
+    triples = list(product(range(n), repeat=3))
+    (m,), kernel, _, _ = _clear([list(chain.from_iterable(table))], (0, 0))
+    lhs, rhs = zip(*(steps(i, j, k, m) for i, j, k in triples))
+    found = next(_defect_rows(n ** 3, [lhs, m], [rhs, m], kernel), None)
+    return None if found is None else triples[found[0]]
+
+
 def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
     """Defect of A∘B = I, that is A @ B minus the identity. The kernel
     compares row y of the cleared product with d*e_y, for d the product of
     the two operators' lcms, so the product is never canonicalised."""
     A._require_same(B)
-    rows, kernel, d, scalar = _clear((A, B), (0, 1))
+    rows, kernel, d, scalar = _clear((A.rows, B.rows), (0, 1))
     identity = [[(y, d)] for y in range(A.size)]
     return Defect(type(A), A.dim,
                   lambda: _defect_rows(A.size, rows, [identity], kernel),

@@ -4,13 +4,16 @@ Everything here works on dense lists of Fractions (or of ParamScalar when
 a check must stay symbolic) and is written straight from the definitions:
 Kronecker products for the leg embeddings, naive cubic matrix products,
 permutation-expansion determinants. Deliberately no code shared with the
-library beyond the scalar type itself.
+library beyond the scalar type itself, and the exception classes whose
+messages the structure-axiom loops are compared on.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from ybx.scalars import ZERO, as_scalar
+from ybx.algebra import AssociativityError, UnitError
+from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
+from ybx.scalars import ONE, ZERO, as_scalar
 
 
 def frac_matrix(op, assignment=None):
@@ -360,3 +363,118 @@ def frac_solve(rows):
         rank += 1
     inverse = [row[n:] for row in M] if rank == n else None
     return det, inverse, rank
+
+
+# -- the structure axioms, as the triple loops that validated them ----------
+#
+# Each returns the exception its validator raises on a table of the right
+# shape, or None: the first failing axiom, and within it the first basis
+# index, pair or triple in row-major order.
+
+def bilinear(table, x, y):
+    """sum_ij x_i y_j table[i][j] over ParamScalars."""
+    out = [ZERO] * len(table)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi.is_zero or yj.is_zero:
+                continue
+            for k, t in enumerate(table[i][j]):
+                if not t.is_zero:
+                    out[k] = out[k] + xi * yj * t
+    return tuple(out)
+
+
+def _scalar_table(table):
+    return [[[as_scalar(e) for e in row] for row in plane] for plane in table]
+
+
+def _basis(n):
+    return [tuple(ONE if k == i else ZERO for k in range(n))
+            for i in range(n)]
+
+
+def algebra_error(structure, unit):
+    """The unit law on each basis vector, both sides, then associativity
+    (e_i e_j) e_k = e_i (e_j e_k) on each basis triple."""
+    c, u = _scalar_table(structure), [as_scalar(e) for e in unit]
+    n = len(c)
+    basis = _basis(n)
+    for i, e in enumerate(basis):
+        for side, got in (("unit*e", bilinear(c, u, e)),
+                          ("e*unit", bilinear(c, e, u))):
+            if got != e:
+                return UnitError(i, side, got)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = bilinear(c, c[i][j], basis[k])
+                rhs = bilinear(c, basis[i], c[j][k])
+                if lhs != rhs:
+                    return AssociativityError((i, j, k), lhs, rhs)
+    return None
+
+
+def superalgebra_error(degree, bracket):
+    """Grading, super antisymmetry, then the graded Jacobi identity
+    (-1)^{|i||k|}[e_i,[e_j,e_k]] + (-1)^{|j||i|}[e_j,[e_k,e_i]]
+      + (-1)^{|k||j|}[e_k,[e_i,e_j]] = 0 on each basis triple."""
+    b, deg = _scalar_table(bracket), degree
+    n = len(b)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not b[i][j][k].is_zero and deg[k] != (deg[i] + deg[j]) % 2:
+                    return GradingError((i, j, k))
+    for i in range(n):
+        for j in range(i, n):
+            flip = deg[i] * deg[j] == 0
+            if any(b[i][j][k] != (-b[j][i][k] if flip else b[j][i][k])
+                   for k in range(n)):
+                return AntisymmetryError((i, j))
+    basis = _basis(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = [ZERO] * n
+                for odd, x, y, z in ((deg[i] * deg[k], i, j, k),
+                                     (deg[j] * deg[i], j, k, i),
+                                     (deg[k] * deg[j], k, i, j)):
+                    term = bilinear(b, basis[x], b[y][z])
+                    acc = [a - t if odd else a + t for a, t in zip(acc, term)]
+                if any(not e.is_zero for e in acc):
+                    return JacobiError((i, j, k))
+    return None
+
+
+def matrix_unit_table(units, degree=None):
+    """The table of the span of the matrix units E_ab, (a, b) in units, in
+    that order: the matrix product, or with degree (the parity of each
+    index) the supercommutator AB - (-1)^{|A||B|} BA, where E_ab has parity
+    degree[a] + degree[b]. Computed on Fraction matrices, each product read
+    back entry by entry; the span must be closed under it."""
+    size = 1 + max(max(p) for p in units)
+    where = {p: i for i, p in enumerate(units)}
+    parity = [0 if degree is None else (degree[a] + degree[b]) % 2
+              for a, b in units]
+
+    def unit(p):
+        M = [[Fraction(0)] * size for _ in range(size)]
+        M[p[0]][p[1]] = Fraction(1)
+        return M
+
+    n = len(units)
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, p in enumerate(units):
+        for j, q in enumerate(units):
+            AB, BA = matmul(unit(p), unit(q)), matmul(unit(q), unit(p))
+            if degree is None:
+                M = AB
+            else:
+                sign = -1 if parity[i] * parity[j] else 1
+                M = [[x - sign * y for x, y in zip(r, s)]
+                     for r, s in zip(AB, BA)]
+            for a in range(size):
+                for b in range(size):
+                    if M[a][b]:
+                        table[i][j][where[(a, b)]] = M[a][b]
+    return table, parity

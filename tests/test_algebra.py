@@ -1,6 +1,7 @@
 """Tests for finite-dimensional associative algebra tables."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,11 @@ from ybx.algebra import (
     mul_elements,
     quadratic_quotient_algebra,
 )
+from ybx.lie_super import JacobiError, SuperalgebraError, make_superalgebra
 from ybx.scalars import ONE, ZERO, as_scalar, const, var
 from ybx import fixture_path
+
+import oracles
 
 
 def assoc_violations(dim, c):
@@ -275,3 +279,197 @@ def test_quadratic_product_commutes(a0, a1, b0, b1):
     a = (const(a0), const(a1))
     b = (const(b0), const(b1))
     assert mul_elements(A, a, b) == mul_elements(A, b, a)
+
+
+# -- the structure axioms on the product kernel, against the triple loops --
+
+T2_UNITS = [(0, 0), (1, 1), (0, 1)]
+M2_UNITS = [(0, 0), (1, 1), (0, 1), (1, 0)]
+
+# unital matrix-unit algebras: every diagonal unit is present, first
+ALGEBRA_UNITS = [
+    [(0, 0), (1, 1)],
+    T2_UNITS,
+    M2_UNITS,
+    [(0, 0), (1, 1), (2, 2), (0, 1)],
+    [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)],
+    [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)],
+]
+
+# matrix-unit Lie superalgebras: (units, parity of each index)
+SUPER_UNITS = [
+    ([(0, 0), (0, 1)], (0, 1)),
+    ([(0, 0), (1, 1), (0, 1)], (0, 1)),
+    (M2_UNITS, (0, 1)),
+    (M2_UNITS, (0, 0)),
+    ([(0, 0), (0, 1), (0, 2), (1, 2)], (0, 1, 1)),
+    ([(0, 0), (1, 1), (0, 1), (0, 2), (1, 2)], (0, 0, 1)),
+]
+
+
+def osp12_borel():
+    """The Borel subalgebra of osp(1|2) on h, q, e with |q| = 1: [h, q] = q,
+    [q, q] = e, [h, e] = 2e. [[q, q], h] = -2e is not zero, so a graded
+    Jacobi identity with a wrong Koszul sign on an (odd, odd, even) triple
+    fails here, unlike on the matrix-unit tables above."""
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k, c in ((0, 1, 1, 1), (1, 0, 1, -1), (1, 1, 2, 1),
+                       (0, 2, 2, 2), (2, 0, 2, -2)):
+        table[i][j][k] = c
+    return table, (0, 1, 0)
+
+
+# per kind: the basis scales t_i, the quotients' coefficients and the
+# corruptions added to one entry
+KINDS = {
+    "integer": (["1", "-1"], ["0", "1", "-2", "3"], ["1", "-1", "2"]),
+    "symbolic": (["1"], ["0", "a", "b", "a*b - 1"], ["a", "a - b", "2*b^2"]),
+    "rational": (["1", "2", "m", "n/m^2", "1/(m + 1)"], ["0", "1", "-1/2"],
+                 ["n/m^2", "1/(m + 1)", "m"]),
+}
+
+
+def quotient_table(coeffs):
+    """k[x]/(x^n - sum_i coeffs[i] x^i) on the basis 1, x, ..., x^(n-1)."""
+    n = len(coeffs)
+    powers = [tuple(ONE if k == i else ZERO for k in range(n))
+              for i in range(n)]
+    while len(powers) < 2 * n - 1:
+        top = powers[-1]
+        powers.append(tuple(s + top[-1] * a for s, a in
+                            zip((ZERO,) + top[:-1], coeffs)))
+    return [[list(powers[i + j]) for j in range(n)] for i in range(n)]
+
+
+def rescaled(table, t):
+    """The table on the basis t_i e_i."""
+    n = len(table)
+    return [[[t[i] * t[j] / t[k] * as_scalar(table[i][j][k])
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def described(exc):
+    return None if exc is None else (
+        type(exc), str(exc), exc.witness,
+        getattr(exc, "lhs", None), getattr(exc, "rhs", None))
+
+
+def library_error(build, *args):
+    try:
+        build(*args)
+    except (AlgebraError, SuperalgebraError) as exc:
+        return exc
+    return None
+
+
+def corpus_algebra(rng, kind):
+    """(table, unit, entries that keep the unit law) of a random algebra."""
+    scales, coeffs, _ = KINDS[kind]
+    if rng.random() < 0.5:
+        n = rng.randint(2, 5)
+        table = quotient_table([as_scalar(rng.choice(coeffs))
+                                for _ in range(n)])
+        unit, diagonal = [ONE] + [ZERO] * (n - 1), 1
+    else:
+        units = rng.choice(ALGEBRA_UNITS)
+        table, _ = oracles.matrix_unit_table(units)
+        n, diagonal = len(units), 1 + max(a for a, _ in units)
+        unit = [ONE] * diagonal + [ZERO] * (n - diagonal)
+    t = [as_scalar(rng.choice(scales)) for _ in range(n)]
+    return (rescaled(table, t), [u / s for u, s in zip(unit, t)],
+            range(diagonal, n) or range(n))
+
+
+def corpus_superalgebra(rng, kind):
+    choice = rng.randrange(len(SUPER_UNITS) + 1)
+    table, degree = (oracles.matrix_unit_table(*SUPER_UNITS[choice])
+                     if choice < len(SUPER_UNITS) else osp12_borel())
+    t = [as_scalar(rng.choice(KINDS[kind][0])) for _ in table]
+    return rescaled(table, t), degree
+
+
+def corrupt_superalgebra(rng, table, degree, delta):
+    """Add delta to one entry. Three times in four, when i != j or e_i is
+    odd, the entry keeps the grading and its mirror changes with it, so
+    that antisymmetry still holds."""
+    n = len(table)
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    if rng.random() < 0.75 and (i != j or degree[i]):
+        k = rng.choice([l for l in range(n)
+                        if degree[l] == (degree[i] + degree[j]) % 2] or [k])
+        if i != j:
+            odd = degree[i] * degree[j]
+            table[j][i][k] = table[j][i][k] + (delta if odd else -delta)
+    table[i][j][k] = table[i][j][k] + delta
+
+
+class TestStructureAxiomsAgainstTripleLoops:
+    """make_algebra and make_superalgebra run associativity and graded
+    Jacobi on the product kernel; the loops in oracles are the reference."""
+
+    def test_noncommutative_tables_accepted(self):
+        for units in (T2_UNITS, M2_UNITS):
+            table, _ = oracles.matrix_unit_table(units)
+            n = len(units)
+            A = make_algebra(n, table, [ONE, ONE] + [ZERO] * (n - 2))
+            assert A.structure[0][2] != A.structure[2][0]
+            assert oracles.algebra_error(table, A.unit) is None
+
+    def test_odd_bracket_that_is_not_central(self):
+        table, degree = osp12_borel()
+        assert oracles.superalgebra_error(degree, table) is None
+        make_superalgebra(3, degree, table)
+        table[0][2][2], table[2][0][2] = 1, -1
+        exc = library_error(make_superalgebra, 3, degree, table)
+        assert isinstance(exc, JacobiError)
+        assert described(exc) == described(
+            oracles.superalgebra_error(degree, table))
+
+    @pytest.mark.parametrize("units, entry, witness", [
+        # E12*E12 = E12: (E12*E11)*E12 = 0 but E12*(E11*E12) = E12
+        (T2_UNITS, (2, 2, 2), (2, 0, 2)),
+        # E12*E21 = E11 + E22: (E11*E12)*E21 = E11 + E22 but
+        # E11*(E12*E21) = E11
+        (M2_UNITS, (2, 3, 1), (0, 2, 3)),
+    ])
+    def test_noncommutative_corruption_gives_the_oracle_witness(
+            self, units, entry, witness):
+        table, _ = oracles.matrix_unit_table(units)
+        i, j, k = entry
+        table[i][j][k] += 1
+        unit = [ONE, ONE] + [ZERO] * (len(units) - 2)
+        exc = library_error(make_algebra, len(units), table, unit)
+        assert isinstance(exc, AssociativityError)
+        assert exc.witness == witness
+        assert described(exc) == described(oracles.algebra_error(table, unit))
+
+    def test_seeded_corrupted_tables(self):
+        counts = {}
+        for seed in range(160):
+            rng = random.Random(seed)
+            kind = rng.choice(sorted(KINDS))
+            delta = as_scalar(rng.choice(KINDS[kind][2]))
+            if seed % 2:
+                table, unit, free = corpus_algebra(rng, kind)
+                n = len(table)
+                assert library_error(make_algebra, n, table, unit) is None
+                assert oracles.algebra_error(table, unit) is None
+                i, j = (rng.choice(free) if rng.random() < 0.75
+                        else rng.randrange(n) for _ in range(2))
+                k = rng.randrange(n)
+                table[i][j][k] = table[i][j][k] + delta
+                got = library_error(make_algebra, n, table, unit)
+                want = oracles.algebra_error(table, unit)
+            else:
+                table, degree = corpus_superalgebra(rng, kind)
+                n = len(table)
+                assert library_error(
+                    make_superalgebra, n, degree, table) is None
+                assert oracles.superalgebra_error(degree, table) is None
+                corrupt_superalgebra(rng, table, degree, delta)
+                got = library_error(make_superalgebra, n, degree, table)
+                want = oracles.superalgebra_error(degree, table)
+            assert described(got) == described(want), (seed, kind)
+            counts[type(want)] = counts.get(type(want), 0) + 1
+        assert counts[AssociativityError] >= 40
+        assert counts[JacobiError] >= 20

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +92,27 @@ class TestCheckConstant:
         assert run(capsys, "export", "matrix", "--family", "colored",
                    "--algebra", QUADRATIC, "--p=-a", "--q=-3/2", "--u", "1",
                    "--v", "-1", "--format", "json") == (0, out, "")
+
+    def test_abbreviated_flag_takes_a_value_starting_with_minus(self, capsys):
+        # argparse accepts a unique prefix of a long option, so a value
+        # that starts with "-" joins it as it joins the full name
+        def timeless(*flag):
+            code, out, err = run(capsys, "check", "constant", "--algebra",
+                                 QUADRATIC, "--beta", "1", "--gamma", "1",
+                                 *flag)
+            return code, re.sub(r"elapsed: \S+", "", out), err
+
+        assert timeless("--alpha", "-3/2")[0] == 0
+        assert timeless("--alph", "-3/2") == timeless("--alpha", "-3/2")
+        assert timeless("--alph", "3/2")[0] == 0
+
+    def test_ambiguous_prefix_stays_a_usage_error(self):
+        code, out, err = run_process(
+            "check", "constant", "--algebra", QUADRATIC, "--a", "-3/2")
+        assert code == 2
+        assert out == ""
+        assert "ambiguous option: --a could match --algebra, --alpha" in err
+        assert "Traceback" not in err
 
     def test_double_dash_after_a_scalar_flag_stays_an_option(self):
         code, out, err = run_process(

@@ -12,7 +12,7 @@ import json
 from typing import Optional, Sequence
 
 from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar, bounded_int
-from .tensor import bilinear, first_failing_triple
+from .tensor import _int_form, bilinear, first_failing_triple
 
 
 class AlgebraError(ValueError, YbxError):
@@ -72,8 +72,11 @@ def _fmt_vec(v) -> str:
 class Algebra(FrozenRecord):
     """Validated unital associative algebra. Immutable."""
 
-    __slots__ = ("dim", "structure", "unit", "labels")
+    __slots__ = ("dim", "structure", "unit", "labels", "_table")
     _key = ("dim", "structure", "unit")
+
+    def __init__(self, dim, structure, unit, labels):
+        super().__init__(dim, structure, unit, labels, None)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -82,6 +85,23 @@ class Algebra(FrozenRecord):
     def names(self) -> frozenset:
         return frozenset().union(*(e.names for plane in self.structure
                                    for row in plane for e in row))
+
+    def product_table(self):
+        """(entries, values, ints), computed on first call and kept:
+        entries[i][j] lists (k, t) for each nonzero c_ijk, which is
+        values[t], the t-th distinct nonzero constant; ints is (d_T, the
+        ints d_T*values[t]) for d_T the lcm of their denominators, or None
+        when some constant is not rational."""
+        if self._table is None:
+            index = {}
+            entries = [[[(k, index.setdefault(e, len(index)))
+                         for k, e in enumerate(row) if e] for row in plane]
+                       for plane in self.structure]
+            values = list(index)
+            form = _int_form([values])
+            ints = form and (form[0], [e for _, e in form[1][0]])
+            object.__setattr__(self, "_table", (entries, values, ints))
+        return self._table
 
     def substitute(self, mapping) -> "Algebra":
         """Specialize symbolic structure constants; the result is re-validated
@@ -117,7 +137,8 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
                  noun):
     """The dim x dim x dim table with scalar entries, the vector (unit or
     degrees) through convert, and the labels as strings, defaulting to
-    e0, e1, ... Equal entries of the table become one shared object.
+    e0, e1, ... Equal entries of the table become one shared object, and
+    each distinct raw entry is converted once.
     Raises error on the first of: dim below 1, a table of the wrong shape,
     vector_error (a message, or None for a good vector), and labels of the
     wrong length."""
@@ -130,12 +151,22 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
         raise error(f"{noun} table must be {dim}x{dim}x{dim}")
     if vector_error is not None:
         raise error(vector_error)
-    pool = {}
-    frozen = tuple(
-        tuple(tuple(pool.setdefault(s, s) for s in map(as_scalar, row))
-              for row in plane)
-        for plane in table
-    )
+    pool, seen = {}, {}
+
+    def entry(raw):
+        # each distinct raw value is converted once; the key holds its type
+        # because 1, True, 1.0 and Fraction(1) are equal, and 1.0 is refused
+        try:
+            return seen[type(raw), raw]
+        except KeyError:
+            s = as_scalar(raw)
+            seen[type(raw), raw] = s = pool.setdefault(s, s)
+            return s
+        except TypeError:   # unhashable, so as_scalar refuses it
+            return as_scalar(raw)
+
+    frozen = tuple(tuple(tuple(map(entry, row)) for row in plane)
+                   for plane in table)
     vector = tuple(convert(e) for e in vector)
     if labels is None:
         labels = [f"e{i}" for i in range(dim)]

@@ -16,7 +16,7 @@ from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
 from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, YbxError,
                       as_scalar)
-from .tensor import Operator2
+from .tensor import Operator2, _int_form
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -74,34 +74,49 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
 
     reverse replaces the product ab by ba in both product terms.
 
-    Each scale times each structure constant is formed once per call,
-    keyed by the ids of the two objects; the scales live in unit and the
-    constants in A, so no id is reused before the call returns. Equal
-    constants of a table built by make_algebra are one object.
+    The scales are -diag and, for each nonzero unit coordinate u_l,
+    left*u_l and right*u_l; c*left*u_l lands on row k*n + l and c*right*u_l
+    on row l*n + k of column a(x)b, for each nonzero c = c_abk. Each scale
+    times each distinct constant of the table is formed once per call.
+    When the table and every scale are rational constants, that is done in
+    ints: the scales times d_S, the lcm of their denominators, and the
+    constants times the table's d_T, so that the operator is born with its
+    integer form over d_S*d_T. Otherwise it is done in ParamScalars.
     """
     n = A.dim
-    left = as_scalar(left)
-    right = as_scalar(right)
-    neg = -as_scalar(diag)
-    unit = [(l, left, right) if ul.is_one else (l, left * ul, right * ul)
-            for l, ul in enumerate(A.unit) if not ul.is_zero]
-    products = {}
+    entries, values, ints = A.product_table()
+    left, right = as_scalar(left), as_scalar(right)
+    # (row stride, row offset) of each product term, and its scale
+    sides = [((stride, offset), s if ul.is_one else s * ul)
+             for l, ul in enumerate(A.unit) if ul
+             for stride, offset, s in ((n, l, left), (1, l * n, right))]
+    scales = [-as_scalar(diag)] + [s for _, s in sides]
+    form = ints and _int_form([scales])
+    if form:
+        (d_s, (cleared,)), (d_t, values) = form, ints
+        at = dict(cleared)
+        scales = [at.get(t, 0) for t in range(len(scales))]
+        scales[0] *= d_t
+    sides = [(stride, offset, [s * v for v in values])
+             for ((stride, offset), _), s in zip(sides, scales[1:]) if s]
     columns = []
     for i in range(n):
         for j in range(n):
-            prod = A.structure[j][i] if reverse else A.structure[i][j]
-            column = {(j * n + i) if swap else (i * n + j): neg}
-            for k, pk in enumerate(prod):
-                if not pk.is_zero:
-                    for l, sl, sr in unit:
-                        for r, scale in ((k * n + l, sl), (l * n + k, sr)):
-                            key = (id(scale), id(pk))
-                            e = products.get(key)
-                            if e is None:
-                                e = products[key] = scale * pk
-                            column[r] = column[r] + e if r in column else e
-            columns.append(column.items())
-    return Operator2.from_columns(n, columns)
+            column = {(j * n + i) if swap else (i * n + j): scales[0]}
+            for k, t in entries[j][i] if reverse else entries[i][j]:
+                for stride, offset, scaled in sides:
+                    r = k * stride + offset
+                    e = scaled[t]
+                    column[r] = column[r] + e if r in column else e
+            columns.append(column)
+    if not form:
+        return Operator2.from_columns(n, (c.items() for c in columns))
+    rows = [[] for _ in range(n * n)]
+    for c, column in enumerate(columns):
+        for r, e in column.items():
+            if e:
+                rows[r].append((c, e))
+    return Operator2._make(n, None, (d_s * d_t, rows))
 
 
 def dn_operator(A: Algebra, alpha, beta, gamma) -> Operator2:
@@ -275,20 +290,29 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
 def _super_map(L: LieSuperalgebra, z: Sequence, alpha,
                z_first: bool) -> Operator2:
     """x(x)y -> alpha*[x,y](x)z (alpha*z(x)[x,y] when z_first)
-    + (-1)^{|x||y|} y(x)x, for even central z."""
+    + (-1)^{|x||y|} y(x)x, for even central z.
+
+    alpha*z_l is formed once per l, and alpha*z_l*b once per l and
+    distinct constant b, keyed by the id of b: equal constants of a table
+    built by make_superalgebra are one object, and the table outlives the
+    call."""
     alpha = as_scalar(alpha)
     zv = _check_center(L, z)
     n = L.dim
-    zs = [(l, zl) for l, zl in enumerate(zv) if not zl.is_zero]
+    zs = [(l, alpha * zl) for l, zl in enumerate(zv) if not zl.is_zero]
+    products = {}
     columns = []
     for i in range(n):
         for j in range(n):
             column = [(j * n + i, -ONE if L.degree[i] * L.degree[j] else ONE)]
             for k, bk in enumerate(L.bracket[i][j]):
                 if not bk.is_zero:
-                    for l, zl in zs:
+                    for l, azl in zs:
                         r = l * n + k if z_first else k * n + l
-                        column.append((r, alpha * bk * zl))
+                        e = products.get((l, id(bk)))
+                        if e is None:
+                            e = products[l, id(bk)] = azl * bk
+                        column.append((r, e))
             columns.append(column)
     return Operator2.from_columns(n, columns)
 

@@ -7,20 +7,25 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-Operator entries are ParamScalar. Products (``@``, the defects, the round
-trips A∘B - I, and associativity and graded Jacobi of a structure table,
-``first_failing_triple``) run on each matrix times the lcm of its
-denominators, in ints or in integer-coefficient polynomials, and the
-elimination on the polynomials of each row times the lcm of its
-denominators, permuted by its zero pattern to block triangular form for
-``determinant`` and ``invert`` and eliminated block by block: up to sign
-and the row scales, the determinant is the product of the blocks' last
-pivots. Polynomials have each monomial packed into one int (``_Packing``),
-once per product or elimination, so that a product of monomials is an int
-addition. A round trip is compared with d times the identity, d the product
-of the two lcms, so every zero test below is exact and no entry is
-canonicalised until it leaves the kernel; an axiom canonicalises only the
-two sides of its first failing triple.
+Operator entries are ParamScalar, and an operator whose entries are all
+rational constants also has an integer form: one denominator d and the
+ints of d times each row (``_Operator``). Operators built by multiplying
+out a table and the results of int products are born with it and build
+their ParamScalar rows only when read. Products (``@``, the defects, the
+round trips A∘B - I, and associativity and graded Jacobi of a structure
+table, ``first_failing_triple``) run on those integer forms when every
+factor has one, and otherwise on each matrix times the lcm of its
+denominators in integer-coefficient polynomials; the elimination runs on
+the polynomials of each row times the lcm of its denominators, permuted
+by its zero pattern to block triangular form for ``determinant`` and
+``invert`` and eliminated block by block: up to sign and the row scales,
+the determinant is the product of the blocks' last pivots. Polynomials
+have each monomial packed into one int (``_Packing``), once per product
+or elimination, so that a product of monomials is an int addition. A
+round trip is compared with d times the identity, d the product of the
+two operators' denominators, so every zero test below is exact and no
+entry is canonicalised until it leaves the kernel; an axiom
+canonicalises only the two sides of its first failing triple.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
 # the packed 1 and -1 under every _Packing; never mutated
 _ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
+# an operator's integer form before it is computed
+_UNKNOWN = object()
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -47,9 +54,23 @@ class DimensionMismatch(ValueError, YbxError):
 
 
 class _Operator(FrozenRecord):
-    """Shared machinery for square operators on a tensor power of V."""
+    """Shared machinery for square operators on a tensor power of V.
 
-    __slots__ = _key = ("dim", "rows")
+    An operator whose entries are all rational constants has an integer
+    form (d, cleared): d > 0, and cleared[i] lists the nonzero (column, int)
+    pairs of row i of d times the matrix, sorted by column. The builders of
+    ``constructors`` that multiply out an algebra's table (``_product_map``)
+    and the int lane of every product (``@``, ``Defect.dense``) make
+    operators with it and no rows; ``rows``, the matrix of canonical
+    ParamScalars that equality, hashing, output, ``evaluate`` and
+    ``substitute`` read, is then built on first read and kept. Any other
+    operator computes its integer form from ``rows`` when it first enters
+    a product, and keeps it, or keeps None when some entry is not a
+    rational constant: no operator holds a second copy of polynomial
+    entries."""
+
+    __slots__ = ("dim", "_rows", "_form")
+    _key = ("dim", "rows")
     legs: int = 0
 
     def __init__(self, dim: int, rows: Sequence[Sequence]):
@@ -59,11 +80,43 @@ class _Operator(FrozenRecord):
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"expected a {size}x{size} matrix for dim {dim}")
         super().__init__(
-            dim, tuple(tuple(as_scalar(e) for e in r) for r in rows))
+            dim, tuple(tuple(as_scalar(e) for e in r) for r in rows),
+            _UNKNOWN)
+
+    @classmethod
+    def _make(cls, dim: int, rows, form):
+        """The operator with the given rows and integer form, taken as they
+        are: rows None is built from the form on first read, and form
+        _UNKNOWN is computed from the rows on first use."""
+        op = object.__new__(cls)
+        FrozenRecord.__init__(op, dim, rows, form)
+        return op
 
     @property
     def size(self) -> int:
         return self.dim ** self.legs
+
+    @property
+    def rows(self) -> tuple:
+        """The matrix, as tuples of canonical ParamScalars."""
+        if self._rows is None:
+            d, cleared = self._form
+            rows = [[ZERO] * self.size for _ in cleared]
+            for row, pairs in zip(rows, cleared):
+                for c, e in pairs:
+                    row[c] = const(Fraction(e, d))
+            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
+
+    @property
+    def int_form(self):
+        """The integer form (d, cleared), or None when some entry is not a
+        rational constant."""
+        form = self._form
+        if form is _UNKNOWN:
+            form = _int_form(self._rows)
+            object.__setattr__(self, "_form", form)
+        return form
 
     @classmethod
     def from_columns(cls, dim: int, columns):
@@ -80,15 +133,23 @@ class _Operator(FrozenRecord):
                 if not e.is_zero:
                     row = rows[r]
                     row[c] = e if row[c].is_zero else row[c] + e
-        op = object.__new__(cls)
-        FrozenRecord.__init__(op, dim, tuple(map(tuple, rows)))
-        return op
+        return cls._make(dim, tuple(map(tuple, rows)), _UNKNOWN)
 
     @classmethod
-    def _from_rows(cls, dim: int, rows, scalar):
+    def _from_rows(cls, dim: int, rows, scalar, d=None):
         """The operator with scalar(e) at (y, c) for each (y, {c: e}) in
-        rows, and zero elsewhere: the last step of every product."""
-        columns = [[] for _ in range(dim ** cls.legs)]
+        rows, and zero elsewhere: the last step of every product. In the
+        int lane, d is an int and scalar(e) is e/d, so the operator keeps
+        the entries as its integer form over d instead."""
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        size = dim ** cls.legs
+        if type(d) is int:
+            cleared = [[] for _ in range(size)]
+            for y, row in rows:
+                cleared[y] = sorted(row.items())
+            return cls._make(dim, None, (d, cleared))
+        columns = [[] for _ in range(size)]
         for y, row in rows:
             for c, e in row.items():
                 columns[c].append((y, scalar(e)))
@@ -115,10 +176,10 @@ class _Operator(FrozenRecord):
     def __matmul__(self, other):
         """Row y of A @ B is e_y pushed through the rows of A, then of B."""
         self._require_same(other)
-        rows, (apply, _), _, scalar = _clear((self.rows, other.rows), (0, 1))
+        rows, (apply, _), d, scalar = _clear((self, other), (0, 1))
         return type(self)._from_rows(
             self.dim, ((y, apply(rows, y)) for y in range(self.size)),
-            scalar)
+            scalar, d)
 
     def __add__(self, other):
         self._require_same(other)
@@ -273,57 +334,73 @@ def embed(R: Operator2, legs: int) -> Operator3:
 # products: @, the round trips and the defects, LHS - RHS of the identities
 # ---------------------------------------------------------------------------
 
-def _clear(mats, side):
-    """(rows, kernel, d, scalar) for a product whose factors are mats[i] for
-    i in side, each matrix given by its rows: an operator's ``rows``, or the
-    n^2 rows (i, j) -> table[i][j] of an n x n x n structure table, on
-    which ``first_failing_triple`` checks associativity and graded Jacobi
-    without canonicalising any entry. For each matrix X and d_X the lcm of
-    its entries' denominators, rows lists the nonzero (column, entry) pairs
-    of each row of d_X*X; d is the product of the factors' d_X, and
-    scalar(e) is the canonical e/d. kernel is the (apply, minus) pair of the
-    lane, as _defect_rows takes it.
+_CONSTANT = {()}.issuperset
 
-    The entries and d are ints when every entry of every matrix is a
-    rational constant. Otherwise they are polynomials packed by one
-    _Packing whose rows are the factors, each its matrix's cleared entries
-    and d_X, so that S bounds the degree of d and of every entry the
-    product forms: each takes at most one entry from each factor."""
-    width = {id(m): len(m[0]) for m in mats}
-    flat = {id(m): list(chain.from_iterable(m)) for m in mats}
-    nums = {k: [e.num.terms for e in es] for k, es in flat.items()}
-    dens = {k: [e.den.terms for e in es] for k, es in flat.items()}
+
+def _int_form(rows):
+    """(d, cleared) for the matrix with the given rows of ParamScalars, when
+    every entry is a rational constant: d is the lcm of the denominators,
+    and cleared[i] lists the nonzero (column, int) pairs of row i of d times
+    the matrix, sorted by column. None when some entry is not a rational
+    constant. Operators compute their ``int_form`` with it, and
+    ``first_failing_triple`` and ``Algebra.product_table`` clear a
+    structure table with it."""
+    terms = [[(c, e.num.terms, e.den.terms) for c, e in enumerate(row)
+              if e.num.terms] for row in rows]
+    flat = list(chain.from_iterable(terms))
     # a denominator is never empty, so the two tests leave only constants
-    constant = all(all(map({()}.issuperset, terms))
-                   for terms in (*nums.values(), *dens.values()))
-    cleared, scales = {}, {}
-    for k, es in flat.items():
-        nonzero = [i for i, t in enumerate(nums[k]) if t]
-        if constant:
-            qs = [dens[k][i][()] for i in nonzero]
-            scales[k] = d = math.lcm(*qs)
-            values = [nums[k][i][()] * (d // q) for i, q in zip(nonzero, qs)]
-        else:
-            scales[k], values = clear_row([es[i] for i in nonzero])
-        cleared[k] = nonzero, values
-    factors = [id(mats[i]) for i in side]
-    if constant:
-        d = math.prod(scales[k] for k in factors)
-        kernel, scalar = _INT_KERNEL, (lambda e: const(Fraction(e, d)))
-    else:
-        packing = _Packing([cleared[k][1] + [scales[k]] for k in factors])
-        den = math.prod((scales[k] for k in factors), start=_P_ONE)
-        d = packing.pack(den)
-        kernel = _PACKED_KERNEL
-        scalar = (lambda e: ParamScalar(packing.unpack(e), den))
-        cleared = {k: (nonzero, list(map(packing.pack, values)))
-                   for k, (nonzero, values) in cleared.items()}
-    for k, (nonzero, values) in cleared.items():
-        rows = [[] for _ in range(len(flat[k]) // width[k])]
+    if not all(_CONSTANT(num) and _CONSTANT(den) for _, num, den in flat):
+        return None
+    d = math.lcm(*(den[()] for _, _, den in flat))
+    return d, [[(c, num[()] * (d // den[()])) for c, num, den in row]
+               for row in terms]
+
+
+def _clear(ops, side):
+    """(rows, kernel, d, scalar) for a product whose factors are ops[i] for
+    i in side. For each operator X, rows lists the nonzero (column, entry)
+    pairs of each row of d_X*X for a common multiple d_X of its entries'
+    denominators; d is the product of the factors' d_X, and scalar(e) is
+    the canonical e/d. kernel is the (apply, minus) pair of the lane, as
+    _defect_rows takes it: the int lane when every operator has an integer
+    form, and then d_X is its d, or else the packed lane."""
+    forms = [op.int_form for op in ops]
+    if all(forms):
+        return _int_lane(forms, side)
+    return _packed_lane([op.rows for op in ops], side)
+
+
+def _int_lane(forms, side):
+    """_clear's result on integer forms."""
+    d = math.prod(forms[i][0] for i in side)
+    return ([cleared for _, cleared in forms], _INT_KERNEL, d,
+            lambda e: const(Fraction(e, d)))
+
+
+def _packed_lane(mats, side):
+    """_clear's result on matrices given by their rows of ParamScalars: an
+    operator's ``rows``, or the n^2 rows (i, j) -> table[i][j] of an n x n x
+    n structure table. d_X is the lcm of X's denominators, and the entries
+    are polynomials packed by one _Packing whose rows are the factors, each
+    its matrix's cleared entries and d_X, so that S bounds the degree of d
+    and of every entry the product forms: each takes at most one entry from
+    each factor."""
+    cleared = {}
+    for m in mats:
+        flat = list(chain.from_iterable(m))
+        nonzero = [i for i, e in enumerate(flat) if e.num.terms]
+        cleared[id(m)] = (m, nonzero, *clear_row([flat[i] for i in nonzero]))
+    factors = [cleared[id(mats[i])] for i in side]
+    packing = _Packing([values + [s] for _, _, s, values in factors])
+    den = math.prod((s for _, _, s, _ in factors), start=_P_ONE)
+    for k, (m, nonzero, _, values) in cleared.items():
+        width = len(m[0])
+        rows = [[] for _ in m]
         for i, e in zip(nonzero, values):
-            rows[i // width[k]].append((i % width[k], e))
+            rows[i // width].append((i % width, packing.pack(e)))
         cleared[k] = rows
-    return [cleared[id(m)] for m in mats], kernel, d, scalar
+    return ([cleared[id(m)] for m in mats], _PACKED_KERNEL, packing.pack(den),
+            lambda e: ParamScalar(packing.unpack(e), den))
 
 
 def _apply(actions, x: int) -> dict:
@@ -392,15 +469,17 @@ class Defect:
     first nonzero entry. The full matrix is recomputed on demand by
     ``dense``."""
 
-    __slots__ = ("dim", "_cls", "_rows", "_scalar", "_first")
+    __slots__ = ("dim", "_cls", "_rows", "_scalar", "_d", "_first")
 
-    def __init__(self, cls, dim: int, rows, scalar):
+    def __init__(self, cls, dim: int, rows, scalar, d):
         # rows() yields the nonzero rows as in _defect_rows; scalar turns
-        # one of their entries into the defect's ParamScalar entry
+        # one of their entries into the defect's ParamScalar entry, and d
+        # is the lane's, as _clear returns them
         self._cls = cls
         self.dim = dim
         self._rows = rows
         self._scalar = scalar
+        self._d = d
         found = next(rows(), None)
         if found is None:
             self._first = None
@@ -419,7 +498,8 @@ class Defect:
 
     def dense(self):
         """The whole defect as an operator of its operands' class."""
-        return self._cls._from_rows(self.dim, self._rows(), self._scalar)
+        return self._cls._from_rows(self.dim, self._rows(), self._scalar,
+                                    self._d)
 
     def __repr__(self):
         return f"Defect(dim={self.dim}, first_nonzero={self._first})"
@@ -430,12 +510,12 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
     of each product, leftmost first. The kernel runs on the cleared
     operators, so its entries are over the product of the d of one side."""
     n = ops[0].dim
-    rows, kernel, _, scalar = _clear([op.rows for op in ops], lhs)
+    rows, kernel, d, scalar = _clear(ops, lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
     return Defect(Operator3, n,
-                  lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar)
+                  lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar, d)
 
 
 def first_failing_triple(table, steps):
@@ -445,7 +525,10 @@ def first_failing_triple(table, steps):
     first steps' rows, as (column, entry) pairs of m's cleared rows."""
     n = len(table)
     triples = list(product(range(n), repeat=3))
-    (m,), kernel, _, _ = _clear([list(chain.from_iterable(table))], (0, 0))
+    rows = list(chain.from_iterable(table))
+    form = _int_form(rows)
+    (m,), kernel, _, _ = (_int_lane([form], (0, 0)) if form
+                          else _packed_lane([rows], (0, 0)))
     lhs, rhs = zip(*(steps(i, j, k, m) for i, j, k in triples))
     found = next(_defect_rows(n ** 3, [lhs, m], [rhs, m], kernel), None)
     return None if found is None else triples[found[0]]
@@ -454,13 +537,14 @@ def first_failing_triple(table, steps):
 def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
     """Defect of A∘B = I, that is A @ B minus the identity. The kernel
     compares row y of the cleared product with d*e_y, for d the product of
-    the two operators' lcms, so the product is never canonicalised."""
+    the two operators' denominators, so the product is never
+    canonicalised."""
     A._require_same(B)
-    rows, kernel, d, scalar = _clear((A.rows, B.rows), (0, 1))
+    rows, kernel, d, scalar = _clear((A, B), (0, 1))
     identity = [[(y, d)] for y in range(A.size)]
     return Defect(type(A), A.dim,
                   lambda: _defect_rows(A.size, rows, [identity], kernel),
-                  scalar)
+                  scalar, d)
 
 
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Defect:

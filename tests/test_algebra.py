@@ -2,11 +2,13 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybx import algebra
 from ybx.algebra import (
     Algebra,
     AlgebraError,
@@ -15,13 +17,14 @@ from ybx.algebra import (
     ShapeError,
     UnitError,
     algebra_from_json_obj,
+    freeze_table,
     load_algebra,
     make_algebra,
     mul_elements,
     quadratic_quotient_algebra,
 )
 from ybx.lie_super import JacobiError, SuperalgebraError, make_superalgebra
-from ybx.scalars import ONE, ZERO, as_scalar, const, var
+from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
 from ybx import fixture_path
 
 import oracles
@@ -200,6 +203,63 @@ class TestSubstitute:
         B = A.substitute({"m": const(1), "n": const(1)})
         assert B.names == frozenset()
         assert assoc_violations(2, B.structure) == []
+
+
+def frozen(table):
+    """freeze_table's table of a dim-2 table given in full."""
+    return freeze_table(2, table, (), None, as_scalar, None, ShapeError,
+                        "structure")[0]
+
+
+class TestFreezeTable:
+    """freeze_table converts each distinct raw entry once, keyed by its type
+    and value, and accepts or refuses every entry as as_scalar does."""
+
+    RAW = [1, True, False, 0, "1", "2/4", Fraction(1), Fraction(1, 2),
+           ONE, const(Fraction(1, 2)), var("m"), "m", 2, "2"]
+
+    @staticmethod
+    def table(entries):
+        it = iter(entries)
+        return [[[next(it) for _ in range(2)] for _ in range(2)]
+                for _ in range(2)]
+
+    def test_one_conversion_per_distinct_raw_value(self, monkeypatch):
+        rng = random.Random(17)
+        entries = [rng.choice(self.RAW) for _ in range(8)]
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return as_scalar(raw)
+
+        monkeypatch.setattr(algebra, "as_scalar", counted)
+        out = frozen(self.table(entries))
+        assert len(calls) == len({(type(e), e) for e in entries})
+        got = [e for plane in out for row in plane for e in row]
+        assert got == [as_scalar(e) for e in entries]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_values_are_one_object(self, seed):
+        rng = random.Random(seed)
+        entries = [rng.choice(self.RAW) for _ in range(8)]
+        got = [e for plane in frozen(self.table(entries)) for row in plane
+               for e in row]
+        assert all(type(e) is ParamScalar for e in got)
+        first = {}
+        for e in got:
+            assert first.setdefault(e, e) is e
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, float("nan"), "1/0", "x +",
+                                     [1], None])
+    def test_refusals_match_as_scalar(self, bad):
+        # 1.0 follows the equal 1, True and Fraction(1), and is still refused
+        with pytest.raises(Exception) as want:
+            as_scalar(bad)
+        table = self.table([1, True, Fraction(1), ONE, bad, 1, 1, 1])
+        with pytest.raises(want.type) as got:
+            frozen(table)
+        assert str(got.value) == str(want.value)
 
 
 class TestSerialization:

@@ -689,6 +689,61 @@ class TestSharedConstants:
         assert oracles.frac_matrix(R, point) == oracle(
             T, U, *values[:len(names)])
 
+    @pytest.mark.parametrize("build", [super_phi, super_phi_inverse])
+    def test_super_map_forms_one_product_per_distinct_constant(
+            self, monkeypatch, build):
+        # alpha*z_l once per l, then (alpha*z_l)*b once per l and distinct
+        # constant b; the centre check's own products are not counted
+        rng = random.Random(600)
+        n = 4
+        degree, table, z = random_central_bracket(n, rng)
+        pool = {v: const(v) for v in range(-3, 4)}
+        L = LieSuperalgebra(n, tuple(degree), tuple(
+            tuple(tuple(pool[v] for v in row) for row in plane)
+            for plane in table), ())
+        nonzero = [e for e in table_entries(L.bracket) if not e.is_zero]
+        d = len(set(nonzero))
+        k = sum(1 for x in z if x)
+        assert k * (1 + d) < 2 * k * len(nonzero)
+        calls, inside = [], []
+        mul = ParamScalar.__mul__
+        super_map, check_center = (constructors._super_map,
+                                   constructors._check_center)
+
+        def counted(self, other):
+            if inside and inside[-1]:
+                calls.append(other)
+            return mul(self, other)
+
+        def traced(*args, **kwargs):
+            inside.append(True)
+            try:
+                return super_map(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def uncounted(*args, **kwargs):
+            inside.append(False)
+            try:
+                return check_center(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ParamScalar, "__mul__", counted)
+        monkeypatch.setattr(constructors, "_super_map", traced)
+        monkeypatch.setattr(constructors, "_check_center", uncounted)
+        zs = tuple(map(const, z))
+        R = build(L, zs, var("a"))
+        monkeypatch.undo()
+        assert 0 < len(calls) <= k * (1 + d)
+        z_first = build is super_phi_inverse
+        alpha = Fraction(-3, 2)
+        assert oracles.frac_matrix(R, {"a": alpha}) == \
+            oracles.super_phi_matrix(table, degree, z, alpha, z_first)
+        want = oracles.super_phi_matrix(table, degree, z, alpha, z_first)
+        assert build(L, zs, alpha).to_json_obj() == Operator2(
+            n, [[const(x) for x in row] for row in want]).to_json_obj()
+
     @pytest.mark.parametrize("unit", [(1, -2, 0), (2, 0, -1), (1, 1, 0)])
     def test_shared_constants_against_the_oracles(self, unit):
         # repeated constants share one object, the unit has two nonzero

@@ -1,0 +1,305 @@
+"""Operators born with their integer form: the builders that multiply out
+an algebra's table, ``@`` and ``Defect.dense()`` of constant operators keep
+their entries as ints over one denominator and build ``rows`` on first
+read. Each is compared with the operator that the constructor builds from
+the canonical entries of a Fraction oracle, and its verdicts and witnesses
+with the oracles'."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from ybx import fixture_path, tensor
+from ybx.algebra import Algebra, load_algebra
+from ybx.constructors import (colored_inverse, colored_operator, dn_inverse,
+                              dn_operator, wxz_system)
+from ybx.scalars import ONE, ZERO, const, var
+from ybx.tensor import Operator2, braid_defect, qybe_defect, yb_commutator
+from ybx.verify import verify_colored_family, verify_constant, verify_wxz
+
+HALF_AND_THIRDS = {"m": "1/2", "n": "-2/3"}
+
+
+def rational_quadratic():
+    """k[x]/(x^2 - x/2 + 2/3): a validated table with d_T = 6."""
+    return load_algebra(fixture_path("quadratic.json")).substitute(
+        HALF_AND_THIRDS)
+
+
+def quadratic_table():
+    m, n = (Fraction(HALF_AND_THIRDS[k]) for k in "mn")
+    return [[[1, 0], [0, 1]], [[0, 1], [n, m]]], [1, 0]
+
+
+def direct_algebra(seed):
+    """A random dim-3 table with rational constants and a unit with two
+    nonzero coordinates, built without validation: (Algebra, Fraction
+    table, Fraction unit)."""
+    rng = random.Random(seed)
+    choices = [Fraction(k, q) for k in range(-2, 3) for q in (1, 2, 3)]
+    table = [[[rng.choice(choices) for _ in range(3)] for _ in range(3)]
+             for _ in range(3)]
+    unit = [Fraction(1), Fraction(-1, 2), Fraction(0)]
+    A = Algebra(3, tuple(tuple(tuple(map(const, row)) for row in plane)
+                         for plane in table), tuple(map(const, unit)), ())
+    return A, table, unit
+
+
+a, b, g = Fraction(-3, 2), Fraction(2), Fraction(5, 3)
+p, q, u, v = Fraction(-3, 2), Fraction(2), Fraction(1), Fraction(3)
+lam, mu = Fraction(-3, 2), Fraction(1, 3)
+
+
+def born_cases():
+    """(id, build, oracle): build() returns a newly born operator, and
+    oracle() its Fraction matrix from tests/oracles.py."""
+    cases = []
+    for name, make in (("quadratic", lambda: (rational_quadratic(),
+                                              *quadratic_table())),
+                       ("direct", lambda: direct_algebra(7))):
+        A, T, U = make()
+        cases += [
+            (f"dn-{name}", lambda A=A: dn_operator(A, a, b, g),
+             lambda T=T, U=U: oracles.dn_matrix(T, U, a, b, g)),
+            (f"dn_inverse-{name}", lambda A=A: dn_inverse(A, a, b, a),
+             lambda T=T, U=U: oracles.dn_matrix(T, U, 1 / b, 1 / a, 1 / a)),
+            (f"colored-{name}", lambda A=A: colored_operator(A, p, q, u, v),
+             lambda T=T, U=U: oracles.colored_matrix(T, U, p, q, u, v)),
+            (f"colored_inverse-{name}",
+             lambda A=A: colored_inverse(A, p, q, u, v),
+             lambda T=T, U=U: oracles.colored_inverse_matrix(
+                 T, U, p, q, u, v)),
+        ]
+        for k, which in enumerate("WXZ"):
+            cases.append((
+                f"wxz-{which}-{name}",
+                lambda A=A, which=which: getattr(wxz_system(A, lam, mu),
+                                                 which),
+                lambda T=T, U=U, k=k: oracles.wxz_matrices(T, U, lam, mu)[k]))
+        cases += [
+            (f"matmul-{name}",
+             lambda A=A: (dn_operator(A, a, b, g)
+                          @ colored_operator(A, p, q, u, v)),
+             lambda T=T, U=U: oracles.matmul(
+                 oracles.dn_matrix(T, U, a, b, g),
+                 oracles.colored_matrix(T, U, p, q, u, v))),
+            (f"braid_dense-{name}",
+             lambda A=A: braid_defect(dn_operator(A, a, b, g)).dense(),
+             lambda T=T, U=U: oracles.braid_defect_matrix(
+                 oracles.dn_matrix(T, U, a, b, g), len(U))),
+            (f"commutator_dense-{name}",
+             lambda A=A: yb_commutator(
+                 colored_operator(A, p, q, u, v),
+                 colored_operator(A, p, q, u, 2 * v),
+                 colored_operator(A, p, q, v, 2 * v)).dense(),
+             lambda T=T, U=U: oracles.commutator_matrix(
+                 oracles.colored_matrix(T, U, p, q, u, v),
+                 oracles.colored_matrix(T, U, p, q, u, 2 * v),
+                 oracles.colored_matrix(T, U, p, q, v, 2 * v), len(U))),
+        ]
+    return cases
+
+
+CASES = born_cases()
+
+
+def born(build):
+    """A newly built operator, checked to be born with its integer form
+    and no rows."""
+    op = build()
+    assert op._rows is None and op.int_form is not None
+    return op
+
+
+def canonical(op, matrix):
+    """The operator of op's class that the constructor builds from the
+    entries of a Fraction matrix."""
+    return type(op)(op.dim, [[const(x) for x in row] for row in matrix])
+
+
+class TestBornOperators:
+
+    @pytest.mark.parametrize("build, oracle", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_reads_equal_those_of_the_canonical_operator(self, build,
+                                                         oracle):
+        ref = canonical(build(), oracle())
+        # each read on an operator whose rows were not built yet
+        assert born(build) == ref
+        assert ref == born(build)
+        assert hash(born(build)) == hash(ref)
+        assert born(build).rows == ref.rows
+        assert born(build).to_json_obj() == ref.to_json_obj()
+        assert born(build).to_text() == ref.to_text()
+        assert born(build).first_nonzero() == ref.first_nonzero()
+        assert oracles.frac_matrix(born(build)) == oracle()
+
+    @pytest.mark.parametrize("build", [c[1] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_integer_form_is_canonical_for_its_denominator(self, build):
+        d, cleared = born(build).int_form
+        op = build()
+        assert type(d) is int and d > 0
+        assert len(cleared) == op.size
+        for row in cleared:
+            assert [c for c, _ in row] == sorted({c for c, _ in row})
+            assert all(0 <= c < op.size and type(e) is int and e
+                       for c, e in row)
+
+    @pytest.mark.parametrize("case", ["dn-quadratic", "dn-direct",
+                                      "colored-quadratic", "wxz-W-direct"])
+    def test_rational_inputs_clear_to_a_denominator_above_one(self, case):
+        # -3/2 and 5/3 as scales, 1/2 and -2/3 in the quadratic table, and
+        # halves and thirds in the direct one
+        build = next(c[1] for c in CASES if c[0] == case)
+        assert born(build).int_form[0] > 1
+
+    def test_table_denominator_reaches_a_scale_free_operator(self):
+        # X of wxz has integer scales, so only the table's d_T clears it
+        A = rational_quadratic()
+        X = wxz_system(A, 1, 1).X
+        T, U = quadratic_table()
+        assert X.int_form[0] % 6 == 0
+        assert oracles.frac_matrix(X) == oracles.wxz_matrices(T, U, 1, 1)[1]
+
+    def test_integer_table_and_scales_clear_to_one(self):
+        A, T, U = direct_algebra(8)
+        A = Algebra(3, tuple(tuple(tuple(const(int(6 * x)) for x in row)
+                                   for row in plane) for plane in T),
+                    (ONE, ZERO, ZERO), ())
+        R = dn_operator(A, 2, -1, 3)
+        assert R.int_form[0] == 1
+        assert oracles.frac_matrix(R) == oracles.dn_matrix(
+            [[[6 * x for x in row] for row in plane] for plane in T],
+            [1, 0, 0], 2, -1, 3)
+
+    def test_evaluate_and_substitute_read_the_view(self):
+        R = dn_operator(rational_quadratic(), a, b, g)
+        ref = canonical(R, oracles.dn_matrix(*quadratic_table(), a, b, g))
+        assert dn_operator(rational_quadratic(), a, b, g).evaluate({}) == ref
+        assert dn_operator(rational_quadratic(), a, b, g).substitute(
+            {"m": 1}) == ref
+
+
+class TestLanes:
+    """An operator keeps its integer form once its rows are read, and a
+    product of an integer-form operator with a symbolic one runs on
+    polynomials."""
+
+    @staticmethod
+    def refuse_packed(monkeypatch):
+        def refused(*_):
+            raise AssertionError("the packed lane ran")
+        monkeypatch.setattr(tensor, "_packed_lane", refused)
+
+    def test_defect_after_rows_were_read(self, monkeypatch):
+        A = rational_quadratic()
+        T, U = quadratic_table()
+        R = dn_operator(A, a, b, g)
+        form = R.int_form
+        text = R.to_text()
+        assert R._rows is not None and R.int_form is form
+        self.refuse_packed(monkeypatch)
+        M = oracles.dn_matrix(T, U, a, b, g)
+        assert oracles.frac_matrix(braid_defect(R).dense()) == \
+            oracles.braid_defect_matrix(M, 2)
+        assert R.to_text() == text
+
+    def test_constant_input_gets_its_form_on_first_use(self):
+        rng = random.Random(3)
+        M = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4)))
+              for _ in range(4)] for _ in range(4)]
+        R = Operator2(2, [[str(x) for x in row] for row in M])
+        assert R._form is tensor._UNKNOWN
+        defect = qybe_defect(R)
+        d, _ = R.int_form
+        assert d > 1 and R._form is not tensor._UNKNOWN
+        assert oracles.frac_matrix(defect.dense()) == \
+            oracles.qybe_defect_matrix(M, 2)
+
+    def test_symbolic_operator_keeps_no_cleared_copy(self):
+        R = dn_operator(rational_quadratic(), var("a"), 2, 3)
+        assert R._rows is not None and R._form is tensor._UNKNOWN
+        braid_defect(R)
+        assert R._form is None
+
+    @pytest.mark.parametrize("A, T, U", [
+        (rational_quadratic(), *quadratic_table()), direct_algebra(9)],
+        ids=["quadratic", "direct"])
+    def test_wxz_with_a_symbolic_lambda(self, A, T, U):
+        t = wxz_system(A, var("l"), mu)
+        assert t.W.int_form is None
+        assert t.X.int_form is not None and t.Z.int_form is not None
+        # the oracle with lambda = l: ab(x)1 - b(x)a plus l times 1(x)ab
+        _, one_ab, _ = oracles._product_terms(T, U)
+        W = [[const(x) + var("l") * const(y) for x, y in zip(r1, r2)]
+             for r1, r2 in zip(oracles.wxz_matrices(T, U, 0, mu)[0],
+                               one_ab)]
+        X, Z = ([list(map(const, row)) for row in M]
+                for M in oracles.wxz_matrices(T, U, 0, mu)[1:])
+        n = len(U)
+        report = verify_wxz(t)
+        for cond, ops in (("[W,W,W]", (W, W, W)), ("[Z,Z,Z]", (Z, Z, Z)),
+                          ("[W,X,X]", (W, X, X)), ("[X,X,Z]", (X, X, Z))):
+            want = oracles.commutator_matrix(*ops, n, ONE, ZERO)
+            assert report.detail[cond] == (
+                "zero" if oracles.is_zero_matrix(want) else "nonzero")
+        got = yb_commutator(t.W, t.X, t.X)
+        want = oracles.commutator_matrix(W, X, X, n, ONE, ZERO)
+        assert oracles.symbolic_matrix(got.dense()) == want
+        assert got.first_nonzero() == first_nonzero(want)
+
+
+def first_nonzero(matrix):
+    return next(((i, j, const(e) if isinstance(e, Fraction) else e)
+                 for i, row in enumerate(matrix)
+                 for j, e in enumerate(row) if e), None)
+
+
+class TestVerdictsAgainstOracles:
+
+    @pytest.mark.parametrize("params", [(a, b, g), (a, b, a), (0, 0, g),
+                                        (a, g, g)])
+    @pytest.mark.parametrize("which", ["braid", "qybe"])
+    @pytest.mark.parametrize("algebra", ["quadratic", "direct"])
+    def test_constant(self, algebra, which, params):
+        A, T, U = ((rational_quadratic(), *quadratic_table())
+                   if algebra == "quadratic" else direct_algebra(11))
+        M = oracles.dn_matrix(T, U, *params)
+        want = (oracles.braid_defect_matrix(M, len(U)) if which == "braid"
+                else oracles.qybe_defect_matrix(M, len(U)))
+        found = first_nonzero(want)
+        witness = verify_constant(dn_operator(A, *params), which).witness
+        if found is None:
+            assert witness is None
+        else:
+            row, col, entry = found
+            assert witness == {"row": row, "col": col, "entry": str(entry)}
+
+    @pytest.mark.parametrize("algebra", ["quadratic", "direct"])
+    def test_colored_sampled(self, algebra):
+        A, T, U = ((rational_quadratic(), *quadratic_table())
+                   if algebra == "quadratic" else direct_algebra(12))
+        seed, samples = 5, 4
+        report = verify_colored_family(A, p, q, mode="sampled",
+                                       samples=samples, seed=seed)
+        rng = random.Random(seed)
+        witness = None
+        for _ in range(samples):
+            x, y, z = (rng.randint(-9, 9) for _ in range(3))
+            if any(p * s == q * t or q * s == p * t
+                   for s, t in ((x, y), (x, z), (y, z))):
+                continue
+            found = first_nonzero(oracles.commutator_matrix(
+                *(oracles.colored_matrix(T, U, p, q, s, t)
+                  for s, t in ((x, y), (x, z), (y, z))), len(U)))
+            if found is not None:
+                row, col, entry = found
+                witness = {"row": row, "col": col, "entry": str(entry),
+                           "point": {"u": x, "v": y, "w": z}}
+                break
+        assert report.witness == witness
+        assert (algebra == "quadratic") == report.passed
+

@@ -968,13 +968,12 @@ class TestIntKernelCancellation:
         assert self.cancels(fa, fb)
         expected = oracles.matmul(fa, fb)
         assert oracles.frac_matrix(A @ B) == expected
-        rows, (apply, _), d, _ = tensor._clear((A.rows, B.rows), (0, 1))
+        rows, (apply, _), d, _ = tensor._clear((A, B), (0, 1))
         assert d == 1
         assert [apply(rows, y) for y in range(4)] == self.sparse(expected)
 
     def kernel_rows(self, ops, legs, side):
-        rows, (apply, _), d, _ = tensor._clear([op.rows for op in ops],
-                                               side)
+        rows, (apply, _), d, _ = tensor._clear(ops, side)
         assert d == 1
         actions = [tensor._leg_action(r, 2, leg) for r, leg in zip(rows, legs)]
         return [apply([actions[i] for i in side], y) for y in range(8)]

@@ -74,11 +74,13 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
 
     reverse replaces the product ab by ba in both product terms.
 
-    The scales are -diag and, for each nonzero unit coordinate u_l,
-    left*u_l and right*u_l; c*left*u_l lands on row k*n + l and c*right*u_l
-    on row l*n + k of column a(x)b, for each nonzero c = c_abk. Each scale
-    times each distinct constant of the table is formed once per call.
-    When the table and every scale are rational constants, that is done in
+    The scales are -diag and, for each nonzero unit coordinate u_l, those
+    of left*u_l and right*u_l that are nonzero; c*left*u_l lands on row
+    k*n + l and c*right*u_l on row l*n + k of column a(x)b, for each nonzero
+    c = c_abk. Each scale times each distinct constant of the table is
+    formed once per call, and so is each sum of two terms that land on one
+    row. When every scale is a rational constant, and so is every constant
+    of the table or no scale but -diag is left to read it, that is done in
     ints: the scales times d_S, the lcm of their denominators, and the
     constants times the table's d_T, so that the operator is born with its
     integer form over d_S*d_T. Otherwise it is done in ParamScalars.
@@ -89,16 +91,20 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
     # (row stride, row offset) of each product term, and its scale
     sides = [((stride, offset), s if ul.is_one else s * ul)
              for l, ul in enumerate(A.unit) if ul
-             for stride, offset, s in ((n, l, left), (1, l * n, right))]
+             for stride, offset, s in ((n, l, left), (1, l * n, right)) if s]
     scales = [-as_scalar(diag)] + [s for _, s in sides]
-    form = ints and _int_form([scales])
+    # the table is read only through the nonzero side scales
+    form = (ints or not sides) and _int_form([scales])
     if form:
-        (d_s, (cleared,)), (d_t, values) = form, ints
+        (d_s, (cleared,)), (d_t, values) = form, ints or (1, ())
         at = dict(cleared)
         scales = [at.get(t, 0) for t in range(len(scales))]
         scales[0] *= d_t
     sides = [(stride, offset, [s * v for v in values])
-             for ((stride, offset), _), s in zip(sides, scales[1:]) if s]
+             for ((stride, offset), _), s in zip(sides, scales[1:])]
+    # ParamScalar sums by the ids of their terms, each a scale, a product
+    # or an earlier sum, all held until the call returns
+    sums = {}
     columns = []
     for i in range(n):
         for j in range(n):
@@ -107,7 +113,16 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
                 for stride, offset, scaled in sides:
                     r = k * stride + offset
                     e = scaled[t]
-                    column[r] = column[r] + e if r in column else e
+                    if r not in column:
+                        column[r] = e
+                    elif form:
+                        column[r] += e
+                    else:
+                        a = column[r]
+                        key = id(a), id(e)
+                        if key not in sums:
+                            sums[key] = a + e
+                        column[r] = sums[key]
             columns.append(column)
     if not form:
         return Operator2.from_columns(n, (c.items() for c in columns))

@@ -835,16 +835,21 @@ def const(value: Union[int, Fraction]) -> ParamScalar:
 
 def clear_row(row):
     """(s, [e*s as a Poly for e in row]) for s the lcm of the denominators
-    of the ParamScalars in row; no gcd runs when every denominator is 1."""
-    scale = _P_ONE
-    for e in row:
-        d = e.den
-        if d != _P_ONE and d != scale:
-            scale = scale * d.divexact(poly_gcd(scale, d))
+    of the ParamScalars in row. The distinct denominators other than 1 are
+    folded into s once each, in row order, and each one's cofactor s/d is
+    formed once; no gcd runs unless two distinct denominators are not 1."""
+    cofactors = dict.fromkeys(e.den for e in row)
+    cofactors.pop(_P_ONE, None)
+    dens = iter(cofactors)
+    scale = next(dens, _P_ONE)
+    for d in dens:
+        scale = scale * d.divexact(poly_gcd(scale, d))
     if scale == _P_ONE:
         return scale, [e.num for e in row]
-    return scale, [e.num if e.den == scale or not e.num
-                   else e.num * scale.divexact(e.den) for e in row]
+    for d in cofactors:
+        cofactors[d] = scale.divexact(d)
+    cofactors[_P_ONE] = scale
+    return scale, [e.num * cofactors[e.den] for e in row]
 
 
 def as_scalar(value: ScalarLike) -> ParamScalar:

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from ybx.algebra import AssociativityError, UnitError
 from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
-from ybx.scalars import ONE, ZERO, as_scalar
+from ybx.scalars import ONE, ZERO, Poly, as_scalar, poly_gcd
 
 
 def frac_matrix(op, assignment=None):
@@ -248,6 +248,23 @@ def mono_cmp(a, b) -> int:
             # a higher power of an earlier variable sorts above
             return 1 if xa > xb else -1
     return 0
+
+
+def clear_row_reference(row):
+    """(s, [e*s for e in row]) for s the lcm of the denominators of the
+    ParamScalars in row, as Polys: the loop that ``scalars.clear_row``
+    replaced, which folds every denominator into s as it comes and divides
+    s by it again for every entry."""
+    one = Poly.const(1)
+    scale = one
+    for e in row:
+        d = e.den
+        if d != one and d != scale:
+            scale = scale * d.divexact(poly_gcd(scale, d))
+    if scale == one:
+        return scale, [e.num for e in row]
+    return scale, [e.num if e.den == scale or not e.num
+                   else e.num * scale.divexact(e.den) for e in row]
 
 
 # -- elimination ------------------------------------------------------------

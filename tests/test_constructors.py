@@ -649,6 +649,34 @@ class TestSharedConstants:
             assert shared == distinct and distinct == shared
             assert hash(shared) == hash(distinct)
 
+    @staticmethod
+    def product_map_calls(monkeypatch, method, build, *args):
+        """(build(*args), for each call of _product_map the (self, other)
+        pairs of the calls of ParamScalar.method made inside it)."""
+        calls, inside = [], []
+        op, product_map = (getattr(ParamScalar, method),
+                           constructors._product_map)
+
+        def counted(self, other):
+            if inside:
+                calls[-1].append((self, other))
+            return op(self, other)
+
+        def traced(*args, **kwargs):
+            inside.append(1)
+            calls.append([])
+            try:
+                return product_map(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ParamScalar, method, counted)
+        monkeypatch.setattr(constructors, "_product_map", traced)
+        try:
+            return build(*args), calls
+        finally:
+            monkeypatch.undo()
+
     @pytest.mark.parametrize("build, names", [
         (dn_operator, ("a", "b", "g")),
         (colored_operator, ("p", "q", "u", "v")),
@@ -660,24 +688,8 @@ class TestSharedConstants:
         nonzero = [e for e in table_entries(A.structure) if not e.is_zero]
         d = len(set(nonzero))
         assert d < len(nonzero)
-        calls, inside = [], []
-        mul, product_map = ParamScalar.__mul__, constructors._product_map
-
-        def counted(self, other):
-            calls.extend(inside)
-            return mul(self, other)
-
-        def traced(*args, **kwargs):
-            inside.append(1)
-            try:
-                return product_map(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(ParamScalar, "__mul__", counted)
-        monkeypatch.setattr(constructors, "_product_map", traced)
-        R = build(A, *map(var, names))
-        monkeypatch.undo()
+        R, (calls,) = self.product_map_calls(monkeypatch, "__mul__", build,
+                                             A, *map(var, names))
         assert 0 < len(calls) <= 2 * d
         values = (Fraction(2), Fraction(-3), Fraction(5), Fraction(7))
         point = dict(zip(names, values))
@@ -688,6 +700,34 @@ class TestSharedConstants:
                   colored_inverse: oracles.colored_inverse_matrix}[build]
         assert oracles.frac_matrix(R, point) == oracle(
             T, U, *values[:len(names)])
+
+    @pytest.mark.parametrize("build, names", [
+        (dn_operator, ("a", "b", "g")),
+        (colored_operator, ("p", "q", "u", "v")),
+        (colored_inverse, ("p", "q", "u", "v")),
+        (wxz_system, ("l", "m")),
+    ])
+    def test_each_sum_is_formed_once(self, monkeypatch, build, names):
+        # on k[x]/(x^2 - x - 1) several columns add the same two terms on
+        # a row: a product term to -diag, or the two product terms
+        A = monic_quotient([-1, -1])
+        R, calls = self.product_map_calls(monkeypatch, "__add__", build, A,
+                                          *map(var, names))
+        # X of wxz has constant scales, so it is built in ints
+        assert any(calls)
+        assert all(len(set(sums)) == len(sums) for sums in calls)
+        values = dict(zip(names, map(Fraction, (2, -3, 5, 7))))
+        T, U = evaluated(A.structure, {}), evaluated(A.unit, {})
+        if build is wxz_system:
+            assert tuple(oracles.frac_matrix(op, values)
+                         for op in (R.W, R.X, R.Z)) == \
+                oracles.wxz_matrices(T, U, *values.values())
+        else:
+            oracle = {dn_operator: oracles.dn_matrix,
+                      colored_operator: oracles.colored_matrix,
+                      colored_inverse: oracles.colored_inverse_matrix}[build]
+            assert oracles.frac_matrix(R, values) == oracle(
+                T, U, *values.values())
 
     @pytest.mark.parametrize("build", [super_phi, super_phi_inverse])
     def test_super_map_forms_one_product_per_distinct_constant(

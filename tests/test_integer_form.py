@@ -16,7 +16,8 @@ from ybx.algebra import Algebra, load_algebra
 from ybx.constructors import (colored_inverse, colored_operator, dn_inverse,
                               dn_operator, wxz_system)
 from ybx.scalars import ONE, ZERO, const, var
-from ybx.tensor import Operator2, braid_defect, qybe_defect, yb_commutator
+from ybx.tensor import (Operator2, braid_defect, determinant, invert,
+                        qybe_defect, yb_commutator)
 from ybx.verify import verify_colored_family, verify_constant, verify_wxz
 
 HALF_AND_THIRDS = {"m": "1/2", "n": "-2/3"}
@@ -183,6 +184,30 @@ class TestBornOperators:
             {"m": 1}) == ref
 
 
+class TestElimination:
+    """determinant and invert of an operator born with its integer form,
+    whose rows are built on first read, agree with the fraction
+    oracle."""
+
+    @pytest.mark.parametrize("build, oracle", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_against_the_fraction_oracle(self, build, oracle):
+        det, inverse, _ = oracles.frac_solve(oracle())
+        op = born(build)
+        assert determinant(op) == const(det)
+        res = invert(op)
+        assert res.determinant == const(det)
+        assert res.invertible == (inverse is not None)
+        if inverse is not None:
+            assert oracles.frac_matrix(res.operator) == inverse
+
+    def test_singular(self):
+        A, T, U = direct_algebra(13)
+        R = born(lambda: dn_operator(A, 0, 0, 0))
+        assert determinant(R) == ZERO
+        assert not invert(R).invertible
+
+
 class TestLanes:
     """An operator keeps its integer form once its rows are read, and a
     product of an integer-form operator with a symbolic one runs on
@@ -218,6 +243,17 @@ class TestLanes:
         assert d > 1 and R._form is not tensor._UNKNOWN
         assert oracles.frac_matrix(defect.dense()) == \
             oracles.qybe_defect_matrix(M, 2)
+
+    def test_case_iii_on_a_symbolic_table_is_born_in_ints(self):
+        # alpha = beta = 0 leaves no scale that reads the table
+        A = load_algebra(fixture_path("quadratic.json"))
+        assert A.product_table()[2] is None
+        for build, s in ((lambda: dn_operator(A, 0, 0, g), g),
+                         (lambda: dn_inverse(A, 0, 0, g), 1 / g)):
+            assert born(build) == Operator2(
+                2, [[-s * (i == j) for j in range(4)] for i in range(4)])
+        # one nonzero side scale reads the table, which is symbolic
+        assert dn_operator(A, 0, 2, g)._rows is not None
 
     def test_symbolic_operator_keeps_no_cleared_copy(self):
         R = dn_operator(rational_quadratic(), var("a"), 2, 3)

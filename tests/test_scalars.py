@@ -10,11 +10,11 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import det_permutation_expansion, mono_cmp
+from oracles import clear_row_reference, det_permutation_expansion, mono_cmp
 from ybx.scalars import (IncompleteAssignmentError, MalformedScalarError,
                          ONE, ParamScalar, PoleError, ScalarParseError, ZERO,
                          as_scalar, const, fresh_name, parse_scalar, var)
-from ybx.scalars import Poly, poly_gcd
+from ybx.scalars import Poly, clear_row, poly_gcd
 
 p, q, u, v, w = (var(nm) for nm in "pquvw")
 x, y = var("x"), var("y")
@@ -518,3 +518,57 @@ class TestKernelOracles:
                        for piece in re.split(r" [+-] ", str(p))]
             assert printed == sorted(p.terms, key=cmp_to_key(mono_cmp),
                                      reverse=True)
+
+
+class TestClearRow:
+    """clear_row folds each distinct denominator into the lcm once and
+    forms its cofactor once, and agrees with the loop it replaced."""
+
+    @staticmethod
+    def rows():
+        d, e = parse_scalar("x + 2"), parse_scalar("x - y")
+        yield []
+        yield [ZERO, ONE, const(3), x * y]
+        yield [const(Fraction(1, 2)), const(Fraction(-5, 6)), ZERO]
+        # repeated, nested (d, d^2, d*e) and unit denominators, in orders
+        # where a later denominator divides the lcm folded so far or not
+        yield [1 / d, x / d, ZERO, 3 / d, y]
+        yield [1 / d ** 2, x / d, y / (d * e), ONE, 2 / e]
+        yield [x / (d * e), 1 / d, 1 / e, 1 / d ** 2, 1 / (2 * d)]
+        yield [1 / (2 * d * e), ZERO, x / (3 * e), x * y / (6 * d)]
+        rng = random.Random(21)
+        pool = [ONE, const(2), d, e, d * d, d * e, parse_scalar("3*x*y + 1")]
+        for _ in range(60):
+            yield [rng.choice([ZERO, ONE, x, y - 1])
+                   / (rng.choice(pool) * rng.choice(pool))
+                   for _ in range(rng.randint(1, 8))]
+
+    def test_matches_the_reference_loop(self):
+        for row in self.rows():
+            scale, polys = clear_row(row)
+            want_scale, want = clear_row_reference(row)
+            assert scale == want_scale and polys == want, row
+            assert all(ParamScalar(p, scale) == e for p, e in zip(polys, row))
+
+    def test_one_gcd_per_distinct_denominator(self, monkeypatch):
+        from ybx import scalars
+        d, e = parse_scalar("x + 2"), parse_scalar("x - y")
+        row = [1 / d, x / d, 1 / e, y / d, ONE, 2 / e, x / (d * e)] * 3
+        calls, depth = [], []
+        gcd = scalars.poly_gcd
+
+        def counted(f, g):
+            # poly_gcd recurses through the module name
+            if not depth:
+                calls.append(g)
+            depth.append(1)
+            try:
+                return gcd(f, g)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(scalars, "poly_gcd", counted)
+        scale, _ = clear_row(row)
+        # d starts the lcm; e and d*e are folded in once each
+        assert calls == [e.num, (d * e).num]
+        assert scale == (d * e).num

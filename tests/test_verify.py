@@ -226,9 +226,26 @@ class TestVerifyInversePair:
         z = even_center(L)[0]
         yield super_phi(L, z, a), super_phi_inverse(L, z, a)
 
+    def test_a_pass_runs_one_round_trip(self, monkeypatch):
+        # over a field AB = I for square A and B gives BA = I, so the
+        # second composition is implied and never computed
+        from ybx import verify
+        calls = []
+        roundtrip = verify.roundtrip_defect
+        monkeypatch.setattr(verify, "roundtrip_defect",
+                            lambda A, B: calls.append((A, B))
+                            or roundtrip(A, B))
+        for R, Rinv in self.symbolic_pairs():
+            calls.clear()
+            assert verify_inverse_pair(R, Rinv).passed
+            assert calls == [(R, Rinv)]
+            # Rinv o R, which the pass implies, is an identity too
+            assert roundtrip(Rinv, R).is_zero()
+
     def test_witness_on_perturbed_inverses_matches_oracle(self):
-        # side 2 is scanned only when side 1 passes, and then it passes
-        # too, so every failing witness names "R o Rinv"
+        # only R o Rinv is computed, so every failing witness names it;
+        # when it passes, Rinv o R is the identity too (AB = I implies
+        # BA = I for square matrices over a field)
         rng = random.Random(12)
         perturbations = [ONE, var("t"), parse_scalar("1/(a + 2)"),
                          parse_scalar("-a/3")]

@@ -69,14 +69,40 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-class Algebra(FrozenRecord):
+class TableRecord(FrozenRecord):
+    """A structure-constant table and its fields, taken by position; the
+    last slot, _index, keeps product_table outside _key, and _table names
+    the field that holds the table."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        super().__init__(*fields, None)
+
+    def product_table(self):
+        """(entries, values, ints), computed on first call and kept:
+        entries[i][j] lists (k, t) for each nonzero c_ijk, which is
+        values[t], the t-th distinct nonzero constant; ints is (d_T, the
+        ints d_T*values[t]) for d_T the lcm of their denominators, or None
+        when some constant is not rational."""
+        if self._index is None:
+            index = {}
+            entries = [[[(k, index.setdefault(e, len(index)))
+                         for k, e in enumerate(row) if e] for row in plane]
+                       for plane in getattr(self, self._table)]
+            values = list(index)
+            form = _int_form([values])
+            ints = form and (form[0], [e for _, e in form[1][0]])
+            object.__setattr__(self, "_index", (entries, values, ints))
+        return self._index
+
+
+class Algebra(TableRecord):
     """Validated unital associative algebra. Immutable."""
 
-    __slots__ = ("dim", "structure", "unit", "labels", "_table")
+    __slots__ = ("dim", "structure", "unit", "labels", "_index")
     _key = ("dim", "structure", "unit")
-
-    def __init__(self, dim, structure, unit, labels):
-        super().__init__(dim, structure, unit, labels, None)
+    _table = "structure"
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -85,23 +111,6 @@ class Algebra(FrozenRecord):
     def names(self) -> frozenset:
         return frozenset().union(*(e.names for plane in self.structure
                                    for row in plane for e in row))
-
-    def product_table(self):
-        """(entries, values, ints), computed on first call and kept:
-        entries[i][j] lists (k, t) for each nonzero c_ijk, which is
-        values[t], the t-th distinct nonzero constant; ints is (d_T, the
-        ints d_T*values[t]) for d_T the lcm of their denominators, or None
-        when some constant is not rational."""
-        if self._table is None:
-            index = {}
-            entries = [[[(k, index.setdefault(e, len(index)))
-                         for k, e in enumerate(row) if e] for row in plane]
-                       for plane in self.structure]
-            values = list(index)
-            form = _int_form([values])
-            ints = form and (form[0], [e for _, e in form[1][0]])
-            object.__setattr__(self, "_table", (entries, values, ints))
-        return self._table
 
     def substitute(self, mapping) -> "Algebra":
         """Specialize symbolic structure constants; the result is re-validated

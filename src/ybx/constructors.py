@@ -3,14 +3,17 @@ on an associative algebra, its two-parameter colored variant, WXZ triples,
 split-center solutions, and the graded-twist-plus-bracket family on a Lie
 superalgebra.
 
-Each builder returns ordinary Operator2 matrices in the fixed basis
+One builder, _product_map, multiplies out a structure table for all but
+the split-center solutions: a Lie superalgebra's bracket takes the place
+of the algebra's product, an even central z that of its unit, and the
+grading signs the twist. Each builder returns ordinary Operator2 matrices in the fixed basis
 convention, so the verification layer never needs to know where an
 operator came from.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
@@ -65,17 +68,21 @@ class InvalidCenterError(ValueError, YbxError):
 
 
 # ---------------------------------------------------------------------------
-# product-built operators on an associative algebra
+# product-built operators on a structure table, and the algebra family
 # ---------------------------------------------------------------------------
 
-def _product_map(A: Algebra, left, right, diag, swap: bool,
-                 reverse: bool = False) -> Operator2:
-    """The map a(x)b -> left*ab(x)1 + right*1(x)ab - diag*(b(x)a or a(x)b).
+def _product_map(T, unit, left, right, diag, swap: bool,
+                 reverse: bool = False, grading=None) -> Operator2:
+    """The map a(x)b -> left*ab(x)u + right*u(x)ab - diag*(b(x)a or a(x)b),
+    for ab the product in the table of T and u = unit: an Algebra's product
+    and unit, or a LieSuperalgebra's bracket and even central z. A grading
+    (a degree per basis vector) negates the last term of each odd(x)odd
+    column, which makes it the graded twist.
 
     reverse replaces the product ab by ba in both product terms.
 
-    The scales are -diag and, for each nonzero unit coordinate u_l, those
-    of left*u_l and right*u_l that are nonzero; c*left*u_l lands on row
+    The scales are -diag and, for each nonzero coordinate u_l, those of
+    left*u_l and right*u_l that are nonzero; c*left*u_l lands on row
     k*n + l and c*right*u_l on row l*n + k of column a(x)b, for each nonzero
     c = c_abk. Each scale times each distinct constant of the table is
     formed once per call, and so is each sum of two terms that land on one
@@ -85,12 +92,12 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
     constants times the table's d_T, so that the operator is born with its
     integer form over d_S*d_T. Otherwise it is done in ParamScalars.
     """
-    n = A.dim
-    entries, values, ints = A.product_table()
+    n = T.dim
+    entries, values, ints = T.product_table()
     left, right = as_scalar(left), as_scalar(right)
     # (row stride, row offset) of each product term, and its scale
     sides = [((stride, offset), s if ul.is_one else s * ul)
-             for l, ul in enumerate(A.unit) if ul
+             for l, ul in enumerate(unit) if ul
              for stride, offset, s in ((n, l, left), (1, l * n, right)) if s]
     scales = [-as_scalar(diag)] + [s for _, s in sides]
     # the table is read only through the nonzero side scales
@@ -102,28 +109,35 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
         scales[0] *= d_t
     sides = [(stride, offset, [s * v for v in values])
              for ((stride, offset), _), s in zip(sides, scales[1:])]
+    # the row of the last term in each column
+    last = ([j * n + i for i in range(n) for j in range(n)] if swap
+            else range(n * n))
+    columns = [{r: scales[0]} for r in last]
+    if grading:
+        odd = [i for i, g in enumerate(grading) if g]
+        minus = -scales[0]
+        for c in (i * n + j for i in odd for j in odd):
+            columns[c][last[c]] = minus
+    cells = ([entries[j][i] for i in range(n) for j in range(n)] if reverse
+             else [cell for plane in entries for cell in plane])
     # ParamScalar sums by the ids of their terms, each a scale, a product
     # or an earlier sum, all held until the call returns
     sums = {}
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            column = {(j * n + i) if swap else (i * n + j): scales[0]}
-            for k, t in entries[j][i] if reverse else entries[i][j]:
-                for stride, offset, scaled in sides:
-                    r = k * stride + offset
-                    e = scaled[t]
-                    if r not in column:
-                        column[r] = e
-                    elif form:
-                        column[r] += e
-                    else:
-                        a = column[r]
-                        key = id(a), id(e)
-                        if key not in sums:
-                            sums[key] = a + e
-                        column[r] = sums[key]
-            columns.append(column)
+    for column, cell in zip(columns, cells):
+        for k, t in cell:
+            for stride, offset, scaled in sides:
+                r = k * stride + offset
+                e = scaled[t]
+                if r not in column:
+                    column[r] = e
+                elif form:
+                    column[r] += e
+                else:
+                    a = column[r]
+                    key = id(a), id(e)
+                    if key not in sums:
+                        sums[key] = a + e
+                    column[r] = sums[key]
     if not form:
         return Operator2.from_columns(n, (c.items() for c in columns))
     rows = [[] for _ in range(n * n)]
@@ -136,7 +150,7 @@ def _product_map(A: Algebra, left, right, diag, swap: bool,
 
 def dn_operator(A: Algebra, alpha, beta, gamma) -> Operator2:
     """a(x)b -> alpha*ab(x)1 + beta*1(x)ab - gamma*a(x)b."""
-    return _product_map(A, alpha, beta, gamma, swap=False)
+    return _product_map(A, A.unit, alpha, beta, gamma, swap=False)
 
 
 def classify_dn(alpha, beta, gamma) -> str:
@@ -192,7 +206,7 @@ def colored_operator(A: Algebra, p, q, u, v) -> Operator2:
     """R(u,v): a(x)b -> p(u-v)1(x)ab + q(u-v)ab(x)1 - (pu-qv)b(x)a."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     duv = u - v
-    return _product_map(A, q * duv, p * duv, p * u - q * v, swap=True)
+    return _product_map(A, A.unit, q * duv, p * duv, p * u - q * v, swap=True)
 
 
 def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
@@ -207,8 +221,8 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
         raise InvertibilityLocusError("q*u - p*v")
     duv = u - v
     dd = qupv * puqv
-    return _product_map(A, p * duv / dd, q * duv / dd, puqv.reciprocal(),
-                        swap=True, reverse=True)
+    return _product_map(A, A.unit, p * duv / dd, q * duv / dd,
+                        puqv.reciprocal(), swap=True, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +246,9 @@ def wxz_system(A: Algebra, lam, mu) -> WxzTriple:
     product term, X with both coefficients 1."""
     lam = as_scalar(lam)
     mu = as_scalar(mu)
-    W = _product_map(A, ONE, lam, ONE, swap=True)
-    Z = _product_map(A, mu, ONE, ONE, swap=True)
-    X = _product_map(A, ONE, ONE, ONE, swap=True)
+    W = _product_map(A, A.unit, ONE, lam, ONE, swap=True)
+    Z = _product_map(A, A.unit, mu, ONE, ONE, swap=True)
+    X = _product_map(A, A.unit, ONE, ONE, ONE, swap=True)
     return WxzTriple(W=W, X=X, Z=Z)
 
 
@@ -302,45 +316,17 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
     return zv
 
 
-def _super_map(L: LieSuperalgebra, z: Sequence, alpha,
-               z_first: bool) -> Operator2:
-    """x(x)y -> alpha*[x,y](x)z (alpha*z(x)[x,y] when z_first)
-    + (-1)^{|x||y|} y(x)x, for even central z.
-
-    alpha*z_l is formed once per l, and alpha*z_l*b once per l and
-    distinct constant b, keyed by the id of b: equal constants of a table
-    built by make_superalgebra are one object, and the table outlives the
-    call."""
-    alpha = as_scalar(alpha)
-    zv = _check_center(L, z)
-    n = L.dim
-    zs = [(l, alpha * zl) for l, zl in enumerate(zv) if not zl.is_zero]
-    products = {}
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            column = [(j * n + i, -ONE if L.degree[i] * L.degree[j] else ONE)]
-            for k, bk in enumerate(L.bracket[i][j]):
-                if not bk.is_zero:
-                    for l, azl in zs:
-                        r = l * n + k if z_first else k * n + l
-                        e = products.get((l, id(bk)))
-                        if e is None:
-                            e = products[l, id(bk)] = azl * bk
-                        column.append((r, e))
-            columns.append(column)
-    return Operator2.from_columns(n, columns)
-
-
 def super_phi(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*[x,y](x)z + (-1)^{|x||y|} y(x)x, for even central z."""
-    return _super_map(L, z, alpha, z_first=False)
+    return _product_map(L, _check_center(L, z), alpha, ZERO, -ONE,
+                        swap=True, grading=L.degree)
 
 
 def super_phi_inverse(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*z(x)[x,y] + (-1)^{|x||y|} y(x)x; inverse of super_phi
     with the same z and alpha."""
-    return _super_map(L, z, alpha, z_first=True)
+    return _product_map(L, _check_center(L, z), ZERO, alpha, -ONE,
+                        swap=True, grading=L.degree)
 
 
 # ---------------------------------------------------------------------------

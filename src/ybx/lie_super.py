@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import freeze_table, load_structure, read_structure
-from .scalars import ZERO, FrozenRecord, YbxError, as_scalar
+from .algebra import (TableRecord, freeze_table, load_structure,
+                      read_structure)
+from .scalars import ZERO, YbxError, as_scalar
 from .tensor import bilinear, first_failing_triple, nullspace
 
 
@@ -53,11 +54,12 @@ class JacobiError(SuperalgebraError):
         self.witness = witness
 
 
-class LieSuperalgebra(FrozenRecord):
+class LieSuperalgebra(TableRecord):
     """Validated Lie superalgebra. Immutable."""
 
-    __slots__ = ("dim", "degree", "bracket", "labels")
+    __slots__ = ("dim", "degree", "bracket", "labels", "_index")
     _key = ("dim", "degree", "bracket")
+    _table = "bracket"
 
     def __repr__(self):
         return f"LieSuperalgebra(dim={self.dim}, degree={list(self.degree)})"

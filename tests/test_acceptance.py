@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from pathlib import Path
 from reference_tables import (
     CANONICAL_REDUCED,
     COLORED_SIGMA,
@@ -341,7 +342,7 @@ def test_criterion_11_equivalence_suite():
 def test_criterion_12_validator_negatives():
     def body():
         # associativity, against an independent triple loop
-        obj = json.load(open(fixture_path("cubic.json")))
+        obj = json.loads(Path(fixture_path("cubic.json")).read_text())
         c = [[[as_scalar(e) for e in row] for row in plane]
              for plane in obj["structure"]]
         c[1][2][0] = ONE
@@ -372,7 +373,7 @@ def test_criterion_12_validator_negatives():
         assert err.value.witness == 1
 
         # graded antisymmetry
-        gl = json.load(open(fixture_path("gl11.json")))
+        gl = json.loads(Path(fixture_path("gl11.json")).read_text())
         b = [[[as_scalar(e) for e in row] for row in plane]
              for plane in gl["structure"]]
         b[2][3][0] = const(2)

@@ -28,6 +28,7 @@ from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
 from ybx import fixture_path
 
 import oracles
+from pathlib import Path
 
 
 def assoc_violations(dim, c):
@@ -48,7 +49,7 @@ def assoc_violations(dim, c):
 
 
 def load_structure(name):
-    obj = json.load(open(fixture_path(name)))
+    obj = json.loads(Path(fixture_path(name)).read_text())
     return [[[as_scalar(e) for e in row] for row in plane] for plane in obj["structure"]]
 
 
@@ -271,7 +272,7 @@ class TestSerialization:
             assert A.labels == B.labels
 
     def test_missing_key_rejected(self):
-        obj = json.load(open(fixture_path("quadratic.json")))
+        obj = json.loads(Path(fixture_path("quadratic.json")).read_text())
         del obj["unit"]
         try:
             algebra_from_json_obj(obj)
@@ -281,7 +282,7 @@ class TestSerialization:
             raise AssertionError("missing unit accepted")
 
     def test_field_types_checked_before_axioms(self):
-        good = json.load(open(fixture_path("quadratic.json")))
+        good = json.loads(Path(fixture_path("quadratic.json")).read_text())
         bad_objects = [
             dict(good, dim="2"),
             dict(good, dim=True),
@@ -307,7 +308,7 @@ class TestSerialization:
         assert A == load_algebra(fixture_path("quadratic.json"))
 
     def test_bad_dim_rejected(self):
-        obj = json.load(open(fixture_path("quadratic.json")))
+        obj = json.loads(Path(fixture_path("quadratic.json")).read_text())
         obj["dim"] = 3
         try:
             algebra_from_json_obj(obj)

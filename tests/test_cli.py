@@ -290,7 +290,7 @@ class TestValidate:
         assert "algebra-axioms [symbolic]: PASS" in out
 
     def test_unit_corruption_reports_witness(self, tmp_path, capsys):
-        obj = json.load(open(QUADRATIC))
+        obj = json.loads(Path(QUADRATIC).read_text())
         obj["structure"][0][1] = ["1", "1"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -301,7 +301,7 @@ class TestValidate:
         assert "indices=[1]" in out
 
     def test_associativity_corruption_reports_triple(self, tmp_path, capsys):
-        obj = json.load(open(CUBIC))
+        obj = json.loads(Path(CUBIC).read_text())
         obj["structure"][1][2][0] = "1"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -319,7 +319,7 @@ class TestValidate:
         assert "super-axioms [symbolic]: PASS" in out
 
     def test_super_corruption_reports_witness(self, tmp_path, capsys):
-        obj = json.load(open(GL11))
+        obj = json.loads(Path(GL11).read_text())
         obj["structure"][2][3][0] = "2"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -504,7 +504,7 @@ class TestHostileInput:
         assert "--alpha" in err
 
     def test_division_by_zero_in_algebra_file(self, tmp_path, capsys):
-        obj = json.load(open(QUADRATIC))
+        obj = json.loads(Path(QUADRATIC).read_text())
         obj["structure"][0][1] = ["1/0", "0"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -532,8 +532,8 @@ class TestHostileInput:
         assert out == ""
 
     def test_json_field_types(self, tmp_path, capsys):
-        algebra = json.load(open(QUADRATIC))
-        superalgebra = json.load(open(GL11))
+        algebra = json.loads(Path(QUADRATIC).read_text())
+        superalgebra = json.loads(Path(GL11).read_text())
         cases = [
             ("algebra", dict(algebra, unit=[1.5, 0]), "unit"),
             ("algebra", dict(algebra, dim="2"), "dim"),
@@ -595,7 +595,7 @@ class TestHostileInput:
             assert code == 2, power
             assert "--alpha" in err and "power too large" in err
             assert out == ""
-            obj = json.load(open(QUADRATIC))
+            obj = json.loads(Path(QUADRATIC).read_text())
             obj["structure"][1][1] = [power, "m"]
             bad = tmp_path / "power.json"
             bad.write_text(json.dumps(obj))
@@ -629,7 +629,7 @@ class TestHostileInput:
 
     def test_pole_under_substitution(self, tmp_path):
         # a ybx error no handler catches still exits 2 with one line
-        obj = json.load(open(QUADRATIC))
+        obj = json.loads(Path(QUADRATIC).read_text())
         obj["structure"][1][1] = ["n/(m - 1)", "0"]
         bad = tmp_path / "pole.json"
         bad.write_text(json.dumps(obj))
@@ -669,7 +669,7 @@ class TestHostileInput:
             (["check", "constant", "--algebra", QUADRATIC, "--alpha",
               "(2^9000)*(2^9000)", "--beta", "1", "--gamma", "1"],
              "coefficients longer than 10000 bits")]
-        obj = json.load(open(QUADRATIC))
+        obj = json.loads(Path(QUADRATIC).read_text())
         obj["structure"][1][1][0] = "@"
         for n, entry in enumerate((nines, f'"{nines}"')):
             bad = tmp_path / f"big{n}.json"

@@ -646,6 +646,8 @@ class TestSharedConstants:
                                         (L, M, M.bracket)):
             entries = table_entries(table)
             assert len({id(e) for e in entries}) == len(entries)
+            # the cached table index is not a field
+            shared.product_table()
             assert shared == distinct and distinct == shared
             assert hash(shared) == hash(distinct)
 
@@ -730,10 +732,11 @@ class TestSharedConstants:
                 T, U, *values.values())
 
     @pytest.mark.parametrize("build", [super_phi, super_phi_inverse])
-    def test_super_map_forms_one_product_per_distinct_constant(
+    def test_super_family_forms_one_product_per_distinct_constant(
             self, monkeypatch, build):
         # alpha*z_l once per l, then (alpha*z_l)*b once per l and distinct
-        # constant b; the centre check's own products are not counted
+        # constant b; the centre check runs before _product_map is called,
+        # so its own products are not counted
         rng = random.Random(600)
         n = 4
         degree, table, z = random_central_bracket(n, rng)
@@ -745,36 +748,9 @@ class TestSharedConstants:
         d = len(set(nonzero))
         k = sum(1 for x in z if x)
         assert k * (1 + d) < 2 * k * len(nonzero)
-        calls, inside = [], []
-        mul = ParamScalar.__mul__
-        super_map, check_center = (constructors._super_map,
-                                   constructors._check_center)
-
-        def counted(self, other):
-            if inside and inside[-1]:
-                calls.append(other)
-            return mul(self, other)
-
-        def traced(*args, **kwargs):
-            inside.append(True)
-            try:
-                return super_map(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        def uncounted(*args, **kwargs):
-            inside.append(False)
-            try:
-                return check_center(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(ParamScalar, "__mul__", counted)
-        monkeypatch.setattr(constructors, "_super_map", traced)
-        monkeypatch.setattr(constructors, "_check_center", uncounted)
         zs = tuple(map(const, z))
-        R = build(L, zs, var("a"))
-        monkeypatch.undo()
+        R, (calls,) = self.product_map_calls(monkeypatch, "__mul__", build,
+                                             L, zs, var("a"))
         assert 0 < len(calls) <= k * (1 + d)
         z_first = build is super_phi_inverse
         alpha = Fraction(-3, 2)

@@ -1,5 +1,6 @@
 """Operators born with their integer form: the builders that multiply out
-an algebra's table, ``@`` and ``Defect.dense()`` of constant operators keep
+a structure table (an algebra's product or a Lie superalgebra's bracket),
+``@`` and ``Defect.dense()`` of constant operators keep
 their entries as ints over one denominator and build ``rows`` on first
 read. Each is compared with the operator that the constructor builds from
 the canonical entries of a Fraction oracle, and its verdicts and witnesses
@@ -14,11 +15,14 @@ import oracles
 from ybx import fixture_path, tensor
 from ybx.algebra import Algebra, load_algebra
 from ybx.constructors import (colored_inverse, colored_operator, dn_inverse,
-                              dn_operator, wxz_system)
+                              dn_operator, super_phi, super_phi_inverse,
+                              wxz_system)
+from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
 from ybx.scalars import ONE, ZERO, const, var
 from ybx.tensor import (Operator2, braid_defect, determinant, invert,
                         qybe_defect, yb_commutator)
-from ybx.verify import verify_colored_family, verify_constant, verify_wxz
+from ybx.verify import (verify_colored_family, verify_constant,
+                        verify_inverse_pair, verify_wxz)
 
 HALF_AND_THIRDS = {"m": "1/2", "n": "-2/3"}
 
@@ -339,3 +343,104 @@ class TestVerdictsAgainstOracles:
         assert report.witness == witness
         assert (algebra == "quadratic") == report.passed
 
+
+
+def direct_superalgebra(seed):
+    """A random dim-3 bracket table with rational constants in which the
+    even e0 brackets to zero with everything, built without validation:
+    (LieSuperalgebra, Fraction table, degree)."""
+    rng = random.Random(seed)
+    choices = [Fraction(k, q) for k in range(-2, 3) for q in (1, 2, 3)]
+    degree = [0, 0, 1]
+    table = [[[Fraction(0) if 0 in (i, j) else rng.choice(choices)
+               for _ in range(3)] for j in range(3)] for i in range(3)]
+    L = LieSuperalgebra(3, tuple(degree), tuple(
+        tuple(tuple(map(const, row)) for row in plane) for plane in table),
+        ())
+    return L, table, degree
+
+
+def super_case(name):
+    """(L, Fraction table, degree, Fraction z): gl(1|1) with z = 1/3 times
+    its even central element, or the direct table with z = 1/3 e0."""
+    if name == "direct":
+        return (*direct_superalgebra(5), [Fraction(1, 3), 0, 0])
+    L = load_superalgebra(fixture_path("gl11.json"))
+    table = [[[Fraction(str(e)) for e in row] for row in plane]
+             for plane in L.bracket]
+    z = [Fraction(1, 3) * Fraction(str(c)) for c in even_center(L)[0]]
+    return L, table, list(L.degree), z
+
+
+class TestSuperFamily:
+    """super_phi and super_phi_inverse at a constant alpha and a rational z
+    are born in ints, and read, verify and fail like the operator built
+    from the entries of oracles.super_phi_matrix."""
+
+    alpha = Fraction(-3, 2)
+
+    @staticmethod
+    def build(name, z_first, alpha=alpha):
+        L, T, degree, z = super_case(name)
+        op = (super_phi_inverse if z_first else super_phi)(
+            L, tuple(map(const, z)), alpha)
+        return op, oracles.super_phi_matrix(T, degree, z, alpha, z_first)
+
+    @pytest.mark.parametrize("z_first", [False, True])
+    @pytest.mark.parametrize("name", ["gl11", "direct"])
+    def test_reads_equal_those_of_the_oracle_operator(self, name, z_first):
+        ref = canonical(*self.build(name, z_first))
+        fresh = lambda: born(lambda: self.build(name, z_first)[0])
+        assert fresh().int_form[0] > 1
+        assert fresh().rows == ref.rows
+        assert fresh().to_json_obj() == ref.to_json_obj()
+        assert fresh().to_text() == ref.to_text()
+        assert fresh() == ref and hash(fresh()) == hash(ref)
+
+    def verdicts(self, name, operator):
+        """The reports of braid, QYBE and two inverse pairs, phi with its
+        inverse and with the inverse at 2*alpha, as JSON objects, for the
+        operators that operator(op, matrix) makes of the built ones."""
+        phi, inv, off = (operator(*self.build(name, z_first, alpha))
+                         for z_first, alpha in ((False, self.alpha),
+                                                (True, self.alpha),
+                                                (True, 2 * self.alpha)))
+        return [r.to_json_obj() for r in (
+            verify_constant(phi, "braid"), verify_constant(phi, "qybe"),
+            verify_inverse_pair(phi, inv), verify_inverse_pair(phi, off))]
+
+    @pytest.mark.parametrize("name", ["gl11", "direct"])
+    def test_verdicts_equal_those_of_the_oracle_operator(self, name):
+        got = self.verdicts(name, lambda op, _: born(lambda: op))
+        assert got == self.verdicts(name, canonical)
+        # on gl(1|1), a Lie superalgebra, phi solves the braid equation
+        # (not the QYBE) with its inverse; the direct table fails all four
+        assert [r["status"] for r in got] == (
+            ["pass", "fail", "pass", "fail"] if name == "gl11"
+            else ["fail"] * 4)
+
+    def test_witnesses_against_the_fraction_oracle(self):
+        P, Q, R = (self.build("direct", z_first, alpha)[1]
+                   for z_first, alpha in ((False, self.alpha),
+                                          (True, self.alpha),
+                                          (True, 2 * self.alpha)))
+        identity = oracles.identity(9)
+        defects = [oracles.braid_defect_matrix(P, 3),
+                   oracles.qybe_defect_matrix(P, 3),
+                   oracles.sub(oracles.matmul(P, Q), identity),
+                   oracles.sub(oracles.matmul(P, R), identity)]
+        for report, defect in zip(self.verdicts("direct", lambda op, _: op),
+                                  defects):
+            row, col, entry = first_nonzero(defect)
+            assert (report["witness"]["row"], report["witness"]["col"],
+                    report["witness"]["entry"]) == (row, col, str(entry))
+
+    @pytest.mark.parametrize("name", ["gl11", "direct"])
+    def test_symbolic_alpha_stays_in_the_scalar_lane(self, name):
+        L, T, degree, z = super_case(name)
+        R = super_phi(L, tuple(map(const, z)), var("a"))
+        assert R._rows is not None and R._form is tensor._UNKNOWN
+        braid_defect(R)
+        assert R._form is None
+        assert oracles.frac_matrix(R, {"a": self.alpha}) == \
+            oracles.super_phi_matrix(T, degree, z, self.alpha)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +69,7 @@ def matrix_unit_oracle():
 
 
 def load_structure(name):
-    obj = json.load(open(fixture_path(name)))
+    obj = json.loads(Path(fixture_path(name)).read_text())
     table = [
         [[as_scalar(e) for e in row] for row in plane]
         for plane in obj["structure"]
@@ -233,7 +234,7 @@ class TestSerialization:
             assert L.labels == M.labels
 
     def test_field_types_checked_before_axioms(self):
-        good = json.load(open(fixture_path("gl11.json")))
+        good = json.loads(Path(fixture_path("gl11.json")).read_text())
         bad_objects = [
             dict(good, dim="3"),
             dict(good, dim=False),
@@ -254,7 +255,7 @@ class TestSerialization:
         assert L.labels == ("e0", "e1", "e2", "e3")
 
     def test_missing_degree_rejected(self):
-        obj = json.load(open(fixture_path("gl11.json")))
+        obj = json.loads(Path(fixture_path("gl11.json")).read_text())
         del obj["degree"]
         try:
             superalgebra_from_json_obj(obj)

@@ -7,9 +7,10 @@ numerical one.
 
 import os
 
-from .scalars import (IncompleteAssignmentError, MalformedScalarError,
-                      ONE, ParamScalar, PoleError, ScalarParseError, YbxError,
-                      ZERO, as_scalar, const, fresh_name, parse_scalar, var)
+from .scalars import (IncompleteAssignmentError, InputError,
+                      MalformedScalarError, ONE, ParamScalar, PoleError,
+                      ScalarParseError, YbxError, ZERO, as_scalar, const,
+                      fresh_name, parse_scalar, var)
 from .algebra import (Algebra, AlgebraError, AssociativityError,
                       FieldTypeError, ShapeError, UnitError,
                       algebra_from_json_obj, load_algebra, make_algebra,

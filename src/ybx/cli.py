@@ -22,16 +22,12 @@ from .constructors import (SplitSpace, _dn_case_symbolic, colored_operator,
                            dn_operator, split_center_operator, super_phi,
                            super_phi_inverse, wxz_system)
 from .lie_super import SuperalgebraError, even_center, load_superalgebra
-from .scalars import (ParamScalar, YbxError, const, fresh_name, parse_scalar,
-                      var)
+from .scalars import (InputError, ParamScalar, YbxError, const, fresh_name,
+                      parse_scalar, var)
 from .tensor import Operator2, invert, qybe_defect
 from .verify import (VerificationReport, entry_witness, report,
                      verify_colored_family, verify_constant,
                      verify_inverse_pair, verify_wxz)
-
-
-class InputError(YbxError):
-    """Anything wrong with the invocation's inputs; exits with status 2."""
 
 
 # Each split-center instance is a dense dim^4 operator; a one-sample check

@@ -17,8 +17,8 @@ from typing import Sequence, Tuple
 
 from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
-from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, YbxError,
-                      as_scalar)
+from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
+                      YbxError, as_scalar)
 from .tensor import Operator2, _int_form
 
 
@@ -237,7 +237,7 @@ class WxzTriple(FrozenRecord):
 
     def __init__(self, W: Operator2, X: Operator2, Z: Operator2):
         if not (W.dim == X.dim == Z.dim):
-            raise ValueError("W, X, Z must share a dimension")
+            raise InputError("W, X, Z must share a dimension")
         super().__init__(W, X, Z)
 
 
@@ -264,7 +264,7 @@ class SplitSpace(FrozenRecord):
 
     def __init__(self, total_dim: int, c_index: int):
         if not 0 <= c_index < total_dim:
-            raise ValueError("c_index out of range")
+            raise InputError("c_index out of range")
         super().__init__(total_dim, c_index,
                          tuple(i for i in range(total_dim) if i != c_index))
 
@@ -279,7 +279,7 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
     n = space.total_dim
     c = space.c_index
     if f.dim != n or g.dim != n:
-        raise ValueError("f and g must act on the total space")
+        raise InputError("f and g must act on the total space")
     for name, op in (("f", f), ("g", g)):
         for i in range(n):
             for j in range(n):
@@ -338,7 +338,7 @@ def canonical_two_dim_solution(q, eta: int) -> Operator2:
     single extra corner entry eta in {0, 1}; solves the constant QYBE for
     any nonzero q."""
     if eta not in (0, 1):
-        raise ValueError("eta must be 0 or 1")
+        raise InputError("eta must be 0 or 1")
     q = as_scalar(q)
     return Operator2(2, [
         [ONE, ZERO, ZERO, ZERO],

@@ -58,6 +58,11 @@ class YbxError(Exception):
     """Base of every error that ybx raises for bad input or a failed axiom."""
 
 
+class InputError(ValueError, YbxError):
+    """Bad input that no narrower error names: a dimension, a matrix shape,
+    an option value, an operator file, or a command line's input."""
+
+
 class FrozenRecord:
     """An immutable record over the __slots__ of its subclass, built from
     positional values, equal and hashed by the fields that _key names."""

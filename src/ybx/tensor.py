@@ -7,14 +7,15 @@ Conventions, fixed globally:
 * matrices act on coordinate columns: column = input basis index, row =
   output basis index, so (A@B) means "apply B, then A".
 
-Operator entries are ParamScalar, and an operator whose entries are all
-rational constants also has an integer form: one denominator d and the
-ints of d times each row (``_Operator``). Operators built by multiplying
-out a table and the results of int products are born with it and build
-their ParamScalar rows only when read. Products (``@``, the defects, the
-round trips A∘B - I, and associativity and graded Jacobi of a structure
-table, ``first_failing_triple``) run on those integer forms when every
-factor has one, and otherwise on each matrix times the lcm of its
+Operator entries are ParamScalar. An operator whose entries are all
+rational constants has an integer form: one denominator d and the ints of
+d times each row (``_Operator``). Only the operators that
+``constructors._product_map`` builds from a table are born with it, and
+build their ParamScalar rows when first read; every other operator is its
+rows, cleared again each time it enters a product. Products (``@``, the
+defects, the round trips A∘B - I, and associativity and graded Jacobi of
+a structure table, ``first_failing_triple``) run on integer forms when
+every factor has one, and otherwise on each matrix times the lcm of its
 denominators in integer-coefficient polynomials; the elimination runs on
 the polynomials of each row times the lcm of its denominators, permuted
 by its zero pattern to block triangular form for ``determinant`` and
@@ -38,15 +39,13 @@ from functools import reduce
 from itertools import accumulate, chain, combinations, product
 from typing import Sequence
 
-from .scalars import (ONE, ZERO, FrozenRecord, ParamScalar, Poly, YbxError,
-                      as_scalar, clear_row, const)
+from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
+                      Poly, YbxError, as_scalar, clear_row, const)
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
 # the packed 1 and -1 under every _Packing; never mutated
 _ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
-# an operator's integer form before it is computed
-_UNKNOWN = object()
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -58,16 +57,13 @@ class _Operator(FrozenRecord):
 
     An operator whose entries are all rational constants has an integer
     form (d, cleared): d > 0, and cleared[i] lists the nonzero (column, int)
-    pairs of row i of d times the matrix, sorted by column. The builders of
-    ``constructors`` that multiply out an algebra's table (``_product_map``)
-    and the int lane of every product (``@``, ``Defect.dense``) make
-    operators with it and no rows; ``rows``, the matrix of canonical
-    ParamScalars that equality, hashing, output, ``evaluate`` and
-    ``substitute`` read, is then built on first read and kept. Any other
-    operator computes its integer form from ``rows`` when it first enters
-    a product, and keeps it, or keeps None when some entry is not a
-    rational constant: no operator holds a second copy of polynomial
-    entries."""
+    pairs of row i of d times the matrix, sorted by column. Only
+    ``constructors._product_map`` makes operators with it, and no rows;
+    ``rows``, the matrix of canonical ParamScalars that equality, hashing,
+    output, ``evaluate`` and ``substitute`` read, is then built on first
+    read and kept. Every other operator holds only its rows, and
+    ``int_form`` computes its form from them each time it is asked: no
+    operator keeps a computed form."""
 
     __slots__ = ("dim", "_rows", "_form")
     _key = ("dim", "rows")
@@ -75,19 +71,18 @@ class _Operator(FrozenRecord):
 
     def __init__(self, dim: int, rows: Sequence[Sequence]):
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise InputError("dim must be >= 1")
         size = dim ** self.legs
         if len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError(f"expected a {size}x{size} matrix for dim {dim}")
+            raise InputError(f"expected a {size}x{size} matrix for dim {dim}")
         super().__init__(
-            dim, tuple(tuple(as_scalar(e) for e in r) for r in rows),
-            _UNKNOWN)
+            dim, tuple(tuple(as_scalar(e) for e in r) for r in rows), None)
 
     @classmethod
     def _make(cls, dim: int, rows, form):
-        """The operator with the given rows and integer form, taken as they
-        are: rows None is built from the form on first read, and form
-        _UNKNOWN is computed from the rows on first use."""
+        """The operator with the given rows and born integer form, taken as
+        they are: rows None is built from the form on first read, and form
+        None means the operator has no born form."""
         op = object.__new__(cls)
         FrozenRecord.__init__(op, dim, rows, form)
         return op
@@ -111,12 +106,9 @@ class _Operator(FrozenRecord):
     @property
     def int_form(self):
         """The integer form (d, cleared), or None when some entry is not a
-        rational constant."""
-        form = self._form
-        if form is _UNKNOWN:
-            form = _int_form(self._rows)
-            object.__setattr__(self, "_form", form)
-        return form
+        rational constant: the born form, or else one computed from
+        ``rows`` on each call and not kept."""
+        return self._form or _int_form(self._rows)
 
     @classmethod
     def from_columns(cls, dim: int, columns):
@@ -125,7 +117,7 @@ class _Operator(FrozenRecord):
         zero. Unlike the constructor, which converts outside input, this
         takes the entries as they are, so they must be ParamScalars."""
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise InputError("dim must be >= 1")
         size = dim ** cls.legs
         rows = [[ZERO] * size for _ in range(size)]
         for c, column in enumerate(columns):
@@ -133,23 +125,13 @@ class _Operator(FrozenRecord):
                 if not e.is_zero:
                     row = rows[r]
                     row[c] = e if row[c].is_zero else row[c] + e
-        return cls._make(dim, tuple(map(tuple, rows)), _UNKNOWN)
+        return cls._make(dim, tuple(map(tuple, rows)), None)
 
     @classmethod
-    def _from_rows(cls, dim: int, rows, scalar, d=None):
+    def _from_rows(cls, dim: int, rows, scalar):
         """The operator with scalar(e) at (y, c) for each (y, {c: e}) in
-        rows, and zero elsewhere: the last step of every product. In the
-        int lane, d is an int and scalar(e) is e/d, so the operator keeps
-        the entries as its integer form over d instead."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        size = dim ** cls.legs
-        if type(d) is int:
-            cleared = [[] for _ in range(size)]
-            for y, row in rows:
-                cleared[y] = sorted(row.items())
-            return cls._make(dim, None, (d, cleared))
-        columns = [[] for _ in range(size)]
+        rows, and zero elsewhere: the last step of every product."""
+        columns = [[] for _ in range(dim ** cls.legs)]
         for y, row in rows:
             for c, e in row.items():
                 columns[c].append((y, scalar(e)))
@@ -176,10 +158,10 @@ class _Operator(FrozenRecord):
     def __matmul__(self, other):
         """Row y of A @ B is e_y pushed through the rows of A, then of B."""
         self._require_same(other)
-        rows, (apply, _), d, scalar = _clear((self, other), (0, 1))
+        rows, (apply, _), _, scalar = _clear((self, other), (0, 1))
         return type(self)._from_rows(
             self.dim, ((y, apply(rows, y)) for y in range(self.size)),
-            scalar, d)
+            scalar)
 
     def __add__(self, other):
         self._require_same(other)
@@ -266,11 +248,21 @@ class Operator3(_Operator):
 
 
 def operator_from_json_obj(obj: dict):
-    legs = obj.get("legs", 2)
-    cls = {2: Operator2, 3: Operator3}.get(legs)
-    if cls is None:
-        raise ValueError(f"unsupported legs value {legs!r}")
-    return cls(obj["dim"], obj["matrix"])
+    """The operator of a ``ybx-operator-v1`` object, as ``to_json_obj``
+    writes it; anything else raises InputError. Types are compared exactly,
+    since a bool is an int."""
+    if type(obj) is not dict or obj.get("format") != "ybx-operator-v1":
+        raise InputError("not a ybx-operator-v1 object")
+    dim, legs, matrix = obj.get("dim"), obj.get("legs", 2), obj.get("matrix")
+    if type(dim) is not int:
+        raise InputError(f"dim must be an int, not {dim!r}")
+    if type(legs) is not int or legs not in (2, 3):
+        raise InputError(f"unsupported legs value {legs!r}")
+    if type(matrix) is not list or not all(
+            type(row) is list and {*map(type, row)} <= {str, int}
+            for row in matrix):
+        raise InputError("matrix must be a list of rows of strings or ints")
+    return (Operator2 if legs == 2 else Operator3)(dim, matrix)
 
 
 def bilinear(table, x, y) -> tuple:
@@ -310,7 +302,7 @@ def _leg_action(rows, n: int, legs: int):
     pairs of each row, and listed the same way. Fed R's columns as (row,
     entry) pairs, it gives the columns of the embedding."""
     if legs not in _LEG_POSITIONS:
-        raise ValueError("legs must be one of 12, 23, 13")
+        raise InputError("legs must be one of 12, 23, 13")
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
     index = [r // n * sa + r % n * sb for r in range(n * n)]
     moved = [[(index[c], e) for c, e in row] for row in rows]
@@ -341,18 +333,18 @@ def _int_form(rows):
     """(d, cleared) for the matrix with the given rows of ParamScalars, when
     every entry is a rational constant: d is the lcm of the denominators,
     and cleared[i] lists the nonzero (column, int) pairs of row i of d times
-    the matrix, sorted by column. None when some entry is not a rational
-    constant. Operators compute their ``int_form`` with it, and
-    ``first_failing_triple`` and ``Algebra.product_table`` clear a
-    structure table with it."""
-    terms = [[(c, e.num.terms, e.den.terms) for c, e in enumerate(row)
-              if e.num.terms] for row in rows]
-    flat = list(chain.from_iterable(terms))
+    the matrix, sorted by column. None, found before any list is built,
+    when some entry is not a rational constant. Operators compute their
+    ``int_form`` with it, and ``first_failing_triple`` and
+    ``Algebra.product_table`` clear a structure table with it."""
     # a denominator is never empty, so the two tests leave only constants
-    if not all(_CONSTANT(num) and _CONSTANT(den) for _, num, den in flat):
+    if not all(_CONSTANT(e.num.terms) and _CONSTANT(e.den.terms)
+               for row in rows for e in row):
         return None
-    d = math.lcm(*(den[()] for _, _, den in flat))
-    return d, [[(c, num[()] * (d // den[()])) for c, num, den in row]
+    terms = [[(c, e.num.terms[()], e.den.terms[()])
+              for c, e in enumerate(row) if e.num.terms] for row in rows]
+    d = math.lcm(*(den for row in terms for _, _, den in row))
+    return d, [[(c, num * (d // den)) for c, num, den in row]
                for row in terms]
 
 
@@ -363,10 +355,12 @@ def _clear(ops, side):
     denominators; d is the product of the factors' d_X, and scalar(e) is
     the canonical e/d. kernel is the (apply, minus) pair of the lane, as
     _defect_rows takes it: the int lane when every operator has an integer
-    form, and then d_X is its d, or else the packed lane."""
-    forms = [op.int_form for op in ops]
-    if all(forms):
-        return _int_lane(forms, side)
+    form, and then d_X is its d, or else the packed lane. Each distinct
+    operator is cleared once, however often it occurs in ops."""
+    distinct = {id(op): op for op in ops}
+    forms = {k: op.int_form for k, op in distinct.items()}
+    if all(forms.values()):
+        return _int_lane([forms[id(op)] for op in ops], side)
     return _packed_lane([op.rows for op in ops], side)
 
 
@@ -469,17 +463,16 @@ class Defect:
     first nonzero entry. The full matrix is recomputed on demand by
     ``dense``."""
 
-    __slots__ = ("dim", "_cls", "_rows", "_scalar", "_d", "_first")
+    __slots__ = ("dim", "_cls", "_rows", "_scalar", "_first")
 
-    def __init__(self, cls, dim: int, rows, scalar, d):
+    def __init__(self, cls, dim: int, rows, scalar):
         # rows() yields the nonzero rows as in _defect_rows; scalar turns
-        # one of their entries into the defect's ParamScalar entry, and d
-        # is the lane's, as _clear returns them
+        # one of their entries into the defect's ParamScalar entry, as
+        # _clear returns it
         self._cls = cls
         self.dim = dim
         self._rows = rows
         self._scalar = scalar
-        self._d = d
         found = next(rows(), None)
         if found is None:
             self._first = None
@@ -498,8 +491,7 @@ class Defect:
 
     def dense(self):
         """The whole defect as an operator of its operands' class."""
-        return self._cls._from_rows(self.dim, self._rows(), self._scalar,
-                                    self._d)
+        return self._cls._from_rows(self.dim, self._rows(), self._scalar)
 
     def __repr__(self):
         return f"Defect(dim={self.dim}, first_nonzero={self._first})"
@@ -510,12 +502,12 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
     of each product, leftmost first. The kernel runs on the cleared
     operators, so its entries are over the product of the d of one side."""
     n = ops[0].dim
-    rows, kernel, d, scalar = _clear(ops, lhs)
+    rows, kernel, _, scalar = _clear(ops, lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
     return Defect(Operator3, n,
-                  lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar, d)
+                  lambda: _defect_rows(n ** 3, lhs, rhs, kernel), scalar)
 
 
 def first_failing_triple(table, steps):
@@ -544,7 +536,7 @@ def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
     identity = [[(y, d)] for y in range(A.size)]
     return Defect(type(A), A.dim,
                   lambda: _defect_rows(A.size, rows, [identity], kernel),
-                  scalar, d)
+                  scalar)
 
 
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Defect:
@@ -924,7 +916,7 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     ncols = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != ncols:
-            raise ValueError(f"nullspace: row {i} has {len(row)} entries, "
+            raise InputError(f"nullspace: row {i} has {len(row)} entries, "
                              f"row 0 has {ncols}")
     M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
     pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)

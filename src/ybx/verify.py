@@ -14,7 +14,7 @@ from typing import Optional
 
 from .algebra import Algebra
 from .constructors import WxzTriple, colored_operator
-from .scalars import FrozenRecord, as_scalar, fresh_name, var
+from .scalars import FrozenRecord, InputError, as_scalar, fresh_name, var
 from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
                      roundtrip_defect, yb_commutator)
 
@@ -22,16 +22,18 @@ from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
 class VerificationReport(FrozenRecord):
     """identity is braid | qybe | colored | wxz | inverse-roundtrip |
     algebra-axioms | super-axioms; mode is symbolic | sampled; status is
-    pass | fail, and a failing report must carry a witness."""
+    pass | fail, and a failing report must carry a witness. As in the JSON
+    form, equality leaves out the elapsed time."""
 
-    __slots__ = _key = ("identity", "mode", "status", "witness", "elapsed",
-                        "detail")
+    __slots__ = ("identity", "mode", "status", "witness", "elapsed", "detail")
+    _key = ("identity", "mode", "status", "witness", "detail")
+    __hash__ = None     # witness and detail are dicts
 
     def __init__(self, identity: str, mode: str, status: str,
                  witness: Optional[dict] = None, elapsed: float = 0.0,
                  detail: Optional[dict] = None):
         if status == "fail" and witness is None:
-            raise ValueError("a failing report must carry a witness")
+            raise InputError("a failing report must carry a witness")
         super().__init__(identity, mode, status, witness, elapsed,
                          {} if detail is None else detail)
 
@@ -93,7 +95,7 @@ def report(identity: str, mode: str, t0: float, witness: Optional[dict],
 def verify_constant(R: Operator2, which: str = "braid") -> VerificationReport:
     """Check the braid identity or the constant QYBE for one operator."""
     if which not in ("braid", "qybe"):
-        raise ValueError("which must be 'braid' or 'qybe'")
+        raise InputError("which must be 'braid' or 'qybe'")
     t0 = time.perf_counter()
     defect = braid_defect(R) if which == "braid" else qybe_defect(R)
     return report(which, "symbolic", t0, entry_witness(defect))
@@ -130,7 +132,7 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
         return report("colored", "symbolic", t0, witness,
                       {"parameters": uvw})
     if mode != "sampled":
-        raise ValueError("mode must be 'symbolic' or 'sampled'")
+        raise InputError("mode must be 'symbolic' or 'sampled'")
 
     rng = random.Random(seed)
     evaluated = 0

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import ybx
 from oracles import det_permutation_expansion, dn_matrix
 from ybx.cli import InputError, main
@@ -449,11 +451,36 @@ def test_every_error_root_is_a_ybx_error():
         ybx.InvertibilityLocusError: ValueError,
         ybx.SupportViolationError: ValueError,
         ybx.InvalidCenterError: ValueError,
-        InputError: Exception,
+        InputError: ValueError,
     }
     for cls, base in roots.items():
         assert issubclass(cls, ybx.YbxError), cls
         assert issubclass(cls, base), cls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ybx.Operator2(0, []),
+    lambda: ybx.Operator3(2, [[0] * 4] * 4),
+    lambda: ybx.Operator2.from_columns(-1, ()),
+    lambda: ybx.embed(ybx.twist(2), 21),
+    lambda: ybx.nullspace([[0, 1], [1]]),
+    lambda: ybx.WxzTriple(ybx.twist(2), ybx.twist(2), ybx.twist(3)),
+    lambda: ybx.SplitSpace(2, 2),
+    lambda: ybx.split_center_operator(ybx.SplitSpace(3, 0), ybx.twist(2),
+                                      ybx.twist(2)),
+    lambda: ybx.canonical_two_dim_solution(2, 2),
+    lambda: ybx.VerificationReport("braid", "symbolic", "fail"),
+    lambda: ybx.verify_constant(ybx.twist(2), "both"),
+    lambda: ybx.verify_colored_family(ybx.load_algebra(QUADRATIC), 1, 2,
+                                      mode="exact"),
+    lambda: ybx.operator_from_json_obj({"dim": 2}),
+], ids=["dim", "shape", "from_columns-dim", "legs", "nullspace-rows",
+        "wxz-dims", "c_index", "split-center-dims", "eta", "witness",
+        "which", "mode", "operator-format"])
+def test_bad_library_arguments_raise_input_error(call):
+    # the command line's own error: a ValueError and a YbxError
+    with pytest.raises(InputError):
+        call()
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():

@@ -1,10 +1,12 @@
-"""Operators born with their integer form: the builders that multiply out
-a structure table (an algebra's product or a Lie superalgebra's bracket),
-``@`` and ``Defect.dense()`` of constant operators keep
+"""Integer forms. Only the builders that multiply out a structure table
+(an algebra's product or a Lie superalgebra's bracket, through
+``constructors._product_map``) make operators born with one: they keep
 their entries as ints over one denominator and build ``rows`` on first
-read. Each is compared with the operator that the constructor builds from
-the canonical entries of a Fraction oracle, and its verdicts and witnesses
-with the oracles'."""
+read. Every other operator, ``@`` and ``Defect.dense()`` of constant
+operators included, is its canonical rows, keeps no form, and is cleared
+again each time it enters a product. Each is compared with the operator
+that the constructor builds from the canonical entries of a Fraction
+oracle, and its verdicts and witnesses with the oracles'."""
 
 import random
 from fractions import Fraction
@@ -14,13 +16,13 @@ import pytest
 import oracles
 from ybx import fixture_path, tensor
 from ybx.algebra import Algebra, load_algebra
-from ybx.constructors import (colored_inverse, colored_operator, dn_inverse,
-                              dn_operator, super_phi, super_phi_inverse,
-                              wxz_system)
+from ybx.constructors import (SplitSpace, colored_inverse, colored_operator,
+                              dn_inverse, dn_operator, split_center_operator,
+                              super_phi, super_phi_inverse, wxz_system)
 from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
 from ybx.scalars import ONE, ZERO, const, var
-from ybx.tensor import (Operator2, braid_defect, determinant, invert,
-                        qybe_defect, yb_commutator)
+from ybx.tensor import (Operator2, braid_defect, determinant, embed, invert,
+                        qybe_defect, roundtrip_defect, twist, yb_commutator)
 from ybx.verify import (verify_colored_family, verify_constant,
                         verify_inverse_pair, verify_wxz)
 
@@ -58,8 +60,9 @@ lam, mu = Fraction(-3, 2), Fraction(1, 3)
 
 
 def born_cases():
-    """(id, build, oracle): build() returns a newly born operator, and
-    oracle() its Fraction matrix from tests/oracles.py."""
+    """(id, build, oracle): build() returns a new constant operator, born
+    with its integer form for the builders and as rows for the products,
+    and oracle() its Fraction matrix from tests/oracles.py."""
     cases = []
     for name, make in (("quadratic", lambda: (rational_quadratic(),
                                               *quadratic_table())),
@@ -114,7 +117,19 @@ def born(build):
     """A newly built operator, checked to be born with its integer form
     and no rows."""
     op = build()
-    assert op._rows is None and op.int_form is not None
+    assert op._rows is None and op._form is not None
+    return op
+
+
+def made(build):
+    """A newly built operator of CASES, checked to be born with its integer
+    form when a builder made it, and otherwise to be its rows with no form
+    kept before or after its integer form is computed."""
+    op = build()
+    if op._form is not None:
+        return born(lambda: op)
+    assert op._rows is not None and op.int_form is not None
+    assert op._form is None
     return op
 
 
@@ -131,20 +146,21 @@ class TestBornOperators:
     def test_reads_equal_those_of_the_canonical_operator(self, build,
                                                          oracle):
         ref = canonical(build(), oracle())
-        # each read on an operator whose rows were not built yet
-        assert born(build) == ref
-        assert ref == born(build)
-        assert hash(born(build)) == hash(ref)
-        assert born(build).rows == ref.rows
-        assert born(build).to_json_obj() == ref.to_json_obj()
-        assert born(build).to_text() == ref.to_text()
-        assert born(build).first_nonzero() == ref.first_nonzero()
-        assert oracles.frac_matrix(born(build)) == oracle()
+        # each read on a new operator, whose rows were not built yet when
+        # a builder made it
+        assert made(build) == ref
+        assert ref == made(build)
+        assert hash(made(build)) == hash(ref)
+        assert made(build).rows == ref.rows
+        assert made(build).to_json_obj() == ref.to_json_obj()
+        assert made(build).to_text() == ref.to_text()
+        assert made(build).first_nonzero() == ref.first_nonzero()
+        assert oracles.frac_matrix(made(build)) == oracle()
 
     @pytest.mark.parametrize("build", [c[1] for c in CASES],
                              ids=[c[0] for c in CASES])
     def test_integer_form_is_canonical_for_its_denominator(self, build):
-        d, cleared = born(build).int_form
+        d, cleared = made(build).int_form
         op = build()
         assert type(d) is int and d > 0
         assert len(cleared) == op.size
@@ -189,15 +205,15 @@ class TestBornOperators:
 
 
 class TestElimination:
-    """determinant and invert of an operator born with its integer form,
-    whose rows are built on first read, agree with the fraction
-    oracle."""
+    """determinant and invert of a constant operator, born with its
+    integer form and its rows built on first read or built as rows, agree
+    with the fraction oracle."""
 
     @pytest.mark.parametrize("build, oracle", [c[1:] for c in CASES],
                              ids=[c[0] for c in CASES])
     def test_against_the_fraction_oracle(self, build, oracle):
         det, inverse, _ = oracles.frac_solve(oracle())
-        op = born(build)
+        op = made(build)
         assert determinant(op) == const(det)
         res = invert(op)
         assert res.determinant == const(det)
@@ -213,9 +229,9 @@ class TestElimination:
 
 
 class TestLanes:
-    """An operator keeps its integer form once its rows are read, and a
-    product of an integer-form operator with a symbolic one runs on
-    polynomials."""
+    """A born operator keeps its integer form once its rows are read, any
+    other operator keeps none, and a product of an integer-form operator
+    with a symbolic one runs on polynomials."""
 
     @staticmethod
     def refuse_packed(monkeypatch):
@@ -236,17 +252,77 @@ class TestLanes:
             oracles.braid_defect_matrix(M, 2)
         assert R.to_text() == text
 
-    def test_constant_input_gets_its_form_on_first_use(self):
+    @staticmethod
+    def row_built():
+        """A constant Operator2 built from rows, and its Fraction matrix."""
         rng = random.Random(3)
         M = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4)))
               for _ in range(4)] for _ in range(4)]
-        R = Operator2(2, [[str(x) for x in row] for row in M])
-        assert R._form is tensor._UNKNOWN
+        return Operator2(2, [[str(x) for x in row] for row in M]), M
+
+    @staticmethod
+    def count_clearing(monkeypatch):
+        """The list that each call of tensor._int_form appends to."""
+        calls = []
+        clear = tensor._int_form
+
+        def counted(rows):
+            calls.append(rows)
+            return clear(rows)
+        monkeypatch.setattr(tensor, "_int_form", counted)
+        return calls
+
+    def test_constant_input_is_cleared_in_each_product(self):
+        R, M = self.row_built()
+        assert R._form is None
         defect = qybe_defect(R)
+        assert R._form is None
         d, _ = R.int_form
-        assert d > 1 and R._form is not tensor._UNKNOWN
+        assert d > 1 and R._form is None
         assert oracles.frac_matrix(defect.dense()) == \
             oracles.qybe_defect_matrix(M, 2)
+
+    def test_each_distinct_operand_is_cleared_once(self, monkeypatch):
+        R, M = self.row_built()
+        calls = self.count_clearing(monkeypatch)
+        # R is each of the three factors of both sides
+        assert qybe_defect(R).is_zero() == oracles.is_zero_matrix(
+            oracles.qybe_defect_matrix(M, 2))
+        assert len(calls) == 1
+        # nothing is kept, so the next product clears R again
+        braid_defect(R)
+        assert len(calls) == 2
+        roundtrip_defect(R, Operator2.identity(2))
+        assert len(calls) == 4
+        # a born operator enters with its own form
+        born_R = born(lambda: dn_operator(rational_quadratic(), a, b, g))
+        calls.clear()
+        qybe_defect(born_R)
+        assert calls == []
+
+    def test_only_the_table_builders_give_birth(self):
+        A = rational_quadratic()
+        R = born(lambda: dn_operator(A, a, b, g))
+        Rinv = born(lambda: dn_inverse(A, a, b, a))
+        f = Operator2(2, [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, 1]])
+        others = [
+            Operator2(2, [[1, 0, 0, 0]] * 4),
+            Operator2.identity(2), Operator2.zero(2), twist(2),
+            R @ Rinv, braid_defect(R).dense(),
+            roundtrip_defect(R, Rinv).dense(), invert(R).operator,
+            embed(R, 13), R.evaluate({}), R.substitute({"m": 1}),
+            -R, R + R, R - R, R.scale(2),
+            split_center_operator(SplitSpace(2, 0), f, f),
+            # a symbolic scale, and a symbolic table read by a side scale
+            dn_operator(A, var("a"), b, g),
+            dn_operator(load_algebra(fixture_path("quadratic.json")),
+                        0, 2, g),
+        ]
+        for op in others:
+            assert op._form is None
+            if op.legs == 2:
+                qybe_defect(op)
+            assert op._form is None
 
     def test_case_iii_on_a_symbolic_table_is_born_in_ints(self):
         # alpha = beta = 0 leaves no scale that reads the table
@@ -261,9 +337,9 @@ class TestLanes:
 
     def test_symbolic_operator_keeps_no_cleared_copy(self):
         R = dn_operator(rational_quadratic(), var("a"), 2, 3)
-        assert R._rows is not None and R._form is tensor._UNKNOWN
+        assert R._rows is not None and R._form is None
         braid_defect(R)
-        assert R._form is None
+        assert R._form is None and R.int_form is None
 
     @pytest.mark.parametrize("A, T, U", [
         (rational_quadratic(), *quadratic_table()), direct_algebra(9)],
@@ -439,8 +515,8 @@ class TestSuperFamily:
     def test_symbolic_alpha_stays_in_the_scalar_lane(self, name):
         L, T, degree, z = super_case(name)
         R = super_phi(L, tuple(map(const, z)), var("a"))
-        assert R._rows is not None and R._form is tensor._UNKNOWN
+        assert R._rows is not None and R._form is None
         braid_defect(R)
-        assert R._form is None
+        assert R._form is None and R.int_form is None
         assert oracles.frac_matrix(R, {"a": self.alpha}) == \
             oracles.super_phi_matrix(T, degree, z, self.alpha)

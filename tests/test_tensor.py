@@ -1187,6 +1187,15 @@ class TestEquivalence:
         self.check(R)
 
 
+def _twist_obj(drop=(), **fields):
+    """twist(2)'s JSON object with the given fields set and those in drop
+    removed."""
+    obj = {**twist(2).to_json_obj(), **fields}
+    for name in drop:
+        del obj[name]
+    return obj
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         a = var("a")
@@ -1199,6 +1208,43 @@ class TestSerialization:
     def test_operator3_round_trip(self):
         T = embed(twist(2), 13)
         assert operator_from_json_obj(T.to_json_obj()) == T
+
+    @pytest.mark.parametrize("obj, message", [
+        ({}, "not a ybx-operator-v1 object"),
+        ([], "not a ybx-operator-v1 object"),
+        (_twist_obj(drop=["format"]), "not a ybx-operator-v1 object"),
+        (_twist_obj(format="ybx-operator-v2"), "not a ybx-operator-v1 object"),
+        (_twist_obj(drop=["dim"]), "dim must be an int, not None"),
+        (_twist_obj(dim=2.0), "dim must be an int, not 2.0"),
+        (_twist_obj(dim=True), "dim must be an int, not True"),
+        (_twist_obj(dim="2"), "dim must be an int, not '2'"),
+        (_twist_obj(dim=0), "dim must be >= 1"),
+        (_twist_obj(dim=3), "expected a 9x9 matrix for dim 3"),
+        (_twist_obj(legs=[2]), r"unsupported legs value \[2\]"),
+        (_twist_obj(legs=2.0), "unsupported legs value 2.0"),
+        (_twist_obj(legs=True), "unsupported legs value True"),
+        (_twist_obj(legs=4), "unsupported legs value 4"),
+        (_twist_obj(legs=3), "expected a 8x8 matrix for dim 2"),
+        (_twist_obj(drop=["matrix"]), "matrix must be a list of rows"),
+        (_twist_obj(matrix=5), "matrix must be a list of rows"),
+        (_twist_obj(matrix=["1000"] * 4), "matrix must be a list of rows"),
+        (_twist_obj(matrix=[[1.5] * 4] * 4), "matrix must be a list of rows"),
+        (_twist_obj(matrix=[[None] * 4] * 4), "matrix must be a list of rows"),
+        (_twist_obj(matrix=[[True] * 4] * 4), "matrix must be a list of rows"),
+        (_twist_obj(matrix=[["1"] * 4] * 3 + [["1"] * 3]),
+         "expected a 4x4 matrix for dim 2"),
+    ], ids=["empty", "list", "no-format", "format-v2", "no-dim", "dim-float",
+            "dim-bool", "dim-str", "dim-0", "dim-3", "legs-list",
+            "legs-float", "legs-bool", "legs-4", "legs-3", "no-matrix",
+            "matrix-int", "matrix-of-str", "entry-float", "entry-null",
+            "entry-bool", "short-row"])
+    def test_bad_objects_are_refused(self, obj, message):
+        with pytest.raises(scalars.InputError, match=message):
+            operator_from_json_obj(obj)
+
+    def test_legs_default_to_two(self):
+        obj = _twist_obj(drop=["legs"])
+        assert operator_from_json_obj(obj) == twist(2)
 
     def test_text_is_aligned(self):
         R = Operator2(2, [[1, 0, 0, 0], [0, 22, 0, 0], [0, 0, 1, 0],

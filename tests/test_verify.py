@@ -53,6 +53,18 @@ class TestReportShape:
         rep = verify_constant(twist(2), "braid")
         assert rep.passed
 
+    def test_equality_leaves_out_elapsed(self):
+        R = dn_operator(numeric_quadratic(), 2, 3, 4)
+        first, second = verify_constant(R), verify_constant(R)
+        assert first == second and first.to_json_obj()["status"] == "fail"
+        assert VerificationReport("braid", "symbolic", "pass", elapsed=1.0) \
+            == VerificationReport("braid", "symbolic", "pass", elapsed=2.0)
+        assert first != verify_constant(R, "qybe")
+
+    def test_reports_are_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(verify_constant(twist(2)))
+
 
 class TestVerifyConstant:
     def test_twist_solves_both_identities(self):

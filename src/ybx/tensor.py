@@ -40,7 +40,8 @@ from itertools import accumulate, chain, combinations, product
 from typing import Sequence
 
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
-                      Poly, YbxError, as_scalar, clear_row, const)
+                      Poly, YbxError, _reduced, as_scalar, clear_row, const,
+                      factor_base, poly_gcd)
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
@@ -50,6 +51,13 @@ _ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
 
 class DimensionMismatch(ValueError, YbxError):
     """Operands live on tensor powers of different spaces."""
+
+
+def _check_dim(dim) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"dim must be an int, not {dim!r}")
+    if dim < 1:
+        raise InputError("dim must be >= 1")
 
 
 class _Operator(FrozenRecord):
@@ -70,8 +78,7 @@ class _Operator(FrozenRecord):
     legs: int = 0
 
     def __init__(self, dim: int, rows: Sequence[Sequence]):
-        if dim < 1:
-            raise InputError("dim must be >= 1")
+        _check_dim(dim)
         size = dim ** self.legs
         if len(rows) != size or any(len(r) != size for r in rows):
             raise InputError(f"expected a {size}x{size} matrix for dim {dim}")
@@ -116,8 +123,7 @@ class _Operator(FrozenRecord):
         pairs in columns[c]; zero terms are dropped and missing columns are
         zero. Unlike the constructor, which converts outside input, this
         takes the entries as they are, so they must be ParamScalars."""
-        if dim < 1:
-            raise InputError("dim must be >= 1")
+        _check_dim(dim)
         size = dim ** cls.legs
         rows = [[ZERO] * size for _ in range(size)]
         for c, column in enumerate(columns):
@@ -254,8 +260,6 @@ def operator_from_json_obj(obj: dict):
     if type(obj) is not dict or obj.get("format") != "ybx-operator-v1":
         raise InputError("not a ybx-operator-v1 object")
     dim, legs, matrix = obj.get("dim"), obj.get("legs", 2), obj.get("matrix")
-    if type(dim) is not int:
-        raise InputError(f"dim must be an int, not {dim!r}")
     if type(legs) is not int or legs not in (2, 3):
         raise InputError(f"unsupported legs value {legs!r}")
     if type(matrix) is not list or not all(
@@ -813,12 +817,12 @@ def _cleared(rows, augment=False):
 
 
 def _square(op: _Operator, augment: bool):
-    """(echelon form, cols, D, its _Packing, determinant), or None if the
-    operator is singular. The cleared matrix, augmented as in ``_cleared``,
-    has its rows and first size columns permuted by ``_block_order``, so
-    echelon column u < size is column cols[u]. D, the product of the
-    blocks' last pivots and the only entry unpacked, over the row scales is
-    the determinant up to the signs of the permutations and swaps."""
+    """(echelon form, cols, D, pivots, its _Packing, determinant), or None
+    if the operator is singular. The cleared matrix, augmented as in
+    ``_cleared``, has its rows and first size columns permuted by
+    ``_block_order``, so echelon column u < size is column cols[u]. D, the
+    product of the blocks' last pivots, over the row scales is the
+    determinant up to the signs of the permutations and swaps."""
     size = op.size
     M, scales, packing = _cleared(op.rows, augment)
     order = _block_order([[c for c in range(size) if row[c]] for row in M])
@@ -830,37 +834,73 @@ def _square(op: _Operator, augment: bool):
     pivots, sign = _eliminate(M, blocks, packing.guard)
     if len(pivots) < size:
         return None
-    D = reduce(lambda x, y: _dot([(x, y)]), (M[b - 1][b - 1] for b in ends))
+    pivots = [M[b - 1][b - 1] for b in ends]
+    D = reduce(lambda x, y: _dot([(x, y)]), pivots)
     det = packing.unpack(D)
     # the two permutations' signs, from their inversions
     if sign * (-1) ** sum(a > b for p in (rows, cols)
                           for a, b in combinations(p, 2)) < 0:
         det = -det
-    return M, cols, D, packing, ParamScalar(
+    return M, cols, D, pivots, packing, ParamScalar(
         det, math.prod(scales, start=_P_ONE))
 
 
-def _over(D, packing):
-    """x -> the canonical x/D, for many packed x over one packed D. The
-    canonical denominator d of each result divides D, so when D/d for a d
-    seen before divides the next x, that x/D is (x/(D/d))/d and is reduced
-    by a gcd with the small d rather than with D."""
-    den = packing.unpack(D)
-    seen = []
+def _over(D, packing, pivots):
+    """x -> the canonical x/D, for many packed x over one packed D, the
+    product of the packed pivots.
+
+    ``factor_base`` writes D as c * prod(a**m) * R, over atoms a certified
+    irreducible. Each atom divides x until a trial division fails, which
+    proves that no more of it cancels; a gcd runs only on what is left of
+    R when that is not 1, and the integer gcd of x's coefficients with c
+    and the sign of c finish x/D. Each reduced denominator d's cofactor
+    D/(c*d) is kept, and the first one seen before that divides the next x
+    starts that x where d's entry ended, so a repeated denominator costs
+    one division and one failed trial per atom left in it."""
+    c, atoms, R = factor_base([packing.unpack(p) for p in pivots])
+    guard, pack = packing.guard, packing.pack
+    packed = [pack(a) for a, _ in atoms]
+    start = (tuple(m for _, m in atoms), R)
+    base = {k: v // c for k, v in D.items()}
+    seen, dens = {}, {}
 
     def over(x) -> ParamScalar:
         if not x:
             return ZERO
-        for d, q in seen:
+        exps, r = start
+        for key, q in seen.items():
             try:
-                return ParamScalar(
-                    packing.unpack(_divexact(x, q, packing.guard)), d)
+                x = _divexact(x, q, guard)
             except ArithmeticError:
-                pass
-        out = ParamScalar(packing.unpack(x), den)
-        seen.append((out.den, _divexact(D, packing.pack(out.den),
-                                        packing.guard)))
-        return out
+                continue
+            exps, r = key
+            break
+        exps = list(exps)
+        for i, a in enumerate(packed):
+            while exps[i]:
+                try:
+                    x = _divexact(x, a, guard)
+                except ArithmeticError:
+                    break
+                exps[i] -= 1
+        k = math.gcd(c, *x.values())
+        t = k if c > 0 else -k
+        if t != 1:
+            x = {m: v // t for m, v in x.items()}
+        num = packing.unpack(x)
+        if r != _P_ONE:
+            g = poly_gcd(num, r)
+            if g != _P_ONE:
+                num, r = num.divexact(g), r.divexact(g)
+        key = (tuple(exps), r)
+        den = dens.get((key, k))
+        if den is None:
+            den = reduce(Poly.__mul__, (a ** e for (a, _), e in
+                                        zip(atoms, exps) if e), r)
+            if key != start and key not in seen:
+                seen[key] = _divexact(base, pack(den), guard)
+            den = dens[key, k] = den.scale(abs(c) // k)
+        return _reduced(num, den)
 
     return over
 
@@ -868,7 +908,7 @@ def _over(D, packing):
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
     solved = _square(op, False)
-    return solved[4] if solved else ZERO
+    return solved[-1] if solved else ZERO
 
 
 def invert(op: _Operator) -> InverseResult:
@@ -880,14 +920,16 @@ def invert(op: _Operator) -> InverseResult:
     diag(s). D is the cleared determinant up to sign, so D times that
     solution is polynomial (Cramer's rule), and back-substitution finds it
     by exact divisions: X_i = (D*rhs_i - sum_{j>i} M[i][j]*X_j) / M[i][i]
-    is row cols[i] of the inverse. Each entry is then canonicalised once
-    (``_over``)."""
+    is row cols[i] of the inverse. Each entry is then reduced over the
+    factor base of D, the product of the blocks' last pivots: by trial
+    divisions by its certified factors, and by a gcd only with the rest
+    of D, if any (``_over``)."""
     size = op.size
     solved = _square(op, True)
     if solved is None:
         return InverseResult(False, None, ZERO)
-    M, cols, D, packing, det = solved
-    over = _over(D, packing)
+    M, cols, D, pivots, packing, det = solved
+    over = _over(D, packing, pivots)
     # the nonzero entries right of each diagonal entry, negated
     right = [[(j, _neg(row[j])) for j in range(i + 1, size) if row[j]]
              for i, row in enumerate(M)]
@@ -910,7 +952,8 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     Returns a list of coordinate tuples, one per non-pivot column fc, with
     1 at fc and 0 at the other non-pivot columns; exact over the
     rational-function field. As in ``invert``, D times each vector, for D
-    the last pivot, is found over Z[params] and canonicalised once."""
+    the last pivot, is found over Z[params] and reduced over D's factor
+    base."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -921,7 +964,7 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
     pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
-    over = _over(D, packing)
+    over = _over(D, packing, [D])
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         X = {fc: D}

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from ybx.algebra import AssociativityError, UnitError
 from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
-from ybx.scalars import ONE, ZERO, Poly, as_scalar, poly_gcd
+from ybx.scalars import ONE, ZERO, ParamScalar, Poly, as_scalar, poly_gcd
 
 
 def frac_matrix(op, assignment=None):
@@ -352,6 +352,31 @@ def bareiss_nullspace(rows):
             x[pc] = -acc / M[r][pc]
         basis.append(tuple(x))
     return basis
+
+
+def over_reference(D, packing, pivots=None):
+    """x -> the canonical x/D, for many packed x over one packed D: the
+    canonicalisation that ``tensor._over`` replaced, which ignores the
+    pivots. The canonical denominator d of each result divides D, so when
+    D/d for a d seen before divides the next x, that x/D is (x/(D/d))/d
+    and is reduced by a gcd with d; otherwise by a gcd with D."""
+    den = packing.unpack(D)
+    seen = []
+
+    def over(x):
+        if not x:
+            return ZERO
+        num = packing.unpack(x)
+        for d, q in seen:
+            try:
+                return ParamScalar(num.divexact(q), d)
+            except ArithmeticError:
+                pass
+        out = ParamScalar(num, den)
+        seen.append((out.den, den.divexact(out.den)))
+        return out
+
+    return over
 
 
 def frac_solve(rows):

@@ -83,6 +83,25 @@ class TestFromColumns:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             build()
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None])
+    def test_dim_that_is_not_an_int_is_refused(self, dim):
+        # unchecked, a float dim builds an operator whose determinant
+        # raises a TypeError
+        with pytest.raises(scalars.InputError, match="dim must be an int"):
+            determinant(Operator2(dim, [[0] * 4] * 4))
+        with pytest.raises(scalars.InputError, match="dim must be an int"):
+            Operator3.from_columns(dim, ())
+
+    @pytest.mark.parametrize("call", [
+        lambda: Operator2(1, [[1.5]]),
+        lambda: nullspace([[None]]),
+        lambda: Operator2(1, [[[1]]]),
+        lambda: as_scalar(object()),
+    ], ids=["float", "None", "list", "object"])
+    def test_entry_that_is_no_scalar_is_refused(self, call):
+        with pytest.raises(scalars.YbxError, match="as a scalar"):
+            call()
+
 
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
@@ -794,13 +813,21 @@ class TestEliminationCounts:
         assert invert(R) == tensor.InverseResult(False, None, ZERO)
         assert calls == []
 
-    def test_invert_canonicalises_each_entry_once(self, monkeypatch):
+    def test_invert_reduces_entries_without_a_gcd(self, monkeypatch):
+        # every factor of the blocks' last pivots is certified irreducible,
+        # so each entry is reduced by trial divisions alone, and only the
+        # determinant is canonicalised
         R = self.colored()
-        calls = self.count(monkeypatch, "_canonical")
+        bases = []
+        original = tensor.factor_base
+        monkeypatch.setattr(tensor, "factor_base", lambda pivots: (
+            bases.append(original(pivots)) or bases[-1]))
+        gcds = self.count(monkeypatch, "poly_gcd", tensor)
+        canonical = self.count(monkeypatch, "_canonical")
         res = invert(R)
-        entries = sum(1 for row in res.operator.rows for e in row if e)
-        # one per nonzero entry of the inverse and one for the determinant
-        assert len(calls) == entries + 1
+        [(_, atoms, residual)] = bases
+        assert atoms and residual == scalars.Poly.const(1)
+        assert gcds == [] and len(canonical) == 1
         assert (R @ res.operator).is_identity()
 
 

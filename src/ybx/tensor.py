@@ -60,6 +60,14 @@ def _check_dim(dim) -> None:
         raise InputError("dim must be >= 1")
 
 
+def _check_operand(op, *classes) -> None:
+    """Refuse an operand of none of the given operator classes, before a
+    kernel fails on it with an error that is no YbxError."""
+    if not isinstance(op, classes):
+        names = " or ".join(cls.__name__ for cls in classes)
+        raise InputError(f"expected {names}, not {type(op).__name__}")
+
+
 class _Operator(FrozenRecord):
     """Shared machinery for square operators on a tensor power of V.
 
@@ -136,11 +144,14 @@ class _Operator(FrozenRecord):
     @classmethod
     def _from_rows(cls, dim: int, rows, scalar):
         """The operator with scalar(e) at (y, c) for each (y, {c: e}) in
-        rows, and zero elsewhere: the last step of every product."""
+        rows, and zero elsewhere: the last step of every product. A kernel
+        entry that is 0 (falsy in either lane) is skipped, so a cancelled
+        entry of the int lane never becomes a scalar."""
         columns = [[] for _ in range(dim ** cls.legs)]
         for y, row in rows:
             for c, e in row.items():
-                columns[c].append((y, scalar(e)))
+                if e:
+                    columns[c].append((y, scalar(e)))
         return cls.from_columns(dim, columns)
 
     @classmethod
@@ -292,6 +303,7 @@ def bilinear(table, x, y) -> tuple:
 
 def twist(n: int) -> Operator2:
     """The flip v⊗w -> w⊗v as a permutation matrix."""
+    _check_dim(n)       # range(n) below runs before from_columns checks n
     return Operator2.from_columns(n, ([(j * n + i, ONE)]
                                       for i in range(n) for j in range(n)))
 
@@ -304,23 +316,30 @@ def _leg_action(rows, n: int, legs: int):
     """The rows of R's embedding on the chosen pair of tensor factors of
     V⊗V⊗V, for R an n^2 x n^2 matrix given as the nonzero (column, entry)
     pairs of each row, and listed the same way. Fed R's columns as (row,
-    entry) pairs, it gives the columns of the embedding."""
-    if legs not in _LEG_POSITIONS:
+    entry) pairs, it gives the columns of the embedding.
+
+    Row (a*n + b) of R, moved onto the legs, and the spectator's shift
+    c*sc give the embedding's row a*sa + b*sb + c*sc; each leg pair lists
+    these in index order, so no row index is computed."""
+    if legs not in (12, 23, 13):    # a tuple: unhashable legs are refused
         raise InputError("legs must be one of 12, 23, 13")
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
     index = [r // n * sa + r % n * sb for r in range(n * n)]
     moved = [[(index[c], e) for c, e in row] for row in rows]
-    action = [None] * n ** 3
-    for a, b, c in product(range(n), repeat=3):
-        shift = c * sc
-        action[a * sa + b * sb + shift] = [(y + shift, e)
-                                           for y, e in moved[a * n + b]]
-    return action
+    shifts = range(0, n * sc, sc)
+    if legs == 12:      # row (a*n + b)*n + c
+        return [[(y + s, e) for y, e in m] for m in moved for s in shifts]
+    if legs == 23:      # row c*n^2 + (a*n + b)
+        return [[(y + s, e) for y, e in m] for s in shifts for m in moved]
+    # legs 13: row a*n^2 + c*n + b
+    return [[(y + s, e) for y, e in m] for a in range(0, n * n, n)
+            for s in shifts for m in moved[a:a + n]]
 
 
 def embed(R: Operator2, legs: int) -> Operator3:
     """Lift R to V⊗V⊗V acting on the chosen pair of tensor factors: legs 12
     is R⊗I, legs 23 is I⊗R, and legs 13 puts R on the outer pair."""
+    _check_operand(R, Operator2)
     columns = [[(r, e) for r, e in enumerate(col) if e]
                for col in zip(*R.rows)]
     return Operator3.from_columns(R.dim, _leg_action(columns, R.dim, legs))
@@ -404,8 +423,10 @@ def _packed_lane(mats, side):
 def _apply(actions, x: int) -> dict:
     """e_x pushed through the row actions, first to last (each lists the
     nonzero (column, entry) pairs of each row, adding on a repeated column):
-    row x of their product, as a sparse {column: nonzero entry} map. The int
-    lane; a zero that cancels on the way is carried along and dropped."""
+    row x of their product, as a sparse {column: entry} map. The int lane;
+    an entry that cancels to 0 is carried along and may be returned, so
+    its callers drop zeros only where they matter: ``_defect_rows`` from
+    the difference of two rows, ``_from_rows`` from a product's rows."""
     vec = actions[0][x]
     for action in actions[1:]:
         out = {}
@@ -413,7 +434,7 @@ def _apply(actions, x: int) -> dict:
             for y, e in action[x]:
                 out[y] = out.get(y, 0) + s * e
         vec = out.items()
-    return {y: e for y, e in vec if e}
+    return out if len(actions) > 1 else dict(vec)
 
 
 def _apply_packed(actions, x: int) -> dict:
@@ -451,14 +472,18 @@ _PACKED_KERNEL = (_apply_packed, _minus_packed)
 
 
 def _defect_rows(size: int, lhs, rhs, kernel):
-    """(row, {col: entry}) for each nonzero row of lhs - rhs, in order, for
-    size x size products; lhs and rhs list the row actions of the two
-    products from the left, so applying them to e_y gives row y."""
+    """(row, {col: nonzero entry}) for each nonzero row of lhs - rhs, in
+    order, for size x size products; lhs and rhs list the row actions of
+    the two products from the left, so applying them to e_y gives row y.
+    The int lane's rows may hold a cancelled 0, so two raw rows that differ
+    can still be equal: a row counts only if its difference, from which
+    the kernel's minus drops the zeros, is nonempty. Most equal rows are
+    equal as they come, and pay one dict comparison."""
     apply, minus = kernel
     for y in range(size):
         left, right = apply(lhs, y), apply(rhs, y)
-        if left != right:
-            yield y, minus(left, right)
+        if left != right and (row := minus(left, right)):
+            yield y, row
 
 
 class Defect:
@@ -505,7 +530,11 @@ def _defect(ops, legs, lhs, rhs) -> Defect:
     """ops[i] on the leg pair legs[i]; lhs and rhs index the three factors
     of each product, leftmost first. The kernel runs on the cleared
     operators, so its entries are over the product of the d of one side."""
+    for op in ops:
+        _check_operand(op, Operator2)
     n = ops[0].dim
+    if any(op.dim != n for op in ops):
+        raise DimensionMismatch("yb_commutator needs equal dims")
     rows, kernel, _, scalar = _clear(ops, lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
     lhs = [actions[i] for i in lhs]
@@ -535,6 +564,7 @@ def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
     compares row y of the cleared product with d*e_y, for d the product of
     the two operators' denominators, so the product is never
     canonicalised."""
+    _check_operand(A, Operator2, Operator3)
     A._require_same(B)
     rows, kernel, d, scalar = _clear((A, B), (0, 1))
     identity = [[(y, d)] for y in range(A.size)]
@@ -545,8 +575,6 @@ def roundtrip_defect(A: _Operator, B: _Operator) -> Defect:
 
 def yb_commutator(R: Operator2, S: Operator2, T: Operator2) -> Defect:
     """R^12 S^13 T^23 - T^23 S^13 R^12."""
-    if not (R.dim == S.dim == T.dim):
-        raise DimensionMismatch("yb_commutator needs equal dims")
     return _defect((R, S, T), (12, 13, 23), (0, 1, 2), (2, 1, 0))
 
 
@@ -823,6 +851,7 @@ def _square(op: _Operator, augment: bool):
     ``_block_order``, so echelon column u < size is column cols[u]. D, the
     product of the blocks' last pivots, over the row scales is the
     determinant up to the signs of the permutations and swaps."""
+    _check_operand(op, Operator2, Operator3)
     size = op.size
     M, scales, packing = _cleared(op.rows, augment)
     order = _block_order([[c for c in range(size) if row[c]] for row in M])
@@ -924,10 +953,10 @@ def invert(op: _Operator) -> InverseResult:
     factor base of D, the product of the blocks' last pivots: by trial
     divisions by its certified factors, and by a gcd only with the rest
     of D, if any (``_over``)."""
-    size = op.size
     solved = _square(op, True)
     if solved is None:
         return InverseResult(False, None, ZERO)
+    size = op.size
     M, cols, D, pivots, packing, det = solved
     over = _over(D, packing, pivots)
     # the nonzero entries right of each diagonal entry, negated

@@ -9,11 +9,12 @@ messages the structure-axiom loops are compared on.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from ybx.algebra import AssociativityError, UnitError
 from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
-from ybx.scalars import ONE, ZERO, ParamScalar, Poly, as_scalar, poly_gcd
+from ybx.scalars import (ONE, ZERO, InputError, ParamScalar, Poly, as_scalar,
+                         poly_gcd)
 
 
 def frac_matrix(op, assignment=None):
@@ -352,6 +353,26 @@ def bareiss_nullspace(rows):
             x[pc] = -acc / M[r][pc]
         basis.append(tuple(x))
     return basis
+
+
+def leg_action_reference(rows, n, legs):
+    """The rows of R's embedding on a leg pair, as ``tensor._leg_action``
+    lists them: the loop that it replaced, which visits the basis triples
+    (a, b, c) in lexicographic order and computes each row's index. Row a*n
+    + b of R (its nonzero (column, entry) pairs) moved onto the legs is row
+    a*sa + b*sb + c*sc of the embedding, for the spectator c."""
+    positions = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
+    if legs not in positions:
+        raise InputError("legs must be one of 12, 23, 13")
+    sa, sb, sc = (n ** (2 - pos) for pos in positions[legs])
+    index = [r // n * sa + r % n * sb for r in range(n * n)]
+    moved = [[(index[c], e) for c, e in row] for row in rows]
+    action = [None] * n ** 3
+    for a, b, c in product(range(n), repeat=3):
+        shift = c * sc
+        action[a * sa + b * sb + shift] = [(y + shift, e)
+                                           for y, e in moved[a * n + b]]
+    return action
 
 
 def over_reference(D, packing, pivots=None):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx import scalars, tensor
+from ybx import scalars, tensor, verify
 from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
@@ -958,10 +958,12 @@ class TestDefectKernel:
 
 
 class TestIntKernelCancellation:
-    """The int lane carries an entry that cancels to zero to the end of a
-    product and drops it there: products whose first two factors cancel in
-    some columns agree with the Fraction oracles, and no row the kernel
-    returns holds an explicit zero."""
+    """The int lane carries an entry that cancels to 0 to the end of a
+    product and may return it there; only a difference of two rows drops
+    its zeros, and a product skips them when it builds its entries. So
+    products whose first two factors cancel in some columns agree with the
+    Fraction oracles, and no defect row, first nonzero entry, dense defect,
+    row of A @ B or structure witness exposes a cancelled 0."""
 
     @staticmethod
     def operators(seed, count):
@@ -981,49 +983,213 @@ class TestIntKernelCancellation:
     def sparse(M):
         return [{c: e for c, e in enumerate(row) if e} for row in M]
 
-    def test_apply_drops_a_cancelled_entry_at_the_end(self):
+    @staticmethod
+    def nonzero(row):
+        return {c: e for c, e in row.items() if e}
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records every raw row the int lane's _apply returns, and every
+        value the int lane turns into a scalar."""
+        seen = {"rows": [], "scalars": []}
+
+        def apply(actions, x):
+            row = tensor._apply(actions, x)
+            seen["rows"].append(dict(row))
+            return row
+
+        def const(value):
+            seen["scalars"].append(value)
+            return scalars.const(value)
+
+        monkeypatch.setattr(tensor, "_INT_KERNEL", (apply, tensor._minus))
+        monkeypatch.setattr(tensor, "const", const)
+        return seen
+
+    @staticmethod
+    def carried_a_zero(seen):
+        return any(0 in row.values() for row in seen["rows"])
+
+    def test_apply_may_return_a_cancelled_entry(self):
         actions = [[[(0, 1), (1, 1)]],
                    [[(0, 1)], [(0, -1), (1, 2)]],
                    [[(0, 5), (1, 1)], [(1, 3)]]]
         assert tensor._apply(actions[:1], 0) == {0: 1, 1: 1}
-        assert tensor._apply(actions[:2], 0) == {1: 2}
-        assert tensor._apply(actions, 0) == {1: 6}
+        # column 0 cancels in the second step, 1*1 + 1*(-1), and stays
+        assert tensor._apply(actions[:2], 0) == {0: 0, 1: 2}
+        assert tensor._apply(actions, 0) == {0: 0, 1: 6}
 
-    def test_product(self):
+    def test_product(self, spy):
         A, B = self.operators(11, 2)
         fa, fb = oracles.frac_matrix(A), oracles.frac_matrix(B)
         assert self.cancels(fa, fb)
         expected = oracles.matmul(fa, fb)
         assert oracles.frac_matrix(A @ B) == expected
+        assert self.carried_a_zero(spy)
+        assert all(spy["scalars"])
         rows, (apply, _), d, _ = tensor._clear((A, B), (0, 1))
         assert d == 1
-        assert [apply(rows, y) for y in range(4)] == self.sparse(expected)
+        assert [self.nonzero(apply(rows, y)) for y in range(4)] == \
+            self.sparse(expected)
 
     def kernel_rows(self, ops, legs, side):
         rows, (apply, _), d, _ = tensor._clear(ops, side)
         assert d == 1
         actions = [tensor._leg_action(r, 2, leg) for r, leg in zip(rows, legs)]
-        return [apply([actions[i] for i in side], y) for y in range(8)]
+        return [self.nonzero(apply([actions[i] for i in side], y))
+                for y in range(8)]
 
-    def test_braid_defect(self):
+    def check_defect(self, defect, want, spy):
+        """The defect, its rows and its first entry against the oracle
+        matrix; the kernel must have carried a cancelled 0 on the way."""
+        assert self.carried_a_zero(spy)
+        assert defect.first_nonzero() == oracle_first_nonzero(want)
+        assert all(e for _, row in defect._rows() for e in row.values())
+        assert [y for y, _ in defect._rows()] == [
+            y for y, row in enumerate(want) if any(row)]
+        spy["scalars"].clear()
+        assert oracles.frac_matrix(defect.dense()) == want
+        assert all(spy["scalars"])
+
+    def test_braid_defect(self, spy):
         R, = self.operators(12, 1)
         f = oracles.frac_matrix(R)
         r12, r23 = oracles.embed12(f, 2), oracles.embed23(f, 2)
         assert self.cancels(r12, r23)
-        assert oracles.frac_matrix(braid_defect(R).dense()) == \
-            oracles.braid_defect_matrix(f, 2)
+        self.check_defect(braid_defect(R), oracles.braid_defect_matrix(f, 2),
+                          spy)
         assert self.kernel_rows((R, R), (12, 23), (0, 1, 0)) == self.sparse(
             oracles.matmul(oracles.matmul(r12, r23), r12))
 
-    def test_yb_commutator(self):
+    def test_yb_commutator(self, spy):
         ops = self.operators(13, 3)
         R, S, T = map(oracles.frac_matrix, ops)
         r12, s13 = oracles.embed12(R, 2), oracles.embed13(S, 2)
         assert self.cancels(r12, s13)
-        assert oracles.frac_matrix(yb_commutator(*ops).dense()) == \
-            oracles.commutator_matrix(R, S, T, 2)
+        self.check_defect(yb_commutator(*ops),
+                          oracles.commutator_matrix(R, S, T, 2), spy)
         assert self.kernel_rows(ops, (12, 13, 23), (0, 1, 2)) == self.sparse(
             oracles.matmul(oracles.matmul(r12, s13), oracles.embed23(T, 2)))
+
+    @staticmethod
+    def actions(*matrices):
+        """A chain of row actions: the nonzero (column, entry) pairs of each
+        row of each int matrix."""
+        return [[[(c, e) for c, e in enumerate(row) if e] for row in M]
+                for M in matrices]
+
+    # A B has row 0 = (0, 2, 0, 1), where column 0 cancels (1 - 1), and
+    # row 2 = (0, 3, 0, 0), where column 0 cancels too
+    A = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    B = [[1, 0, 0, 1], [-1, 2, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]
+
+    def scan(self, C):
+        """The scan of A B - C, over d = 1, on the int lane."""
+        lhs, rhs = self.actions(self.A, self.B), self.actions(C)
+        return tensor.Defect(Operator2, 2, lambda: tensor._defect_rows(
+            4, lhs, rhs, tensor._INT_KERNEL), lambda e: const(e))
+
+    def test_scan_ignores_a_cancelled_zero(self):
+        AB = oracles.matmul(self.A, self.B)
+        assert tensor._apply(self.actions(self.A, self.B), 0) == \
+            {0: 0, 1: 2, 3: 1}
+        defect = self.scan(AB)
+        assert defect.is_zero()
+        assert defect.first_nonzero() is None
+        assert defect.dense().is_zero()
+
+    @pytest.mark.parametrize("row, col, delta", [(2, 1, 4), (2, 3, -1),
+                                                 (3, 0, 5)])
+    def test_scan_finds_the_oracles_entry(self, row, col, delta):
+        AB = oracles.matmul(self.A, self.B)
+        C = [list(r) for r in AB]
+        C[row][col] -= delta
+        want = oracles.sub([list(map(Fraction, r)) for r in AB],
+                           [list(map(Fraction, r)) for r in C])
+        defect = self.scan(C)
+        assert not defect.is_zero()
+        assert defect.first_nonzero() == oracle_first_nonzero(want)
+        assert defect.first_nonzero() == (row, col, const(delta))
+        assert oracles.frac_matrix(defect.dense()) == want
+
+    @staticmethod
+    def first_failing(table):
+        """make_algebra's first failing associativity triple of an int
+        table, on the product kernel."""
+        n = len(table)
+
+        def sides(i, j, k, m):
+            return ([(l * n + k, e) for l, e in m[i * n + j]],
+                    [(i * n + l, e) for l, e in m[j * n + k]])
+        return tensor.first_failing_triple(
+            [[[const(e) for e in row] for row in plane] for plane in table],
+            sides)
+
+    @staticmethod
+    def oracle_failing(table):
+        n = len(table)
+        basis = [[int(k == i) for k in range(n)] for i in range(n)]
+
+        def mul(x, y):
+            return [sum(x[i] * y[j] * table[i][j][k] for i in range(n)
+                        for j in range(n)) for k in range(n)]
+        return next(((i, j, k) for i, j, k in itertools.product(range(n),
+                                                                repeat=3)
+                     if mul(table[i][j], basis[k]) != mul(basis[i],
+                                                          table[j][k])),
+                    None)
+
+    def test_first_failing_triple(self, spy):
+        # M_2(Q) in the basis f_a = e_a + e_(a-1) of its matrix units, in
+        # which products cancel; then with one entry corrupted
+        units, _ = oracles.matrix_unit_table([(0, 0), (0, 1), (1, 0), (1, 1)])
+        n = len(units)
+        P = [[int(i == a or i == a - 1) for i in range(n)] for a in range(n)]
+        Q = [[(-1) ** (a - i) if i <= a else 0 for i in range(n)]
+             for a in range(n)]
+        table = [[[int(sum(P[a][i] * P[b][j] * units[i][j][k] * Q[k][c]
+                           for i in range(n) for j in range(n)
+                           for k in range(n)))
+                   for c in range(n)] for b in range(n)] for a in range(n)]
+        assert self.oracle_failing(table) is None
+        assert self.first_failing(table) is None
+        assert self.carried_a_zero(spy)
+        rng = random.Random(14)
+        for _ in range(30):
+            bad = [[list(row) for row in plane] for plane in table]
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            bad[a][b][c] += rng.choice((-1, 1))
+            want = self.oracle_failing(bad)
+            assert want is not None
+            assert self.first_failing(bad) == want
+
+
+class TestLegAction:
+    """_leg_action lists the embedding's rows in index order, one
+    comprehension per leg pair; it must give the same lists as the loop
+    over basis triples that it replaced."""
+
+    @staticmethod
+    def sparse_rows(rng, n):
+        return [[(c, rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for c in sorted(rng.sample(range(n * n),
+                                            rng.randint(0, min(n * n, 3))))]
+                for _ in range(n * n)]
+
+    @pytest.mark.parametrize("legs", [12, 23, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_reference(self, n, legs):
+        rng = random.Random(100 * n + legs)
+        for _ in range(10):
+            rows = self.sparse_rows(rng, n)
+            assert tensor._leg_action(rows, n, legs) == \
+                oracles.leg_action_reference(rows, n, legs)
+
+    @pytest.mark.parametrize("legs", [0, 21, 31, 123, None, "12", [12]])
+    def test_bad_legs_are_refused(self, legs):
+        rows = self.sparse_rows(random.Random(0), 2)
+        with pytest.raises(scalars.InputError, match="legs must be one of"):
+            tensor._leg_action(rows, 2, legs)
 
 
 def random_fraction_op2(dim, rng, dens):
@@ -1307,3 +1473,43 @@ def test_inverse_round_trip_property(A, B):
         assert (res.operator @ R).is_identity()
     else:
         assert res.determinant.is_zero
+
+
+_HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 1), max_size=4),
+    st.sampled_from([
+        twist(2), Operator2.identity(1), Operator3.identity(1),
+        Operator3.zero(2), Operator2(2, [[1, 0, 0, 0]] * 4),
+        operator_from_json_obj({"format": "ybx-operator-v1", "dim": 1,
+                                "legs": 3, "matrix": [["2"]]})]))
+
+
+@given(st.sampled_from(["braid_defect", "qybe_defect", "yb_commutator",
+                        "embed", "verify_constant", "invert", "determinant",
+                        "twist", "roundtrip_defect", "verify_inverse_pair"]),
+       st.lists(_HOSTILE, min_size=3, max_size=3),
+       st.one_of(st.sampled_from([12, 23, 13, "braid", "qybe"]), _HOSTILE))
+@settings(max_examples=200, deadline=None)
+def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
+    """Each public entry point of the tensor layer either answers or raises
+    a YbxError, whatever its operands: an Operator3 where an Operator2 is
+    due, None, a float dim or a bad leg pair."""
+    calls = {
+        "braid_defect": lambda x, _y, _z: braid_defect(x),
+        "qybe_defect": lambda x, _y, _z: qybe_defect(x),
+        "yb_commutator": yb_commutator,
+        "embed": lambda x, _y, _z: embed(x, option),
+        "verify_constant": lambda x, _y, _z: verify.verify_constant(x, option),
+        "invert": lambda x, _y, _z: invert(x),
+        "determinant": lambda x, _y, _z: determinant(x),
+        "twist": lambda x, _y, _z: twist(x),
+        "roundtrip_defect": lambda x, y, _z: roundtrip_defect(x, y),
+        "verify_inverse_pair": lambda x, y, _z: verify.verify_inverse_pair(
+            x, y),
+    }
+    try:
+        calls[name](*operands)
+    except scalars.YbxError:
+        pass

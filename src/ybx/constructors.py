@@ -6,20 +6,24 @@ superalgebra.
 One builder, _product_map, multiplies out a structure table for all but
 the split-center solutions: a Lie superalgebra's bracket takes the place
 of the algebra's product, an even central z that of its unit, and the
-grading signs the twist. Each builder returns ordinary Operator2 matrices in the fixed basis
-convention, so the verification layer never needs to know where an
-operator came from.
+grading signs the twist. The closed-form inverses hand it their known
+denominator as a list of factors: the map is built over the numerators,
+and each distinct entry is divided by the denominator once, over its
+factor base, the way ``tensor.invert`` reduces its entries. Each builder
+returns ordinary Operator2 matrices in the fixed basis convention, so the
+verification layer never needs to know where an operator came from.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, as_scalar)
-from .tensor import Operator2, _int_form
+from .tensor import Operator2, _check_operand, _int_form, _quotients
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -72,7 +76,7 @@ class InvalidCenterError(ValueError, YbxError):
 # ---------------------------------------------------------------------------
 
 def _product_map(T, unit, left, right, diag, swap: bool,
-                 reverse: bool = False, grading=None) -> Operator2:
+                 reverse: bool = False, grading=None, over=()) -> Operator2:
     """The map a(x)b -> left*ab(x)u + right*u(x)ab - diag*(b(x)a or a(x)b),
     for ab the product in the table of T and u = unit: an Algebra's product
     and unit, or a LieSuperalgebra's bracket and even central z. A grading
@@ -91,17 +95,35 @@ def _product_map(T, unit, left, right, diag, swap: bool,
     ints: the scales times d_S, the lcm of their denominators, and the
     constants times the table's d_T, so that the operator is born with its
     integer form over d_S*d_T. Otherwise it is done in ParamScalars.
+
+    over lists the nonzero factors of a denominator D that divides the
+    whole map. If every factor is a rational constant, the scales are
+    divided by D first. Otherwise each factor f/g gives f to D and g to the
+    scales (x/(f/g) = x*g/f), the map is formed as above over the
+    numerators, with no gcd when they and the table are polynomials, and
+    each distinct entry is then divided by D once (``tensor._quotients``:
+    trial divisions by D's certified irreducible factors, a gcd only with
+    the rest), so that no sum of two quotients is ever formed.
     """
     n = T.dim
     entries, values, ints = T.product_table()
-    left, right = as_scalar(left), as_scalar(right)
+    left, right, diag = as_scalar(left), as_scalar(right), as_scalar(diag)
+    factors = ()
+    if over:
+        if any(f.names for f in over):
+            factors = [f.num for f in over]
+            lift = ParamScalar(math.prod((f.den for f in over), start=ONE.num))
+        else:
+            lift = math.prod(over, start=ONE).reciprocal()
+        if not lift.is_one:
+            left, right, diag = left * lift, right * lift, diag * lift
     # (row stride, row offset) of each product term, and its scale
     sides = [((stride, offset), s if ul.is_one else s * ul)
              for l, ul in enumerate(unit) if ul
              for stride, offset, s in ((n, l, left), (1, l * n, right)) if s]
-    scales = [-as_scalar(diag)] + [s for _, s in sides]
+    scales = [-diag] + [s for _, s in sides]
     # the table is read only through the nonzero side scales
-    form = (ints or not sides) and _int_form([scales])
+    form = not factors and (ints or not sides) and _int_form([scales])
     if form:
         (d_s, (cleared,)), (d_t, values) = form, ints or (1, ())
         at = dict(cleared)
@@ -138,6 +160,16 @@ def _product_map(T, unit, left, right, diag, swap: bool,
                     if key not in sums:
                         sums[key] = a + e
                     column[r] = sums[key]
+    if factors:
+        # the places of each distinct entry, which is divided by D once
+        places = {}
+        for column in columns:
+            for r, e in column.items():
+                places.setdefault(e, []).append((column, r))
+        reduced = _quotients(list(places), factors)
+        for q, spots in zip(reduced, places.values()):
+            for column, r in spots:
+                column[r] = q
     if not form:
         return Operator2.from_columns(n, (c.items() for c in columns))
     rows = [[] for _ in range(n * n)]
@@ -148,9 +180,15 @@ def _product_map(T, unit, left, right, diag, swap: bool,
     return Operator2._make(n, None, (d_s * d_t, rows))
 
 
+def _unit(A) -> tuple:
+    """The unit of A, once A is known to be an Algebra."""
+    _check_operand(A, Algebra)
+    return A.unit
+
+
 def dn_operator(A: Algebra, alpha, beta, gamma) -> Operator2:
     """a(x)b -> alpha*ab(x)1 + beta*1(x)ab - gamma*a(x)b."""
-    return _product_map(A, A.unit, alpha, beta, gamma, swap=False)
+    return _product_map(A, _unit(A), alpha, beta, gamma, swap=False)
 
 
 def classify_dn(alpha, beta, gamma) -> str:
@@ -186,7 +224,13 @@ def _dn_case_symbolic(a: ParamScalar, b: ParamScalar, g: ParamScalar):
 def dn_inverse(A: Algebra, alpha, beta, gamma) -> Operator2:
     """The closed-form inverse of dn_operator in the three invertible
     cases; anything else raises, because outside them the operator is not
-    an invertible braid solution."""
+    an invertible braid solution.
+
+    In cases i and ii it is dn_operator at (1/beta, 1/alpha, 1/gamma),
+    built as a(x)b -> alpha*gamma*ab(x)1 + beta*gamma*1(x)ab -
+    alpha*beta*a(x)b over alpha*beta*gamma; in case iii it is a(x)b ->
+    -a(x)b over gamma. Each distinct entry is divided once by the factors
+    of that denominator."""
     a, b, g = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
     case = _dn_case_symbolic(a, b, g)
     if case is None:
@@ -194,8 +238,10 @@ def dn_inverse(A: Algebra, alpha, beta, gamma) -> Operator2:
             f"({a}, {b}, {g}) lies in no invertible case of the family"
         )
     if case == "iii":
-        return dn_operator(A, ZERO, ZERO, g.reciprocal())
-    return dn_operator(A, b.reciprocal(), a.reciprocal(), g.reciprocal())
+        return _product_map(A, _unit(A), ZERO, ZERO, ONE, swap=False,
+                            over=[g])
+    return _product_map(A, _unit(A), a * g, b * g, a * b, swap=False,
+                        over=[a, b, g])
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +252,18 @@ def colored_operator(A: Algebra, p, q, u, v) -> Operator2:
     """R(u,v): a(x)b -> p(u-v)1(x)ab + q(u-v)ab(x)1 - (pu-qv)b(x)a."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     duv = u - v
-    return _product_map(A, A.unit, q * duv, p * duv, p * u - q * v, swap=True)
+    return _product_map(A, _unit(A), q * duv, p * duv, p * u - q * v,
+                        swap=True)
 
 
 def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     """Closed-form inverse of colored_operator away from the degenerate
-    locus; the vanishing factor is reported when on it."""
+    locus; the vanishing factor is reported when on it.
+
+    R(u,v)^-1: a(x)b -> (p(u-v)ba(x)1 + q(u-v)1(x)ba - (qu-pv)b(x)a) over
+    (qu-pv)(pu-qv). The numerator is built like colored_operator, and each
+    distinct entry is divided once by the two factors of the
+    denominator."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
     qupv = q * u - p * v
@@ -220,9 +272,8 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     if qupv.is_zero:
         raise InvertibilityLocusError("q*u - p*v")
     duv = u - v
-    dd = qupv * puqv
-    return _product_map(A, A.unit, p * duv / dd, q * duv / dd,
-                        puqv.reciprocal(), swap=True, reverse=True)
+    return _product_map(A, _unit(A), p * duv, q * duv, qupv, swap=True,
+                        reverse=True, over=[qupv, puqv])
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +295,12 @@ class WxzTriple(FrozenRecord):
 def wxz_system(A: Algebra, lam, mu) -> WxzTriple:
     """W: a(x)b -> ab(x)1 + lam*1(x)ab - b(x)a, Z with mu on the other
     product term, X with both coefficients 1."""
+    unit = _unit(A)
     lam = as_scalar(lam)
     mu = as_scalar(mu)
-    W = _product_map(A, A.unit, ONE, lam, ONE, swap=True)
-    Z = _product_map(A, A.unit, mu, ONE, ONE, swap=True)
-    X = _product_map(A, A.unit, ONE, ONE, ONE, swap=True)
+    W = _product_map(A, unit, ONE, lam, ONE, swap=True)
+    Z = _product_map(A, unit, mu, ONE, ONE, swap=True)
+    X = _product_map(A, unit, ONE, ONE, ONE, swap=True)
     return WxzTriple(W=W, X=X, Z=Z)
 
 
@@ -276,6 +328,9 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
     Both f and g must vanish on every basis tensor with a leg equal to c;
     that is validated before anything is built.
     """
+    _check_operand(space, SplitSpace)
+    _check_operand(f, Operator2)
+    _check_operand(g, Operator2)
     n = space.total_dim
     c = space.c_index
     if f.dim != n or g.dim != n:
@@ -299,6 +354,9 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
 # ---------------------------------------------------------------------------
 
 def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
+    _check_operand(L, LieSuperalgebra)
+    if not isinstance(z, Sequence):
+        raise InputError(f"z must be a sequence, not {type(z).__name__}")
     zv = tuple(as_scalar(c) for c in z)
     if len(zv) != L.dim:
         raise InvalidCenterError(f"z must have length {L.dim}")

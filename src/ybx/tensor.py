@@ -61,8 +61,9 @@ def _check_dim(dim) -> None:
 
 
 def _check_operand(op, *classes) -> None:
-    """Refuse an operand of none of the given operator classes, before a
-    kernel fails on it with an error that is no YbxError."""
+    """Refuse an operand of none of the given classes (operators here, and
+    structures and spaces in ``constructors``), before a kernel fails on it
+    with an error that is no YbxError."""
     if not isinstance(op, classes):
         names = " or ".join(cls.__name__ for cls in classes)
         raise InputError(f"expected {names}, not {type(op).__name__}")
@@ -697,6 +698,15 @@ def _divexact(p: dict, g: dict, guard: int) -> dict:
     cancelled to zero and added again may sit there twice."""
     gk = max(g)
     gc = g[gk]
+    if len(g) == 1:
+        # a single term divides each term on its own
+        q = {}
+        for k, c in p.items():
+            qc, rem = divmod(c, gc)
+            if rem or (k - gk) & guard:
+                raise ArithmeticError("inexact polynomial division")
+            q[k - gk] = qc
+        return q
     tail = [(k, c) for k, c in g.items() if k != gk]
     r = dict(p)
     heap = [-k for k in r]
@@ -932,6 +942,23 @@ def _over(D, packing, pivots):
         return _reduced(num, den)
 
     return over
+
+
+def _quotients(xs, factors):
+    """[x/D for x in xs], canonical, for ParamScalars xs and D the product
+    of the nonzero Polys in factors: ``_over``, with the factors as its
+    pivots, divides each numerator a of x = a/b by D. What is left of a
+    shares no factor with b, nor its integer content with b's, so (a/D)/b
+    is canonical as it stands. The packing's rows are the numerators and
+    each factor, so its bound covers every monomial of D and of each a."""
+    packing = _Packing([[x.num for x in xs], *([f] for f in factors)])
+    pivots = [packing.pack(f) for f in factors]
+    over = _over(reduce(lambda x, y: _dot([(x, y)]), pivots), packing, pivots)
+    out = []
+    for x in xs:
+        q = over(packing.pack(x.num))
+        out.append(q if x.den == _P_ONE else _reduced(q.num, q.den * x.den))
+    return out
 
 
 def determinant(op: _Operator) -> ParamScalar:

@@ -5,13 +5,17 @@ a check must stay symbolic) and is written straight from the definitions:
 Kronecker products for the leg embeddings, naive cubic matrix products,
 permutation-expansion determinants. Deliberately no code shared with the
 library beyond the scalar type itself, and the exception classes whose
-messages the structure-axiom loops are compared on.
+messages the structure-axiom loops are compared on. Apart from those, a
+few functions keep a path that a faster one replaced, for an
+entry-for-entry comparison: ``over_reference`` and the ``henrici_*``
+inverses run on the library's older path.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from ybx.algebra import AssociativityError, UnitError
+from ybx.constructors import _product_map
 from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
 from ybx.scalars import (ONE, ZERO, InputError, ParamScalar, Poly, as_scalar,
                          poly_gcd)
@@ -398,6 +402,32 @@ def over_reference(D, packing, pivots=None):
         return out
 
     return over
+
+
+def henrici_colored_inverse(A, p, q, u, v):
+    """``constructors.colored_inverse`` as it was built before each entry
+    was divided once by the known denominator: ``_product_map`` over the
+    rational scales p(u-v)/dd, q(u-v)/dd and 1/(pu-qv), dd =
+    (qu-pv)(pu-qv), so that every product and every sum of two terms on a
+    row is canonicalised by gcds (Henrici's sum, Knuth TAOCP 4.5.1)."""
+    p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
+    duv, puqv = u - v, p * u - q * v
+    dd = (q * u - p * v) * puqv
+    return _product_map(A, A.unit, p * duv / dd, q * duv / dd,
+                        puqv.reciprocal(), swap=True, reverse=True)
+
+
+def henrici_dn_inverse(A, alpha, beta, gamma):
+    """``constructors.dn_inverse`` as it was built before each entry was
+    divided once by the known denominator: the dn operator at (1/beta,
+    1/alpha, 1/gamma), or at (0, 0, 1/gamma) when alpha = beta = 0 (case
+    iii), over ParamScalar products and sums. Only for the three
+    invertible cases."""
+    a, b, g = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
+    if a.is_zero and b.is_zero:
+        return _product_map(A, A.unit, ZERO, ZERO, g.reciprocal(), swap=False)
+    return _product_map(A, A.unit, b.reciprocal(), a.reciprocal(),
+                        g.reciprocal(), swap=False)
 
 
 def frac_solve(rows):

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx import constructors
+from ybx import constructors, scalars
 from ybx.algebra import (Algebra, make_algebra, mul_elements,
                          quadratic_quotient_algebra)
 from ybx.constructors import (
@@ -28,6 +29,7 @@ from ybx.constructors import (
     super_phi_inverse,
     wxz_system,
 )
+from ybx.algebra import load_algebra
 from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
 from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
 from ybx.tensor import (
@@ -786,3 +788,60 @@ class TestSharedConstants:
         t = wxz_system(A, lam, mu)
         assert (frac(t.W), frac(t.X), frac(t.Z)) == oracles.wxz_matrices(
             table, unit, lam, mu)
+
+
+_GL11 = load_superalgebra(fixture_path("gl11.json"))
+_HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 1), max_size=4),
+    st.sampled_from([
+        load_algebra(fixture_path("sigma.json")), _GL11,
+        even_center(_GL11)[0], SplitSpace(2, 1), SplitSpace(3, 0),
+        twist(2), Operator2.identity(3), Operator2(2, [[1, 0, 0, 0]] * 4),
+        Operator2.from_columns(2, ([(0, ONE)], [(0, ONE)])),
+        qybe_defect(twist(2)).dense(), var("a"), const(0)]))
+
+
+@given(st.sampled_from(["dn_operator", "dn_inverse", "colored_operator",
+                        "colored_inverse", "wxz_system",
+                        "split_center_operator", "super_phi",
+                        "super_phi_inverse"]),
+       st.lists(_HOSTILE, min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_hostile_operands_raise_only_ybx_errors(name, operands):
+    """Each family builder either answers or raises a YbxError, whatever
+    its operands: None, an Algebra where a LieSuperalgebra is due or the
+    other way round, a float, or an operator where a space is due."""
+    a, b, c, d, e = operands
+    calls = {
+        "dn_operator": lambda: dn_operator(a, b, c, d),
+        "dn_inverse": lambda: dn_inverse(a, b, c, d),
+        "colored_operator": lambda: colored_operator(a, b, c, d, e),
+        "colored_inverse": lambda: colored_inverse(a, b, c, d, e),
+        "wxz_system": lambda: wxz_system(a, b, c),
+        "split_center_operator": lambda: split_center_operator(a, b, c),
+        "super_phi": lambda: super_phi(a, b, c),
+        "super_phi_inverse": lambda: super_phi_inverse(a, b, c),
+    }
+    try:
+        calls[name]()
+    except scalars.YbxError:
+        pass
+
+
+@pytest.mark.parametrize("build, args", [
+    (dn_operator, (None, 1, 1, 1)),
+    (dn_inverse, (None, 1, 2, 1)),
+    (colored_operator, (None, 1, 1, 1, 1)),
+    (colored_inverse, (None, 2, 1, 3, 1)),
+    (wxz_system, (None, 1, 1)),
+    (split_center_operator, (None, None, None)),
+    (super_phi, (None, 0, 1)),
+    (super_phi_inverse, (None, 0, 1)),
+    (super_phi, (symbolic_quadratic(), (ONE, ZERO), 1)),
+    (super_phi, (_GL11, None, 1)),
+])
+def test_hostile_operands_named(build, args):
+    with pytest.raises(scalars.InputError):
+        build(*args)

@@ -1,0 +1,200 @@
+"""The closed-form inverses divide each distinct entry once by their known
+denominator, over its factor base. Their entries must be the strings of
+``oracles.henrici_colored_inverse`` and ``oracles.henrici_dn_inverse``,
+the path where every sum is canonicalised, and must agree with the
+Fraction oracles at seeded points."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from test_constructors import monic_quotient
+from ybx import scalars, tensor
+from ybx.algebra import Algebra, quadratic_quotient_algebra
+from ybx.constructors import colored_inverse, dn_inverse
+from ybx.scalars import PoleError, as_scalar, parse_scalar
+
+
+def random_table(seed, pool, n=3):
+    """An unvalidated dim-n table drawn from pool, unit e0 + e1: the
+    builders read only the table."""
+    rng = random.Random(seed)
+    entries = [as_scalar(e) for e in pool]
+    structure = tuple(tuple(tuple(rng.choice(entries) for _ in range(n))
+                            for _ in range(n)) for _ in range(n))
+    unit = tuple(map(as_scalar, (1, 1) + (0,) * (n - 2)))
+    return Algebra(n, structure, unit, ())
+
+
+def algebra(name):
+    s = parse_scalar
+    return {
+        # tables like those of the benchmark's symbolic workload
+        "quadratic": lambda: quadratic_quotient_algebra(s("m"), s("n")),
+        "sigma": lambda: quadratic_quotient_algebra(0, s("sigma")),
+        "cubic": lambda: monic_quotient([0, 0, 0]),
+        "dense": lambda: monic_quotient([3, -1, 2]),
+        # constants that are rational functions
+        "rational": lambda: quadratic_quotient_algebra(s("1/t"),
+                                                       s("t/(t + 1)")),
+        # constants that share a factor with the denominators
+        "shared": lambda: quadratic_quotient_algebra(
+            s("q*u - p*v"), s("2*a*b")),
+        "mixed": lambda: random_table(7, [0, 0, 1, -2, "1/2", "a", "u - v",
+                                          "p*u - q*v", "3/t", "a^2 + 1"]),
+    }[name]()
+
+
+TABLES = ["quadratic", "sigma", "cubic", "dense", "rational", "shared",
+          "mixed"]
+
+COLORED = [
+    ("p", "q", "u", "v"),
+    (2, "q", "u", "v"),
+    ("p", -3, "u", "v"),
+    ("p", "q", 5, "v"),
+    ("p", "q", "u", -2),
+    ("p", "p", "u", "v"),           # p = q: the two factors are one
+    ("2*p", "4*q", "u", "v"),       # an integer content in both factors
+    ("-p", "q", "u", "v"),
+    ("p", "q", "u", "1/2"),
+    ("1/t", "q", "u", "v"),         # a factor with a denominator
+    ("p^2", "q", "u", "v"),         # a factor not certified irreducible
+    (2, 3, 5, 7),                   # all constant: born in integer form
+]
+
+DN = [
+    ("a", "b", "a"),                # case i
+    (2, "b", 2),
+    ("2*a", "b", "2*a"),
+    ("-a", "b", "-a"),
+    ("a", "a", "a"),                # the overlap of cases i and ii
+    ("a", "b", "b"),                # case ii
+    ("a", -3, -3),
+    ("a^2 - 1", "b", "b"),
+    ("1/t", "b", "1/t"),
+    (0, 0, "g"),                    # case iii
+    (0, 0, "-6*g"),
+    (2, 3, 2),
+    (0, 0, 5),
+]
+
+
+def strings(op):
+    return [[str(e) for e in row] for row in op.rows]
+
+
+def points(seed, names, count=2):
+    """count seeded rational points for the names."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+               for x in sorted(names)}
+
+
+def values(point, xs):
+    return [as_scalar(x).evaluate(point) for x in xs]
+
+
+def evaluated(A, point):
+    table = [[[e.evaluate(point) for e in row] for row in plane]
+             for plane in A.structure]
+    return table, [e.evaluate(point) for e in A.unit]
+
+
+def names_of(A, params):
+    out = set().union(*(as_scalar(x).names for x in params))
+    for plane in A.structure:
+        for row in plane:
+            for e in row:
+                out |= e.names
+    return out
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("params", COLORED, ids=str)
+def test_colored_inverse(table, params):
+    A = algebra(table)
+    params = [parse_scalar(x) if isinstance(x, str) else x for x in params]
+    got = colored_inverse(A, *params)
+    assert strings(got) == strings(oracles.henrici_colored_inverse(A, *params))
+    for point in points(f"colored:{table}:{params}", names_of(A, params)):
+        try:
+            want = oracles.colored_inverse_matrix(
+                *evaluated(A, point), *values(point, params))
+        except (PoleError, ZeroDivisionError):
+            continue
+        assert oracles.frac_matrix(got, point) == want
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("params", DN, ids=str)
+def test_dn_inverse(table, params):
+    A = algebra(table)
+    params = [parse_scalar(x) if isinstance(x, str) else x for x in params]
+    got = dn_inverse(A, *params)
+    assert strings(got) == strings(oracles.henrici_dn_inverse(A, *params))
+    n = A.dim
+    for point in points(f"dn:{table}:{params}", names_of(A, params)):
+        try:
+            T, U = evaluated(A, point)
+            a, b, g = values(point, params)
+            inverse = oracles.frac_matrix(got, point)
+        except (PoleError, ZeroDivisionError):
+            continue
+        scales = (0, 0, 1 / g) if a == b == 0 else (1 / b, 1 / a, 1 / g)
+        assert inverse == oracles.dn_matrix(T, U, *scales)
+        if table != "mixed":    # a round trip needs an associative unit
+            assert oracles.matmul(oracles.dn_matrix(T, U, a, b, g),
+                                  inverse) == oracles.identity(n * n)
+
+
+def test_consecutive_builds_reduce_each_over_its_own_denominator():
+    # the numerator a^2 of the left scale recurs over a^2*b, then a^2*c
+    A = algebra("dense")
+    a, b, c = map(parse_scalar, "abc")
+    for params in ((a, b, a), (a, c, a), (a, b, a), (a, c, c)):
+        assert strings(dn_inverse(A, *params)) == strings(
+            oracles.henrici_dn_inverse(A, *params))
+    p, q, u, v = map(parse_scalar, "pquv")
+    for params in ((p, q, u, v), (q, p, u, v), (p, q, v, u)):
+        assert strings(colored_inverse(A, *params)) == strings(
+            oracles.henrici_colored_inverse(A, *params))
+
+
+@pytest.mark.parametrize("params", [
+    ("p", "q", "u", "v"), (2, "q", "u", "v"), ("p", -3, "u", "v"),
+    ("p", "q", 5, "v"), ("p", "q", "u", -2)])
+def test_colored_inverse_runs_no_gcd_but_certification(monkeypatch, params):
+    # each factor of (qu - pv)(pu - qv) is certified irreducible by one gcd
+    # of its coefficients, and every entry is then reduced by trial
+    # divisions alone, on every table of the benchmark's symbolic workload:
+    # the count does not grow with the dimension
+    params = [parse_scalar(x) if isinstance(x, str) else x for x in params]
+    gcds = {"certifying": 0, "other": 0}
+    inside = []
+    gcd, certified = scalars.poly_gcd, scalars._certified
+
+    def counted_gcd(f, g):
+        gcds["certifying" if inside else "other"] += 1
+        return gcd(f, g)
+
+    def counted_certified(p):
+        inside.append(1)
+        try:
+            return certified(p)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(tensor, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(scalars, "_certified", counted_certified)
+    counts = set()
+    for table in ("quadratic", "sigma", "cubic", "dense"):
+        A = algebra(table)
+        gcds.update(certifying=0, other=0)
+        colored_inverse(A, *params)
+        counts.add((A.dim, gcds["certifying"], gcds["other"]))
+    assert counts == {(2, 2, 0), (3, 2, 0)}

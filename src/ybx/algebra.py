@@ -9,9 +9,11 @@ checks, so downstream constructions never need to re-ask.
 from __future__ import annotations
 
 import json
+import os
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, FrozenRecord, YbxError, as_scalar, bounded_int
+from .scalars import (ONE, ZERO, FrozenRecord, YbxError, _check_dim,
+                      _check_operand, _shaped, as_scalar, bounded_int)
 from .tensor import _int_form, bilinear, first_failing_triple
 
 
@@ -135,8 +137,9 @@ class Algebra(TableRecord):
 
 def mul_elements(A: Algebra, a: Sequence, b: Sequence):
     """Product of two coordinate vectors through the structure constants."""
+    _check_operand(A, Algebra)
     n = A.dim
-    if len(a) != n or len(b) != n:
+    if not (_shaped(a, n, 1) and _shaped(b, n, 1)):
         raise ShapeError(f"expected coordinate vectors of length {n}")
     return bilinear(A.structure, [as_scalar(x) for x in a],
                     [as_scalar(x) for x in b])
@@ -151,12 +154,8 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
     Raises error on the first of: dim below 1, a table of the wrong shape,
     vector_error (a message, or None for a good vector), and labels of the
     wrong length."""
-    if dim < 1:
-        raise error("dim must be >= 1")
-    if len(table) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane)
-        for plane in table
-    ):
+    _check_dim(dim, error)
+    if not _shaped(table, dim, 3):
         raise error(f"{noun} table must be {dim}x{dim}x{dim}")
     if vector_error is not None:
         raise error(vector_error)
@@ -179,7 +178,7 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
     vector = tuple(convert(e) for e in vector)
     if labels is None:
         labels = [f"e{i}" for i in range(dim)]
-    elif len(labels) != dim:
+    elif not _shaped(labels, dim, 1):
         raise error(f"labels must have length {dim}")
     return frozen, vector, tuple(str(s) for s in labels)
 
@@ -192,7 +191,8 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
     """
     c, u, labels = freeze_table(
         dim, structure, unit,
-        f"unit vector must have length {dim}" if len(unit) != dim else None,
+        None if _shaped(unit, dim, 1) else
+        f"unit vector must have length {dim}",
         as_scalar, labels, ShapeError, "structure")
 
     basis = [tuple(ONE if k == i else ZERO for k in range(dim))
@@ -252,6 +252,7 @@ def read_structure(obj, what: str, error, fields: dict) -> tuple:
 
 def load_structure(path, from_json_obj):
     """Read a structure file with from_json_obj, its integers bounded."""
+    _check_operand(path, str, os.PathLike)
     with open(path, "r", encoding="utf-8") as fh:
         return from_json_obj(json.load(fh, parse_int=bounded_int))
 

@@ -6,24 +6,24 @@ superalgebra.
 One builder, _product_map, multiplies out a structure table for all but
 the split-center solutions: a Lie superalgebra's bracket takes the place
 of the algebra's product, an even central z that of its unit, and the
-grading signs the twist. The closed-form inverses hand it their known
-denominator as a list of factors: the map is built over the numerators,
-and each distinct entry is divided by the denominator once, over its
-factor base, the way ``tensor.invert`` reduces its entries. Each builder
+grading signs the twist. The dn inverse is the dn family at reciprocal
+parameters; the colored inverse divides each distinct entry of its
+numerator map once by its known denominator, over its factor base, the
+way ``tensor.invert`` reduces its entries. Each builder
 returns ordinary Operator2 matrices in the fixed basis convention, so the
 verification layer never needs to know where an operator came from.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import product
 from typing import Sequence, Tuple
 
 from .algebra import Algebra
 from .lie_super import LieSuperalgebra, bracket_elements
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
-                      YbxError, as_scalar)
-from .tensor import Operator2, _check_operand, _int_form, _quotients
+                      YbxError, _check_dim, _check_operand, as_scalar)
+from .tensor import Operator2, _int_form, _quotients
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -76,7 +76,7 @@ class InvalidCenterError(ValueError, YbxError):
 # ---------------------------------------------------------------------------
 
 def _product_map(T, unit, left, right, diag, swap: bool,
-                 reverse: bool = False, grading=None, over=()) -> Operator2:
+                 reverse: bool = False, grading=None) -> Operator2:
     """The map a(x)b -> left*ab(x)u + right*u(x)ab - diag*(b(x)a or a(x)b),
     for ab the product in the table of T and u = unit: an Algebra's product
     and unit, or a LieSuperalgebra's bracket and even central z. A grading
@@ -95,35 +95,17 @@ def _product_map(T, unit, left, right, diag, swap: bool,
     ints: the scales times d_S, the lcm of their denominators, and the
     constants times the table's d_T, so that the operator is born with its
     integer form over d_S*d_T. Otherwise it is done in ParamScalars.
-
-    over lists the nonzero factors of a denominator D that divides the
-    whole map. If every factor is a rational constant, the scales are
-    divided by D first. Otherwise each factor f/g gives f to D and g to the
-    scales (x/(f/g) = x*g/f), the map is formed as above over the
-    numerators, with no gcd when they and the table are polynomials, and
-    each distinct entry is then divided by D once (``tensor._quotients``:
-    trial divisions by D's certified irreducible factors, a gcd only with
-    the rest), so that no sum of two quotients is ever formed.
     """
     n = T.dim
     entries, values, ints = T.product_table()
     left, right, diag = as_scalar(left), as_scalar(right), as_scalar(diag)
-    factors = ()
-    if over:
-        if any(f.names for f in over):
-            factors = [f.num for f in over]
-            lift = ParamScalar(math.prod((f.den for f in over), start=ONE.num))
-        else:
-            lift = math.prod(over, start=ONE).reciprocal()
-        if not lift.is_one:
-            left, right, diag = left * lift, right * lift, diag * lift
     # (row stride, row offset) of each product term, and its scale
     sides = [((stride, offset), s if ul.is_one else s * ul)
              for l, ul in enumerate(unit) if ul
              for stride, offset, s in ((n, l, left), (1, l * n, right)) if s]
     scales = [-diag] + [s for _, s in sides]
     # the table is read only through the nonzero side scales
-    form = not factors and (ints or not sides) and _int_form([scales])
+    form = (ints or not sides) and _int_form([scales])
     if form:
         (d_s, (cleared,)), (d_t, values) = form, ints or (1, ())
         at = dict(cleared)
@@ -160,16 +142,6 @@ def _product_map(T, unit, left, right, diag, swap: bool,
                     if key not in sums:
                         sums[key] = a + e
                     column[r] = sums[key]
-    if factors:
-        # the places of each distinct entry, which is divided by D once
-        places = {}
-        for column in columns:
-            for r, e in column.items():
-                places.setdefault(e, []).append((column, r))
-        reduced = _quotients(list(places), factors)
-        for q, spots in zip(reduced, places.values()):
-            for column, r in spots:
-                column[r] = q
     if not form:
         return Operator2.from_columns(n, (c.items() for c in columns))
     rows = [[] for _ in range(n * n)]
@@ -226,11 +198,8 @@ def dn_inverse(A: Algebra, alpha, beta, gamma) -> Operator2:
     cases; anything else raises, because outside them the operator is not
     an invertible braid solution.
 
-    In cases i and ii it is dn_operator at (1/beta, 1/alpha, 1/gamma),
-    built as a(x)b -> alpha*gamma*ab(x)1 + beta*gamma*1(x)ab -
-    alpha*beta*a(x)b over alpha*beta*gamma; in case iii it is a(x)b ->
-    -a(x)b over gamma. Each distinct entry is divided once by the factors
-    of that denominator."""
+    In cases i and ii it is dn_operator at (1/beta, 1/alpha, 1/gamma), and
+    in case iii at (0, 0, 1/gamma)."""
     a, b, g = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
     case = _dn_case_symbolic(a, b, g)
     if case is None:
@@ -238,10 +207,8 @@ def dn_inverse(A: Algebra, alpha, beta, gamma) -> Operator2:
             f"({a}, {b}, {g}) lies in no invertible case of the family"
         )
     if case == "iii":
-        return _product_map(A, _unit(A), ZERO, ZERO, ONE, swap=False,
-                            over=[g])
-    return _product_map(A, _unit(A), a * g, b * g, a * b, swap=False,
-                        over=[a, b, g])
+        return dn_operator(A, ZERO, ZERO, g.reciprocal())
+    return dn_operator(A, b.reciprocal(), a.reciprocal(), g.reciprocal())
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +228,10 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     locus; the vanishing factor is reported when on it.
 
     R(u,v)^-1: a(x)b -> (p(u-v)ba(x)1 + q(u-v)1(x)ba - (qu-pv)b(x)a) over
-    (qu-pv)(pu-qv). The numerator is built like colored_operator, and each
-    distinct entry is divided once by the two factors of the
-    denominator."""
+    D = (qu-pv)(pu-qv). At constant factors the scales are divided by D.
+    Otherwise each factor f/g gives f to D and g to the scales, the map is
+    built over them with no gcd on a polynomial table, and each distinct
+    entry is divided by D once, so that no sum of quotients is formed."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
     qupv = q * u - p * v
@@ -272,8 +240,13 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     if qupv.is_zero:
         raise InvertibilityLocusError("q*u - p*v")
     duv = u - v
-    return _product_map(A, _unit(A), p * duv, q * duv, qupv, swap=True,
-                        reverse=True, over=[qupv, puqv])
+    free = qupv.names or puqv.names
+    lift = ParamScalar(qupv.den * puqv.den) if free else (
+        qupv * puqv).reciprocal()
+    R = _product_map(A, _unit(A), p * duv * lift, q * duv * lift,
+                     qupv * lift, swap=True, reverse=True)
+    return Operator2._make(R.dim, _quotients(R.rows, [qupv.num, puqv.num]),
+                           None) if free else R
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +260,8 @@ class WxzTriple(FrozenRecord):
     __slots__ = _key = ("W", "X", "Z")
 
     def __init__(self, W: Operator2, X: Operator2, Z: Operator2):
+        for op in (W, X, Z):
+            _check_operand(op, Operator2)
         if not (W.dim == X.dim == Z.dim):
             raise InputError("W, X, Z must share a dimension")
         super().__init__(W, X, Z)
@@ -315,6 +290,8 @@ class SplitSpace(FrozenRecord):
     __slots__ = _key = ("total_dim", "c_index", "W_indices")
 
     def __init__(self, total_dim: int, c_index: int):
+        _check_dim(total_dim)
+        _check_operand(c_index, int)
         if not 0 <= c_index < total_dim:
             raise InputError("c_index out of range")
         super().__init__(total_dim, c_index,
@@ -336,13 +313,9 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
     if f.dim != n or g.dim != n:
         raise InputError("f and g must act on the total space")
     for name, op in (("f", f), ("g", g)):
-        for i in range(n):
-            for j in range(n):
-                if i != c and j != c:
-                    continue
-                col = i * n + j
-                if any(not op.rows[r][col].is_zero for r in range(n * n)):
-                    raise SupportViolationError(name, (i, j))
+        for i, j in product(range(n), repeat=2):
+            if c in (i, j) and any(row[i * n + j] for row in op.rows):
+                raise SupportViolationError(name, (i, j))
     kept = ([(f, k * n + c) for k in range(n)]
             + [(g, c * n + k) for k in range(n)])
     return Operator2.from_columns(n, ([(r, op.rows[r][col]) for op, r in kept]
@@ -355,8 +328,7 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
 
 def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
     _check_operand(L, LieSuperalgebra)
-    if not isinstance(z, Sequence):
-        raise InputError(f"z must be a sequence, not {type(z).__name__}")
+    _check_operand(z, Sequence)
     zv = tuple(as_scalar(c) for c in z)
     if len(zv) != L.dim:
         raise InvalidCenterError(f"z must have length {L.dim}")

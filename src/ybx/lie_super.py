@@ -10,11 +10,12 @@ defined on the basis and extended bilinearly.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 from .algebra import (TableRecord, freeze_table, load_structure,
                       read_structure)
-from .scalars import ZERO, YbxError, as_scalar
+from .scalars import ZERO, YbxError, _check_operand, _shaped, as_scalar
 from .tensor import bilinear, first_failing_triple, nullspace
 
 
@@ -79,8 +80,9 @@ class LieSuperalgebra(TableRecord):
 
 def bracket_elements(L: LieSuperalgebra, x: Sequence, y: Sequence):
     """Bilinear extension of the bracket table to coordinate vectors."""
+    _check_operand(L, LieSuperalgebra)
     n = L.dim
-    if len(x) != n or len(y) != n:
+    if not (_shaped(x, n, 1) and _shaped(y, n, 1)):
         raise ShapeError(f"expected coordinate vectors of length {n}")
     return bilinear(L.bracket, [as_scalar(c) for c in x],
                     [as_scalar(c) for c in y])
@@ -89,18 +91,17 @@ def bracket_elements(L: LieSuperalgebra, x: Sequence, y: Sequence):
 def make_superalgebra(dim: int, degree, bracket,
                       labels: Optional[Sequence[str]] = None) -> LieSuperalgebra:
     """Validate and freeze a graded bracket table."""
-    bad_degree = len(degree) != dim or any(d not in (0, 1) for d in degree)
+    bad_degree = not _shaped(degree, dim, 1) or any(
+        d not in (0, 1) for d in degree)
     b, deg, labels = freeze_table(
         dim, bracket, degree,
         "degree must list one of 0, 1 per basis vector" if bad_degree
         else None, int, labels, ShapeError, "bracket")
 
     # grading: [e_i, e_j] must be homogeneous of degree |e_i| + |e_j|
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if not b[i][j][k].is_zero and deg[k] != (deg[i] + deg[j]) % 2:
-                    raise GradingError((i, j, k))
+    for i, j, k in product(range(dim), repeat=3):
+        if b[i][j][k] and deg[k] != (deg[i] + deg[j]) % 2:
+            raise GradingError((i, j, k))
 
     # super antisymmetry: [e_i, e_j] = -(-1)^{|e_i||e_j|} [e_j, e_i]
     for i in range(dim):
@@ -131,6 +132,7 @@ def even_center(L: LieSuperalgebra):
     Solves [z, e_j] = 0 for all basis e_j with z supported on the even
     basis vectors; an exact nullspace over the scalar field.
     """
+    _check_operand(L, LieSuperalgebra)
     even = L.even_indices()
     # rows: one equation per (probe basis vector j, output coordinate k)
     rows = [[L.bracket[i][j][k] for i in even]

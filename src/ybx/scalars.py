@@ -51,7 +51,7 @@ import heapq
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 ScalarLike = Union["ParamScalar", int, Fraction, str]
 
@@ -63,6 +63,27 @@ class YbxError(Exception):
 class InputError(ValueError, YbxError):
     """Bad input that no narrower error names: a dimension, a matrix shape,
     an option value, an operator file, or a command line's input."""
+
+
+def _check_operand(value, *classes) -> None:
+    """Refuse a value of none of the given classes, before code that
+    expects one fails on it with an error that is no YbxError."""
+    if not isinstance(value, classes):
+        names = " or ".join(cls.__name__ for cls in classes)
+        raise InputError(f"expected {names}, not {type(value).__name__}")
+
+
+def _check_dim(dim, error=InputError) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise error(f"dim must be an int, not {dim!r}")
+    if dim < 1:
+        raise error("dim must be >= 1")
+
+
+def _shaped(value, n: int, depth: int) -> bool:
+    """Whether value nests Sequences of length n, depth deep."""
+    return isinstance(value, Sequence) and len(value) == n and (
+        depth == 1 or all(_shaped(v, n, depth - 1) for v in value))
 
 
 class FrozenRecord:
@@ -103,7 +124,8 @@ class IncompleteAssignmentError(ValueError, YbxError):
 
 
 class PoleError(ZeroDivisionError, YbxError):
-    """Raised by evaluate() when the denominator vanishes at the point."""
+    """Raised when a denominator vanishes: at the point in evaluate(),
+    under substitute(), or identically, in a division by zero."""
 
 
 class ScalarParseError(ValueError, YbxError):
@@ -708,6 +730,8 @@ class ParamScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE):
+        _check_operand(num, Poly)
+        _check_operand(den, Poly)
         num, den = _canonical(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -780,7 +804,7 @@ class ParamScalar:
 
     def reciprocal(self) -> "ParamScalar":
         if self.num.is_zero:
-            raise ZeroDivisionError("reciprocal of zero")
+            raise PoleError("reciprocal of zero")
         if self.num.leading()[1] < 0:
             return _reduced(-self.den, -self.num)
         return _reduced(self.den, self.num)
@@ -792,6 +816,7 @@ class ParamScalar:
         return as_scalar(other) * self.reciprocal()
 
     def __pow__(self, n: int) -> "ParamScalar":
+        _check_operand(n, int)
         if n < 0:
             return self.reciprocal() ** (-n)
         return _reduced(self.num ** n, self.den ** n)
@@ -800,6 +825,7 @@ class ParamScalar:
 
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
         """Exact value at a point; every indeterminate must be assigned."""
+        _check_operand(assignment, Mapping)
         missing = self.names - set(assignment)
         if missing:
             raise IncompleteAssignmentError(missing)
@@ -810,6 +836,7 @@ class ParamScalar:
 
     def substitute(self, mapping: Mapping[str, ScalarLike]) -> "ParamScalar":
         """Replace some indeterminates by scalars, leaving the rest free."""
+        _check_operand(mapping, Mapping)
         values = {k: as_scalar(v) for k, v in mapping.items()}
 
         def sub_poly(p: Poly) -> "ParamScalar":
@@ -898,13 +925,14 @@ def _canonical(num: Poly, den: Poly):
 
 def var(name: str) -> ParamScalar:
     """The indeterminate with the given name, as a scalar."""
-    if not _NAME_RE.fullmatch(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ScalarParseError(f"bad indeterminate name: {name!r}")
     return ParamScalar(Poly.variable(name))
 
 
 def const(value: Union[int, Fraction]) -> ParamScalar:
     """Embed a rational constant into the scalar field."""
+    _check_operand(value, int, Fraction)
     f = Fraction(value)
     return ParamScalar(Poly.const(f.numerator), Poly.const(f.denominator))
 
@@ -1168,6 +1196,7 @@ class _Parser:
 
 def parse_scalar(text: str) -> ParamScalar:
     """Parse the textual scalar grammar (the same one ``str`` emits)."""
+    _check_operand(text, str)
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar expression")

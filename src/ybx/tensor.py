@@ -40,8 +40,9 @@ from itertools import accumulate, chain, combinations, product
 from typing import Sequence
 
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
-                      Poly, YbxError, _reduced, as_scalar, clear_row, const,
-                      factor_base, poly_gcd)
+                      Poly, YbxError, _check_dim, _check_operand, _reduced,
+                      _shaped, as_scalar, clear_row, const, factor_base,
+                      poly_gcd)
 
 
 _P_ZERO, _P_ONE = Poly.const(0), Poly.const(1)
@@ -51,22 +52,6 @@ _ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
 
 class DimensionMismatch(ValueError, YbxError):
     """Operands live on tensor powers of different spaces."""
-
-
-def _check_dim(dim) -> None:
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InputError(f"dim must be an int, not {dim!r}")
-    if dim < 1:
-        raise InputError("dim must be >= 1")
-
-
-def _check_operand(op, *classes) -> None:
-    """Refuse an operand of none of the given classes (operators here, and
-    structures and spaces in ``constructors``), before a kernel fails on it
-    with an error that is no YbxError."""
-    if not isinstance(op, classes):
-        names = " or ".join(cls.__name__ for cls in classes)
-        raise InputError(f"expected {names}, not {type(op).__name__}")
 
 
 class _Operator(FrozenRecord):
@@ -89,7 +74,7 @@ class _Operator(FrozenRecord):
     def __init__(self, dim: int, rows: Sequence[Sequence]):
         _check_dim(dim)
         size = dim ** self.legs
-        if len(rows) != size or any(len(r) != size for r in rows):
+        if not _shaped(rows, size, 2):
             raise InputError(f"expected a {size}x{size} matrix for dim {dim}")
         super().__init__(
             dim, tuple(tuple(as_scalar(e) for e in r) for r in rows), None)
@@ -135,11 +120,15 @@ class _Operator(FrozenRecord):
         _check_dim(dim)
         size = dim ** cls.legs
         rows = [[ZERO] * size for _ in range(size)]
-        for c, column in enumerate(columns):
-            for r, e in column:
-                if not e.is_zero:
-                    row = rows[r]
-                    row[c] = e if row[c].is_zero else row[c] + e
+        try:
+            for c, column in enumerate(columns):
+                for r, e in column:
+                    if not e.is_zero:
+                        row = rows[r]
+                        row[c] = e if row[c].is_zero else row[c] + e
+        except (TypeError, AttributeError, IndexError) as exc:
+            raise InputError("columns must list (row, ParamScalar) pairs "
+                             f"of a {size}x{size} matrix") from exc
         return cls._make(dim, tuple(map(tuple, rows)), None)
 
     @classmethod
@@ -157,6 +146,7 @@ class _Operator(FrozenRecord):
 
     @classmethod
     def identity(cls, dim: int):
+        _check_dim(dim)     # range() below runs before from_columns checks dim
         return cls.from_columns(dim, ([(c, ONE)]
                                       for c in range(dim ** cls.legs)))
 
@@ -884,81 +874,80 @@ def _square(op: _Operator, augment: bool):
         det, math.prod(scales, start=_P_ONE))
 
 
-def _over(D, packing, pivots):
-    """x -> the canonical x/D, for many packed x over one packed D, the
-    product of the packed pivots.
+def _over(packing, pivots):
+    """x -> the canonical x/D, for many packed x over D, the product of the
+    packed pivots.
 
     ``factor_base`` writes D as c * prod(a**m) * R, over atoms a certified
-    irreducible. Each atom divides x until a trial division fails, which
-    proves that no more of it cancels; a gcd runs only on what is left of
-    R when that is not 1, and the integer gcd of x's coefficients with c
-    and the sign of c finish x/D. Each reduced denominator d's cofactor
-    D/(c*d) is kept, and the first one seen before that divides the next x
-    starts that x where d's entry ended, so a repeated denominator costs
-    one division and one failed trial per atom left in it."""
+    irreducible. For each atom, the packed powers a**m, ..., a are tried
+    highest first, one trial division each, and the first that divides
+    says how much of a cancels. A gcd runs only on what is left of R when
+    that is not 1, and the integer gcd of x's coefficients with c and the
+    sign of c finish x/D."""
     c, atoms, R = factor_base([packing.unpack(p) for p in pivots])
-    guard, pack = packing.guard, packing.pack
-    packed = [pack(a) for a, _ in atoms]
-    start = (tuple(m for _, m in atoms), R)
-    base = {k: v // c for k, v in D.items()}
-    seen, dens = {}, {}
+    guard, dens = packing.guard, {}
+    powers = [list(accumulate([packing.pack(a)] * m,
+                              lambda x, y: _dot([(x, y)])))[::-1]
+              for a, m in atoms]
 
     def over(x) -> ParamScalar:
         if not x:
             return ZERO
-        exps, r = start
-        for key, q in seen.items():
-            try:
-                x = _divexact(x, q, guard)
-            except ArithmeticError:
-                continue
-            exps, r = key
-            break
-        exps = list(exps)
-        for i, a in enumerate(packed):
-            while exps[i]:
+        exps = []
+        for (_, m), down in zip(atoms, powers):
+            # down[i] is a**(m - i), so i of a is left in the denominator
+            for i, q in enumerate(down):
                 try:
-                    x = _divexact(x, a, guard)
+                    x = _divexact(x, q, guard)
                 except ArithmeticError:
-                    break
-                exps[i] -= 1
+                    continue
+                exps.append(i)
+                break
+            else:
+                exps.append(m)
         k = math.gcd(c, *x.values())
         t = k if c > 0 else -k
         if t != 1:
             x = {m: v // t for m, v in x.items()}
-        num = packing.unpack(x)
+        num, r = packing.unpack(x), R
         if r != _P_ONE:
             g = poly_gcd(num, r)
             if g != _P_ONE:
                 num, r = num.divexact(g), r.divexact(g)
-        key = (tuple(exps), r)
-        den = dens.get((key, k))
+        key = (tuple(exps), r, k)
+        den = dens.get(key)
         if den is None:
-            den = reduce(Poly.__mul__, (a ** e for (a, _), e in
-                                        zip(atoms, exps) if e), r)
-            if key != start and key not in seen:
-                seen[key] = _divexact(base, pack(den), guard)
-            den = dens[key, k] = den.scale(abs(c) // k)
+            den = dens[key] = reduce(
+                Poly.__mul__, (a ** e for (a, _), e in zip(atoms, exps) if e),
+                r).scale(abs(c) // k)
         return _reduced(num, den)
 
     return over
 
 
-def _quotients(xs, factors):
-    """[x/D for x in xs], canonical, for ParamScalars xs and D the product
-    of the nonzero Polys in factors: ``_over``, with the factors as its
-    pivots, divides each numerator a of x = a/b by D. What is left of a
-    shares no factor with b, nor its integer content with b's, so (a/D)/b
-    is canonical as it stands. The packing's rows are the numerators and
-    each factor, so its bound covers every monomial of D and of each a."""
-    packing = _Packing([[x.num for x in xs], *([f] for f in factors)])
-    pivots = [packing.pack(f) for f in factors]
-    over = _over(reduce(lambda x, y: _dot([(x, y)]), pivots), packing, pivots)
-    out = []
-    for x in xs:
+def _quotients(rows, factors):
+    """The rows of ParamScalars with each entry x replaced by the canonical
+    x/D, for D the product of the nonzero Polys in factors, each distinct
+    entry divided once: ``_over``, with the factors as its pivots, divides
+    the numerator a of x = a/b by D. What is left of a shares no factor
+    with b, nor its integer content with b's, so (a/D)/b is canonical as
+    it stands. The packing's rows are the numerators and each factor, so
+    its bound covers every monomial of D and of each a."""
+    places = {}
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                places.setdefault(x, []).append((i, j))
+    packing = _Packing([[x.num for x in places], *([f] for f in factors)])
+    over = _over(packing, [packing.pack(f) for f in factors])
+    out = [[ZERO] * len(row) for row in rows]
+    for x, spots in places.items():
         q = over(packing.pack(x.num))
-        out.append(q if x.den == _P_ONE else _reduced(q.num, q.den * x.den))
-    return out
+        if x.den != _P_ONE:
+            q = _reduced(q.num, q.den * x.den)
+        for i, j in spots:
+            out[i][j] = q
+    return tuple(map(tuple, out))
 
 
 def determinant(op: _Operator) -> ParamScalar:
@@ -985,7 +974,7 @@ def invert(op: _Operator) -> InverseResult:
         return InverseResult(False, None, ZERO)
     size = op.size
     M, cols, D, pivots, packing, det = solved
-    over = _over(D, packing, pivots)
+    over = _over(packing, pivots)
     # the nonzero entries right of each diagonal entry, negated
     right = [[(j, _neg(row[j])) for j in range(i + 1, size) if row[j]]
              for i, row in enumerate(M)]
@@ -1010,8 +999,11 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     rational-function field. As in ``invert``, D times each vector, for D
     the last pivot, is found over Z[params] and reduced over D's factor
     base."""
+    _check_operand(rows, Sequence)
     if not rows:
         return []
+    for row in rows:
+        _check_operand(row, Sequence)
     ncols = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != ncols:
@@ -1020,7 +1012,7 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
     pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
-    over = _over(D, packing, [D])
+    over = _over(packing, [D])
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         X = {fc: D}

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .algebra import Algebra
 from .constructors import WxzTriple, colored_operator
-from .scalars import FrozenRecord, InputError, as_scalar, fresh_name, var
+from .scalars import (FrozenRecord, InputError, _check_operand, as_scalar,
+                      fresh_name, var)
 from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
                      roundtrip_defect, yb_commutator)
 
@@ -110,6 +111,7 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
     draws integer triples from a seeded generator; triples on the locus
     where the inverse formula degenerates are skipped, not failed.
     """
+    _check_operand(A, Algebra)
     p = as_scalar(p)
     q = as_scalar(q)
     t0 = time.perf_counter()
@@ -122,17 +124,15 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
         )
 
     if mode == "symbolic":
-        taken = set(A.names | p.names | q.names)
-        uvw = []
-        for base in ("u", "v", "w"):
-            name = fresh_name(base, taken)
-            taken.add(name)
-            uvw.append(name)
+        taken, uvw = A.names | p.names | q.names, []
+        for base in "uvw":
+            uvw.append(fresh_name(base, taken.union(uvw)))
         witness = entry_witness(defect_at(*(var(nm) for nm in uvw)))
         return report("colored", "symbolic", t0, witness,
                       {"parameters": uvw})
     if mode != "sampled":
         raise InputError("mode must be 'symbolic' or 'sampled'")
+    _check_operand(samples, int)
 
     rng = random.Random(seed)
     evaluated = 0
@@ -158,6 +158,7 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
 def verify_wxz(t: WxzTriple) -> VerificationReport:
     """Check all four commutator conditions; the witness names the first
     failing one."""
+    _check_operand(t, WxzTriple)
     t0 = time.perf_counter()
     conditions = (
         ("[W,W,W]", (t.W, t.W, t.W)),

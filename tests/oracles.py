@@ -7,10 +7,11 @@ permutation-expansion determinants. Deliberately no code shared with the
 library beyond the scalar type itself, and the exception classes whose
 messages the structure-axiom loops are compared on. Apart from those, a
 few functions keep a path that a faster one replaced, for an
-entry-for-entry comparison: ``over_reference`` and the ``henrici_*``
-inverses run on the library's older path.
+entry-for-entry comparison: ``over_reference`` and
+``henrici_colored_inverse`` run on the library's older path.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -379,13 +380,14 @@ def leg_action_reference(rows, n, legs):
     return action
 
 
-def over_reference(D, packing, pivots=None):
-    """x -> the canonical x/D, for many packed x over one packed D: the
-    canonicalisation that ``tensor._over`` replaced, which ignores the
-    pivots. The canonical denominator d of each result divides D, so when
-    D/d for a d seen before divides the next x, that x/D is (x/(D/d))/d
-    and is reduced by a gcd with d; otherwise by a gcd with D."""
-    den = packing.unpack(D)
+def over_reference(packing, pivots):
+    """x -> the canonical x/D, for many packed x over D, the product of the
+    packed pivots: the canonicalisation that ``tensor._over`` replaced,
+    which ignores the factors. The canonical denominator d of each result
+    divides D, so when D/d for a d seen before divides the next x, that x/D
+    is (x/(D/d))/d and is reduced by a gcd with d; otherwise by a gcd with
+    D."""
+    den = math.prod((packing.unpack(p) for p in pivots), start=Poly.const(1))
     seen = []
 
     def over(x):
@@ -415,19 +417,6 @@ def henrici_colored_inverse(A, p, q, u, v):
     dd = (q * u - p * v) * puqv
     return _product_map(A, A.unit, p * duv / dd, q * duv / dd,
                         puqv.reciprocal(), swap=True, reverse=True)
-
-
-def henrici_dn_inverse(A, alpha, beta, gamma):
-    """``constructors.dn_inverse`` as it was built before each entry was
-    divided once by the known denominator: the dn operator at (1/beta,
-    1/alpha, 1/gamma), or at (0, 0, 1/gamma) when alpha = beta = 0 (case
-    iii), over ParamScalar products and sums. Only for the three
-    invertible cases."""
-    a, b, g = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
-    if a.is_zero and b.is_zero:
-        return _product_map(A, A.unit, ZERO, ZERO, g.reciprocal(), swap=False)
-    return _product_map(A, A.unit, b.reciprocal(), a.reciprocal(),
-                        g.reciprocal(), swap=False)
 
 
 def frac_solve(rows):

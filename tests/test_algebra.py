@@ -128,6 +128,14 @@ class TestMakeAlgebra:
         else:
             raise AssertionError("short unit accepted")
 
+    def test_dim_and_labels_refused(self):
+        with pytest.raises(ShapeError, match="dim must be >= 1"):
+            make_algebra(0, [], [])
+        with pytest.raises(ShapeError, match="labels must have length 2"):
+            make_algebra(2, [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE],
+                                                          [ZERO, ZERO]]],
+                         [ONE, ZERO], ["1"])
+
     def test_accepted_tables_reverify(self):
         fixtures = ["quadratic.json", "sigma.json", "cubic.json"]
         for name in fixtures:
@@ -165,6 +173,11 @@ class TestMulElements:
             for x, y in zip(mul_elements(A, a, c), mul_elements(A, b, c))
         )
         assert lhs == rhs
+
+    def test_wrong_length_refused(self):
+        A = load_algebra(fixture_path("cubic.json"))
+        with pytest.raises(ShapeError, match="length 3"):
+            mul_elements(A, (ONE, ZERO), (ONE, ZERO, ZERO))
 
 
 class TestQuadraticQuotient:

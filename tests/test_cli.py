@@ -253,6 +253,11 @@ class TestExportMatrix:
         assert code == 0
         assert "-a" in out
 
+    def test_dn_needs_an_algebra(self, capsys):
+        code, out, err = run(capsys, "export", "matrix", "--family", "dn")
+        assert code == 2 and out == ""
+        assert "this command needs --algebra PATH" in err
+
     def test_wxz_exports_three_labeled_blocks(self, capsys):
         code, out, _ = run(
             capsys, "export", "matrix", "--family", "wxz",

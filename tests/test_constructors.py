@@ -30,7 +30,8 @@ from ybx.constructors import (
     wxz_system,
 )
 from ybx.algebra import load_algebra
-from ybx.lie_super import LieSuperalgebra, even_center, load_superalgebra
+from ybx.lie_super import (LieSuperalgebra, bracket_elements, even_center,
+                           load_superalgebra, make_superalgebra)
 from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
 from ybx.tensor import (
     Operator2,
@@ -41,6 +42,7 @@ from ybx.tensor import (
     twist,
     yb_commutator,
 )
+from ybx.verify import verify_colored_family, verify_wxz
 from ybx import fixture_path
 
 
@@ -803,16 +805,30 @@ _HOSTILE = st.one_of(
         qybe_defect(twist(2)).dense(), var("a"), const(0)]))
 
 
+# paths that are no path: open() would take an int as a file descriptor,
+# so the ints stay clear of the ones a test process has open
+_HOSTILE_PATHS = st.one_of(
+    st.none(), st.floats(), st.lists(st.integers(-1, 1), max_size=2),
+    st.integers(max_value=-1), st.integers(min_value=10 ** 4))
+_SIGMA = load_algebra(fixture_path("sigma.json"))
+
+
 @given(st.sampled_from(["dn_operator", "dn_inverse", "colored_operator",
                         "colored_inverse", "wxz_system",
                         "split_center_operator", "super_phi",
-                        "super_phi_inverse"]),
-       st.lists(_HOSTILE, min_size=5, max_size=5))
+                        "super_phi_inverse", "load_algebra",
+                        "load_superalgebra", "verify_colored_family",
+                        "verify_colored_family_sampled", "verify_wxz",
+                        "WxzTriple", "mul_elements", "bracket_elements",
+                        "even_center", "make_algebra", "make_superalgebra",
+                        "SplitSpace", "Algebra.substitute"]),
+       st.lists(_HOSTILE, min_size=5, max_size=5), _HOSTILE_PATHS)
 @settings(max_examples=300, deadline=None)
-def test_hostile_operands_raise_only_ybx_errors(name, operands):
-    """Each family builder either answers or raises a YbxError, whatever
-    its operands: None, an Algebra where a LieSuperalgebra is due or the
-    other way round, a float, or an operator where a space is due."""
+def test_hostile_operands_raise_only_ybx_errors(name, operands, path):
+    """Each family builder, loader, verifier and structure helper either
+    answers or raises a YbxError, whatever its operands: None, an Algebra
+    where a LieSuperalgebra is due or the other way round, a float, an
+    operator where a space is due, or a path that is no path."""
     a, b, c, d, e = operands
     calls = {
         "dn_operator": lambda: dn_operator(a, b, c, d),
@@ -823,11 +839,61 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands):
         "split_center_operator": lambda: split_center_operator(a, b, c),
         "super_phi": lambda: super_phi(a, b, c),
         "super_phi_inverse": lambda: super_phi_inverse(a, b, c),
+        "load_algebra": lambda: load_algebra(path),
+        "load_superalgebra": lambda: load_superalgebra(path),
+        "verify_colored_family": lambda: verify_colored_family(a, b, c),
+        "verify_colored_family_sampled": lambda: verify_colored_family(
+            a, b, c, "sampled", d),
+        "verify_wxz": lambda: verify_wxz(a),
+        "WxzTriple": lambda: WxzTriple(a, b, c),
+        "mul_elements": lambda: mul_elements(a, b, c),
+        "bracket_elements": lambda: bracket_elements(a, b, c),
+        "even_center": lambda: even_center(a),
+        "make_algebra": lambda: make_algebra(a, b, c, d),
+        "make_superalgebra": lambda: make_superalgebra(a, b, c, d),
+        "SplitSpace": lambda: SplitSpace(a, b),
+        "Algebra.substitute": lambda: _SIGMA.substitute(a),
     }
     try:
         calls[name]()
     except scalars.YbxError:
         pass
+
+
+_UNIT_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: load_algebra(0),        # not standard input
+    lambda: load_algebra(123),
+    lambda: load_algebra(None),
+    lambda: load_superalgebra(0),
+    lambda: load_superalgebra(None),
+    lambda: verify_colored_family(None, 1, 2),
+    lambda: verify_colored_family(_GL11, 1, 2),
+    lambda: verify_colored_family(_SIGMA, 1, 2, "sampled", None),
+    lambda: verify_wxz(None),
+    lambda: verify_wxz(Operator2.identity(2)),
+    lambda: WxzTriple(None, Operator2.identity(2), Operator2.identity(2)),
+    lambda: mul_elements(_SIGMA, None, None),
+    lambda: mul_elements(None, [1, 0], [1, 0]),
+    lambda: bracket_elements(_GL11, None, None),
+    lambda: bracket_elements(None, [1, 0], [1, 0]),
+    lambda: even_center(None),
+    lambda: even_center(_SIGMA),
+    lambda: make_algebra("2", _UNIT_TABLE, [1, 0]),
+    lambda: make_algebra(True, [[[1]]], [1]),
+    lambda: make_algebra(2, None, [1, 0]),
+    lambda: make_algebra(2, _UNIT_TABLE, None),
+    lambda: make_algebra(2, _UNIT_TABLE, [1, 0], labels=5),
+    lambda: make_superalgebra(1, None, [[[0]]]),
+    lambda: SplitSpace(None, 0),
+    lambda: SplitSpace(2, None),
+    lambda: _SIGMA.substitute(None),
+], ids=lambda call: call.__code__.co_firstlineno)
+def test_library_boundary_named(call):
+    with pytest.raises(scalars.YbxError):
+        call()
 
 
 @pytest.mark.parametrize("build, args", [

@@ -177,3 +177,39 @@ class TestFactorBase:
     def test_what_is_not_certified_stays_in_the_residual(self, text):
         c, atoms, R = factor_base(self.polys(text))
         assert atoms == [] and R == self.polys(text)[0]
+
+
+def count_divexact(monkeypatch):
+    """A list whose length counts the calls of ``tensor._divexact``."""
+    calls = []
+    original = tensor._divexact
+    monkeypatch.setattr(tensor, "_divexact", lambda *args: (
+        calls.append(1) or original(*args)))
+    return calls
+
+
+class TestHighestPowerFirst:
+    """Each atom's packed powers are tried highest first, one trial each,
+    so an entry costs at most one trial per power of each atom."""
+
+    def test_a_repeated_factor_costs_one_trial_per_power(self, monkeypatch):
+        # the entry 1/(u + v)^k is (u + v)^(45 - k) over D = (u + v)^45:
+        # k + 1 trials, 54 in all, and one back-substitution per column
+        s = parse_scalar("u + v")
+        rows = [[s ** (i + 1) if i == j else 0 for j in range(9)]
+                for i in range(9)]
+        calls = count_divexact(monkeypatch)
+        got = invert(Operator2(3, rows))
+        assert len(calls) <= 63
+        assert [got.operator.rows[i][i] for i in range(9)] == [
+            1 / s ** (i + 1) for i in range(9)]
+
+    def test_an_uncertified_triangular_matrix(self):
+        # u^2 + v^2 + 1 is not certified, so every entry takes a gcd with R
+        d = parse_scalar("u^2 + v^2 + 1")
+        u = parse_scalar("u")
+        rows = [[d if i == j else u + i - j if j > i else 0
+                 for j in range(9)] for i in range(9)]
+        got = invert(Operator2(3, rows))
+        want = reference(invert, Operator2(3, rows))
+        assert strings(got.operator.rows) == strings(want.operator.rows)

@@ -155,6 +155,11 @@ class TestMakeSuperalgebra:
 
 
 class TestBracketElements:
+    def test_wrong_length_refused(self):
+        L = load_superalgebra(fixture_path("abelian-super.json"))
+        with pytest.raises(SuperalgebraError, match="length 3"):
+            bracket_elements(L, (ONE, ZERO, ZERO), (ONE,))
+
     def test_abelian_brackets_vanish(self):
         L = load_superalgebra(fixture_path("abelian-super.json"))
         a = (ONE, const(2), const(-1))

@@ -140,10 +140,19 @@ class TestParseFormat:
         assert parse_scalar("- x") == -x
         assert parse_scalar("1/2") == const(Fraction(1, 2))
 
-    @pytest.mark.parametrize("bad", ["", "x +", "(x", "2*/x", "x..y", "^2"])
+    @pytest.mark.parametrize("bad", ["", "x +", "(x", "2*/x", "x..y", "^2",
+                                     "x^y"])
     def test_parse_errors(self, bad):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+    def test_zero_to_a_negative_power_is_malformed(self):
+        with pytest.raises(MalformedScalarError, match="negative power"):
+            parse_scalar("(x-x)^-1")
+
+    def test_a_name_starts_with_a_letter(self):
+        with pytest.raises(ScalarParseError, match="bad indeterminate"):
+            var("1x")
 
     def test_nesting_is_bounded(self):
         assert parse_scalar("(" * 100 + "x" + ")" * 100) == x
@@ -481,6 +490,24 @@ class TestKernelOracles:
         want = [poly_gcd(f, g) for f, g in pairs]
         calls = self.sequence_only(monkeypatch)
         assert [poly_gcd(f, g) for f, g in pairs] == want
+        assert calls
+
+    def test_heuristic_gives_up_to_the_remainder_sequence(self, monkeypatch):
+        # with no evaluation point to try, GCDHEU returns None at once and
+        # every gcd it would have answered takes the subresultant sequence
+        sympy = pytest.importorskip("sympy")
+        from ybx import scalars
+        calls = []
+        sequence = scalars._gcd_subresultant
+        monkeypatch.setattr(scalars, "_HEURISTIC_TRIES", 0)
+        monkeypatch.setattr(scalars, "_gcd_subresultant",
+                            lambda *args: calls.append(1) or sequence(*args))
+        for f, g in self.stress_pairs(13, 60):
+            got = poly_gcd(f, g)
+            want = sympy.gcd(to_sympy(sympy, f), to_sympy(sympy, g))
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0 or \
+                sympy.expand(to_sympy(sympy, got) + want) == 0, (f, g, got)
+            assert got.leading()[1] > 0
         assert calls
 
     @pytest.mark.parametrize("seed, case", [(12, 73), (11, 16), (11, 146)])

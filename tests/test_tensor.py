@@ -259,6 +259,9 @@ class TestNullspace:
     def test_full_rank_kernel_empty(self):
         assert nullspace([[ONE, ZERO], [ZERO, ONE]]) == []
 
+    def test_no_rows_no_basis(self):
+        assert nullspace([]) == []
+
     def test_ragged_rows_are_refused(self):
         with pytest.raises(ValueError, match="row 1 has 1 entries"):
             nullspace([[var("a"), 1], [1]])
@@ -1486,17 +1489,37 @@ _HOSTILE = st.one_of(
                                 "legs": 3, "matrix": [["2"]]})]))
 
 
+_X = Operator2(1, [["x"]])
+
+
 @given(st.sampled_from(["braid_defect", "qybe_defect", "yb_commutator",
                         "embed", "verify_constant", "invert", "determinant",
-                        "twist", "roundtrip_defect", "verify_inverse_pair"]),
+                        "twist", "roundtrip_defect", "verify_inverse_pair",
+                        "Operator2", "from_columns", "identity", "nullspace",
+                        "evaluate", "substitute", "parse_scalar", "var",
+                        "const", "ParamScalar", "power", "power_of_zero"]),
        st.lists(_HOSTILE, min_size=3, max_size=3),
        st.one_of(st.sampled_from([12, 23, 13, "braid", "qybe"]), _HOSTILE))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
-    """Each public entry point of the tensor layer either answers or raises
-    a YbxError, whatever its operands: an Operator3 where an Operator2 is
-    due, None, a float dim or a bad leg pair."""
+    """Each public entry point of the tensor and scalar layers either
+    answers or raises a YbxError, whatever its operands: an Operator3 where
+    an Operator2 is due, None, a float dim or exponent, or a bad leg
+    pair."""
+    x = var("x")
     calls = {
+        "Operator2": lambda x, y, _z: Operator2(x, y),
+        "from_columns": lambda x, y, _z: Operator2.from_columns(x, y),
+        "identity": lambda x, _y, _z: Operator2.identity(x),
+        "nullspace": lambda x, _y, _z: nullspace(x),
+        "evaluate": lambda x, _y, _z: _X.evaluate(x),
+        "substitute": lambda x, _y, _z: _X.substitute(x),
+        "parse_scalar": lambda x, _y, _z: parse_scalar(x),
+        "var": lambda x, _y, _z: var(x),
+        "const": lambda x, _y, _z: const(x),
+        "ParamScalar": lambda x, y, _z: scalars.ParamScalar(x, y),
+        "power": lambda n, _y, _z: x ** n,
+        "power_of_zero": lambda n, _y, _z: (x - x) ** n,
         "braid_defect": lambda x, _y, _z: braid_defect(x),
         "qybe_defect": lambda x, _y, _z: qybe_defect(x),
         "yb_commutator": yb_commutator,
@@ -1513,3 +1536,32 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
         calls[name](*operands)
     except scalars.YbxError:
         pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Operator2(1, None),
+    lambda: Operator2(1, [None]),
+    lambda: Operator2.from_columns(1, None),
+    lambda: Operator2.from_columns(1, [[(0, 1)]]),
+    lambda: nullspace([1, 2]),
+    lambda: nullspace(None),
+    lambda: _X.evaluate(None),
+    lambda: _X.substitute(None),
+    lambda: parse_scalar(None),
+    lambda: parse_scalar(5),
+    lambda: var(None),
+    lambda: const(None),
+    lambda: const("x"),
+    lambda: const(0.1),
+    lambda: scalars.ParamScalar(None),
+    lambda: var("x") ** 1.5,
+    lambda: (var("x") - var("x")) ** -1,
+], ids=lambda call: call.__code__.co_firstlineno)
+def test_library_boundary_named(call):
+    with pytest.raises(scalars.YbxError):
+        call()
+
+
+def test_a_division_by_zero_is_still_a_zero_division_error():
+    with pytest.raises(ZeroDivisionError):
+        var("x") / 0

@@ -246,12 +246,14 @@ def _cmd_check_wxz(args) -> int:
 
 
 def _cmd_check_super(args) -> int:
-    phi, phi_inv = _build_super_pair(args)
+    L, z, alpha = _super_params(args)
+    phi, phi_inv = super_phi(L, z, alpha), super_phi_inverse(L, z, alpha)
     return _emit_reports(args, [verify_constant(phi, "braid"),
                                 verify_inverse_pair(phi, phi_inv)])
 
 
-def _build_super_pair(args):
+def _super_params(args):
+    """(superalgebra, even central z, alpha) of the super family."""
     L = _load(args, "superalgebra")
     basis = even_center(L)
     if not basis:
@@ -265,7 +267,7 @@ def _build_super_pair(args):
     z = basis[index]
     taken = {name for vec in basis for c in vec for name in c.names}
     alpha, = _params(args, _FAMILIES["super"][1], taken)
-    return (super_phi(L, z, alpha), super_phi_inverse(L, z, alpha))
+    return L, z, alpha
 
 
 def _random_split_instance(space: SplitSpace, rng: random.Random) -> Operator2:
@@ -309,7 +311,7 @@ def _build_family(args):
         raise InputError(f"--family {args.family} does not read "
                          f"--{stray[0].replace('_', '-')}")
     if args.family == "super":
-        return [("phi", _build_super_pair(args)[0])]
+        return [("phi", super_phi(*_super_params(args)))]
     A, params = _bind(args, _FAMILIES[args.family][1])
     if args.family == "wxz":
         t = wxz_system(A, *params)

@@ -7,9 +7,9 @@ One builder, _product_map, multiplies out a structure table for all but
 the split-center solutions: a Lie superalgebra's bracket takes the place
 of the algebra's product, an even central z that of its unit, and the
 grading signs the twist. The dn inverse is the dn family at reciprocal
-parameters; the colored inverse divides each distinct entry of its
-numerator map once by its known denominator, over its factor base, the
-way ``tensor.invert`` reduces its entries. Each builder
+parameters; the colored inverse, at every parameter, divides each
+distinct entry of its numerator map once by its known denominator, over
+its factor base, the way ``tensor.invert`` reduces its entries. Each builder
 returns ordinary Operator2 matrices in the fixed basis convention, so the
 verification layer never needs to know where an operator came from.
 """
@@ -20,10 +20,10 @@ from itertools import product
 from typing import Sequence, Tuple
 
 from .algebra import Algebra
-from .lie_super import LieSuperalgebra, bracket_elements
+from .lie_super import LieSuperalgebra
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, as_scalar)
-from .tensor import Operator2, _int_form, _quotients
+from .tensor import Operator2, _int_form, _quotients, bilinear
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -228,10 +228,10 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     locus; the vanishing factor is reported when on it.
 
     R(u,v)^-1: a(x)b -> (p(u-v)ba(x)1 + q(u-v)1(x)ba - (qu-pv)b(x)a) over
-    D = (qu-pv)(pu-qv). At constant factors the scales are divided by D.
-    Otherwise each factor f/g gives f to D and g to the scales, the map is
-    built over them with no gcd on a polynomial table, and each distinct
-    entry is divided by D once, so that no sum of quotients is formed."""
+    D = (qu-pv)(pu-qv), at every parameter: each factor f/g gives f to D
+    and g to the scales, the map is built over them with no gcd on a
+    polynomial table, and each distinct entry is divided by D once, so
+    that no sum of quotients is formed."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
     qupv = q * u - p * v
@@ -240,13 +240,11 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     if qupv.is_zero:
         raise InvertibilityLocusError("q*u - p*v")
     duv = u - v
-    free = qupv.names or puqv.names
-    lift = ParamScalar(qupv.den * puqv.den) if free else (
-        qupv * puqv).reciprocal()
+    lift = ParamScalar(qupv.den * puqv.den)
     R = _product_map(A, _unit(A), p * duv * lift, q * duv * lift,
                      qupv * lift, swap=True, reverse=True)
     return Operator2._make(R.dim, _quotients(R.rows, [qupv.num, puqv.num]),
-                           None) if free else R
+                           None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
             )
     for j in range(L.dim):
         probe = tuple(ONE if t == j else ZERO for t in range(L.dim))
-        if any(not c.is_zero for c in bracket_elements(L, zv, probe)):
+        if any(not c.is_zero for c in bilinear(L.bracket, zv, probe)):
             raise InvalidCenterError(
                 f"z is not central: [z, e{j}] != 0", witness=j
             )

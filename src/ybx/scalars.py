@@ -824,11 +824,16 @@ class ParamScalar:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Exact value at a point; every indeterminate must be assigned."""
+        """Exact value at a point; every indeterminate must be assigned,
+        and every value of the point must be an int or a Fraction."""
         _check_operand(assignment, Mapping)
         missing = self.names - set(assignment)
         if missing:
             raise IncompleteAssignmentError(missing)
+        for name, value in assignment.items():
+            if not isinstance(value, (int, Fraction)):
+                raise InputError(f"the value of {name} must be an int or a "
+                                 f"Fraction, not {type(value).__name__}")
         den = self.den.evaluate(assignment)
         if den == 0:
             raise PoleError(f"denominator {self.den} vanishes at the point")

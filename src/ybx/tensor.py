@@ -950,6 +950,24 @@ def _quotients(rows, factors):
     return tuple(map(tuple, out))
 
 
+def _back_substitution(M, pivots, systems, guard):
+    """D times every unknown of M x = 0, for the packed echelon matrix M
+    with row r's pivot at column pivots[r]: each dict of systems maps the
+    columns already fixed to D times their nonzero values, and gains the
+    nonzero unknowns solved for; a column it leaves out is 0. The rows are
+    solved bottom-up, row r for its pivot column pc, by the exact division
+    X[pc] = sum_{c > pc} M[r][c]*X[c] / -M[r][pc] (Cramer's rule)."""
+    rows = [(pc, _neg(row[pc]), {c: row[c] for c in range(pc + 1, len(row))
+                                 if row[c]})
+            for row, pc in zip(M, pivots)][::-1]
+    for X in systems:
+        for pc, piv, right in rows:
+            acc = _dot((right[c], x) for c, x in X.items() if c in right)
+            if acc:
+                X[pc] = _divexact(acc, piv, guard)
+    return systems
+
+
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
     solved = _square(op, False)
@@ -963,31 +981,23 @@ def invert(op: _Operator) -> InverseResult:
     Row i of the cleared matrix is row i of op times its scale s_i, so the
     inverse of op solves the cleared system for the right-hand side
     diag(s). D is the cleared determinant up to sign, so D times that
-    solution is polynomial (Cramer's rule), and back-substitution finds it
-    by exact divisions: X_i = (D*rhs_i - sum_{j>i} M[i][j]*X_j) / M[i][i]
-    is row cols[i] of the inverse. Each entry is then reduced over the
-    factor base of D, the product of the blocks' last pivots: by trial
-    divisions by its certified factors, and by a gcd only with the rest
-    of D, if any (``_over``)."""
+    solution is polynomial (Cramer's rule). Right-hand side column col is
+    one more unknown, the augmented column size + col, fixed at -D, and
+    ``_back_substitution`` finds X_i, row cols[i] of the inverse. Each
+    entry is then reduced over the factor base of D, the product of the
+    blocks' last pivots: by trial divisions by its certified factors, and
+    by a gcd only with the rest of D, if any (``_over``)."""
     solved = _square(op, True)
     if solved is None:
         return InverseResult(False, None, ZERO)
     size = op.size
     M, cols, D, pivots, packing, det = solved
     over = _over(packing, pivots)
-    # the nonzero entries right of each diagonal entry, negated
-    right = [[(j, _neg(row[j])) for j in range(i + 1, size) if row[j]]
-             for i, row in enumerate(M)]
-    columns = []
-    for col in range(size):
-        X = [{}] * size
-        for i in range(size - 1, -1, -1):
-            rhs = M[i][size + col]
-            pairs = [(D, rhs)] if rhs else []
-            pairs += [(e, X[j]) for j, e in right[i] if X[j]]
-            if pairs:
-                X[i] = _divexact(_dot(pairs), M[i][i], packing.guard)
-        columns.append([(cols[i], over(x)) for i, x in enumerate(X) if x])
+    minus_D = _neg(D)
+    solved = _back_substitution(M, range(size), [
+        {size + col: minus_D} for col in range(size)], packing.guard)
+    columns = [[(cols[i], over(X[i])) for i in range(size) if i in X]
+               for X in solved]
     return InverseResult(True, type(op).from_columns(op.dim, columns), det)
 
 
@@ -996,9 +1006,9 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
 
     Returns a list of coordinate tuples, one per non-pivot column fc, with
     1 at fc and 0 at the other non-pivot columns; exact over the
-    rational-function field. As in ``invert``, D times each vector, for D
-    the last pivot, is found over Z[params] and reduced over D's factor
-    base."""
+    rational-function field. D times each vector, for D the last pivot, is
+    found over Z[params] by ``_back_substitution`` with column fc fixed at
+    D, as in ``invert``, and reduced over D's factor base."""
     _check_operand(rows, Sequence)
     if not rows:
         return []
@@ -1013,14 +1023,8 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
     over = _over(packing, [D])
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        X = {fc: D}
-        # echelon row r has its pivot at pivots[r]; solve bottom-up
-        for r in range(len(pivots) - 1, -1, -1):
-            pc, row = pivots[r], M[r]
-            acc = _dot((row[c], x) for c, x in X.items() if c > pc)
-            X[pc] = _divexact(acc, _neg(row[pc]), packing.guard)
-        basis.append(tuple(ONE if c == fc else over(X.get(c, {}))
-                           for c in range(ncols)))
-    return basis
+    free = sorted(set(range(ncols)) - set(pivots))
+    solved = _back_substitution(M, pivots, [{fc: D} for fc in free],
+                                packing.guard)
+    return [tuple(ONE if c == fc else over(X.get(c, {})) for c in range(ncols))
+            for fc, X in zip(free, solved)]

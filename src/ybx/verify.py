@@ -108,8 +108,9 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
 
     Symbolic mode instantiates the three spectral parameters as fresh
     indeterminates and demands the defect vanish identically. Sampled mode
-    draws integer triples from a seeded generator; triples on the locus
-    where the inverse formula degenerates are skipped, not failed.
+    draws integer triples from a generator seeded with the int seed;
+    triples on the locus where the inverse formula degenerates are
+    skipped, not failed.
     """
     _check_operand(A, Algebra)
     p = as_scalar(p)
@@ -133,6 +134,7 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
     if mode != "sampled":
         raise InputError("mode must be 'symbolic' or 'sampled'")
     _check_operand(samples, int)
+    _check_operand(seed, int)
 
     rng = random.Random(seed)
     evaluated = 0

@@ -818,7 +818,8 @@ _SIGMA = load_algebra(fixture_path("sigma.json"))
                         "split_center_operator", "super_phi",
                         "super_phi_inverse", "load_algebra",
                         "load_superalgebra", "verify_colored_family",
-                        "verify_colored_family_sampled", "verify_wxz",
+                        "verify_colored_family_sampled",
+                        "verify_colored_family_seed", "verify_wxz",
                         "WxzTriple", "mul_elements", "bracket_elements",
                         "even_center", "make_algebra", "make_superalgebra",
                         "SplitSpace", "Algebra.substitute"]),
@@ -844,6 +845,8 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, path):
         "verify_colored_family": lambda: verify_colored_family(a, b, c),
         "verify_colored_family_sampled": lambda: verify_colored_family(
             a, b, c, "sampled", d),
+        "verify_colored_family_seed": lambda: verify_colored_family(
+            _SIGMA, 1, 2, "sampled", 1, a),
         "verify_wxz": lambda: verify_wxz(a),
         "WxzTriple": lambda: WxzTriple(a, b, c),
         "mul_elements": lambda: mul_elements(a, b, c),
@@ -872,6 +875,9 @@ _UNIT_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     lambda: verify_colored_family(None, 1, 2),
     lambda: verify_colored_family(_GL11, 1, 2),
     lambda: verify_colored_family(_SIGMA, 1, 2, "sampled", None),
+    lambda: verify_colored_family(_SIGMA, 1, 2, "sampled", 1, None),
+    lambda: verify_colored_family(_SIGMA, 1, 2, "sampled", 1, 1.5),
+    lambda: verify_colored_family(_SIGMA, 1, 2, "sampled", 1, "1"),
     lambda: verify_wxz(None),
     lambda: verify_wxz(Operator2.identity(2)),
     lambda: WxzTriple(None, Operator2.identity(2), Operator2.identity(2)),

@@ -61,7 +61,8 @@ lam, mu = Fraction(-3, 2), Fraction(1, 3)
 
 def born_cases():
     """(id, build, oracle): build() returns a new constant operator, born
-    with its integer form for the builders and as rows for the products,
+    with its integer form for the builders and as rows for the products
+    and for colored_inverse, which divides its entries after the build,
     and oracle() its Fraction matrix from tests/oracles.py."""
     cases = []
     for name, make in (("quadratic", lambda: (rational_quadratic(),

@@ -65,7 +65,8 @@ COLORED = [
     ("p", "q", "u", "1/2"),
     ("1/t", "q", "u", "v"),         # a factor with a denominator
     ("p^2", "q", "u", "v"),         # a factor not certified irreducible
-    (2, 3, 5, 7),                   # all constant: born in integer form
+    (2, 3, 5, 7),                   # all constant: the same path
+    ("1/2", 3, "5/3", -7),          # all constant, with denominators
 ]
 
 DN = [

@@ -1496,7 +1496,8 @@ _X = Operator2(1, [["x"]])
                         "embed", "verify_constant", "invert", "determinant",
                         "twist", "roundtrip_defect", "verify_inverse_pair",
                         "Operator2", "from_columns", "identity", "nullspace",
-                        "evaluate", "substitute", "parse_scalar", "var",
+                        "evaluate", "evaluate_at", "scalar_evaluate_at",
+                        "substitute", "parse_scalar", "var",
                         "const", "ParamScalar", "power", "power_of_zero"]),
        st.lists(_HOSTILE, min_size=3, max_size=3),
        st.one_of(st.sampled_from([12, 23, 13, "braid", "qybe"]), _HOSTILE))
@@ -1513,6 +1514,8 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
         "identity": lambda x, _y, _z: Operator2.identity(x),
         "nullspace": lambda x, _y, _z: nullspace(x),
         "evaluate": lambda x, _y, _z: _X.evaluate(x),
+        "evaluate_at": lambda x, _y, _z: _X.evaluate({"x": x}),
+        "scalar_evaluate_at": lambda x, _y, _z: var("x").evaluate({"x": x}),
         "substitute": lambda x, _y, _z: _X.substitute(x),
         "parse_scalar": lambda x, _y, _z: parse_scalar(x),
         "var": lambda x, _y, _z: var(x),
@@ -1546,6 +1549,12 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
     lambda: nullspace([1, 2]),
     lambda: nullspace(None),
     lambda: _X.evaluate(None),
+    lambda: _X.evaluate({"x": None}),
+    lambda: _X.evaluate({"x": "abc"}),
+    lambda: _X.evaluate({"x": 1.5}),
+    lambda: _X.evaluate({"x": "1/2"}),
+    lambda: var("x").evaluate({"x": 1.5}),
+    lambda: var("x").evaluate({"x": 1, "y": None}),
     lambda: _X.substitute(None),
     lambda: parse_scalar(None),
     lambda: parse_scalar(5),

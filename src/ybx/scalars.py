@@ -27,18 +27,21 @@ name, the smaller one, marks the larger monomial. Hence ``leading()`` is a
 
 Exact division works in integer arithmetic throughout: a division by an
 integer content divides each coefficient, and ``Poly.divexact`` keeps the
-remainder's monomials in a heap. ``poly_gcd`` removes the integer and
-monomial contents first and answers 1 at once when what is left of either
-operand is a single term or when the two share no indeterminate. Otherwise
-the indeterminates that only one operand has divide out together through
-that operand's content in them. When both operands have the same
-indeterminates, the gcd is the smaller one if it divides the other, or
-else the heuristic gcd GCDHEU finds it from integer evaluations; only if
-that gives up does the subresultant remainder sequence run. Contents are
-gcds of coefficients, taken smallest first, so that a trivial gcd shows
-early. ``factor_base`` splits a product of elimination pivots into factors
-certified irreducible and a rest, so that the elimination in ``tensor``
-reduces its entries by trial divisions, with a gcd only on that rest.
+remainder's monomials in a heap. ``poly_gcd`` first splits each operand
+with ``_primitive`` into its integer content, its monomial content and a
+primitive rest, and answers 1 at once when either rest is a single term or
+when the two share no indeterminate. Otherwise the indeterminates that
+only one operand has divide out together through that operand's content
+in them. When both operands have the same indeterminates, the gcd is the
+smaller one if it divides the other, or else the heuristic gcd GCDHEU
+finds it from integer evaluations; only if that gives up does the
+subresultant remainder sequence run. Contents are gcds of coefficients,
+taken smallest first, so that a trivial gcd shows early. The gcd is the
+gcd of the integer contents times a primitive polynomial, so num and den
+divided by it have coprime contents (Gauss's lemma). ``factor_base``
+splits a product of elimination pivots into factors certified irreducible
+and a rest, so that the elimination in ``tensor`` reduces its entries by
+trial divisions, with a gcd only on that rest.
 
 Monomials stay tuples here. The elimination in ``tensor`` packs them into
 ints for the length of one call; packing per operation in ``Poly.__mul__``
@@ -49,8 +52,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence, Union
 
 ScalarLike = Union["ParamScalar", int, Fraction, str]
@@ -239,19 +244,6 @@ class Poly:
                 break
         return c
 
-    def mono_content(self) -> Mono:
-        """The largest monomial dividing every term."""
-        it = iter(self.terms)
-        try:
-            common = next(it)
-        except StopIteration:
-            return _EMPTY_MONO
-        for mono in it:
-            common = _mono_gcd(common, mono)
-            if not common:
-                break
-        return common
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -429,14 +421,9 @@ def _split(p: Poly, names) -> dict:
         rest = []
         for pair in mono:
             (key if pair[0] in names else rest).append(pair)
-        cur = coeffs.setdefault(tuple(key), {})
-        rest = tuple(rest)
-        s = cur.get(rest, 0) + c
-        if s:
-            cur[rest] = s
-        elif rest in cur:
-            del cur[rest]
-    return {k: Poly(t) for k, t in coeffs.items() if t}
+        # distinct monomials give distinct (key, rest) pairs: nothing merges
+        coeffs.setdefault(tuple(key), {})[tuple(rest)] = c
+    return {k: Poly(t) for k, t in coeffs.items()}
 
 
 def _univar(p: Poly, v: str) -> dict:
@@ -502,6 +489,23 @@ def _normalize_sign(p: Poly) -> Poly:
     return p.scale(-1) if c < 0 else p
 
 
+def _primitive(p: Poly):
+    """(c, mono, q) with p = c * mono * q, for p nonzero: c > 0 the integer
+    content, mono the monomial content, the largest monomial dividing every
+    term, and q primitive with no monomial content."""
+    c = p.int_content()
+    monos = iter(p.terms)
+    mono = next(monos)
+    for m in monos:
+        mono = _mono_gcd(mono, m)
+        if not mono:
+            break
+    if not mono:
+        return c, mono, p.div_int(c)
+    return c, mono, Poly({_mono_div(m, mono): v // c
+                          for m, v in p.terms.items()})
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Full gcd over the integers (content times primitive part), with a
     positive graded-lex leading coefficient."""
@@ -509,18 +513,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _normalize_sign(g)
     if g.is_zero:
         return _normalize_sign(f)
-    cf = f.int_content()
-    cg = g.int_content()
+    cf, mf, pf = _primitive(f)
+    cg, mg, pg = _primitive(g)
     c = math.gcd(cf, cg)
-    pf = f.div_int(cf)
-    pg = g.div_int(cg)
-    mf = pf.mono_content()
-    mg = pg.mono_content()
     mc = _mono_gcd(mf, mg)
-    if mf:
-        pf = Poly({_mono_div(m, mf): v for m, v in pf.terms.items()})
-    if mg:
-        pg = Poly({_mono_div(m, mg): v for m, v in pg.terms.items()})
     # With the contents removed, a single term is a unit, and so is a
     # common divisor of two operands that share no indeterminate: it can
     # only involve indeterminates both have.
@@ -665,16 +661,13 @@ def factor_base(pivots):
     """
     c, names, pieces = 1, {}, []
     for p in pivots:
-        k = p.int_content()
+        # dividing by a monomial keeps the leading term, so q has p's sign
+        k, mono, p = _primitive(p)
         if p.leading()[1] < 0:
-            k = -k
+            k, p = -k, -p
         c *= k
-        p = p.div_int(k)
-        mono = p.mono_content()
         for name, e in mono:
             names[name] = names.get(name, 0) + e
-        if mono:
-            p = Poly({_mono_div(m, mono): v for m, v in p.terms.items()})
         if p != _P_ONE:
             pieces.append(p)
     atoms = [[Poly.variable(name), m] for name, m in sorted(names.items())]
@@ -913,13 +906,13 @@ def _canonical(num: Poly, den: Poly):
     if den == _P_ONE:
         # already canonical: its content gcd with 1 is 1 and 1 is positive
         return num, den
+    # the gcd carries the gcd of the integer contents, and its polynomial
+    # part is primitive, so by Gauss's lemma the cofactors' contents are
+    # coprime: no content pass follows
     g = poly_gcd(num, den)
     if g != _P_ONE:
         num = num.divexact(g)
         den = den.divexact(g)
-    c = math.gcd(num.int_content(), den.int_content())
-    num = num.div_int(c)
-    den = den.div_int(c)
     if den.leading()[1] < 0:
         num = num.scale(-1)
         den = den.scale(-1)
@@ -1013,7 +1006,7 @@ def _tokenize(text: str):
     return out
 
 
-# Each level of parentheses costs the recursive descent five frames, so an
+# Each level of parentheses costs the recursive descent six frames, so an
 # explicit bound keeps hostile input far from the interpreter's limit.
 _MAX_NESTING = 100
 
@@ -1098,6 +1091,10 @@ def _check_product(a: ParamScalar, b: ParamScalar, divide: bool,
     raise ScalarParseError(f"product too large in {text!r}: {bound}")
 
 
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
     def __init__(self, tokens, text):
         self.tokens = tokens
@@ -1124,38 +1121,31 @@ class _Parser:
             raise ScalarParseError(f"trailing input in {self.text!r}")
         return value
 
-    def expr(self) -> ParamScalar:
-        value = self.term()
+    def chain(self, ops, operand) -> ParamScalar:
+        """operand (op operand)* for op in ops, folded left to right."""
+        value = operand()
         while True:
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
+            if kind != "op" or val not in ops:
                 return value
-
-    def term(self) -> ParamScalar:
-        value = self.unary()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.take()
-                rhs = self.unary()
+            self.take()
+            rhs = operand()
+            if val in ("*", "/"):
                 if val == "/" and rhs.is_zero:
                     raise MalformedScalarError("division by zero in expression")
                 _check_product(value, rhs, val == "/", self.text)
-                if val == "/":
-                    value = value / rhs
-                else:
-                    value = value * rhs
-            else:
-                return value
+            value = _BINARY[val](value, rhs)
+
+    def expr(self) -> ParamScalar:
+        # a partial adds no frame, where a term method would add one per
+        # level of parentheses
+        return self.chain(("+", "-"), partial(self.chain, ("*", "/"),
+                                              self.unary))
 
     def unary(self) -> ParamScalar:
         negate = False
         kind, val = self.peek()
-        while kind == "op" and val in "+-":
+        while kind == "op" and val in ("+", "-"):
             self.take()
             negate ^= val == "-"
             kind, val = self.peek()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
@@ -171,23 +172,28 @@ class _Operator(FrozenRecord):
             self.dim, ((y, apply(rows, y)) for y in range(self.size)),
             scalar)
 
+    def _map(self, f, *others):
+        """The operator of the same type and dim with f of the entries of
+        self and of the others at each place."""
+        return type(self)(self.dim, [
+            [f(*entries) for entries in zip(*rows)]
+            for rows in zip(self.rows, *(o.rows for o in others))
+        ])
+
     def __add__(self, other):
         self._require_same(other)
-        return type(self)(self.dim, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self._map(operator.add, other)
 
     def __sub__(self, other):
         self._require_same(other)
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.dim, [[-a for a in r] for r in self.rows])
+        return self._map(operator.neg)
 
     def scale(self, c) -> "_Operator":
         c = as_scalar(c)
-        return type(self)(self.dim, [[c * a for a in r] for r in self.rows])
+        return self._map(lambda a: c * a)
 
     # -- predicates ---------------------------------------------------------
 
@@ -209,14 +215,10 @@ class _Operator(FrozenRecord):
 
     def evaluate(self, assignment):
         """Specialize every entry at a point (entries become constants)."""
-        return type(self)(self.dim, [
-            [const(e.evaluate(assignment)) for e in r] for r in self.rows
-        ])
+        return self._map(lambda e: const(e.evaluate(assignment)))
 
     def substitute(self, mapping):
-        return type(self)(self.dim, [
-            [e.substitute(mapping) for e in r] for r in self.rows
-        ])
+        return self._map(lambda e: e.substitute(mapping))
 
     # -- serialization ------------------------------------------------------
 

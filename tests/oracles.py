@@ -560,3 +560,21 @@ def matrix_unit_table(units, degree=None):
                     if M[a][b]:
                         table[i][j][where[(a, b)]] = M[a][b]
     return table, parity
+
+
+def multilinear_free_algebra(letters="abc"):
+    """(words, table, unit) of the free algebra on the letters modulo the
+    words with a repeated letter: its basis is the words with no repeated
+    letter, the empty word first, then by length and lexicographically; a
+    product is the concatenation, or 0 when the two words share a letter.
+    For three letters its dim is 1 + 3 + 6 + 6 = 16."""
+    words = [""] + ["".join(w) for k in range(1, len(letters) + 1)
+                    for w in permutations(letters, k)]
+    where = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, x in enumerate(words):
+        for j, y in enumerate(words):
+            if set(x).isdisjoint(y):
+                table[i][j][where[x + y]] = 1
+    return words, table, [1] + [0] * (n - 1)

@@ -209,6 +209,22 @@ class TestCheckSuper:
         assert code == 2
         assert "z-index" in err
 
+    @pytest.mark.parametrize("verb", [["check", "super"],
+                                      ["export", "matrix", "--family",
+                                       "super"]])
+    def test_no_even_central_element(self, tmp_path, capsys, verb):
+        # sl(2): [h,e] = 2e, [h,f] = -2f, [e,f] = h, all even, centre zero
+        sl2 = tmp_path / "sl2.json"
+        sl2.write_text(json.dumps({
+            "dim": 3, "degree": [0, 0, 0],
+            "structure": [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
+                          [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
+                          [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]]}))
+        code, out, err = run(capsys, *verb, "--superalgebra", str(sl2))
+        assert code == 2
+        assert err == "error: the superalgebra has no even central element\n"
+        assert out == ""
+
 
 class TestCheckSplitCenter:
     def test_sampled_pass(self, capsys):
@@ -683,12 +699,13 @@ class TestHostileInput:
             assert out == ""
 
     def test_colored_needs_a_sample(self, capsys):
-        for samples in ("0", "-3"):
+        for samples in ("0", "-3", "abc"):
             code, out, err = run(capsys, "check", "colored", "--algebra",
                                  SIGMA, "--samples", samples)
             assert code == 2
             assert "--samples" in err
             assert out == ""
+        assert "invalid int value: 'abc'" in err
 
     def test_integers_past_the_digit_limit(self, tmp_path):
         # int() and str() raise ValueError past 4,300 digits, which ended in

@@ -568,6 +568,13 @@ class TestSuperPhi:
             super_phi(L, (ZERO, ZERO, ONE, ZERO), ONE)
         assert err.value.witness == 2
 
+    @pytest.mark.parametrize("build", [super_phi, super_phi_inverse])
+    @pytest.mark.parametrize("z", [(ONE, ZERO, ZERO), (ONE,) * 5])
+    def test_z_of_the_wrong_length_rejected(self, build, z):
+        L = load_superalgebra(fixture_path("gl11.json"))
+        with pytest.raises(InvalidCenterError, match="z must have length 4"):
+            build(L, z, ONE)
+
 
 class TestCanonicalTwoDim:
     def test_matrix_entries(self):

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: canonical forms, evaluation, parsing, and the
 field/homomorphism properties."""
 
+import math
 import random
 import re
 import time
@@ -139,9 +140,14 @@ class TestParseFormat:
         assert parse_scalar("(x + y)^2") == (x + y) ** 2
         assert parse_scalar("- x") == -x
         assert parse_scalar("1/2") == const(Fraction(1, 2))
+        assert parse_scalar("x ") == x
+        # binary operators fold left to right
+        assert parse_scalar("8/4/2") == ONE
+        assert parse_scalar("1-2-3") == const(-4)
+        assert parse_scalar("2*3/4*5") == const(Fraction(15, 2))
 
     @pytest.mark.parametrize("bad", ["", "x +", "(x", "2*/x", "x..y", "^2",
-                                     "x^y"])
+                                     "x^y", "x y", "1)"])
     def test_parse_errors(self, bad):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
@@ -349,6 +355,9 @@ def test_equality_matches_difference_being_zero(s, t):
 
 def test_equality_with_text_that_names_no_scalar():
     a = var("a")
+    # a value of no scalar type: ParamScalar.__eq__ declines, and Python
+    # falls back to identity
+    assert (ONE == None) is False
     assert a == "a" and const(Fraction(1, 2)) == "1/2"
     for text in ("not a scalar!", "(", "1/0", "a^99999999"):
         assert a != text
@@ -385,6 +394,22 @@ def test_polynomial_over_one_is_already_canonical(s, k):
     assert direct.num == p and direct.den == Poly.const(1)
     full = ParamScalar(p.scale(k), Poly.const(k))
     assert (full.num, full.den) == (direct.num, direct.den)
+
+
+@given(small_polys().filter(bool), small_polys().filter(bool),
+       small_polys().filter(bool), st.integers(-6, 6).filter(bool),
+       st.integers(-6, 6).filter(bool))
+@settings(deadline=None)
+def test_quotient_with_a_common_factor_is_canonical(p, q, g, k, m):
+    # k*g*p / (m*g*q): the gcd takes out g and gcd(k, m) together, so the
+    # contents left are coprime without a pass of their own
+    num = (g.num * p.num).scale(k)
+    den = (g.num * q.num).scale(m)
+    s = ParamScalar(num, den)
+    assert math.gcd(s.num.int_content(), s.den.int_content()) == 1
+    assert poly_gcd(s.num, s.den) == Poly.const(1)
+    assert s.den.leading()[1] > 0
+    assert s.num * den == num * s.den
 
 
 # -- the exact kernel against sympy and the brute-force order -------------

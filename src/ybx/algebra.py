@@ -12,8 +12,9 @@ import json
 import os
 from typing import Optional, Sequence
 
-from .scalars import (ONE, ZERO, FrozenRecord, YbxError, _check_dim,
-                      _check_operand, _shaped, as_scalar, bounded_int)
+from .scalars import (ONE, ZERO, FrozenRecord, InputError, YbxError,
+                      _check_dim, _check_operand, _shaped, as_scalar,
+                      bounded_int)
 from .tensor import _int_form, bilinear, first_failing_triple
 
 
@@ -98,6 +99,11 @@ class TableRecord(FrozenRecord):
             object.__setattr__(self, "_index", (entries, values, ints))
         return self._index
 
+    @property
+    def names(self) -> frozenset:
+        return frozenset().union(*(e.names for plane in getattr(
+            self, self._table) for row in plane for e in row))
+
 
 class Algebra(TableRecord):
     """Validated unital associative algebra. Immutable."""
@@ -108,11 +114,6 @@ class Algebra(TableRecord):
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
-
-    @property
-    def names(self) -> frozenset:
-        return frozenset().union(*(e.names for plane in self.structure
-                                   for row in plane for e in row))
 
     def substitute(self, mapping) -> "Algebra":
         """Specialize symbolic structure constants; the result is re-validated
@@ -251,10 +252,21 @@ def read_structure(obj, what: str, error, fields: dict) -> tuple:
 
 
 def load_structure(path, from_json_obj):
-    """Read a structure file with from_json_obj, its integers bounded."""
+    """Read a structure file with from_json_obj, its integers bounded. A
+    file that is missing, cannot be read or is not UTF-8 JSON raises
+    InputError naming path."""
     _check_operand(path, str, os.PathLike)
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_obj(json.load(fh, parse_int=bounded_int))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_int=bounded_int)
+    except FileNotFoundError as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays nested past the stack limit
+        raise InputError(f"not valid JSON: {path}: {exc}") from exc
+    return from_json_obj(obj)
 
 
 def algebra_from_json_obj(obj: dict) -> Algebra:

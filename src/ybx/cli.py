@@ -154,13 +154,8 @@ def _load(args, kind: str):
     load = load_algebra if kind == "algebra" else load_superalgebra
     try:
         structure = load(path)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # json raises RecursionError on arrays nested past the stack limit
-        raise InputError(f"not valid JSON: {path}: {exc}") from exc
+    except InputError:   # the file itself: missing, unreadable or not JSON
+        raise
     except YbxError as exc:
         raise InputError(f"bad {kind} file {path}: {exc}") from exc
     if kind == "superalgebra":
@@ -264,10 +259,8 @@ def _super_params(args):
             f"--z-index {index} out of range: the even center has "
             f"{len(basis)} basis vector(s)"
         )
-    z = basis[index]
-    taken = {name for vec in basis for c in vec for name in c.names}
-    alpha, = _params(args, _FAMILIES["super"][1], taken)
-    return L, z, alpha
+    alpha, = _params(args, _FAMILIES["super"][1], set(L.names))
+    return L, basis[index], alpha
 
 
 def _random_split_instance(space: SplitSpace, rng: random.Random) -> Operator2:

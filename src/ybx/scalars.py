@@ -55,7 +55,6 @@ import math
 import operator
 import re
 from fractions import Fraction
-from functools import partial
 from typing import Mapping, Sequence, Union
 
 ScalarLike = Union["ParamScalar", int, Fraction, str]
@@ -975,7 +974,7 @@ ONE = const(1)
 # expr   := term (('+' | '-') term)*
 # term   := unary (('*' | '/') unary)*
 # unary  := ('-' | '+') unary | power
-# power  := atom (('^' | '**') INT)?
+# power  := atom (('^' | '**') '-'? INT)?
 # atom   := INT | NAME | '(' expr ')'
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -1006,8 +1005,8 @@ def _tokenize(text: str):
     return out
 
 
-# Each level of parentheses costs the recursive descent six frames, so an
-# explicit bound keeps hostile input far from the interpreter's limit.
+# The parser keeps one stack entry per open parenthesis and recurses at no
+# depth, so this is a bound on the input, not a guard for the call stack.
 _MAX_NESTING = 100
 
 # Bounds on a power p^e in an expression, checked before it is computed, on
@@ -1095,107 +1094,79 @@ _BINARY = {"+": operator.add, "-": operator.sub,
            "*": operator.mul, "/": operator.truediv}
 
 
-class _Parser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        self.text = text
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ScalarParseError(f"expected {op!r} in {self.text!r}")
-
-    def parse(self) -> ParamScalar:
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ScalarParseError(f"trailing input in {self.text!r}")
-        return value
-
-    def chain(self, ops, operand) -> ParamScalar:
-        """operand (op operand)* for op in ops, folded left to right."""
-        value = operand()
-        while True:
-            kind, val = self.peek()
-            if kind != "op" or val not in ops:
-                return value
-            self.take()
-            rhs = operand()
-            if val in ("*", "/"):
-                if val == "/" and rhs.is_zero:
-                    raise MalformedScalarError("division by zero in expression")
-                _check_product(value, rhs, val == "/", self.text)
-            value = _BINARY[val](value, rhs)
-
-    def expr(self) -> ParamScalar:
-        # a partial adds no frame, where a term method would add one per
-        # level of parentheses
-        return self.chain(("+", "-"), partial(self.chain, ("*", "/"),
-                                              self.unary))
-
-    def unary(self) -> ParamScalar:
-        negate = False
-        kind, val = self.peek()
-        while kind == "op" and val in ("+", "-"):
-            self.take()
-            negate ^= val == "-"
-            kind, val = self.peek()
-        value = self.power()
-        return -value if negate else value
-
-    def power(self) -> ParamScalar:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.take()
-            k, v = self.take()
-            neg = False
-            if k == "op" and v == "-":
-                neg = True
-                k, v = self.take()
-            if k != "int":
-                raise ScalarParseError(f"expected integer exponent in {self.text!r}")
-            e = v
-            if neg and base.is_zero:
-                raise MalformedScalarError("zero to a negative power")
-            _check_power(base, e, self.text)
-            return base ** (-e if neg else e)
-        return base
-
-    def atom(self) -> ParamScalar:
-        kind, val = self.take()
-        if kind == "int":
-            return const(val)
-        if kind == "name":
-            return ParamScalar(Poly.variable(val))
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ScalarParseError(
-                    f"parentheses nested more than {_MAX_NESTING} deep")
-            inner = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise ScalarParseError(f"unexpected end of expression in {self.text!r}")
-
-
 def parse_scalar(text: str) -> ParamScalar:
-    """Parse the textual scalar grammar (the same one ``str`` emits)."""
+    """Parse the textual scalar grammar (the same one ``str`` emits).
+
+    One loop reads the tokens left to right and folds each operator as soon
+    as its right operand is complete, as a recursive descent would. The sum
+    and the product pending at each open parenthesis, with the sign of the
+    operand that it starts, wait on a stack, so no input recurses."""
     _check_operand(text, str)
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar expression")
-    return _Parser(tokens, text).parse()
+    # (None, None) marks the end; both loops take tokens from one iterator
+    tokens = iter(tokens + [(None, None)])
+    stack = []
+    # the pending sum and product as (left operand, operator), and the sign
+    # of the next operand
+    total, product, negate = None, None, False
+    for kind, val in tokens:
+        if val in ("+", "-"):
+            negate ^= val == "-"
+            continue
+        if val == "(":
+            if len(stack) == _MAX_NESTING:
+                raise ScalarParseError(
+                    f"parentheses nested more than {_MAX_NESTING} deep")
+            stack.append((total, product, negate))
+            total, product, negate = None, None, False
+            continue
+        if kind == "int":
+            value = const(val)
+        elif kind == "name":
+            value = ParamScalar(Poly.variable(val))
+        else:
+            raise ScalarParseError(
+                f"unexpected end of expression in {text!r}")
+        while True:   # value is an atom: a literal, a name or (expr)
+            kind, val = next(tokens)
+            if val in ("^", "**"):
+                kind, e = next(tokens)
+                if neg := (kind, e) == ("op", "-"):
+                    kind, e = next(tokens)
+                if kind != "int":
+                    raise ScalarParseError(
+                        f"expected integer exponent in {text!r}")
+                if neg and value.is_zero:
+                    raise MalformedScalarError("zero to a negative power")
+                _check_power(value, e, text)
+                value = value ** (-e if neg else e)
+                kind, val = next(tokens)
+            if negate:
+                value, negate = -value, False
+            if product:
+                (left, op), product = product, None
+                if op == "/" and value.is_zero:
+                    raise MalformedScalarError("division by zero in expression")
+                _check_product(left, value, op == "/", text)
+                value = _BINARY[op](left, value)
+            if val in ("*", "/"):
+                product = value, val
+                break
+            if total:
+                value = _BINARY[total[1]](total[0], value)
+            if val in ("+", "-"):
+                total = value, val
+                break
+            if val == ")" and stack:
+                total, product, negate = stack.pop()
+            elif stack:
+                raise ScalarParseError(f"expected ')' in {text!r}")
+            elif kind is None:
+                return value
+            else:
+                raise ScalarParseError(f"trailing input in {text!r}")
 
 
 def fresh_name(base: str, taken) -> str:

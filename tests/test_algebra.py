@@ -23,8 +23,9 @@ from ybx.algebra import (
     mul_elements,
     quadratic_quotient_algebra,
 )
-from ybx.lie_super import JacobiError, SuperalgebraError, make_superalgebra
-from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
+from ybx.lie_super import (JacobiError, SuperalgebraError, load_superalgebra,
+                           make_superalgebra)
+from ybx.scalars import ONE, ZERO, InputError, ParamScalar, as_scalar, const, var
 from ybx import fixture_path
 
 import oracles
@@ -283,6 +284,36 @@ class TestSerialization:
             B = algebra_from_json_obj(A.to_json_obj())
             assert A == B
             assert A.labels == B.labels
+
+    @pytest.mark.parametrize("load", [load_algebra, load_superalgebra])
+    @pytest.mark.parametrize("content, message", [
+        (None, "no such file: {}"),
+        (b"\xff", "not valid JSON: {}: 'utf-8' codec can't decode byte 0xff"),
+        (b"{not json", "not valid JSON: {}: Expecting property name"),
+        (b"[" * 100000, "not valid JSON: {}: maximum recursion depth")],
+        ids=["missing", "not-utf8", "not-json", "too-deep"])
+    def test_a_bad_file_raises_input_error(self, tmp_path, load, content,
+                                           message):
+        path = tmp_path / "structure.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(InputError) as info:
+            load(str(path))
+        assert str(info.value).startswith(message.format(path))
+
+    def test_a_directory_raises_input_error(self, tmp_path):
+        for load in (load_algebra, load_superalgebra):
+            with pytest.raises(InputError, match="^cannot read .*: Is a d"):
+                load(tmp_path)
+
+    def test_deep_callers_load_nested_entries(self, tmp_path,
+                                              near_recursion_limit):
+        obj = json.loads(Path(fixture_path("quadratic.json")).read_text())
+        obj["unit"][0] = "(" * 100 + "1" + ")" * 100
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(obj))
+        assert near_recursion_limit(lambda: load_algebra(path)) == \
+            load_algebra(fixture_path("quadratic.json"))
 
     def test_missing_key_rejected(self):
         obj = json.loads(Path(fixture_path("quadratic.json")).read_text())

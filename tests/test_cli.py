@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import ybx
-from oracles import det_permutation_expansion, dn_matrix
+from oracles import (det_permutation_expansion, dn_matrix, frac_matrix,
+                     super_phi_matrix)
 from ybx.cli import InputError, main
 from ybx.tensor import operator_from_json_obj
 from ybx import fixture_path
@@ -208,6 +209,28 @@ class TestCheckSuper:
         )
         assert code == 2
         assert "z-index" in err
+
+    def test_free_alpha_avoids_every_bracket_constant(self, tmp_path,
+                                                      capsys):
+        # odd x, y and even z with [x,x] = alpha*z and [x,y] = [y,x] = z:
+        # the family's free parameter must not merge with the table's alpha
+        bracket = [[[0, 0, "alpha"], [0, 0, 1], [0, 0, 0]],
+                   [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                   [[0, 0, 0]] * 3]
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({"dim": 3, "degree": [1, 1, 0],
+                                    "structure": bracket}))
+        code, out, _ = run(capsys, "export", "matrix", "--family", "super",
+                           "--superalgebra", str(path), "--format", "json")
+        assert code == 0
+        point = {"alpha": 2, "alpha_1": 5}
+        table = [[[2 if e == "alpha" else e for e in row] for row in plane]
+                 for plane in bracket]
+        assert frac_matrix(operator_from_json_obj(json.loads(out)), point) \
+            == super_phi_matrix(table, [1, 1, 0], [0, 0, 1], 5)
+        code, out, _ = run(capsys, "check", "super", "--superalgebra",
+                           str(path))
+        assert code == 0 and out.count("PASS") == 2
 
     @pytest.mark.parametrize("verb", [["check", "super"],
                                       ["export", "matrix", "--family",
@@ -625,6 +648,17 @@ class TestHostileInput:
             assert code == 2
             assert "Traceback" not in err
             assert "not valid JSON" in err
+            assert out == ""
+
+    def test_non_utf8_structure_file(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff")
+        for kind in ("algebra", "superalgebra"):
+            code, out, err = run_process("validate", kind, f"--{kind}",
+                                         str(bad))
+            assert code == 2
+            assert err.startswith(f"error: not valid JSON: {bad}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
             assert out == ""
 
     def test_huge_powers(self, tmp_path, capsys, monkeypatch):

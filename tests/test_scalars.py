@@ -146,11 +146,39 @@ class TestParseFormat:
         assert parse_scalar("1-2-3") == const(-4)
         assert parse_scalar("2*3/4*5") == const(Fraction(15, 2))
 
-    @pytest.mark.parametrize("bad", ["", "x +", "(x", "2*/x", "x..y", "^2",
-                                     "x^y", "x y", "1)"])
-    def test_parse_errors(self, bad):
-        with pytest.raises(ScalarParseError):
+    @pytest.mark.parametrize("bad, message", [
+        ("", "empty scalar expression"),
+        ("x +", "unexpected end of expression in 'x +'"),
+        ("2*/x", "unexpected end of expression in '2*/x'"),
+        ("^2", "unexpected end of expression in '^2'"),
+        ("(x", "expected ')' in '(x'"),
+        ("(x y)", "expected ')' in '(x y)'"),
+        ("x..y", "unexpected character '.' in 'x..y'"),
+        ("x^y", "expected integer exponent in 'x^y'"),
+        ("x^+2", "expected integer exponent in 'x^+2'"),
+        ("x**+2", "expected integer exponent in 'x**+2'"),
+        ("x y", "trailing input in 'x y'"),
+        ("1)", "trailing input in '1)'"),
+        ("x^2^3", "trailing input in 'x^2^3'")])
+    def test_parse_errors(self, bad, message):
+        with pytest.raises(ScalarParseError) as info:
             parse_scalar(bad)
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["0", "1", "2", "10", "x", "y", "ab", "+", "-", "*", "/", "^", "**",
+         "(", ")", " "]), max_size=40))
+    def test_any_token_string_parses_or_raises_a_parse_error(self, tokens):
+        # an IndexError or a RecursionError escaping here fails the test
+        try:
+            parse_scalar("".join(tokens))
+        except (ScalarParseError, MalformedScalarError):
+            pass
+
+    def test_deep_callers_parse_nested_input(self, near_recursion_limit):
+        text = "(" * 100 + "x" + ")" * 100
+        assert near_recursion_limit(lambda: parse_scalar(text)) == x
 
     def test_zero_to_a_negative_power_is_malformed(self):
         with pytest.raises(MalformedScalarError, match="negative power"):

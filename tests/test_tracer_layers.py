@@ -46,6 +46,8 @@ def test_scalar_kernel_names_are_plain_attributes():
     assert inspect.isfunction(gcd) and gcd.__qualname__ == "poly_gcd"
     div = vars(scalars.Poly)["divexact"]
     assert inspect.isfunction(div) and div.__qualname__ == "Poly.divexact"
+    parse = vars(scalars)["parse_scalar"]
+    assert inspect.isfunction(parse) and parse.__qualname__ == "parse_scalar"
 
 
 def test_replaced_scalar_kernel_sees_internal_calls(monkeypatch):

@@ -17,11 +17,12 @@ import random
 import sys
 import time
 
-from .algebra import AlgebraError, load_algebra
+from .algebra import AlgebraError, ShapeError, load_algebra
 from .constructors import (SplitSpace, _dn_case_symbolic, colored_operator,
                            dn_operator, split_center_operator, super_phi,
                            super_phi_inverse, wxz_system)
-from .lie_super import SuperalgebraError, even_center, load_superalgebra
+from .lie_super import (ShapeError as SuperShapeError, SuperalgebraError,
+                        even_center, load_superalgebra)
 from .scalars import (InputError, ParamScalar, YbxError, const, fresh_name,
                       parse_scalar, var)
 from .tensor import Operator2, invert, qybe_defect
@@ -66,7 +67,7 @@ def _int_in_range(low: int, high=None):
 
 
 def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
-                sampling=False, family=False, dim=False):
+                sampling=False, family=False, dim=False, symbolic=False):
     """Name sub's handler and register the flags it shares with other
     commands. A family command takes every structure and parameter flag,
     and needs no structure file until its family is known."""
@@ -95,53 +96,74 @@ def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
     sub.add_argument("--format", choices=["text", "json"], default="text",
                      dest="fmt")
     sub.add_argument("--out", metavar="PATH")
+    if symbolic:
+        sub.add_argument("--symbolic", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every verb and target, with the flags of only the
+    command that argv names: its first token that is a verb, then its
+    first token after that which is a target of the verb. argparse
+    dispatches on the first positional token, and one that names no
+    command is an error of the parser above it, so every command that
+    argparse reaches has its flags, and its usage and help are the same."""
     parser = argparse.ArgumentParser(
         prog="ybx",
         description="Build and verify braid / QYBE operator families "
                     "with exact symbolic arithmetic.",
     )
     top = parser.add_subparsers(dest="verb", required=True)
+    flags = {}  # each command's parser -> (handler, _add_common options)
 
     check = top.add_parser("check", help="run an identity check")
     which = check.add_subparsers(dest="target", required=True)
-    sub = which.add_parser("constant", help="braid identity for the "
-                           "three-parameter product family")
-    _add_common(sub, _cmd_check_constant, algebra=True,
-                params=_FAMILIES["dn"][1])
-    sub = which.add_parser("colored", help="two-parameter identity for the "
-                           "colored family")
-    _add_common(sub, _cmd_check_colored, algebra=True, params=("p", "q"),
-                sampling=True)
-    sub.add_argument("--symbolic", action="store_true")
-    sub = which.add_parser("wxz", help="the four commutator conditions")
-    _add_common(sub, _cmd_check_wxz, algebra=True, params=_FAMILIES["wxz"][1])
-    sub = which.add_parser("super", help="braid identity and inverse for "
-                           "the superalgebra family")
-    _add_common(sub, _cmd_check_super, superalgebra=True,
-                params=_FAMILIES["super"][1])
-    sub = which.add_parser("split-center", help="constant QYBE for random "
-                           "admissible split-center operators")
-    _add_common(sub, _cmd_check_split_center, sampling=True, dim=True)
+    flags[which.add_parser("constant", help="braid identity for the "
+                           "three-parameter product family")] = (
+        _cmd_check_constant, dict(algebra=True, params=_FAMILIES["dn"][1]))
+    flags[which.add_parser("colored", help="two-parameter identity for the "
+                           "colored family")] = (
+        _cmd_check_colored, dict(algebra=True, params=("p", "q"),
+                                 sampling=True, symbolic=True))
+    flags[which.add_parser("wxz", help="the four commutator conditions")] = (
+        _cmd_check_wxz, dict(algebra=True, params=_FAMILIES["wxz"][1]))
+    flags[which.add_parser("super", help="braid identity and inverse for "
+                           "the superalgebra family")] = (
+        _cmd_check_super, dict(superalgebra=True,
+                               params=_FAMILIES["super"][1]))
+    flags[which.add_parser("split-center", help="constant QYBE for random "
+                           "admissible split-center operators")] = (
+        _cmd_check_split_center, dict(sampling=True, dim=True))
 
     export = top.add_parser("export", help="print a constructed matrix")
     what = export.add_subparsers(dest="target", required=True)
-    _add_common(what.add_parser("matrix"), _cmd_export_matrix, family=True)
+    flags[what.add_parser("matrix")] = (_cmd_export_matrix,
+                                        dict(family=True))
 
     validate = top.add_parser("validate", help="check a structure file "
                               "against its axioms")
     vwhat = validate.add_subparsers(dest="target", required=True)
-    _add_common(vwhat.add_parser("algebra"), _cmd_validate, algebra=True)
-    _add_common(vwhat.add_parser("superalgebra"), _cmd_validate,
-                superalgebra=True)
+    flags[vwhat.add_parser("algebra")] = (_cmd_validate, dict(algebra=True))
+    flags[vwhat.add_parser("superalgebra")] = (_cmd_validate,
+                                               dict(superalgebra=True))
 
-    inv = top.add_parser("invert", help="exact matrix inversion of a "
-                         "constructed operator")
-    _add_common(inv, _cmd_invert, family=True)
+    flags[top.add_parser("invert", help="exact matrix inversion of a "
+                         "constructed operator")] = (_cmd_invert,
+                                                     dict(family=True))
 
+    named = parser
+    for token in argv:
+        named = _subparser(named, token)
+    if named in flags:
+        handler, options = flags[named]
+        _add_common(named, handler, **options)
     return parser
+
+
+def _subparser(parser, token):
+    """The parser of the verb or target that token names under parser, or
+    parser itself if it names none."""
+    return next((a.choices for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)), {}).get(token, parser)
 
 
 def _load(args, kind: str):
@@ -328,15 +350,16 @@ def _cmd_export_matrix(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Load the structure file that the target (algebra or superalgebra)
-    names; an axiom violation is a failed report, any other input error
-    exits 2."""
+    names; an axiom violation is a failed report, and a malformed file or
+    any other input error exits 2."""
     t0 = time.perf_counter()
     identity = "algebra-axioms" if args.target == "algebra" else "super-axioms"
     try:
         structure = _load(args, args.target)
     except InputError as exc:
         cause = exc.__cause__
-        if not isinstance(cause, (AlgebraError, SuperalgebraError)):
+        if (not isinstance(cause, (AlgebraError, SuperalgebraError))
+                or isinstance(cause, (ShapeError, SuperShapeError))):
             raise
         witness = {"error": str(cause)}
         if getattr(cause, "witness", None) is not None:
@@ -386,16 +409,15 @@ def _join_values(parser, argv):
             out[-1] += "=" + token
         else:
             out.append(token)
-            parser = next((a.choices for a in parser._actions if isinstance(
-                a, argparse._SubParsersAction)), {}).get(token, parser)
+            parser = _subparser(parser, token)
     return out
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(
-            _join_values(parser, sys.argv[1:] if argv is None else argv))
+        parser = build_parser(argv)
+        args = parser.parse_args(_join_values(parser, argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact results print in full; inputs are bounded (scalars.bounded_int)

@@ -9,9 +9,10 @@ of the algebra's product, an even central z that of its unit, and the
 grading signs the twist. The dn inverse is the dn family at reciprocal
 parameters; the colored inverse, at every parameter, divides each
 distinct entry of its numerator map once by its known denominator, over
-its factor base, the way ``tensor.invert`` reduces its entries. Each builder
-returns ordinary Operator2 matrices in the fixed basis convention, so the
-verification layer never needs to know where an operator came from.
+its factor base, the way ``tensor.invert`` reduces its entries
+(``elimination._quotients``). Each builder returns ordinary Operator2
+matrices in the fixed basis convention, so the verification layer never
+needs to know where an operator came from.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .algebra import Algebra
 from .lie_super import LieSuperalgebra
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, as_scalar)
-from .tensor import Operator2, _int_form, _quotients, bilinear
+from .tensor import Operator2, _int_form, bilinear
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -232,6 +233,7 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     and g to the scales, the map is built over them with no gcd on a
     polynomial table, and each distinct entry is divided by D once, so
     that no sum of quotients is formed."""
+    from . import elimination
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
     qupv = q * u - p * v
@@ -243,8 +245,8 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     lift = ParamScalar(qupv.den * puqv.den)
     R = _product_map(A, _unit(A), p * duv * lift, q * duv * lift,
                      qupv * lift, swap=True, reverse=True)
-    return Operator2._make(R.dim, _quotients(R.rows, [qupv.num, puqv.num]),
-                           None)
+    return Operator2._make(
+        R.dim, elimination._quotients(R.rows, [qupv.num, puqv.num]), None)
 
 
 # ---------------------------------------------------------------------------

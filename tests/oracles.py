@@ -382,7 +382,7 @@ def leg_action_reference(rows, n, legs):
 
 def over_reference(packing, pivots):
     """x -> the canonical x/D, for many packed x over D, the product of the
-    packed pivots: the canonicalisation that ``tensor._over`` replaced,
+    packed pivots: the canonicalisation that ``elimination._over`` replaced,
     which ignores the factors. The canonical denominator d of each result
     divides D, so when D/d for a d seen before divides the next x, that x/D
     is (x/(D/d))/d and is reduced by a gcd with d; otherwise by a gcd with

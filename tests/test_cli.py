@@ -24,6 +24,11 @@ GL11 = str(fixture_path("gl11.json"))
 ABELIAN = str(fixture_path("abelian-super.json"))
 
 
+def without(obj, field):
+    """A copy of the JSON object obj with field left out."""
+    return {k: v for k, v in obj.items() if k != field}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -614,16 +619,31 @@ class TestHostileInput:
              "degree"),
             ("algebra", dict(algebra, unit=None), "unit"),
             ("superalgebra", dict(superalgebra, structure=None), "structure"),
+            # malformed files: bad input under validate as well, not a
+            # failed axiom check
+            ("algebra", without(algebra, "unit"), "unit"),
+            ("superalgebra", without(superalgebra, "degree"), "degree"),
+            ("algebra", without(algebra, "structure"), "structure"),
+            ("superalgebra", without(superalgebra, "structure"),
+             "structure"),
+            ("algebra", dict(algebra, unit=algebra["unit"][:1]), "unit"),
+            ("algebra", dict(algebra, labels=["1"]), "labels"),
+            ("superalgebra",
+             dict(superalgebra, degree=[2, *superalgebra["degree"][1:]]),
+             "degree"),
         ]
         check = {"algebra": "constant", "superalgebra": "super"}
         for n, (kind, obj, field) in enumerate(cases):
             bad = tmp_path / f"bad{n}.json"
             bad.write_text(json.dumps(obj))
+            errors = set()
             for verb in (["validate", kind], ["check", check[kind]]):
                 code, out, err = run(capsys, *verb, f"--{kind}", str(bad))
                 assert code == 2, (verb, obj)
                 assert field in err and str(bad) in err
                 assert out == ""
+                errors.add(err)
+            assert len(errors) == 1, errors
 
     def test_top_level_not_an_object(self, tmp_path, capsys):
         verbs = [("algebra", ["validate", "algebra"]),

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from test_constructors import monic_quotient
 from test_inverse_entries import count_divexact
-from ybx import scalars, tensor
+from ybx import elimination, scalars
 from ybx.algebra import Algebra, quadratic_quotient_algebra
 from ybx.constructors import colored_inverse, dn_inverse, dn_operator
 from ybx.scalars import PoleError, as_scalar, parse_scalar
@@ -205,7 +205,7 @@ def test_colored_inverse_runs_no_gcd_but_certification(monkeypatch, params):
             inside.pop()
 
     monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
-    monkeypatch.setattr(tensor, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(elimination, "poly_gcd", counted_gcd)
     monkeypatch.setattr(scalars, "_certified", counted_certified)
     counts = set()
     for table in ("quadratic", "sigma", "cubic", "dense"):

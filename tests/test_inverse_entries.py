@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from ybx import tensor
+from ybx import elimination
 from ybx.scalars import ONE, Poly, const, factor_base, parse_scalar
 from ybx.tensor import Operator2, invert, nullspace
 
@@ -67,7 +67,7 @@ def block_matrix(rng, n=4):
 
 def reference(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "_over", oracles.over_reference)
+        mp.setattr(elimination, "_over", oracles.over_reference)
         return fn(*args)
 
 
@@ -80,8 +80,8 @@ class TestInvert:
     def test_entries_equal_the_reference(self, seed, monkeypatch):
         rng = random.Random(f"inverse-entries:{seed}")
         bases = []
-        original = tensor.factor_base
-        monkeypatch.setattr(tensor, "factor_base", lambda pivots: (
+        original = elimination.factor_base
+        monkeypatch.setattr(elimination, "factor_base", lambda pivots: (
             bases.append(original(pivots)) or bases[-1]))
         done = 0
         while done < 25:
@@ -180,10 +180,10 @@ class TestFactorBase:
 
 
 def count_divexact(monkeypatch):
-    """A list whose length counts the calls of ``tensor._divexact``."""
+    """A list whose length counts the calls of ``elimination._divexact``."""
     calls = []
-    original = tensor._divexact
-    monkeypatch.setattr(tensor, "_divexact", lambda *args: (
+    original = elimination._divexact
+    monkeypatch.setattr(elimination, "_divexact", lambda *args: (
         calls.append(1) or original(*args)))
     return calls
 

@@ -526,11 +526,11 @@ class TestKernelOracles:
         """Make poly_gcd skip the heuristic gcd, so that every gcd it
         cannot answer at once runs the subresultant remainder sequence;
         returns the list that records each run."""
-        from ybx import scalars
+        from ybx import gcd
         calls = []
-        sequence = scalars._gcd_subresultant
-        monkeypatch.setattr(scalars, "_gcd_heuristic", lambda f, g, v: None)
-        monkeypatch.setattr(scalars, "_gcd_subresultant",
+        sequence = gcd._gcd_subresultant
+        monkeypatch.setattr(gcd, "_gcd_heuristic", lambda f, g, v: None)
+        monkeypatch.setattr(gcd, "_gcd_subresultant",
                             lambda *args: calls.append(1) or sequence(*args))
         return calls
 
@@ -549,11 +549,11 @@ class TestKernelOracles:
         # with no evaluation point to try, GCDHEU returns None at once and
         # every gcd it would have answered takes the subresultant sequence
         sympy = pytest.importorskip("sympy")
-        from ybx import scalars
+        from ybx import gcd
         calls = []
-        sequence = scalars._gcd_subresultant
-        monkeypatch.setattr(scalars, "_HEURISTIC_TRIES", 0)
-        monkeypatch.setattr(scalars, "_gcd_subresultant",
+        sequence = gcd._gcd_subresultant
+        monkeypatch.setattr(gcd, "_HEURISTIC_TRIES", 0)
+        monkeypatch.setattr(gcd, "_gcd_subresultant",
                             lambda *args: calls.append(1) or sequence(*args))
         for f, g in self.stress_pairs(13, 60):
             got = poly_gcd(f, g)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx import scalars, tensor, verify
+from ybx import elimination, scalars, tensor, verify
 from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
@@ -440,7 +440,7 @@ class TestBlockTriangular:
     permutations count."""
 
     def check(self, rows, sizes):
-        _, _, ends = tensor._block_order(
+        _, _, ends = elimination._block_order(
             [[c for c, e in enumerate(row) if e] for row in rows])
         assert sorted(b - a for a, b in zip([0, *ends], ends)) == \
             sorted(sizes)
@@ -507,7 +507,7 @@ class TestBlockTriangular:
         n = 5000
         pattern = [[i + 1, i] for i in range(n - 1)]
         pattern.append([n - 1, 0] if cycle else [n - 1])
-        rows, cols, ends = tensor._block_order(pattern)
+        rows, cols, ends = elimination._block_order(pattern)
         assert ends == ([n] if cycle else list(range(1, n + 1)))
         assert sorted(rows) == sorted(cols) == list(range(n))
         if not cycle:
@@ -519,7 +519,7 @@ class TestBlockTriangular:
             n = rng.randint(1, 12)
             pattern = [sorted(rng.sample(range(n), rng.randint(1, min(n, 3))))
                        for _ in range(n)]
-            order = tensor._block_order(pattern)
+            order = elimination._block_order(pattern)
             if order is None:
                 continue
             rows, cols, ends = order
@@ -537,7 +537,7 @@ class TestBlockTriangular:
         # two rows meet only column 0; a zero row has no column at all
         for pattern in ([[0], [0], [0, 1, 2]], [[0, 1], [], [1, 2]],
                         [[0, 1], [0, 1], [0, 1, 2, 3], [0, 1]]):
-            assert tensor._block_order(pattern) is None
+            assert elimination._block_order(pattern) is None
         rows = [[ONE, var("a"), ZERO, ZERO], [const(2), ZERO, ZERO, ZERO],
                 [ONE, ONE, ZERO, ZERO], [ZERO, ONE, ONE, ONE]]
         R = Operator2(2, rows)
@@ -591,8 +591,8 @@ class TestPackedExponents:
     degrees, and works on those ints until it unpacks the results."""
 
     def recorded(self, monkeypatch):
-        """Record every _Packing the elimination builds and every product
-        it forms."""
+        """Record every _Packing that a product or the elimination builds
+        and every product it forms."""
         packings, products = [], []
 
         class Recorded(tensor._Packing):
@@ -607,8 +607,9 @@ class TestPackedExponents:
             products.append(out)
             return out
 
-        monkeypatch.setattr(tensor, "_Packing", Recorded)
-        monkeypatch.setattr(tensor, "_dot", recorded_dot)
+        for module in (tensor, elimination):
+            monkeypatch.setattr(module, "_Packing", Recorded)
+            monkeypatch.setattr(module, "_dot", recorded_dot)
         return packings, products
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -659,12 +660,12 @@ class TestPackedExponents:
             for p, q in zip(entries, entries[1:]):
                 product = tensor._dot([(packing.pack(p), packing.pack(q))])
                 assert packing.unpack(product) == p * q
-                assert tensor._divexact(product, packing.pack(q),
+                assert elimination._divexact(product, packing.pack(q),
                                         packing.guard) == packing.pack(p)
                 if q.names - p.names:
                     # a monomial of q has a name that p lacks
                     with pytest.raises(ArithmeticError):
-                        tensor._divexact(packing.pack(p), packing.pack(q),
+                        elimination._divexact(packing.pack(p), packing.pack(q),
                                          packing.guard)
 
     def test_six_names_near_powers_of_two(self):
@@ -797,10 +798,10 @@ class TestEliminationCounts:
         # the whole matrix, Bareiss made 600 products and 493 divisions in
         # invert, and 204 and 140 in determinant
         R = self.colored()
-        dots = self.count(monkeypatch, "_dot", tensor)
-        divisions = self.count(monkeypatch, "_divexact", tensor)
+        dots = self.count(monkeypatch, "_dot", elimination)
+        divisions = self.count(monkeypatch, "_divexact", elimination)
         assert invert(R).invertible
-        assert len(dots) < 150
+        assert 0 < len(dots) < 150
         dots.clear()
         divisions.clear()
         assert not determinant(R).is_zero
@@ -811,7 +812,7 @@ class TestEliminationCounts:
         rows = [list(row) for row in self.colored().rows]
         rows[4] = [ZERO] * 9
         R = Operator2(3, rows)
-        calls = self.count(monkeypatch, "_eliminate", tensor)
+        calls = self.count(monkeypatch, "_eliminate", elimination)
         assert determinant(R) is ZERO
         assert invert(R) == tensor.InverseResult(False, None, ZERO)
         assert calls == []
@@ -822,10 +823,10 @@ class TestEliminationCounts:
         # determinant is canonicalised
         R = self.colored()
         bases = []
-        original = tensor.factor_base
-        monkeypatch.setattr(tensor, "factor_base", lambda pivots: (
+        original = elimination.factor_base
+        monkeypatch.setattr(elimination, "factor_base", lambda pivots: (
             bases.append(original(pivots)) or bases[-1]))
-        gcds = self.count(monkeypatch, "poly_gcd", tensor)
+        gcds = self.count(monkeypatch, "poly_gcd", elimination)
         canonical = self.count(monkeypatch, "_canonical")
         res = invert(R)
         [(_, atoms, residual)] = bases

@@ -5,11 +5,15 @@ traced run fail when the tracer installs itself."""
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
+import ybx
 
 TRACER = Path(__file__).resolve().parents[1] / "ybxbench" / "tracer.py"
 
@@ -36,6 +40,22 @@ def test_every_traced_name_resolves():
             else:
                 assert callable(getattr(owner, attr, None)), \
                     (group, module_name, attr)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # install() imports ybx.cli and then reads each module it wraps from
+    # sys.modules, so a module that the import leaves unloaded fails every
+    # traced run; making one load on first use needs install() to import
+    # it first
+    modules = sorted({name for targets in load_tracer().LAYERS.values()
+                      for name, _ in targets})
+    env = dict(os.environ, PYTHONPATH=str(Path(ybx.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys, ybx.cli\n"
+            f"print(sorted(set({modules!r}) - sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_scalar_kernel_names_are_plain_attributes():

@@ -35,18 +35,6 @@ from .verify import (VerificationReport, entry_witness, report,
 # at this dim takes about 2 s and 100 MB on a 2-vCPU x86-64 VM.
 MAX_SPLIT_DIM = 16
 
-# Each --family's structure kind and parameter flags, in the order its
-# builder takes them; the flags (as argparse dests) that each kind reads
-_FAMILIES = {"dn": ("algebra", ("alpha", "beta", "gamma")),
-             "colored": ("algebra", ("p", "q", "u", "v")),
-             "wxz": ("algebra", ("lambda", "mu")),
-             "super": ("superalgebra", ("alpha",))}
-_STRUCTURE_FLAGS = {"algebra": ("algebra", "m", "n", "sigma"),
-                    "superalgebra": ("superalgebra", "z_index")}
-# the flags that take a scalar expression
-_SCALAR_FLAGS = frozenset(f"--{name}" for name in (
-    "m", "n", "sigma", *(p for _, names in _FAMILIES.values() for p in names)))
-
 
 def _int_in_range(low: int, high=None):
     """An argparse type for an int in [low, high], unbounded above when
@@ -66,38 +54,39 @@ def _int_in_range(low: int, high=None):
     return parse
 
 
-def _add_common(sub, handler, algebra=False, superalgebra=False, params=(),
-                sampling=False, family=False, dim=False, symbolic=False):
-    """Name sub's handler and register the flags it shares with other
-    commands. A family command takes every structure and parameter flag,
-    and needs no structure file until its family is known."""
-    sub.set_defaults(handler=handler)
-    if family:
-        sub.add_argument("--family", required=True, choices=_FAMILIES)
-        params = dict.fromkeys(name for _, names in _FAMILIES.values()
-                               for name in names)
-    if algebra or family:
-        sub.add_argument("--algebra", metavar="PATH", required=not family)
-        for name in ("m", "n", "sigma"):
-            sub.add_argument(f"--{name}", metavar="EXPR")
-    if superalgebra or family:
-        sub.add_argument("--superalgebra", metavar="PATH",
-                         required=not family)
-    if family or superalgebra and params:  # the commands that build phi
-        sub.add_argument("--z-index", type=int)
-    for name in params:
-        sub.add_argument(f"--{name}", metavar="EXPR")
-    if sampling:
-        sub.add_argument("--samples", type=_int_in_range(1), metavar="N")
-        sub.add_argument("--seed", type=int, default=0, metavar="S")
-    if dim:
-        sub.add_argument("--dim", type=_int_in_range(2, MAX_SPLIT_DIM),
-                         default=3)
-    sub.add_argument("--format", choices=["text", "json"], default="text",
-                     dest="fmt")
-    sub.add_argument("--out", metavar="PATH")
-    if symbolic:
-        sub.add_argument("--symbolic", action="store_true")
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+# Each --family's parameter flags, in the order its builder takes them,
+# and the structure flags it reads, as argparse dests
+_ALGEBRA = ("algebra", "m", "n", "sigma")
+_FAMILIES = {"dn": (("alpha", "beta", "gamma"), _ALGEBRA),
+             "colored": (("p", "q", "u", "v"), _ALGEBRA),
+             "wxz": (("lambda", "mu"), _ALGEBRA),
+             "super": (("alpha",), ("superalgebra", "z_index"))}
+# Every flag: argparse dest -> add_argument keywords, in usage order
+_EXPR = {"metavar": "EXPR"}
+_FLAGS = {
+    "family": {"choices": _FAMILIES},
+    "algebra": {"metavar": "PATH"}, "m": _EXPR, "n": _EXPR, "sigma": _EXPR,
+    "superalgebra": {"metavar": "PATH"}, "z_index": {"type": int},
+    **{name: _EXPR for params, _ in _FAMILIES.values() for name in params},
+    "samples": {"type": _int_in_range(1), "metavar": "N"},
+    "seed": {"type": int, "default": 0, "metavar": "S"},
+    "dim": {"type": _int_in_range(2, MAX_SPLIT_DIM), "default": 3},
+    "format": {"choices": ["text", "json"], "default": "text"},
+    "out": {"metavar": "PATH"},
+    "symbolic": {"action": "store_true"},
+}
+# the flags that take a scalar expression
+_SCALAR_FLAGS = frozenset(_option(name) for name, keywords in _FLAGS.items()
+                          if keywords.get("metavar") == "EXPR")
+_OUTPUT = ("format", "out")
+# a family command's flags: --family, then each flag that a family reads
+_FAMILY_FLAGS = ("family", *(
+    name for name in _FLAGS
+    if any(name in p + s for p, s in _FAMILIES.values())), *_OUTPUT)
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -106,56 +95,63 @@ def build_parser(argv) -> argparse.ArgumentParser:
     first token after that which is a target of the verb. argparse
     dispatches on the first positional token, and one that names no
     command is an error of the parser above it, so every command that
-    argparse reaches has its flags, and its usage and help are the same."""
+    argparse reaches has its flags, and its usage and help are the same.
+    A family command takes every structure and parameter flag, and needs
+    no structure file until its family is known."""
     parser = argparse.ArgumentParser(
         prog="ybx",
         description="Build and verify braid / QYBE operator families "
                     "with exact symbolic arithmetic.",
     )
     top = parser.add_subparsers(dest="verb", required=True)
-    flags = {}  # each command's parser -> (handler, _add_common options)
+    flags = {}  # each command's parser -> (handler, required flag, flags)
 
     check = top.add_parser("check", help="run an identity check")
     which = check.add_subparsers(dest="target", required=True)
     flags[which.add_parser("constant", help="braid identity for the "
                            "three-parameter product family")] = (
-        _cmd_check_constant, dict(algebra=True, params=_FAMILIES["dn"][1]))
+        _cmd_check_constant, "algebra",
+        (*_ALGEBRA, *_FAMILIES["dn"][0], *_OUTPUT))
     flags[which.add_parser("colored", help="two-parameter identity for the "
                            "colored family")] = (
-        _cmd_check_colored, dict(algebra=True, params=("p", "q"),
-                                 sampling=True, symbolic=True))
+        _cmd_check_colored, "algebra",
+        (*_ALGEBRA, "p", "q", "samples", "seed", *_OUTPUT, "symbolic"))
     flags[which.add_parser("wxz", help="the four commutator conditions")] = (
-        _cmd_check_wxz, dict(algebra=True, params=_FAMILIES["wxz"][1]))
+        _cmd_check_wxz, "algebra", (*_ALGEBRA, *_FAMILIES["wxz"][0], *_OUTPUT))
     flags[which.add_parser("super", help="braid identity and inverse for "
                            "the superalgebra family")] = (
-        _cmd_check_super, dict(superalgebra=True,
-                               params=_FAMILIES["super"][1]))
+        _cmd_check_super, "superalgebra",
+        ("superalgebra", "z_index", *_FAMILIES["super"][0], *_OUTPUT))
     flags[which.add_parser("split-center", help="constant QYBE for random "
                            "admissible split-center operators")] = (
-        _cmd_check_split_center, dict(sampling=True, dim=True))
+        _cmd_check_split_center, None, ("samples", "seed", "dim", *_OUTPUT))
 
     export = top.add_parser("export", help="print a constructed matrix")
     what = export.add_subparsers(dest="target", required=True)
-    flags[what.add_parser("matrix")] = (_cmd_export_matrix,
-                                        dict(family=True))
+    flags[what.add_parser("matrix")] = (_cmd_export_matrix, "family",
+                                        _FAMILY_FLAGS)
 
     validate = top.add_parser("validate", help="check a structure file "
                               "against its axioms")
     vwhat = validate.add_subparsers(dest="target", required=True)
-    flags[vwhat.add_parser("algebra")] = (_cmd_validate, dict(algebra=True))
-    flags[vwhat.add_parser("superalgebra")] = (_cmd_validate,
-                                               dict(superalgebra=True))
+    flags[vwhat.add_parser("algebra")] = (_cmd_validate, "algebra",
+                                          (*_ALGEBRA, *_OUTPUT))
+    flags[vwhat.add_parser("superalgebra")] = (_cmd_validate, "superalgebra",
+                                               ("superalgebra", *_OUTPUT))
 
     flags[top.add_parser("invert", help="exact matrix inversion of a "
-                         "constructed operator")] = (_cmd_invert,
-                                                     dict(family=True))
+                         "constructed operator")] = (_cmd_invert, "family",
+                                                     _FAMILY_FLAGS)
 
     named = parser
     for token in argv:
         named = _subparser(named, token)
     if named in flags:
-        handler, options = flags[named]
-        _add_common(named, handler, **options)
+        handler, required, names = flags[named]
+        named.set_defaults(handler=handler)
+        for name in names:
+            named.add_argument(_option(name), required=name == required,
+                               **_FLAGS[name])
     return parser
 
 
@@ -213,7 +209,7 @@ def _bind(args, names):
 
 
 def _emit(args, text_body: str, json_obj) -> None:
-    if args.fmt == "json":
+    if args.format == "json":
         body = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
     else:
         body = text_body if text_body.endswith("\n") else text_body + "\n"
@@ -238,7 +234,7 @@ def _emit_reports(args, reports) -> int:
 # -- command handlers: each takes the parsed argparse namespace ------------
 
 def _cmd_check_constant(args) -> int:
-    names = _FAMILIES["dn"][1]
+    names = _FAMILIES["dn"][0]
     A, params = _bind(args, names)
     detail = {"parameters": {k: str(s) for k, s in zip(names, params)},
               "case": _dn_case_symbolic(*params) or "none"}
@@ -258,7 +254,7 @@ def _cmd_check_colored(args) -> int:
 
 
 def _cmd_check_wxz(args) -> int:
-    A, params = _bind(args, _FAMILIES["wxz"][1])
+    A, params = _bind(args, _FAMILIES["wxz"][0])
     return _emit_reports(args, [verify_wxz(wxz_system(A, *params))])
 
 
@@ -281,7 +277,7 @@ def _super_params(args):
             f"--z-index {index} out of range: the even center has "
             f"{len(basis)} basis vector(s)"
         )
-    alpha, = _params(args, _FAMILIES["super"][1], set(L.names))
+    alpha, = _params(args, _FAMILIES["super"][0], set(L.names))
     return L, basis[index], alpha
 
 
@@ -317,17 +313,17 @@ def _cmd_check_split_center(args) -> int:
 def _build_family(args):
     """(label, operator) pairs for export/invert; a flag that the family
     does not read is an input error."""
-    reads = {family: names + _STRUCTURE_FLAGS[kind]
-             for family, (kind, names) in _FAMILIES.items()}
+    reads = {family: params + structure
+             for family, (params, structure) in _FAMILIES.items()}
     stray = [name for flags in reads.values() for name in flags
              if name not in reads[args.family]
              and getattr(args, name) is not None]
     if stray:
         raise InputError(f"--family {args.family} does not read "
-                         f"--{stray[0].replace('_', '-')}")
+                         f"{_option(stray[0])}")
     if args.family == "super":
         return [("phi", super_phi(*_super_params(args)))]
-    A, params = _bind(args, _FAMILIES[args.family][1])
+    A, params = _bind(args, _FAMILIES[args.family][0])
     if args.family == "wxz":
         t = wxz_system(A, *params)
         return [("W", t.W), ("X", t.X), ("Z", t.Z)]

@@ -6,18 +6,18 @@ superalgebra.
 One builder, _product_map, multiplies out a structure table for all but
 the split-center solutions: a Lie superalgebra's bracket takes the place
 of the algebra's product, an even central z that of its unit, and the
-grading signs the twist. The dn inverse is the dn family at reciprocal
-parameters; the colored inverse, at every parameter, divides each
-distinct entry of its numerator map once by its known denominator, over
-its factor base, the way ``tensor.invert`` reduces its entries
-(``elimination._quotients``). Each builder returns ordinary Operator2
-matrices in the fixed basis convention, so the verification layer never
-needs to know where an operator came from.
+table's own degrees sign the twist. Each closed-form inverse is its
+family's map: dn at reciprocal parameters; colored, the unswapped map
+read on b(x)a over (qu-pv)(pu-qv), each distinct entry divided once by
+that denominator over its factor base (``elimination._quotients``);
+super, with its two product scales exchanged. Each builder returns
+ordinary Operator2 matrices in the fixed basis convention, so the
+verification layer never needs to know where an operator came from.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Sequence, Tuple
 
 from .algebra import Algebra
@@ -76,15 +76,12 @@ class InvalidCenterError(ValueError, YbxError):
 # product-built operators on a structure table, and the algebra family
 # ---------------------------------------------------------------------------
 
-def _product_map(T, unit, left, right, diag, swap: bool,
-                 reverse: bool = False, grading=None) -> Operator2:
+def _product_map(T, unit, left, right, diag, swap: bool) -> Operator2:
     """The map a(x)b -> left*ab(x)u + right*u(x)ab - diag*(b(x)a or a(x)b),
     for ab the product in the table of T and u = unit: an Algebra's product
-    and unit, or a LieSuperalgebra's bracket and even central z. A grading
-    (a degree per basis vector) negates the last term of each odd(x)odd
+    and unit, or a LieSuperalgebra's bracket and even central z. A
+    LieSuperalgebra's degrees negate the last term of each odd(x)odd
     column, which makes it the graded twist.
-
-    reverse replaces the product ab by ba in both product terms.
 
     The scales are -diag and, for each nonzero coordinate u_l, those of
     left*u_l and right*u_l that are nonzero; c*left*u_l lands on row
@@ -118,17 +115,15 @@ def _product_map(T, unit, left, right, diag, swap: bool,
     last = ([j * n + i for i in range(n) for j in range(n)] if swap
             else range(n * n))
     columns = [{r: scales[0]} for r in last]
-    if grading:
-        odd = [i for i, g in enumerate(grading) if g]
+    if isinstance(T, LieSuperalgebra):
+        odd = [i for i, g in enumerate(T.degree) if g]
         minus = -scales[0]
         for c in (i * n + j for i in odd for j in odd):
             columns[c][last[c]] = minus
-    cells = ([entries[j][i] for i in range(n) for j in range(n)] if reverse
-             else [cell for plane in entries for cell in plane])
     # ParamScalar sums by the ids of their terms, each a scale, a product
     # or an earlier sum, all held until the call returns
     sums = {}
-    for column, cell in zip(columns, cells):
+    for column, cell in zip(columns, chain.from_iterable(entries)):
         for k, t in cell:
             for stride, offset, scaled in sides:
                 r = k * stride + offset
@@ -229,10 +224,11 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     locus; the vanishing factor is reported when on it.
 
     R(u,v)^-1: a(x)b -> (p(u-v)ba(x)1 + q(u-v)1(x)ba - (qu-pv)b(x)a) over
-    D = (qu-pv)(pu-qv), at every parameter: each factor f/g gives f to D
-    and g to the scales, the map is built over them with no gcd on a
-    polynomial table, and each distinct entry is divided by D once, so
-    that no sum of quotients is formed."""
+    D = (qu-pv)(pu-qv): column a(x)b is column b(x)a of the unswapped map.
+    At every parameter each factor f/g gives f to D and g to the scales,
+    the map is built over them with no gcd on a polynomial table, and each
+    distinct entry is divided by D once, so no sum of quotients is formed.
+    """
     from . import elimination
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
@@ -244,9 +240,12 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     duv = u - v
     lift = ParamScalar(qupv.den * puqv.den)
     R = _product_map(A, _unit(A), p * duv * lift, q * duv * lift,
-                     qupv * lift, swap=True, reverse=True)
+                     qupv * lift, swap=False)
+    n = R.dim
+    rows = [[row[b * n + a] for a in range(n) for b in range(n)]
+            for row in R.rows]
     return Operator2._make(
-        R.dim, elimination._quotients(R.rows, [qupv.num, puqv.num]), None)
+        n, elimination._quotients(rows, [qupv.num, puqv.num]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +347,13 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
 
 def super_phi(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*[x,y](x)z + (-1)^{|x||y|} y(x)x, for even central z."""
-    return _product_map(L, _check_center(L, z), alpha, ZERO, -ONE,
-                        swap=True, grading=L.degree)
+    return _product_map(L, _check_center(L, z), alpha, ZERO, -ONE, swap=True)
 
 
 def super_phi_inverse(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*z(x)[x,y] + (-1)^{|x||y|} y(x)x; inverse of super_phi
     with the same z and alpha."""
-    return _product_map(L, _check_center(L, z), ZERO, alpha, -ONE,
-                        swap=True, grading=L.degree)
+    return _product_map(L, _check_center(L, z), ZERO, alpha, -ONE, swap=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1014,7 +1014,7 @@ def parse_scalar(text: str) -> ParamScalar:
                 if kind != "int":
                     raise ScalarParseError(
                         f"expected integer exponent in {text!r}")
-                if neg and value.is_zero:
+                if neg and e and value.is_zero:
                     raise MalformedScalarError("zero to a negative power")
                 _check_power(value, e, text)
                 value = value ** (-e if neg else e)

@@ -20,6 +20,7 @@ from ybx.constructors import _product_map
 from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
 from ybx.scalars import (ONE, ZERO, InputError, ParamScalar, Poly, as_scalar,
                          poly_gcd)
+from ybx.tensor import Operator2
 
 
 def frac_matrix(op, assignment=None):
@@ -411,12 +412,16 @@ def henrici_colored_inverse(A, p, q, u, v):
     was divided once by the known denominator: ``_product_map`` over the
     rational scales p(u-v)/dd, q(u-v)/dd and 1/(pu-qv), dd =
     (qu-pv)(pu-qv), so that every product and every sum of two terms on a
-    row is canonicalised by gcds (Henrici's sum, Knuth TAOCP 4.5.1)."""
+    row is canonicalised by gcds (Henrici's sum, Knuth TAOCP 4.5.1). The
+    map is unswapped, and its column b(x)a is taken as column a(x)b."""
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     duv, puqv = u - v, p * u - q * v
     dd = (q * u - p * v) * puqv
-    return _product_map(A, A.unit, p * duv / dd, q * duv / dd,
-                        puqv.reciprocal(), swap=True, reverse=True)
+    R = _product_map(A, A.unit, p * duv / dd, q * duv / dd,
+                     puqv.reciprocal(), swap=False)
+    n = R.dim
+    return Operator2(n, [[row[b * n + a] for a in range(n) for b in range(n)]
+                         for row in R.rows])
 
 
 def frac_solve(rows):

@@ -468,6 +468,17 @@ class TestFamilyFlags:
                                    f"read {flag}\n")
                     assert out == ""
 
+    def test_parameters_are_named_before_structure_flags(self, capsys):
+        # --beta and --algebra are both stray for super; parameters are
+        # scanned before structure flags, family by family, so dn's --beta
+        # is named although --algebra comes first in a list of flags
+        code, out, err = run(capsys, "export", "matrix", "--family", "super",
+                             "--superalgebra", GL11, "--beta", "1",
+                             "--algebra", QUADRATIC)
+        assert code == 2
+        assert err == "error: --family super does not read --beta\n"
+        assert out == ""
+
     def test_each_family_accepts_its_own_flags(self, capsys):
         for family, own in self.OWN.items():
             code, out, err = run(capsys, "export", "matrix", "--family",

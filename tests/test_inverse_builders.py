@@ -3,7 +3,8 @@ entry once by its known denominator, over its factor base; its entries
 must be the strings of ``oracles.henrici_colored_inverse``, the path where
 every sum is canonicalised. ``dn_inverse`` is ``dn_operator`` at
 reciprocal parameters; it must invert ``dn_operator`` symbolically. Both
-must agree with the Fraction oracles at seeded points."""
+must agree with the Fraction oracles at seeded points, and with ``invert``
+on M_2(Q), where ab != ba."""
 
 import random
 from fractions import Fraction
@@ -14,10 +15,12 @@ import oracles
 from test_constructors import monic_quotient
 from test_inverse_entries import count_divexact
 from ybx import elimination, scalars
-from ybx.algebra import Algebra, quadratic_quotient_algebra
-from ybx.constructors import colored_inverse, dn_inverse, dn_operator
+from ybx.algebra import Algebra, make_algebra, quadratic_quotient_algebra
+from ybx.constructors import (colored_inverse, colored_operator, dn_inverse,
+                              dn_operator)
 from ybx.scalars import PoleError, as_scalar, parse_scalar
-from ybx.tensor import roundtrip_defect
+from ybx.tensor import invert, roundtrip_defect
+from ybx.verify import verify_inverse_pair
 
 
 def random_table(seed, pool, n=3):
@@ -154,6 +157,44 @@ def test_dn_inverse(table, params):
         if table != "mixed":    # a round trip needs an associative unit
             assert oracles.matmul(oracles.dn_matrix(T, U, a, b, g),
                                   inverse) == oracles.identity(n * n)
+
+
+def matrix_algebra():
+    """M_2(Q) on its matrix units E00, E01, E10, E11, with unit E00 + E11:
+    every k[x]/(f) above is commutative, so there ab = ba hides a builder
+    that reads one for the other."""
+    table, _ = oracles.matrix_unit_table([(0, 0), (0, 1), (1, 0), (1, 1)])
+    return make_algebra(4, table, [1, 0, 0, 1])
+
+
+# each family's builder and closed-form inverse
+BUILDERS = {"colored": (colored_operator, colored_inverse),
+            "dn": (dn_operator, dn_inverse)}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("colored", (2, 3, 5, 7)),
+    ("colored", ("1/2", 3, "5/3", -7)),
+    ("dn", (2, 3, 2)),          # case i
+    ("dn", (2, 3, 3)),          # case ii
+    ("dn", (0, 0, 5)),          # case iii
+], ids=str)
+def test_inverses_on_a_noncommutative_algebra_at_constants(family, params):
+    A = matrix_algebra()
+    build, inverse = BUILDERS[family]
+    assert inverse(A, *params) == invert(build(A, *params)).operator
+
+
+@pytest.mark.parametrize("family, params", [
+    ("colored", ("p", "q", "u", "v")),
+    ("dn", ("a", "b", "a")),    # case i
+    ("dn", ("a", "b", "b")),    # case ii
+    ("dn", (0, 0, "g")),        # case iii
+], ids=str)
+def test_inverses_on_a_noncommutative_algebra_at_symbols(family, params):
+    A = matrix_algebra()
+    build, inverse = BUILDERS[family]
+    assert verify_inverse_pair(build(A, *params), inverse(A, *params)).passed
 
 
 def test_consecutive_builds_reduce_each_over_its_own_denominator():

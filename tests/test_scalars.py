@@ -183,6 +183,9 @@ class TestParseFormat:
     def test_zero_to_a_negative_power_is_malformed(self):
         with pytest.raises(MalformedScalarError, match="negative power"):
             parse_scalar("(x-x)^-1")
+        # the exponent -0 is zero, as in 0^0 and x^-0
+        assert parse_scalar("0^-0") == parse_scalar("0^0") == ONE
+        assert parse_scalar("x^-0") == ONE
 
     def test_a_name_starts_with_a_letter(self):
         with pytest.raises(ScalarParseError, match="bad indeterminate"):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, YbxError,
                       _check_dim, _check_operand, _shaped, as_scalar,
                       bounded_int)
-from .tensor import _int_form, bilinear, first_failing_triple
+from .kernel import _int_form, bilinear, first_failing_triple
 
 
 class AlgebraError(ValueError, YbxError):

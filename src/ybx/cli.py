@@ -7,6 +7,10 @@ Exit status: 0 when every report passes, 1 when any check fails (or an
 inversion target is singular), 2 on usage or input errors. Identical
 invocations with identical seeds emit byte-identical JSON: reports
 serialize without timings and with sorted keys.
+
+ybx's other modules are reached through the module objects that the
+package registers (``verify.report``), never through names bound at
+import, so a command runs only the modules that it calls into.
 """
 
 from __future__ import annotations
@@ -17,18 +21,7 @@ import random
 import sys
 import time
 
-from .algebra import AlgebraError, ShapeError, load_algebra
-from .constructors import (SplitSpace, _dn_case_symbolic, colored_operator,
-                           dn_operator, split_center_operator, super_phi,
-                           super_phi_inverse, wxz_system)
-from .lie_super import (ShapeError as SuperShapeError, SuperalgebraError,
-                        even_center, load_superalgebra)
-from .scalars import (InputError, ParamScalar, YbxError, const, fresh_name,
-                      parse_scalar, var)
-from .tensor import Operator2, invert, qybe_defect
-from .verify import (VerificationReport, entry_witness, report,
-                     verify_colored_family, verify_constant,
-                     verify_inverse_pair, verify_wxz)
+from . import algebra, constructors, lie_super, scalars, tensor, verify
 
 
 # Each split-center instance is a dense dim^4 operator; a one-sample check
@@ -168,14 +161,15 @@ def _load(args, kind: str):
     into an algebra. Bad input raises InputError with the cause chained."""
     path = getattr(args, kind)
     if path is None:
-        raise InputError(f"this command needs --{kind} PATH")
-    load = load_algebra if kind == "algebra" else load_superalgebra
+        raise scalars.InputError(f"this command needs --{kind} PATH")
+    load = (algebra.load_algebra if kind == "algebra"
+            else lie_super.load_superalgebra)
     try:
         structure = load(path)
-    except InputError:   # the file itself: missing, unreadable or not JSON
+    except scalars.InputError:   # the file: missing, unreadable or not JSON
         raise
-    except YbxError as exc:
-        raise InputError(f"bad {kind} file {path}: {exc}") from exc
+    except scalars.YbxError as exc:
+        raise scalars.InputError(f"bad {kind} file {path}: {exc}") from exc
     if kind == "superalgebra":
         return structure
     subs = {name: _parse(getattr(args, name), name)
@@ -183,11 +177,11 @@ def _load(args, kind: str):
     return structure.substitute(subs) if subs else structure
 
 
-def _parse(text: str, flag: str) -> ParamScalar:
+def _parse(text: str, flag: str) -> scalars.ParamScalar:
     try:
-        return parse_scalar(text)
-    except YbxError as exc:
-        raise InputError(f"--{flag}: {exc}") from exc
+        return scalars.parse_scalar(text)
+    except scalars.YbxError as exc:
+        raise scalars.InputError(f"--{flag}: {exc}") from exc
 
 
 def _params(args, names, taken: set) -> list:
@@ -196,7 +190,8 @@ def _params(args, names, taken: set) -> list:
     params = []
     for name in names:
         text = getattr(args, name)
-        s = var(fresh_name(name, taken)) if text is None else _parse(text, name)
+        s = (scalars.var(scalars.fresh_name(name, taken)) if text is None
+             else _parse(text, name))
         taken.update(s.names)
         params.append(s)
     return params
@@ -218,7 +213,8 @@ def _emit(args, text_body: str, json_obj) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)
         except OSError as exc:
-            raise InputError(f"cannot write --out {args.out}: {exc.strerror}")
+            raise scalars.InputError(
+                f"cannot write --out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(body)
 
@@ -237,43 +233,46 @@ def _cmd_check_constant(args) -> int:
     names = _FAMILIES["dn"][0]
     A, params = _bind(args, names)
     detail = {"parameters": {k: str(s) for k, s in zip(names, params)},
-              "case": _dn_case_symbolic(*params) or "none"}
-    rep = verify_constant(dn_operator(A, *params), "braid")
-    return _emit_reports(args, [VerificationReport(
+              "case": constructors._dn_case_symbolic(*params) or "none"}
+    rep = verify.verify_constant(constructors.dn_operator(A, *params), "braid")
+    return _emit_reports(args, [verify.VerificationReport(
         rep.identity, rep.mode, rep.status, rep.witness, rep.elapsed, detail)])
 
 
 def _cmd_check_colored(args) -> int:
     A, (p, q) = _bind(args, ("p", "q"))
     if args.samples is not None and not args.symbolic:
-        checked = verify_colored_family(A, p, q, mode="sampled",
-                                        samples=args.samples, seed=args.seed)
+        checked = verify.verify_colored_family(
+            A, p, q, mode="sampled", samples=args.samples, seed=args.seed)
     else:
-        checked = verify_colored_family(A, p, q, mode="symbolic")
+        checked = verify.verify_colored_family(A, p, q, mode="symbolic")
     return _emit_reports(args, [checked])
 
 
 def _cmd_check_wxz(args) -> int:
     A, params = _bind(args, _FAMILIES["wxz"][0])
-    return _emit_reports(args, [verify_wxz(wxz_system(A, *params))])
+    return _emit_reports(
+        args, [verify.verify_wxz(constructors.wxz_system(A, *params))])
 
 
 def _cmd_check_super(args) -> int:
     L, z, alpha = _super_params(args)
-    phi, phi_inv = super_phi(L, z, alpha), super_phi_inverse(L, z, alpha)
-    return _emit_reports(args, [verify_constant(phi, "braid"),
-                                verify_inverse_pair(phi, phi_inv)])
+    phi = constructors.super_phi(L, z, alpha)
+    phi_inv = constructors.super_phi_inverse(L, z, alpha)
+    return _emit_reports(args, [verify.verify_constant(phi, "braid"),
+                                verify.verify_inverse_pair(phi, phi_inv)])
 
 
 def _super_params(args):
     """(superalgebra, even central z, alpha) of the super family."""
     L = _load(args, "superalgebra")
-    basis = even_center(L)
+    basis = lie_super.even_center(L)
     if not basis:
-        raise InputError("the superalgebra has no even central element")
+        raise scalars.InputError(
+            "the superalgebra has no even central element")
     index = args.z_index or 0
     if not 0 <= index < len(basis):
-        raise InputError(
+        raise scalars.InputError(
             f"--z-index {index} out of range: the even center has "
             f"{len(basis)} basis vector(s)"
         )
@@ -281,14 +280,15 @@ def _super_params(args):
     return L, basis[index], alpha
 
 
-def _random_split_instance(space: SplitSpace, rng: random.Random) -> Operator2:
+def _random_split_instance(space: constructors.SplitSpace,
+                           rng: random.Random) -> tensor.Operator2:
     """Small random integers in the columns of the basis tensors of W(x)W,
     zero elsewhere; drawn column by column in flat-index order, which
     fixes the instances (and so the witnesses) each seed gives."""
     n = space.total_dim
     W = space.W_indices
-    return Operator2.from_columns(n, (
-        [(r, const(rng.randint(-3, 3))) for r in range(n * n)]
+    return tensor.Operator2.from_columns(n, (
+        [(r, scalars.const(rng.randint(-3, 3))) for r in range(n * n)]
         if i in W and j in W else () for i in range(n) for j in range(n)))
 
 
@@ -296,16 +296,17 @@ def _cmd_check_split_center(args) -> int:
     t0 = time.perf_counter()
     samples = args.samples if args.samples is not None else 20
     rng = random.Random(args.seed)
-    space = SplitSpace(args.dim, args.dim - 1)
+    space = constructors.SplitSpace(args.dim, args.dim - 1)
     witness = None
     for trial in range(samples):
         f = _random_split_instance(space, rng)
         g = _random_split_instance(space, rng)
-        R = split_center_operator(space, f, g)
-        witness = entry_witness(qybe_defect(R), {"instance": trial})
+        R = constructors.split_center_operator(space, f, g)
+        witness = verify.entry_witness(tensor.qybe_defect(R),
+                                       {"instance": trial})
         if witness is not None:
             break
-    return _emit_reports(args, [report(
+    return _emit_reports(args, [verify.report(
         "qybe", "sampled", t0, witness,
         {"instances": samples, "dim": args.dim, "seed": args.seed})])
 
@@ -319,15 +320,16 @@ def _build_family(args):
              if name not in reads[args.family]
              and getattr(args, name) is not None]
     if stray:
-        raise InputError(f"--family {args.family} does not read "
-                         f"{_option(stray[0])}")
+        raise scalars.InputError(f"--family {args.family} does not read "
+                                 f"{_option(stray[0])}")
     if args.family == "super":
-        return [("phi", super_phi(*_super_params(args)))]
+        return [("phi", constructors.super_phi(*_super_params(args)))]
     A, params = _bind(args, _FAMILIES[args.family][0])
     if args.family == "wxz":
-        t = wxz_system(A, *params)
+        t = constructors.wxz_system(A, *params)
         return [("W", t.W), ("X", t.X), ("Z", t.Z)]
-    build = dn_operator if args.family == "dn" else colored_operator
+    build = (constructors.dn_operator if args.family == "dn"
+             else constructors.colored_operator)
     return [("R", build(A, *params))]
 
 
@@ -352,31 +354,35 @@ def _cmd_validate(args) -> int:
     identity = "algebra-axioms" if args.target == "algebra" else "super-axioms"
     try:
         structure = _load(args, args.target)
-    except InputError as exc:
+    except scalars.InputError as exc:
         cause = exc.__cause__
-        if (not isinstance(cause, (AlgebraError, SuperalgebraError))
-                or isinstance(cause, (ShapeError, SuperShapeError))):
+        # the base of the target module's axiom errors, and its ShapeError
+        axiom, shape = ((algebra.AlgebraError, algebra.ShapeError)
+                        if args.target == "algebra" else
+                        (lie_super.SuperalgebraError, lie_super.ShapeError))
+        if not isinstance(cause, axiom) or isinstance(cause, shape):
             raise
         witness = {"error": str(cause)}
         if getattr(cause, "witness", None) is not None:
             witness["indices"] = list(
                 cause.witness if isinstance(cause.witness, tuple)
                 else [cause.witness])
-        return _emit_reports(args, [report(identity, "symbolic", t0, witness)])
+        return _emit_reports(
+            args, [verify.report(identity, "symbolic", t0, witness)])
     detail = {"dim": structure.dim, "labels": list(structure.labels)}
     if args.target == "superalgebra":
         detail["degree"] = list(structure.degree)
-    return _emit_reports(args, [report(identity, "symbolic", t0, None,
-                                       detail)])
+    return _emit_reports(
+        args, [verify.report(identity, "symbolic", t0, None, detail)])
 
 
 def _cmd_invert(args) -> int:
     built = _build_family(args)
     if len(built) != 1:
-        raise InputError("invert works on a single operator; "
-                         "--family wxz is not supported here")
+        raise scalars.InputError("invert works on a single operator; "
+                                 "--family wxz is not supported here")
     label, R = built[0]
-    result = invert(R)
+    result = tensor.invert(R)
     if not result.invertible:
         _emit(args, f"{label} is singular: determinant 0",
               {"determinant": "0", "invertible": False})
@@ -421,7 +427,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except YbxError as exc:  # every ybx error: one line, never a traceback
+    except scalars.YbxError as exc:  # every ybx error: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -20,11 +20,12 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Sequence, Tuple
 
+from . import lie_super
 from .algebra import Algebra
-from .lie_super import LieSuperalgebra
+from .kernel import _int_form, bilinear
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, as_scalar)
-from .tensor import Operator2, _int_form, bilinear
+from .tensor import Operator2
 
 
 class NotYangBaxterError(ValueError, YbxError):
@@ -115,8 +116,8 @@ def _product_map(T, unit, left, right, diag, swap: bool) -> Operator2:
     last = ([j * n + i for i in range(n) for j in range(n)] if swap
             else range(n * n))
     columns = [{r: scales[0]} for r in last]
-    if isinstance(T, LieSuperalgebra):
-        odd = [i for i, g in enumerate(T.degree) if g]
+    # the odd basis vectors of a LieSuperalgebra; an Algebra has no degrees
+    if odd := [i for i, g in enumerate(getattr(T, "degree", ())) if g]:
         minus = -scales[0]
         for c in (i * n + j for i in odd for j in odd):
             columns[c][last[c]] = minus
@@ -325,8 +326,9 @@ def split_center_operator(space: SplitSpace, f: Operator2, g: Operator2) -> Oper
 # the superalgebra family: graded twist plus bracket-into-center
 # ---------------------------------------------------------------------------
 
-def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
-    _check_operand(L, LieSuperalgebra)
+def _check_center(L: lie_super.LieSuperalgebra,
+                  z: Sequence) -> Tuple[ParamScalar, ...]:
+    _check_operand(L, lie_super.LieSuperalgebra)
     _check_operand(z, Sequence)
     zv = tuple(as_scalar(c) for c in z)
     if len(zv) != L.dim:
@@ -345,12 +347,13 @@ def _check_center(L: LieSuperalgebra, z: Sequence) -> Tuple[ParamScalar, ...]:
     return zv
 
 
-def super_phi(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
+def super_phi(L: lie_super.LieSuperalgebra, z: Sequence, alpha) -> Operator2:
     """x(x)y -> alpha*[x,y](x)z + (-1)^{|x||y|} y(x)x, for even central z."""
     return _product_map(L, _check_center(L, z), alpha, ZERO, -ONE, swap=True)
 
 
-def super_phi_inverse(L: LieSuperalgebra, z: Sequence, alpha) -> Operator2:
+def super_phi_inverse(L: lie_super.LieSuperalgebra, z: Sequence,
+                      alpha) -> Operator2:
     """x(x)y -> alpha*z(x)[x,y] + (-1)^{|x||y|} y(x)x; inverse of super_phi
     with the same z and alpha."""
     return _product_map(L, _check_center(L, z), ZERO, alpha, -ONE, swap=True)

@@ -4,7 +4,7 @@
 this module when first called, so a process that runs no elimination never
 compiles it. Each matrix is cleared row by row: each row of ParamScalars
 times the lcm of its denominators, a row of polynomials with integer
-coefficients, whose monomials one ``tensor._Packing`` packs into ints for
+coefficients, whose monomials one ``kernel._Packing`` packs into ints for
 the length of the call. ``determinant`` and ``invert`` permute the cleared
 matrix by its zero pattern to block triangular form (``_block_order``) and
 eliminate it block by block with Bareiss's fraction-free steps; up to sign
@@ -13,6 +13,10 @@ pivots. ``_back_substitution`` solves for D times the unknowns, and
 ``_over`` reduces each of them over the factor base of D. The closed-form
 inverse ``constructors.colored_inverse`` divides its entries the same way
 (``_quotients``).
+
+``factor_base`` splits a product of pivots into factors certified
+irreducible and a rest, so that ``_over`` reduces its entries by trial
+divisions, with a gcd only on that rest.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from functools import reduce
 from itertools import accumulate, chain, combinations
 from typing import Sequence
 
+from . import scalars
+from .kernel import _ONE_TERMS, _Packing, _dot, _neg
 from .scalars import (ONE, ZERO, InputError, ParamScalar, Poly, _P_ONE,
-                      _P_ZERO, _check_operand, _reduced, as_scalar, clear_row,
-                      factor_base, poly_gcd)
-from .tensor import (InverseResult, Operator2, Operator3, _ONE_TERMS,
-                     _Operator, _Packing, _dot, _neg)
+                      _P_ZERO, _check_operand, _primitive, _reduced, _univar,
+                      as_scalar, clear_row, poly_gcd)
+from .tensor import InverseResult, Operator2, Operator3, _Operator
 
 
 def _divexact(p: dict, g: dict, guard: int) -> dict:
@@ -221,6 +226,75 @@ def _square(op: _Operator, augment: bool):
         det = -det
     return M, cols, D, pivots, packing, ParamScalar(
         det, math.prod(scales, start=_P_ONE))
+
+
+def factor_base(pivots):
+    """(c, atoms, R) with c * prod(a**m for a, m in atoms) * R equal to
+    the product of the pivots, nonzero polynomials: c an int, each atom a,
+    with its multiplicity m, certified irreducible, and the atoms and R
+    primitive with positive leading coefficients.
+
+    Each pivot splits into its signed integer content, its monomial
+    content, whose names are atoms, and its primitive rest. The rests,
+    lowest degree first, are divided by each atom found so far as often as
+    it goes; what is left is an atom if it is certified irreducible, and
+    otherwise a factor of R. The certificate is degree 1 in some name v
+    with coefficients in v whose gcd is 1: of any two factors of such a
+    piece one lacks v, so it divides both coefficients and is a unit. A
+    gcd g other than 1 is a factor of the piece, so the first name of
+    degree 1 decides.
+
+    >>> u, v = Poly.variable("u"), Poly.variable("v")
+    >>> c, atoms, R = factor_base([(u + v).scale(-2) * u,
+    ...                            (u + v) * (u * u + v * v)])
+    >>> c, [(str(a), m) for a, m in atoms], str(R)
+    (-2, [('u', 1), ('u + v', 2)], 'u^2 + v^2')
+    """
+    c, names, pieces = 1, {}, []
+    for p in pivots:
+        # dividing by a monomial keeps the leading term, so q has p's sign
+        k, mono, p = _primitive(p)
+        if p.leading()[1] < 0:
+            k, p = -k, -p
+        c *= k
+        for name, e in mono:
+            names[name] = names.get(name, 0) + e
+        if p != _P_ONE:
+            pieces.append(p)
+    atoms = [[Poly.variable(name), m] for name, m in sorted(names.items())]
+    found, R = [], _P_ONE
+    for p in sorted(pieces, key=lambda p: (_degree(p), len(p.terms))):
+        for atom in found:
+            while p != _P_ONE:
+                try:
+                    p = p.divexact(atom[0])
+                except ArithmeticError:
+                    break
+                atom[1] += 1
+        if p == _P_ONE:
+            continue
+        if _certified(p):
+            found.append([p, 1])
+        else:
+            R = R * p
+    return c, [(a, m) for a, m in atoms + found], R
+
+
+def _degree(p: Poly) -> int:
+    return max(sum(e for _, e in m) for m in p.terms)
+
+
+def _certified(p: Poly) -> bool:
+    """Whether p, primitive and free of monomial content, has degree 1 in
+    its first such name v and coprime coefficients in v."""
+    for v in sorted(p.names):
+        coeffs = _univar(p, v)
+        if max(coeffs) == 1:
+            # scalars' gcd, as in the gcd's own recursion; poly_gcd here is
+            # the one that _over runs on the entries
+            return scalars.poly_gcd(coeffs[1],
+                                    coeffs.get(0, _P_ZERO)) == _P_ONE
+    return False
 
 
 def _over(packing, pivots):

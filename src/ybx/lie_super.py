@@ -13,10 +13,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional, Sequence
 
+from . import tensor
 from .algebra import (TableRecord, freeze_table, load_structure,
                       read_structure)
+from .kernel import bilinear, first_failing_triple
 from .scalars import ZERO, YbxError, _check_operand, _shaped, as_scalar
-from .tensor import bilinear, first_failing_triple, nullspace
 
 
 class SuperalgebraError(ValueError, YbxError):
@@ -138,7 +139,7 @@ def even_center(L: LieSuperalgebra):
     rows = [[L.bracket[i][j][k] for i in even]
             for j in range(L.dim) for k in range(L.dim)]
     return [tuple(full.get(i, ZERO) for i in range(L.dim))
-            for full in (dict(zip(even, vec)) for vec in nullspace(rows))]
+            for full in (dict(zip(even, vec)) for vec in tensor.nullspace(rows))]
 
 
 def superalgebra_from_json_obj(obj: dict) -> LieSuperalgebra:

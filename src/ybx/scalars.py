@@ -40,10 +40,6 @@ compiled only when a gcd first needs them. Contents are gcds of
 coefficients, taken smallest first, so that a trivial gcd shows early.
 The gcd is the gcd of the integer contents times a primitive polynomial,
 so num and den divided by it have coprime contents (Gauss's lemma).
-``factor_base`` splits a product of elimination pivots into factors
-certified irreducible and a rest, so that the elimination
-(``elimination``) reduces its entries by trial divisions, with a gcd only
-on that rest.
 
 Monomials stay tuples here. The elimination packs them into ints for the
 length of one call; packing per operation in ``Poly.__mul__`` or
@@ -510,72 +506,6 @@ def _divides(d: Poly, p: Poly) -> bool:
     except ArithmeticError:
         return False
     return True
-
-
-def factor_base(pivots):
-    """(c, atoms, R) with c * prod(a**m for a, m in atoms) * R equal to
-    the product of the pivots, nonzero polynomials: c an int, each atom a,
-    with its multiplicity m, certified irreducible, and the atoms and R
-    primitive with positive leading coefficients.
-
-    Each pivot splits into its signed integer content, its monomial
-    content, whose names are atoms, and its primitive rest. The rests,
-    lowest degree first, are divided by each atom found so far as often as
-    it goes; what is left is an atom if it is certified irreducible, and
-    otherwise a factor of R. The certificate is degree 1 in some name v
-    with coefficients in v whose gcd is 1: of any two factors of such a
-    piece one lacks v, so it divides both coefficients and is a unit. A
-    gcd g other than 1 is a factor of the piece, so the first name of
-    degree 1 decides.
-
-    >>> u, v = Poly.variable("u"), Poly.variable("v")
-    >>> c, atoms, R = factor_base([(u + v).scale(-2) * u,
-    ...                            (u + v) * (u * u + v * v)])
-    >>> c, [(str(a), m) for a, m in atoms], str(R)
-    (-2, [('u', 1), ('u + v', 2)], 'u^2 + v^2')
-    """
-    c, names, pieces = 1, {}, []
-    for p in pivots:
-        # dividing by a monomial keeps the leading term, so q has p's sign
-        k, mono, p = _primitive(p)
-        if p.leading()[1] < 0:
-            k, p = -k, -p
-        c *= k
-        for name, e in mono:
-            names[name] = names.get(name, 0) + e
-        if p != _P_ONE:
-            pieces.append(p)
-    atoms = [[Poly.variable(name), m] for name, m in sorted(names.items())]
-    found, R = [], _P_ONE
-    for p in sorted(pieces, key=lambda p: (_degree(p), len(p.terms))):
-        for atom in found:
-            while p != _P_ONE:
-                try:
-                    p = p.divexact(atom[0])
-                except ArithmeticError:
-                    break
-                atom[1] += 1
-        if p == _P_ONE:
-            continue
-        if _certified(p):
-            found.append([p, 1])
-        else:
-            R = R * p
-    return c, [(a, m) for a, m in atoms + found], R
-
-
-def _degree(p: Poly) -> int:
-    return max(sum(e for _, e in m) for m in p.terms)
-
-
-def _certified(p: Poly) -> bool:
-    """Whether p, primitive and free of monomial content, has degree 1 in
-    its first such name v and coprime coefficients in v."""
-    for v in sorted(p.names):
-        coeffs = _univar(p, v)
-        if max(coeffs) == 1:
-            return poly_gcd(coeffs[1], coeffs.get(0, _P_ZERO)) == _P_ONE
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ structured report with a failure witness.
 
 Reports are deterministic for a given input and seed. The elapsed time is
 carried on the report object for humans but deliberately left out of the
-JSON form, so identical runs serialize byte-identically.
+JSON form, so identical runs serialize byte-identically. The operator
+layer and the constructors are reached through their modules, so a report
+that needs neither, such as a structure's, runs neither.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ import random
 import time
 from typing import Optional
 
-from .algebra import Algebra
-from .constructors import WxzTriple, colored_operator
+from . import algebra, constructors, tensor
 from .scalars import (FrozenRecord, InputError, _check_operand, as_scalar,
                       fresh_name, var)
-from .tensor import (Operator2, braid_defect, colored_defect, qybe_defect,
-                     roundtrip_defect, yb_commutator)
 
 
 class VerificationReport(FrozenRecord):
@@ -93,17 +92,20 @@ def report(identity: str, mode: str, t0: float, witness: Optional[dict],
     )
 
 
-def verify_constant(R: Operator2, which: str = "braid") -> VerificationReport:
+def verify_constant(R: tensor.Operator2,
+                    which: str = "braid") -> VerificationReport:
     """Check the braid identity or the constant QYBE for one operator."""
     if which not in ("braid", "qybe"):
         raise InputError("which must be 'braid' or 'qybe'")
     t0 = time.perf_counter()
-    defect = braid_defect(R) if which == "braid" else qybe_defect(R)
+    defect = (tensor.braid_defect(R) if which == "braid"
+              else tensor.qybe_defect(R))
     return report(which, "symbolic", t0, entry_witness(defect))
 
 
-def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
-                          samples: int = 50, seed: int = 0) -> VerificationReport:
+def verify_colored_family(A: algebra.Algebra, p, q,
+                          mode: str = "symbolic", samples: int = 50,
+                          seed: int = 0) -> VerificationReport:
     """Check the two-parameter identity for the colored family on A.
 
     Symbolic mode instantiates the three spectral parameters as fresh
@@ -112,16 +114,16 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
     triples on the locus where the inverse formula degenerates are
     skipped, not failed.
     """
-    _check_operand(A, Algebra)
+    _check_operand(A, algebra.Algebra)
     p = as_scalar(p)
     q = as_scalar(q)
     t0 = time.perf_counter()
 
     def defect_at(u, v, w):
-        return colored_defect(
-            colored_operator(A, p, q, u, v),
-            colored_operator(A, p, q, u, w),
-            colored_operator(A, p, q, v, w),
+        return tensor.colored_defect(
+            constructors.colored_operator(A, p, q, u, v),
+            constructors.colored_operator(A, p, q, u, w),
+            constructors.colored_operator(A, p, q, v, w),
         )
 
     if mode == "symbolic":
@@ -157,10 +159,10 @@ def verify_colored_family(A: Algebra, p, q, mode: str = "symbolic",
                   {"evaluated": evaluated, "skipped": skipped, "seed": seed})
 
 
-def verify_wxz(t: WxzTriple) -> VerificationReport:
+def verify_wxz(t: constructors.WxzTriple) -> VerificationReport:
     """Check all four commutator conditions; the witness names the first
     failing one."""
-    _check_operand(t, WxzTriple)
+    _check_operand(t, constructors.WxzTriple)
     t0 = time.perf_counter()
     conditions = (
         ("[W,W,W]", (t.W, t.W, t.W)),
@@ -171,19 +173,21 @@ def verify_wxz(t: WxzTriple) -> VerificationReport:
     detail = {}
     witness = None
     for cond, ops in conditions:
-        found = entry_witness(yb_commutator(*ops), extra={"condition": cond})
+        found = entry_witness(tensor.yb_commutator(*ops),
+                              extra={"condition": cond})
         detail[cond] = "zero" if found is None else "nonzero"
         if found is not None and witness is None:
             witness = found
     return report("wxz", "symbolic", t0, witness, detail)
 
 
-def verify_inverse_pair(R: Operator2, Rinv: Operator2) -> VerificationReport:
+def verify_inverse_pair(R: tensor.Operator2,
+                        Rinv: tensor.Operator2) -> VerificationReport:
     """Check that R o Rinv is the identity. One composition decides both:
     over the field Q(params), AB = I for square A and B gives
     det A * det B = 1, so B = A^-1 and BA = I too. A failing witness names
     that side, "R o Rinv"."""
     t0 = time.perf_counter()
-    witness = entry_witness(roundtrip_defect(R, Rinv),
+    witness = entry_witness(tensor.roundtrip_defect(R, Rinv),
                             extra={"side": "R o Rinv"})
     return report("inverse-roundtrip", "symbolic", t0, witness)

@@ -13,7 +13,8 @@ import pytest
 import ybx
 from oracles import (det_permutation_expansion, dn_matrix, frac_matrix,
                      super_phi_matrix)
-from ybx.cli import InputError, main
+from ybx.cli import main
+from ybx.scalars import InputError
 from ybx.tensor import operator_from_json_obj
 from ybx import fixture_path
 

@@ -4,10 +4,13 @@ Every name that a ybx module imports is used in that module. No linter
 runs on this code, so an import that a rewrite leaves behind would
 otherwise stay; the package's __init__ imports only to re-export.
 
-The elimination (``ybx.elimination``) and the gcd fallbacks (``ybx.gcd``)
-are imported by the functions that need them, when first called, so a
-command that runs neither never compiles them. One import at module level
-anywhere in the package would undo that without failing any other test.
+Importing the package runs none of its modules: each is registered to
+load on first attribute access, and a command runs only the modules that
+it calls into. The elimination (``ybx.elimination``) and the gcd fallbacks
+(``ybx.gcd``) are imported by the functions that need them, when first
+called. One import of a name, rather than of its module, at the top of
+``cli`` or ``verify``, or one import of either of the two at module level
+anywhere in the package, would undo that without failing any other test.
 """
 
 import ast
@@ -81,36 +84,135 @@ def test_the_check_sees_each_form_of_import():
         assert not module_level_imports(ast.parse(text)) & ON_FIRST_USE, text
 
 
-def loaded_after(*argv):
-    """(exit status, which of ON_FIRST_USE are loaded) after ybx.cli.main
-    runs argv in a fresh interpreter."""
+def executed_after(*argv):
+    """(exit status, the ybx modules whose bodies have run) after
+    ybx.cli.main runs argv in a fresh interpreter, or after ``import ybx``
+    alone when argv is empty. A registered module that has not run is
+    still of its lazy class, which type() reads without loading it."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
                PYTHONDONTWRITEBYTECODE="1")
-    code = ("import contextlib, io, json, sys\n"
-            "from ybx.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = main(sys.argv[1:])\n"
-            f"print(json.dumps([status, sorted({sorted(ON_FIRST_USE)!r}"
-            " & sys.modules.keys())]))")
+    code = ("import contextlib, io, json, sys, types\n"
+            "import ybx\n"
+            "status = None\n"
+            "if sys.argv[1:]:\n"
+            "    from ybx.cli import main\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted(\n"
+            "    name for name, m in sys.modules.items()\n"
+            "    if name.startswith('ybx.') and type(m) is types.ModuleType)]))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def with_fixture(flag, name, *argv):
+    return [*argv, flag, ybx.fixture_path(name)]
+
+
+STRUCTURE = ["ybx.algebra", "ybx.cli", "ybx.kernel", "ybx.scalars",
+             "ybx.verify"]
+BUILD = ["ybx.algebra", "ybx.cli", "ybx.constructors", "ybx.kernel",
+         "ybx.scalars", "ybx.tensor"]
+
+
+def test_importing_the_package_runs_no_module():
+    assert executed_after() == [None, []]
+
+
+@pytest.mark.parametrize("argv, status, executed", [
+    pytest.param(["frobnicate"], 2, ["ybx.cli"], id="an unknown verb"),
+    pytest.param(
+        with_fixture("--algebra", "quadratic.json", "validate", "algebra"),
+        0, STRUCTURE, id="validate algebra"),
+    pytest.param(
+        with_fixture("--superalgebra", "heisenberg-super.json", "validate",
+                     "superalgebra"),
+        0, sorted(STRUCTURE + ["ybx.lie_super"]), id="validate superalgebra"),
+    pytest.param(
+        with_fixture("--algebra", "quadratic.json", "check", "constant"),
+        1, sorted(BUILD + ["ybx.verify"]), id="check constant"),
+    pytest.param(
+        with_fixture("--algebra", "quadratic.json", "invert", "--family",
+                     "dn", "--alpha", "1", "--beta", "2", "--gamma", "1"),
+        0, sorted(BUILD + ["ybx.elimination"]), id="invert"),
+])
+def test_each_command_runs_only_the_modules_it_calls(argv, status, executed):
+    assert executed_after(*argv) == [status, executed]
 
 
 @pytest.mark.parametrize("argv", [
     ["validate", "algebra"], ["check", "constant"],
     ["export", "matrix", "--family", "dn"]], ids=" ".join)
 def test_commands_without_elimination_leave_it_unloaded(argv):
-    status, loaded = loaded_after(
+    status, executed = executed_after(
         *argv, "--algebra", ybx.fixture_path("quadratic.json"))
     assert status in (0, 1)
-    assert loaded == []
+    assert not ON_FIRST_USE & set(executed)
 
 
 def test_invert_loads_the_elimination():
-    status, loaded = loaded_after(
+    status, executed = executed_after(
         "invert", "--family", "dn", "--algebra",
         ybx.fixture_path("quadratic.json"), "--alpha", "1", "--beta", "2",
         "--gamma", "1")
     assert status == 0
-    assert "ybx.elimination" in loaded
+    assert "ybx.elimination" in executed
+
+
+# the public names, other than modules, that the package had before it
+# loaded its modules on first use
+PUBLIC = [
+    "Algebra", "AlgebraError", "AntisymmetryError", "AssociativityError",
+    "Defect", "DimensionMismatch", "FieldTypeError", "FreeIndeterminateError",
+    "GradingError", "IncompleteAssignmentError", "InputError",
+    "InvalidCenterError", "InverseResult", "InvertibilityLocusError",
+    "JacobiError", "LieSuperalgebra", "MalformedScalarError",
+    "NotYangBaxterError", "ONE", "Operator2", "Operator3", "ParamScalar",
+    "PoleError", "ScalarParseError", "ShapeError", "SplitSpace",
+    "SuperalgebraError", "SupportViolationError", "UnitError",
+    "VerificationReport", "WxzTriple", "YbxError", "ZERO",
+    "algebra_from_json_obj", "as_scalar", "bracket_elements",
+    "braid_defect", "canonical_two_dim_solution", "classify_dn",
+    "colored_defect", "colored_inverse", "colored_operator", "const",
+    "determinant", "dn_inverse", "dn_operator", "embed", "even_center",
+    "fixture_path", "fresh_name", "invert", "load_algebra",
+    "load_superalgebra", "make_algebra", "make_superalgebra", "mul_elements",
+    "nullspace", "operator_from_json_obj", "parse_scalar",
+    "quadratic_quotient_algebra", "qybe_defect", "roundtrip_defect",
+    "split_center_operator", "super_phi", "super_phi_inverse",
+    "superalgebra_from_json_obj", "twist", "var", "verify_colored_family",
+    "verify_constant", "verify_inverse_pair", "verify_wxz", "wxz_system",
+    "yb_commutator",
+]
+
+
+def test_dir_and_all_list_every_public_name():
+    assert len(PUBLIC) == 74
+    assert set(PUBLIC) <= set(dir(ybx))
+    assert sorted(ybx.__all__) == sorted(PUBLIC)
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    for name in PUBLIC:
+        obj = getattr(ybx, name)
+        # ONE and ZERO are instances, whose __module__ is their class's
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    # in a fresh interpreter, so that no name was read before
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = ("import json\n"
+            "from ybx import *\n"
+            "print(json.dumps(sorted(globals())))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert set(PUBLIC) <= set(json.loads(proc.stdout))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ybx.no_such_name
+    assert not hasattr(ybx, "no_such_name")

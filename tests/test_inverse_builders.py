@@ -232,7 +232,7 @@ def test_colored_inverse_runs_no_gcd_but_certification(monkeypatch, params):
     params = [parse_scalar(x) if isinstance(x, str) else x for x in params]
     gcds = {"certifying": 0, "other": 0}
     inside = []
-    gcd, certified = scalars.poly_gcd, scalars._certified
+    gcd, certified = scalars.poly_gcd, elimination._certified
 
     def counted_gcd(f, g):
         gcds["certifying" if inside else "other"] += 1
@@ -247,7 +247,7 @@ def test_colored_inverse_runs_no_gcd_but_certification(monkeypatch, params):
 
     monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
     monkeypatch.setattr(elimination, "poly_gcd", counted_gcd)
-    monkeypatch.setattr(scalars, "_certified", counted_certified)
+    monkeypatch.setattr(elimination, "_certified", counted_certified)
     counts = set()
     for table in ("quadratic", "sigma", "cubic", "dense"):
         A = algebra(table)

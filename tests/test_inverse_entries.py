@@ -10,7 +10,8 @@ import pytest
 
 import oracles
 from ybx import elimination
-from ybx.scalars import ONE, Poly, const, factor_base, parse_scalar
+from ybx.elimination import factor_base
+from ybx.scalars import ONE, Poly, const, parse_scalar
 from ybx.tensor import Operator2, invert, nullspace
 
 # factors a pivot is built from: the first row is certified irreducible,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ybx import elimination, scalars, tensor, verify
+from ybx import elimination, kernel, scalars, tensor, verify
 from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
                         braid_defect, colored_defect, determinant,
@@ -595,19 +595,19 @@ class TestPackedExponents:
         and every product it forms."""
         packings, products = [], []
 
-        class Recorded(tensor._Packing):
+        class Recorded(kernel._Packing):
             def __init__(self, M):
                 super().__init__(M)
                 packings.append(self)
 
-        dot = tensor._dot
+        dot = kernel._dot
 
         def recorded_dot(pairs):
             out = dot(pairs)
             products.append(out)
             return out
 
-        for module in (tensor, elimination):
+        for module in (kernel, elimination):
             monkeypatch.setattr(module, "_Packing", Recorded)
             monkeypatch.setattr(module, "_dot", recorded_dot)
         return packings, products
@@ -647,7 +647,7 @@ class TestPackedExponents:
         for _ in range(20):
             rows = [[random_wide_entry(rng).num for _ in range(4)]
                     for _ in range(3)]
-            packing = tensor._Packing(rows)
+            packing = kernel._Packing(rows)
             entries = [p for row in rows for p in row if p]
             for p in entries:
                 packed = packing.pack(p)
@@ -658,7 +658,7 @@ class TestPackedExponents:
                     [scalars.Poly({m: 1}) for m in sorted(
                         p.terms, key=scalars._mono_key, reverse=True)]
             for p, q in zip(entries, entries[1:]):
-                product = tensor._dot([(packing.pack(p), packing.pack(q))])
+                product = kernel._dot([(packing.pack(p), packing.pack(q))])
                 assert packing.unpack(product) == p * q
                 assert elimination._divexact(product, packing.pack(q),
                                         packing.guard) == packing.pack(p)
@@ -998,7 +998,7 @@ class TestIntKernelCancellation:
         seen = {"rows": [], "scalars": []}
 
         def apply(actions, x):
-            row = tensor._apply(actions, x)
+            row = kernel._apply(actions, x)
             seen["rows"].append(dict(row))
             return row
 
@@ -1006,8 +1006,8 @@ class TestIntKernelCancellation:
             seen["scalars"].append(value)
             return scalars.const(value)
 
-        monkeypatch.setattr(tensor, "_INT_KERNEL", (apply, tensor._minus))
-        monkeypatch.setattr(tensor, "const", const)
+        monkeypatch.setattr(kernel, "_INT_KERNEL", (apply, kernel._minus))
+        monkeypatch.setattr(kernel, "const", const)
         return seen
 
     @staticmethod
@@ -1018,10 +1018,10 @@ class TestIntKernelCancellation:
         actions = [[[(0, 1), (1, 1)]],
                    [[(0, 1)], [(0, -1), (1, 2)]],
                    [[(0, 5), (1, 1)], [(1, 3)]]]
-        assert tensor._apply(actions[:1], 0) == {0: 1, 1: 1}
+        assert kernel._apply(actions[:1], 0) == {0: 1, 1: 1}
         # column 0 cancels in the second step, 1*1 + 1*(-1), and stays
-        assert tensor._apply(actions[:2], 0) == {0: 0, 1: 2}
-        assert tensor._apply(actions, 0) == {0: 0, 1: 6}
+        assert kernel._apply(actions[:2], 0) == {0: 0, 1: 2}
+        assert kernel._apply(actions, 0) == {0: 0, 1: 6}
 
     def test_product(self, spy):
         A, B = self.operators(11, 2)
@@ -1090,12 +1090,12 @@ class TestIntKernelCancellation:
     def scan(self, C):
         """The scan of A B - C, over d = 1, on the int lane."""
         lhs, rhs = self.actions(self.A, self.B), self.actions(C)
-        return tensor.Defect(Operator2, 2, lambda: tensor._defect_rows(
-            4, lhs, rhs, tensor._INT_KERNEL), lambda e: const(e))
+        return tensor.Defect(Operator2, 2, lambda: kernel._defect_rows(
+            4, lhs, rhs, kernel._INT_KERNEL), lambda e: const(e))
 
     def test_scan_ignores_a_cancelled_zero(self):
         AB = oracles.matmul(self.A, self.B)
-        assert tensor._apply(self.actions(self.A, self.B), 0) == \
+        assert kernel._apply(self.actions(self.A, self.B), 0) == \
             {0: 0, 1: 2, 3: 1}
         defect = self.scan(AB)
         assert defect.is_zero()
@@ -1125,7 +1125,7 @@ class TestIntKernelCancellation:
         def sides(i, j, k, m):
             return ([(l * n + k, e) for l, e in m[i * n + j]],
                     [(i * n + l, e) for l, e in m[j * n + k]])
-        return tensor.first_failing_triple(
+        return kernel.first_failing_triple(
             [[[const(e) for e in row] for row in plane] for plane in table],
             sides)
 

@@ -5,6 +5,7 @@ traced run fail when the tracer installs itself."""
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -42,11 +43,11 @@ def test_every_traced_name_resolves():
                     (group, module_name, attr)
 
 
-def test_importing_the_cli_loads_every_traced_module():
+def test_importing_the_cli_registers_every_traced_module():
     # install() imports ybx.cli and then reads each module it wraps from
-    # sys.modules, so a module that the import leaves unloaded fails every
-    # traced run; making one load on first use needs install() to import
-    # it first
+    # sys.modules, so each must be there once ybx.cli is imported, though
+    # it need not have run: the package registers its modules to load on
+    # first attribute access, and install()'s own reads load them
     modules = sorted({name for targets in load_tracer().LAYERS.values()
                       for name, _ in targets})
     env = dict(os.environ, PYTHONPATH=str(Path(ybx.__file__).parents[1]),
@@ -56,6 +57,29 @@ def test_importing_the_cli_loads_every_traced_module():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_the_tracer_wraps_lazily_registered_modules():
+    # in a fresh interpreter, where no traced module has run before
+    # install() reads it
+    load_tracer()   # skips when the tracer is not present
+    path = [str(Path(ybx.__file__).parents[1]), str(TRACER.parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = ("import contextlib, io, json, sys\n"
+            "import ybx.cli, tracer\n"
+            "rec = tracer.Recorder()\n"
+            "tracer.install(rec)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    ybx.cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted({rec.names[i]\n"
+            "                         for i in rec.columns['name']})))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "check", "constant", "--algebra",
+         ybx.fixture_path("quadratic.json")],
+        env=env, capture_output=True, text=True, check=True)
+    assert {"constructors.build", "tensor.defect", "verify.check"} <= set(
+        json.loads(proc.stdout))
 
 
 def test_scalar_kernel_names_are_plain_attributes():
@@ -111,9 +135,9 @@ def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
     # the tracer times the kernel as the tensor.defect span, so the scan
     # must be done when a defect returns: reading the witness afterwards
     # does no scalar arithmetic, of ParamScalars, of Polys or of the packed
-    # polynomials the kernel runs on (tensor._dot), on a symbolic defect
+    # polynomials the kernel runs on (kernel._dot), on a symbolic defect
     # whose first nonzero row is not the first row
-    from ybx import scalars, tensor
+    from ybx import kernel, scalars
     from ybx.tensor import Operator2, braid_defect
     from ybx.verify import entry_witness
     calls = []
@@ -129,7 +153,7 @@ def test_defect_scan_runs_inside_the_defect_call(monkeypatch):
     _patch_arithmetic(monkeypatch, scalars.Poly,
                       ("__add__", "__sub__", "__mul__", "__neg__",
                        "divexact"), counted)
-    monkeypatch.setattr(tensor, "_dot", counted(tensor._dot))
+    monkeypatch.setattr(kernel, "_dot", counted(kernel._dot))
     a = scalars.var("a")
     R = Operator2(2, [[a, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1 - a, 0],
                       [0, 0, 0, a * a]])

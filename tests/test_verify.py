@@ -241,10 +241,10 @@ class TestVerifyInversePair:
     def test_a_pass_runs_one_round_trip(self, monkeypatch):
         # over a field AB = I for square A and B gives BA = I, so the
         # second composition is implied and never computed
-        from ybx import verify
+        from ybx import tensor
         calls = []
-        roundtrip = verify.roundtrip_defect
-        monkeypatch.setattr(verify, "roundtrip_defect",
+        roundtrip = tensor.roundtrip_defect
+        monkeypatch.setattr(tensor, "roundtrip_defect",
                             lambda A, B: calls.append((A, B))
                             or roundtrip(A, B))
         for R, Rinv in self.symbolic_pairs():

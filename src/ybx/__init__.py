@@ -4,11 +4,13 @@ Everything computes over a field of rational functions with integer
 coefficients, so every identity check is a symbolic zero test, not a
 numerical one.
 
-Importing the package runs none of its modules. Each module below is
-registered with ``importlib.util.LazyLoader``: it is in ``sys.modules``
-and bound here from the start, and its body runs on first attribute
-access. Each public name is read from its module on first use (PEP 562)
-and kept here.
+Importing the package runs none of its modules. Each module below, and
+``gcd`` and ``elimination``, which export nothing, is registered with
+``importlib.util.LazyLoader``: it is in ``sys.modules`` and bound here
+from the start, and its body runs on first attribute access. So a module
+can bind another with ``from . import name`` at its top without running
+it. Each public name is read from its module on first use (PEP 562) and
+kept here.
 """
 
 import os
@@ -57,7 +59,7 @@ def _register(module: str) -> None:
     spec.loader.exec_module(globals()[module])
 
 
-for _module in _EXPORTS:
+for _module in (*_EXPORTS, "gcd", "elimination"):
     _register(_module)
 del _module, _register
 

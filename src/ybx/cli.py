@@ -158,7 +158,8 @@ def _subparser(parser, token):
 def _load(args, kind: str):
     """The structure file that --algebra or --superalgebra names (kind is
     "algebra" or "superalgebra"), with --m, --n and --sigma substituted
-    into an algebra. Bad input raises InputError with the cause chained."""
+    into an algebra; each of them that names no indeterminate of the file
+    is an input error. Bad input raises InputError with the cause chained."""
     path = getattr(args, kind)
     if path is None:
         raise scalars.InputError(f"this command needs --{kind} PATH")
@@ -172,8 +173,13 @@ def _load(args, kind: str):
         raise scalars.InputError(f"bad {kind} file {path}: {exc}") from exc
     if kind == "superalgebra":
         return structure
-    subs = {name: _parse(getattr(args, name), name)
-            for name in ("m", "n", "sigma") if getattr(args, name) is not None}
+    given = [name for name in ("m", "n", "sigma")
+             if getattr(args, name) is not None]
+    for name in given:
+        if name not in structure.names:
+            raise scalars.InputError(
+                f"{_option(name)}: {path} has no indeterminate {name}")
+    subs = {name: _parse(getattr(args, name), name) for name in given}
     return structure.substitute(subs) if subs else structure
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Sequence, Tuple
 
-from . import lie_super
+from . import elimination, lie_super
 from .algebra import Algebra
 from .kernel import _int_form, bilinear
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
@@ -230,7 +230,6 @@ def colored_inverse(A: Algebra, p, q, u, v) -> Operator2:
     the map is built over them with no gcd on a polynomial table, and each
     distinct entry is divided by D once, so no sum of quotients is formed.
     """
-    from . import elimination
     p, q, u, v = (as_scalar(s) for s in (p, q, u, v))
     puqv = p * u - q * v
     qupv = q * u - p * v

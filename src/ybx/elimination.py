@@ -1,15 +1,16 @@
 """Exact elimination over Z[params]: determinant, inverse and nullspace.
 
-``tensor.determinant``, ``tensor.invert`` and ``tensor.nullspace`` import
-this module when first called, so a process that runs no elimination never
-compiles it. Each matrix is cleared row by row: each row of ParamScalars
-times the lcm of its denominators, a row of polynomials with integer
-coefficients, whose monomials one ``kernel._Packing`` packs into ints for
-the length of the call. ``determinant`` and ``invert`` permute the cleared
-matrix by its zero pattern to block triangular form (``_block_order``) and
-eliminate it block by block with Bareiss's fraction-free steps; up to sign
-and the row scales, the determinant is the product of the blocks' last
-pivots. ``_back_substitution`` solves for D times the unknowns, and
+The package registers this module to load on first use, and
+``tensor.determinant``, ``tensor.invert`` and ``tensor.nullspace`` call
+into it, so a process that runs no elimination never compiles it. Each
+matrix is cleared row by row: each row of ParamScalars times the lcm of
+its denominators, a row of polynomials with integer coefficients, whose
+monomials one ``kernel._Packing`` packs into ints for the length of the
+call. ``determinant`` and ``invert`` permute the cleared matrix by its
+zero pattern to block triangular form (``_block_order``) and eliminate it
+block by block with Bareiss's fraction-free steps; up to sign and the row
+scales, the determinant is the product of the blocks' last pivots.
+``_back_substitution`` solves for D times the unknowns, and
 ``_over`` reduces each of them over the factor base of D. The closed-form
 inverse ``constructors.colored_inverse`` divides its entries the same way
 (``_quotients``).
@@ -27,11 +28,11 @@ from functools import reduce
 from itertools import accumulate, chain, combinations
 from typing import Sequence
 
-from . import scalars
+from . import gcd, scalars
 from .kernel import _ONE_TERMS, _Packing, _dot, _neg
 from .scalars import (ONE, ZERO, InputError, ParamScalar, Poly, _P_ONE,
-                      _P_ZERO, _check_operand, _primitive, _reduced, _univar,
-                      as_scalar, clear_row, poly_gcd)
+                      _P_ZERO, _check_operand, _reduced, as_scalar, clear_row,
+                      poly_gcd)
 from .tensor import InverseResult, Operator2, Operator3, _Operator
 
 
@@ -253,7 +254,7 @@ def factor_base(pivots):
     c, names, pieces = 1, {}, []
     for p in pivots:
         # dividing by a monomial keeps the leading term, so q has p's sign
-        k, mono, p = _primitive(p)
+        k, mono, p = gcd._primitive(p)
         if p.leading()[1] < 0:
             k, p = -k, -p
         c *= k
@@ -288,7 +289,7 @@ def _certified(p: Poly) -> bool:
     """Whether p, primitive and free of monomial content, has degree 1 in
     its first such name v and coprime coefficients in v."""
     for v in sorted(p.names):
-        coeffs = _univar(p, v)
+        coeffs = gcd._univar(p, v)
         if max(coeffs) == 1:
             # scalars' gcd, as in the gcd's own recursion; poly_gcd here is
             # the one that _over runs on the entries

@@ -1,21 +1,208 @@
-"""The two gcd fallbacks of ``scalars.poly_gcd``: GCDHEU and the
-subresultant remainder sequence.
+"""Exact division and the gcd of ``scalars``' polynomials.
 
-``poly_gcd`` answers most gcds with cheap cases (a single term, no shared
-indeterminate, a divisor that divides) and imports this module only when
-both operands keep the same indeterminates and neither divides the other,
-so a process that never reaches that case never compiles it. The gcds
-that these fallbacks need in turn go back through ``scalars.poly_gcd``,
-looked up when called, so a replaced ``poly_gcd`` sees every one.
+``Poly.divexact`` and ``scalars.poly_gcd`` call ``divexact`` and
+``poly_gcd`` here. The package registers this module to load on first
+use, so a process that never divides a polynomial or takes a gcd, such as
+one that builds and checks operators over integer tables, never compiles
+it.
+
+Exact division works in integer arithmetic throughout: a division by an
+integer content divides each coefficient, and ``divexact`` keeps the
+remainder's monomials in a heap. ``poly_gcd`` first splits each operand
+with ``_primitive`` into its integer content, its monomial content and a
+primitive rest, and answers 1 at once when either rest is a single term or
+when the two share no indeterminate. Otherwise the indeterminates that
+only one operand has divide out together through that operand's content
+in them. When both operands have the same indeterminates, the gcd is the
+smaller one if it divides the other, or else the heuristic gcd GCDHEU
+finds it from integer evaluations; only if that gives up does the
+subresultant remainder sequence run. Contents are gcds of coefficients,
+taken smallest first, so that a trivial gcd shows early. The gcd is the
+gcd of the integer contents times a primitive polynomial, so num and den
+divided by it have coprime contents (Gauss's lemma).
+
+Every gcd that these steps need in turn, and every division, goes back
+through ``scalars.poly_gcd`` and ``Poly.divexact``, looked up when
+called, so a replaced one sees every call.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from . import scalars
-from .scalars import (Poly, _P_ONE, _P_ZERO, _coeff_content, _divides,
-                      _mono_mul, _univar)
+from .scalars import (Mono, Poly, _EMPTY_MONO, _P_ONE, _P_ZERO, _mono_key,
+                      _mono_mul)
+
+
+def _mono_div(a: Mono, b: Mono):
+    """a / b, or None when b does not divide a."""
+    exps = dict(a)
+    for name, e in b:
+        r = exps.get(name, 0) - e
+        if r < 0:
+            return None
+        if r == 0:
+            del exps[name]
+        else:
+            exps[name] = r
+    return tuple(sorted(exps.items()))
+
+
+def _mono_gcd(a: Mono, b: Mono) -> Mono:
+    if not a or not b:
+        return _EMPTY_MONO
+    bexps = dict(b)
+    out = []
+    for name, e in a:
+        eb = bexps.get(name, 0)
+        if eb:
+            out.append((name, min(e, eb)))
+    return tuple(out)
+
+
+def divexact(f: Poly, g: Poly) -> Poly:
+    """``Poly.divexact``: f / g, exact and multivariate; raises
+    ArithmeticError if not exact.
+
+    The remainder's monomials wait in a heap ordered by _mono_key, so
+    each step pops the leading one instead of rescanning the remainder.
+    Each step only adds terms below the one it removes, so a monomial
+    popped once never returns; a monomial cancelled to zero and added
+    again may sit in the heap twice, and the stale entry finds no
+    coefficient left in the remainder when popped.
+    """
+    if g.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if f.is_zero:
+        return _P_ZERO
+    gmono, gc = g.leading()
+    tail = [(m, c) for m, c in g.terms.items() if m != gmono]
+    r = dict(f.terms)
+    heap = [(_mono_key(m), m) for m in r]
+    heapq.heapify(heap)
+    q: dict = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        rc = r.pop(m, 0)
+        if not rc:
+            continue
+        qm = _mono_div(m, gmono)
+        if qm is None:
+            raise ArithmeticError("inexact polynomial division")
+        qc, rem = divmod(rc, gc)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[qm] = qc
+        for tm, tc in tail:
+            t = _mono_mul(qm, tm)
+            s = r.get(t)
+            if s is None:
+                r[t] = -qc * tc
+                heapq.heappush(heap, (_mono_key(t), t))
+            elif s == qc * tc:
+                del r[t]
+            else:
+                r[t] = s - qc * tc
+    return Poly(q)
+
+
+def _split(p: Poly, names) -> dict:
+    """View p as a polynomial in the given indeterminates with Poly
+    coefficients: {monomial in names: coefficient}."""
+    coeffs: dict = {}
+    for mono, c in p.terms.items():
+        key = []
+        rest = []
+        for pair in mono:
+            (key if pair[0] in names else rest).append(pair)
+        # distinct monomials give distinct (key, rest) pairs: nothing merges
+        coeffs.setdefault(tuple(key), {})[tuple(rest)] = c
+    return {k: Poly(t) for k, t in coeffs.items()}
+
+
+def _univar(p: Poly, v: str) -> dict:
+    """View p as a univariate polynomial in v: {degree: Poly coefficient}."""
+    return {k[0][1] if k else 0: q for k, q in _split(p, (v,)).items()}
+
+
+def _coeff_content(coeffs: dict) -> Poly:
+    g = _P_ZERO
+    for poly in sorted(coeffs.values(), key=lambda p: len(p.terms)):
+        g = scalars.poly_gcd(g, poly)
+        if g == _P_ONE:
+            break
+    return g
+
+
+def _normalize_sign(p: Poly) -> Poly:
+    if p.is_zero:
+        return p
+    _, c = p.leading()
+    return p.scale(-1) if c < 0 else p
+
+
+def _primitive(p: Poly):
+    """(c, mono, q) with p = c * mono * q, for p nonzero: c > 0 the integer
+    content, mono the monomial content, the largest monomial dividing every
+    term, and q primitive with no monomial content."""
+    c = p.int_content()
+    monos = iter(p.terms)
+    mono = next(monos)
+    for m in monos:
+        mono = _mono_gcd(mono, m)
+        if not mono:
+            break
+    if not mono:
+        return c, mono, p.div_int(c)
+    return c, mono, Poly({_mono_div(m, mono): v // c
+                          for m, v in p.terms.items()})
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """``scalars.poly_gcd``: the full gcd over the integers (content times
+    primitive part), with a positive graded-lex leading coefficient."""
+    if f.is_zero:
+        return _normalize_sign(g)
+    if g.is_zero:
+        return _normalize_sign(f)
+    cf, mf, pf = _primitive(f)
+    cg, mg, pg = _primitive(g)
+    c = math.gcd(cf, cg)
+    mc = _mono_gcd(mf, mg)
+    # With the contents removed, a single term is a unit, and so is a
+    # common divisor of two operands that share no indeterminate: it can
+    # only involve indeterminates both have.
+    fnames, gnames = pf.names, pg.names
+    if len(pf.terms) == 1 or len(pg.terms) == 1 or fnames.isdisjoint(gnames):
+        return _P_ONE if c == 1 and not mc else Poly({mc: c})
+    only_f, only_g = fnames - gnames, gnames - fnames
+    if only_f or only_g:
+        # a common divisor has none of the indeterminates that only one
+        # operand has, so they divide out in one step through that operand's
+        # content in them: gcd(f, g) = gcd(cont_E(f), g)
+        if only_f:
+            pf = _coeff_content(_split(pf, only_f))
+        if only_g:
+            pg = _coeff_content(_split(pg, only_g))
+        h = scalars.poly_gcd(pf, pg)
+    else:
+        small, big = sorted((pf, pg), key=lambda p: len(p.terms))
+        if _divides(small, big):
+            h = small
+        else:
+            v = min(fnames)
+            h = _gcd_heuristic(pf, pg, v) or _gcd_subresultant(pf, pg, v)
+    return _normalize_sign(h.scale(c).mul_mono(mc))
+
+
+def _divides(d: Poly, p: Poly) -> bool:
+    try:
+        p.divexact(d)
+    except ArithmeticError:
+        return False
+    return True
 
 
 # evaluation points the heuristic gcd tries before it gives up

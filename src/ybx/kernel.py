@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain, product
 
-from .scalars import ZERO, ParamScalar, Poly, _P_ONE, clear_row, const
+from .scalars import ZERO, ParamScalar, Poly, _P_ONE, clear_row, rational
 
 
 # the packed 1 and -1 under every _Packing; never mutated
@@ -75,7 +74,7 @@ def _int_lane(forms, side):
     """``tensor._clear``'s result on integer forms."""
     d = math.prod(forms[i][0] for i in side)
     return ([cleared for _, cleared in forms], _INT_KERNEL, d,
-            lambda e: const(Fraction(e, d)))
+            lambda e: rational(e, d))
 
 
 def _packed_lane(mats, side):

@@ -25,21 +25,13 @@ earlier name has that indeterminate and the other lacks it, so the earlier
 name, the smaller one, marks the larger monomial. Hence ``leading()`` is a
 ``min`` and ``str`` sorts ascending.
 
-Exact division works in integer arithmetic throughout: a division by an
-integer content divides each coefficient, and ``Poly.divexact`` keeps the
-remainder's monomials in a heap. ``poly_gcd`` first splits each operand
-with ``_primitive`` into its integer content, its monomial content and a
-primitive rest, and answers 1 at once when either rest is a single term or
-when the two share no indeterminate. Otherwise the indeterminates that
-only one operand has divide out together through that operand's content
-in them. When both operands have the same indeterminates, the gcd is the
-smaller one if it divides the other, or else the heuristic gcd GCDHEU
-finds it from integer evaluations; only if that gives up does the
-subresultant remainder sequence run; both are in ``gcd``, which is
-compiled only when a gcd first needs them. Contents are gcds of
-coefficients, taken smallest first, so that a trivial gcd shows early.
-The gcd is the gcd of the integer contents times a primitive polynomial,
-so num and den divided by it have coprime contents (Gauss's lemma).
+Exact division (``Poly.divexact``) and the gcd (``poly_gcd``) are
+written in ``gcd``, which a process compiles only when it first divides
+a polynomial or takes a gcd; the two names here call into it. A rational
+constant is built without either: ``rational`` reduces n/d by the integer
+gcd. ``fractions`` is imported only by the code that is given or returns
+a ``Fraction``: ``const`` and ``as_scalar`` of one, ``==`` with one, and
+``evaluate``.
 
 Monomials stay tuples here. The elimination packs them into ints for the
 length of one call; packing per operation in ``Poly.__mul__`` or
@@ -48,14 +40,14 @@ length of one call; packing per operation in ``Poly.__mul__`` or
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import re
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-ScalarLike = Union["ParamScalar", int, Fraction, str]
+from . import gcd
+
+ScalarLike = Union["ParamScalar", int, "Fraction", str]
 
 
 class YbxError(Exception):
@@ -152,32 +144,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def _mono_div(a: Mono, b: Mono):
-    """a / b, or None when b does not divide a."""
-    exps = dict(a)
-    for name, e in b:
-        r = exps.get(name, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            del exps[name]
-        else:
-            exps[name] = r
-    return tuple(sorted(exps.items()))
-
-
-def _mono_gcd(a: Mono, b: Mono) -> Mono:
-    if not a or not b:
-        return _EMPTY_MONO
-    bexps = dict(b)
-    out = []
-    for name, e in a:
-        eb = bexps.get(name, 0)
-        if eb:
-            out.append((name, min(e, eb)))
-    return tuple(out)
 
 
 def _mono_key(m: Mono) -> tuple:
@@ -314,50 +280,12 @@ class Poly:
         return Poly({m: c // k for m, c in self.terms.items()})
 
     def divexact(self, g: "Poly") -> "Poly":
-        """Exact multivariate division; raises ArithmeticError if not exact.
-
-        The remainder's monomials wait in a heap ordered by _mono_key, so
-        each step pops the leading one instead of rescanning the remainder.
-        Each step only adds terms below the one it removes, so a monomial
-        popped once never returns; a monomial cancelled to zero and added
-        again may sit in the heap twice, and the stale entry finds no
-        coefficient left in the remainder when popped.
-        """
-        if g.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return _P_ZERO
-        gmono, gc = g.leading()
-        tail = [(m, c) for m, c in g.terms.items() if m != gmono]
-        r = dict(self.terms)
-        heap = [(_mono_key(m), m) for m in r]
-        heapq.heapify(heap)
-        q: dict = {}
-        while heap:
-            m = heapq.heappop(heap)[1]
-            rc = r.pop(m, 0)
-            if not rc:
-                continue
-            qm = _mono_div(m, gmono)
-            if qm is None:
-                raise ArithmeticError("inexact polynomial division")
-            qc, rem = divmod(rc, gc)
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
-            q[qm] = qc
-            for tm, tc in tail:
-                t = _mono_mul(qm, tm)
-                s = r.get(t)
-                if s is None:
-                    r[t] = -qc * tc
-                    heapq.heappush(heap, (_mono_key(t), t))
-                elif s == qc * tc:
-                    del r[t]
-                else:
-                    r[t] = s - qc * tc
-        return Poly(q)
+        """Exact multivariate division; raises ArithmeticError if not exact
+        (``gcd.divexact``)."""
+        return gcd.divexact(self, g)
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
+        from fractions import Fraction
         total = Fraction(0)
         for mono, c in self.terms.items():
             term = Fraction(c)
@@ -405,107 +333,10 @@ _P_ZERO = Poly()
 _P_ONE = Poly.const(1)
 
 
-# ---------------------------------------------------------------------------
-# multivariate gcd
-# ---------------------------------------------------------------------------
-
-def _split(p: Poly, names) -> dict:
-    """View p as a polynomial in the given indeterminates with Poly
-    coefficients: {monomial in names: coefficient}."""
-    coeffs: dict = {}
-    for mono, c in p.terms.items():
-        key = []
-        rest = []
-        for pair in mono:
-            (key if pair[0] in names else rest).append(pair)
-        # distinct monomials give distinct (key, rest) pairs: nothing merges
-        coeffs.setdefault(tuple(key), {})[tuple(rest)] = c
-    return {k: Poly(t) for k, t in coeffs.items()}
-
-
-def _univar(p: Poly, v: str) -> dict:
-    """View p as a univariate polynomial in v: {degree: Poly coefficient}."""
-    return {k[0][1] if k else 0: q for k, q in _split(p, (v,)).items()}
-
-
-def _coeff_content(coeffs: dict) -> Poly:
-    g = _P_ZERO
-    for poly in sorted(coeffs.values(), key=lambda p: len(p.terms)):
-        g = poly_gcd(g, poly)
-        if g == _P_ONE:
-            break
-    return g
-
-
-def _normalize_sign(p: Poly) -> Poly:
-    if p.is_zero:
-        return p
-    _, c = p.leading()
-    return p.scale(-1) if c < 0 else p
-
-
-def _primitive(p: Poly):
-    """(c, mono, q) with p = c * mono * q, for p nonzero: c > 0 the integer
-    content, mono the monomial content, the largest monomial dividing every
-    term, and q primitive with no monomial content."""
-    c = p.int_content()
-    monos = iter(p.terms)
-    mono = next(monos)
-    for m in monos:
-        mono = _mono_gcd(mono, m)
-        if not mono:
-            break
-    if not mono:
-        return c, mono, p.div_int(c)
-    return c, mono, Poly({_mono_div(m, mono): v // c
-                          for m, v in p.terms.items()})
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Full gcd over the integers (content times primitive part), with a
-    positive graded-lex leading coefficient."""
-    if f.is_zero:
-        return _normalize_sign(g)
-    if g.is_zero:
-        return _normalize_sign(f)
-    cf, mf, pf = _primitive(f)
-    cg, mg, pg = _primitive(g)
-    c = math.gcd(cf, cg)
-    mc = _mono_gcd(mf, mg)
-    # With the contents removed, a single term is a unit, and so is a
-    # common divisor of two operands that share no indeterminate: it can
-    # only involve indeterminates both have.
-    fnames, gnames = pf.names, pg.names
-    if len(pf.terms) == 1 or len(pg.terms) == 1 or fnames.isdisjoint(gnames):
-        return _P_ONE if c == 1 and not mc else Poly({mc: c})
-    only_f, only_g = fnames - gnames, gnames - fnames
-    if only_f or only_g:
-        # a common divisor has none of the indeterminates that only one
-        # operand has, so they divide out in one step through that operand's
-        # content in them: gcd(f, g) = gcd(cont_E(f), g)
-        if only_f:
-            pf = _coeff_content(_split(pf, only_f))
-        if only_g:
-            pg = _coeff_content(_split(pg, only_g))
-        h = poly_gcd(pf, pg)
-    else:
-        small, big = sorted((pf, pg), key=lambda p: len(p.terms))
-        if _divides(small, big):
-            h = small
-        else:
-            from . import gcd
-            v = min(fnames)
-            h = (gcd._gcd_heuristic(pf, pg, v)
-                 or gcd._gcd_subresultant(pf, pg, v))
-    return _normalize_sign(h.scale(c).mul_mono(mc))
-
-
-def _divides(d: Poly, p: Poly) -> bool:
-    try:
-        p.divexact(d)
-    except ArithmeticError:
-        return False
-    return True
+    positive graded-lex leading coefficient (``gcd.poly_gcd``)."""
+    return gcd.poly_gcd(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +455,7 @@ class ParamScalar:
     def evaluate(self, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
         """Exact value at a point; every indeterminate must be assigned,
         and every value of the point must be an int or a Fraction."""
+        from fractions import Fraction
         _check_operand(assignment, Mapping)
         missing = self.names - set(assignment)
         if missing:
@@ -662,13 +494,16 @@ class ParamScalar:
     # -- comparisons, hashing, output ---------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, str)):
             try:
                 other = as_scalar(other)
             except (ScalarParseError, MalformedScalarError):
                 return False  # text that names no scalar equals none
-        if not isinstance(other, ParamScalar):
-            return NotImplemented
+        elif not isinstance(other, ParamScalar):
+            from fractions import Fraction
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = const(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -735,9 +570,18 @@ def var(name: str) -> ParamScalar:
 
 def const(value: Union[int, Fraction]) -> ParamScalar:
     """Embed a rational constant into the scalar field."""
+    if isinstance(value, int):
+        return ParamScalar(Poly.const(value))
+    from fractions import Fraction
     _check_operand(value, int, Fraction)
-    f = Fraction(value)
-    return ParamScalar(Poly.const(f.numerator), Poly.const(f.denominator))
+    return rational(value.numerator, value.denominator)
+
+
+def rational(n: int, d: int) -> ParamScalar:
+    """The canonical n/d, for ints n and d > 0."""
+    g = math.gcd(n, d)
+    return _reduced(Poly.const(n // g),
+                    Poly.const(d // g) if d != g else _P_ONE)
 
 
 def clear_row(row):
@@ -762,10 +606,13 @@ def clear_row(row):
 def as_scalar(value: ScalarLike) -> ParamScalar:
     if isinstance(value, ParamScalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return const(value)
     if isinstance(value, str):
         return parse_scalar(value)
+    from fractions import Fraction
+    if isinstance(value, Fraction):
+        return const(value)
     raise InputError(f"cannot interpret {value!r} as a scalar")
 
 

@@ -20,13 +20,13 @@ defects and the round trips A∘B - I) clear their factors here
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Sequence
 
+from . import elimination
 from .kernel import _defect_rows, _int_form, _int_lane, _packed_lane
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, _shaped,
-                      as_scalar, const)
+                      as_scalar, const, rational)
 
 
 class DimensionMismatch(ValueError, YbxError):
@@ -79,7 +79,7 @@ class _Operator(FrozenRecord):
             rows = [[ZERO] * self.size for _ in cleared]
             for row, pairs in zip(rows, cleared):
                 for c, e in pairs:
-                    row[c] = const(Fraction(e, d))
+                    row[c] = rational(e, d)
             object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
         return self._rows
 
@@ -105,7 +105,7 @@ class _Operator(FrozenRecord):
                     if not e.is_zero:
                         row = rows[r]
                         row[c] = e if row[c].is_zero else row[c] + e
-        except (TypeError, AttributeError, IndexError) as exc:
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
             raise InputError("columns must list (row, ParamScalar) pairs "
                              f"of a {size}x{size} matrix") from exc
         return cls._make(dim, tuple(map(tuple, rows)), None)
@@ -413,7 +413,7 @@ def colored_defect(Rxy: Operator2, Rxz: Operator2, Ryz: Operator2) -> Defect:
 
 # ---------------------------------------------------------------------------
 # exact elimination: determinant, inverse, nullspace, run by ``elimination``,
-# which each of them imports when called
+# which loads when one of them is first called
 # ---------------------------------------------------------------------------
 
 class InverseResult(FrozenRecord):
@@ -426,14 +426,12 @@ class InverseResult(FrozenRecord):
 
 def determinant(op: _Operator) -> ParamScalar:
     """Exact determinant of the operator's matrix."""
-    from . import elimination
     return elimination.determinant(op)
 
 
 def invert(op: _Operator) -> InverseResult:
     """Exact inverse over the rational-function field, via fraction-free
     elimination over Z[params]; reports the determinant either way."""
-    from . import elimination
     return elimination.invert(op)
 
 
@@ -443,5 +441,4 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
     Returns a list of coordinate tuples, one per non-pivot column fc, with
     1 at fc and 0 at the other non-pivot columns; exact over the
     rational-function field."""
-    from . import elimination
     return elimination.nullspace(rows)

@@ -431,17 +431,26 @@ class TestFamilyFlags:
     """export matrix and invert refuse a flag the chosen family does not
     read, instead of ignoring it."""
 
-    OWN = {
-        "dn": ["--algebra", QUADRATIC, "--m", "1", "--n", "1",
-               "--sigma", "2", "--alpha", "1", "--beta", "2", "--gamma", "1"],
-        "colored": ["--algebra", SIGMA, "--m", "1", "--n", "1",
-                    "--sigma", "2", "--p", "1", "--q", "2", "--u", "3",
-                    "--v", "5"],
-        "wxz": ["--algebra", QUADRATIC, "--m", "1", "--n", "1",
-                "--sigma", "2", "--lambda", "2", "--mu", "3"],
-        "super": ["--superalgebra", ABELIAN, "--z-index", "1",
-                  "--alpha", "2"],
-    }
+    @pytest.fixture
+    def own_flags(self, tmp_path):
+        """Each family's flags, all of them, on a structure file that has
+        every indeterminate a structure flag names: k[x]/(x^2 - m*x -
+        n*sigma)."""
+        obj = json.loads(Path(QUADRATIC).read_text())
+        obj["structure"][1][1] = ["n*sigma", "m"]
+        mns = tmp_path / "mns.json"
+        mns.write_text(json.dumps(obj))
+        structure = ["--algebra", str(mns), "--m", "1", "--n", "1",
+                     "--sigma", "2"]
+        return {
+            "dn": [*structure, "--alpha", "1", "--beta", "2", "--gamma", "1"],
+            "colored": [*structure, "--p", "1", "--q", "2", "--u", "3",
+                        "--v", "5"],
+            "wxz": [*structure, "--lambda", "2", "--mu", "3"],
+            "super": ["--superalgebra", ABELIAN, "--z-index", "1",
+                      "--alpha", "2"],
+        }
+
     ALL = ["--algebra", "--m", "--n", "--sigma", "--superalgebra",
            "--z-index", "--alpha", "--beta", "--gamma", "--p", "--q", "--u",
            "--v", "--lambda", "--mu"]
@@ -455,8 +464,8 @@ class TestFamilyFlags:
         assert err == "error: --family dn does not read --p\n"
         assert out == ""
 
-    def test_each_stray_flag_is_named(self, capsys):
-        for family, own in self.OWN.items():
+    def test_each_stray_flag_is_named(self, capsys, own_flags):
+        for family, own in own_flags.items():
             for flag in self.ALL:
                 if flag in own:
                     continue
@@ -480,13 +489,36 @@ class TestFamilyFlags:
         assert err == "error: --family super does not read --beta\n"
         assert out == ""
 
-    def test_each_family_accepts_its_own_flags(self, capsys):
-        for family, own in self.OWN.items():
+    def test_each_family_accepts_its_own_flags(self, capsys, own_flags):
+        for family, own in own_flags.items():
             code, out, err = run(capsys, "export", "matrix", "--family",
                                  family, *own)
             assert code == 0, (family, err)
             assert err == ""
             assert out
+
+    def test_a_structure_flag_the_file_does_not_name_exits_two(self, capsys):
+        # cubic.json names no indeterminate, so --m is not silently ignored
+        code, out, err = run_process("check", "constant", "--algebra", CUBIC,
+                                     "--m", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: --m: {CUBIC} has no indeterminate m\n"
+        for argv, flag in (
+                (["validate", "algebra", "--algebra", SIGMA], "--n"),
+                (["check", "colored", "--algebra", QUADRATIC, "--symbolic"],
+                 "--sigma"),
+                (["check", "wxz", "--algebra", CUBIC], "--sigma"),
+                (["export", "matrix", "--family", "dn", "--algebra", SIGMA],
+                 "--m"),
+                (["invert", "--family", "colored", "--algebra", QUADRATIC],
+                 "--sigma")):
+            code, out, err = run(capsys, *argv, flag, "1")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+        # the flags a file does name still substitute
+        code, out, err = run(capsys, "validate", "algebra", "--algebra",
+                             SIGMA, "--sigma", "2")
+        assert (code, err) == (0, "")
 
     def test_z_index_is_not_a_validate_flag(self, capsys):
         code, out, err = run(capsys, "validate", "superalgebra",

@@ -6,11 +6,14 @@ otherwise stay; the package's __init__ imports only to re-export.
 
 Importing the package runs none of its modules: each is registered to
 load on first attribute access, and a command runs only the modules that
-it calls into. The elimination (``ybx.elimination``) and the gcd fallbacks
-(``ybx.gcd``) are imported by the functions that need them, when first
-called. One import of a name, rather than of its module, at the top of
-``cli`` or ``verify``, or one import of either of the two at module level
-anywhere in the package, would undo that without failing any other test.
+it calls into. The elimination (``ybx.elimination``) and exact division
+with the gcd (``ybx.gcd``) are bound as modules at the top of the modules
+that call them and run only when first called. One import of a name,
+rather than of its module, at the top of ``cli`` or ``verify``, or one
+import of a name from either of the two at module level anywhere in the
+package, would undo that without failing any other test. ``fractions``
+(which imports ``decimal``) is imported only where a Fraction is given or
+returned, so no command on integer input imports it.
 """
 
 import ast
@@ -43,10 +46,12 @@ def test_every_imported_name_is_used(path):
     assert imported <= used, sorted(imported - used)
 
 
-def module_level_imports(tree):
-    """The modules that the statements run at import time import: every
-    import outside a function body, by its full dotted name, and for a
-    ``from`` import each name under it as well, since it may be a module."""
+def modules_run_at_import(tree):
+    """The modules that the statements run at import time load: the module
+    of every import outside a function body that reads it, by its full
+    dotted name. ``from package import module`` binds a registered module
+    without reading it, but ``import ybx.gcd`` reads the module's spec and
+    ``from ybx.gcd import name`` reads the name, and either runs it."""
     found = set()
     todo = [tree]
     while todo:
@@ -57,10 +62,8 @@ def module_level_imports(tree):
         if isinstance(node, ast.Import):
             found.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = ".".join(filter(None, ["ybx" if node.level else None,
-                                          node.module]))
-            found.add(base)
-            found.update(f"{base}.{a.name}" for a in node.names)
+            found.add(".".join(filter(None, ["ybx" if node.level else None,
+                                             node.module])))
         todo.extend(ast.iter_child_nodes(node))
     return found
 
@@ -69,26 +72,44 @@ def module_level_imports(tree):
                          ids=lambda p: p.name)
 def test_slow_paths_load_on_first_use(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert not module_level_imports(tree) & ON_FIRST_USE
+    assert not modules_run_at_import(tree) & ON_FIRST_USE
 
 
 def test_the_check_sees_each_form_of_import():
-    forms = ["from . import gcd", "from .elimination import invert",
-             "import ybx.gcd", "from ybx import elimination",
-             "if True:\n    from . import gcd",
-             "class C:\n    from . import elimination"]
+    forms = ["from .gcd import poly_gcd", "from .elimination import invert",
+             "import ybx.gcd", "from ybx.elimination import invert",
+             "if True:\n    from .gcd import divexact",
+             "class C:\n    from .elimination import invert"]
     for text in forms:
-        assert module_level_imports(ast.parse(text)) & ON_FIRST_USE, text
-    for text in ("from math import gcd", "from .scalars import gcd",
-                 "def f():\n    from . import elimination"):
-        assert not module_level_imports(ast.parse(text)) & ON_FIRST_USE, text
+        assert modules_run_at_import(ast.parse(text)) & ON_FIRST_USE, text
+    for text in ("from . import gcd", "from ybx import elimination",
+                 "from . import elimination, gcd", "from math import gcd",
+                 "from .scalars import gcd",
+                 "def f():\n    from .elimination import invert"):
+        assert not modules_run_at_import(ast.parse(text)) & ON_FIRST_USE, text
+
+
+def test_binding_a_registered_module_does_not_run_it():
+    # what the check above allows and refuses: in a fresh interpreter,
+    # from . import leaves the module unrun, and import ybx.gcd runs it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys, types\n"
+            "from ybx import elimination, gcd\n"
+            "print(type(sys.modules['ybx.gcd']) is types.ModuleType)\n"
+            "import ybx.gcd\n"
+            "print(type(sys.modules['ybx.gcd']) is types.ModuleType)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def executed_after(*argv):
-    """(exit status, the ybx modules whose bodies have run) after
-    ybx.cli.main runs argv in a fresh interpreter, or after ``import ybx``
-    alone when argv is empty. A registered module that has not run is
-    still of its lazy class, which type() reads without loading it."""
+    """(exit status, the ybx modules whose bodies have run, with
+    ``fractions`` and ``decimal`` if imported) after ybx.cli.main runs argv
+    in a fresh interpreter, or after ``import ybx`` alone when argv is
+    empty. A registered module that has not run is still of its lazy
+    class, which type() reads without loading it."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
                PYTHONDONTWRITEBYTECODE="1")
     code = ("import contextlib, io, json, sys, types\n"
@@ -100,7 +121,8 @@ def executed_after(*argv):
             "        status = main(sys.argv[1:])\n"
             "print(json.dumps([status, sorted(\n"
             "    name for name, m in sys.modules.items()\n"
-            "    if name.startswith('ybx.') and type(m) is types.ModuleType)]))")
+            "    if name.startswith('ybx.') and type(m) is types.ModuleType\n"
+            "    or name in ('fractions', 'decimal'))]))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -135,7 +157,7 @@ def test_importing_the_package_runs_no_module():
     pytest.param(
         with_fixture("--algebra", "quadratic.json", "invert", "--family",
                      "dn", "--alpha", "1", "--beta", "2", "--gamma", "1"),
-        0, sorted(BUILD + ["ybx.elimination"]), id="invert"),
+        0, sorted(BUILD + ["ybx.elimination", "ybx.gcd"]), id="invert"),
 ])
 def test_each_command_runs_only_the_modules_it_calls(argv, status, executed):
     assert executed_after(*argv) == [status, executed]
@@ -158,6 +180,44 @@ def test_invert_loads_the_elimination():
         "--gamma", "1")
     assert status == 0
     assert "ybx.elimination" in executed
+
+
+def test_the_gcd_loads_where_polynomials_divide():
+    # an integer table with free parameters: the inverse divides by its
+    # symbolic determinant, and validating or checking the table divides
+    # nothing
+    cubic = ["--algebra", ybx.fixture_path("cubic.json")]
+    status, executed = executed_after("invert", "--family", "dn", *cubic)
+    assert status == 0 and "ybx.gcd" in executed
+    for argv in (["validate", "algebra"], ["check", "constant"]):
+        status, executed = executed_after(*argv, *cubic)
+        assert status in (0, 1) and "ybx.gcd" not in executed, argv
+
+
+INTEGER_INPUT = {
+    "validate algebra": ["validate", "algebra", "--algebra", "cubic.json"],
+    "validate superalgebra": ["validate", "superalgebra", "--superalgebra",
+                              "gl11.json"],
+    "check constant": ["check", "constant", "--algebra", "cubic.json",
+                       "--alpha", "1", "--beta", "-2", "--gamma", "3"],
+    "check constant, free parameters": ["check", "constant", "--algebra",
+                                        "cubic.json"],
+    "export matrix": ["export", "matrix", "--family", "colored",
+                      "--algebra", "cubic.json", "--p", "1", "--q", "2",
+                      "--u", "3", "--v", "5", "--format", "json"],
+    "invert": ["invert", "--family", "dn", "--algebra", "cubic.json",
+               "--alpha", "2", "--beta", "3", "--gamma", "1"],
+    "invert super": ["invert", "--family", "super", "--superalgebra",
+                     "heisenberg-super.json", "--alpha", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", INTEGER_INPUT.values(), ids=INTEGER_INPUT)
+def test_commands_on_integer_input_import_no_fractions(argv):
+    argv = [ybx.fixture_path(a) if a.endswith(".json") else a for a in argv]
+    status, executed = executed_after(*argv)
+    assert status in (0, 1)
+    assert not {"fractions", "decimal"} & set(executed)
 
 
 # the public names, other than modules, that the package had before it
@@ -216,3 +276,33 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ybx.no_such_name
     assert not hasattr(ybx, "no_such_name")
+
+
+def test_no_private_helper_is_stranded():
+    # a private module-level name that nothing in the package reads is
+    # dead: a helper left behind when its callers moved to another module
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    stranded = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            stranded += [f"{name}: {d}" for d in defined
+                         if d.startswith("_") and not d.startswith("__")
+                         and d not in read]
+    assert stranded == []

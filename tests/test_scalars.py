@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import clear_row_reference, det_permutation_expansion, mono_cmp
-from ybx.scalars import (IncompleteAssignmentError, MalformedScalarError,
-                         ONE, ParamScalar, PoleError, ScalarParseError, ZERO,
-                         as_scalar, const, fresh_name, parse_scalar, var)
+from ybx.scalars import (IncompleteAssignmentError, InputError,
+                         MalformedScalarError, ONE, ParamScalar, PoleError,
+                         ScalarParseError, ZERO, as_scalar, const,
+                         fresh_name, parse_scalar, var)
 from ybx.scalars import Poly, clear_row, poly_gcd
 
 p, q, u, v, w = (var(nm) for nm in "pquvw")
@@ -655,3 +656,65 @@ class TestClearRow:
         # d starts the lcm; e and d*e are folded in once each
         assert calls == [e.num, (d * e).num]
         assert scale == (d * e).num
+
+
+# ints of every size the constant path meets, bools among them, and
+# Fractions over them
+INTS = st.one_of(st.booleans(), st.integers(-5, 5), st.integers(),
+                 st.integers(2 ** 64, 2 ** 130).flatmap(
+                     lambda n: st.sampled_from([n, -n])))
+RATIONALS = st.one_of(INTS, st.builds(Fraction, INTS, INTS.filter(bool)))
+
+
+class TestFractionFreeConstants:
+    """The constant path builds its scalars without fractions: const and
+    as_scalar of an int, the int lane's scalar and the rows of a born
+    integer form give what a Fraction constructs, and the code that is
+    given or returns a Fraction still takes and gives one."""
+
+    @staticmethod
+    def assert_is(s, value):
+        """s has the num, den, str and hash of the rational value, built
+        here through a Fraction and the canonicalising constructor."""
+        f = Fraction(value)
+        want = ParamScalar(Poly.const(f.numerator), Poly.const(f.denominator))
+        assert (s.num, s.den) == (want.num, want.den)
+        assert s.num.terms == ({(): f.numerator} if f else {})
+        assert s.den.terms == {(): f.denominator}
+        assert str(s) == str(f)
+        assert hash(s) == hash(want)
+
+    @given(RATIONALS)
+    def test_const_and_as_scalar(self, value):
+        self.assert_is(const(value), value)
+        self.assert_is(as_scalar(value), value)
+
+    @given(INTS, st.integers(1, 2 ** 70))
+    def test_int_lane_and_born_rows(self, n, d):
+        from ybx import kernel
+        from ybx.tensor import Operator2
+        *_, d_lane, scalar = kernel._int_lane([(d, [])], (0,))
+        assert d_lane == d
+        self.assert_is(scalar(n), Fraction(n, d))
+        if n:
+            op = Operator2._make(1, None, (d, [[(0, n)]]))
+            self.assert_is(op.rows[0][0], Fraction(n, d))
+
+    def test_equality_with_other_types(self):
+        half = const(Fraction(1, 2))
+        assert half == Fraction(1, 2) and Fraction(1, 2) == half
+        assert half == "1/2" and half == parse_scalar("2/4")
+        assert half != 0.5 and not half == 0.5
+        assert half != Fraction(1, 3) and half != 1 and half != "x"
+        assert const(2) == 2 and const(2) == Fraction(4, 2)
+        assert not half == None
+
+    def test_evaluate_takes_and_gives_fractions(self):
+        value = (x / (x + 1)).evaluate({"x": Fraction(1, 2)})
+        assert type(value) is Fraction and value == Fraction(1, 3)
+        assert type(const(3).evaluate({})) is Fraction
+        assert type(x.num.evaluate({"x": 2})) is Fraction
+        with pytest.raises(InputError, match="int or a Fraction, not float"):
+            x.evaluate({"x": 0.5})
+        with pytest.raises(InputError, match="int or Fraction, not float"):
+            const(0.5)

@@ -993,8 +993,8 @@ class TestIntKernelCancellation:
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Records every raw row the int lane's _apply returns, and every
-        value the int lane turns into a scalar."""
+        """Records every raw row the int lane's _apply returns, and the
+        numerator of every value the int lane turns into a scalar."""
         seen = {"rows": [], "scalars": []}
 
         def apply(actions, x):
@@ -1002,12 +1002,12 @@ class TestIntKernelCancellation:
             seen["rows"].append(dict(row))
             return row
 
-        def const(value):
-            seen["scalars"].append(value)
-            return scalars.const(value)
+        def rational(n, d):
+            seen["scalars"].append(n)
+            return scalars.rational(n, d)
 
         monkeypatch.setattr(kernel, "_INT_KERNEL", (apply, kernel._minus))
-        monkeypatch.setattr(kernel, "const", const)
+        monkeypatch.setattr(kernel, "rational", rational)
         return seen
 
     @staticmethod
@@ -1547,6 +1547,9 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
     lambda: Operator2(1, [None]),
     lambda: Operator2.from_columns(1, None),
     lambda: Operator2.from_columns(1, [[(0, 1)]]),
+    # a column of something other than pairs, which does not unpack
+    lambda: Operator2.from_columns(1, "0"),
+    lambda: Operator2.from_columns(1, [[(0, 1, 2)]]),
     lambda: nullspace([1, 2]),
     lambda: nullspace(None),
     lambda: _X.evaluate(None),

@@ -111,10 +111,17 @@ def test_replaced_scalar_kernel_sees_internal_calls(monkeypatch):
 
     monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
     monkeypatch.setattr(scalars.Poly, "divexact", counted_div)
-    x, y = scalars.var("x"), scalars.var("y")
+    x, y, z = scalars.var("x"), scalars.var("y"), scalars.var("z")
     assert scalars.poly_gcd((x * x - y * y).num, (x - y).num) == (x - y).num
-    # the gcd's own recursion goes through the replaced name as well
+    # the gcd's own recursion goes through the replaced name as well: the
+    # heuristic gcd's above, and here the call, two gcds for each of the
+    # contents in y and in z, which only one operand has, and the gcd of
+    # the two contents
     assert calls["poly_gcd"] > 1
+    calls["poly_gcd"] = 0
+    f, g = ((x + 1) * (y + 1)).num, ((x + 1) * (z - 1)).num
+    assert scalars.poly_gcd(f, g) == (x + 1).num
+    assert calls["poly_gcd"] == 6
     assert (x * x - y * y) / (x - y) == x + y
     assert calls["divexact"] > 0
 

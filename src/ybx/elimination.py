@@ -185,30 +185,44 @@ def _block_order(pattern):
             list(accumulate(map(len, blocks))))
 
 
-def _cleared(rows, augment=False):
-    """(packed matrix, row scales, its _Packing): each row of ParamScalars
-    times the lcm s of its denominators, followed, when augment, by s times
-    the row of the identity matrix."""
+def _cleared(rows):
+    """(M, scales): each row of ParamScalars times the lcm s of its
+    denominators, a list of Polys, and the scales s."""
     cleared = [clear_row(row) for row in rows]
-    M = [polys for _, polys in cleared]
-    scales = [s for s, _ in cleared]
+    return [polys for _, polys in cleared], [s for s, _ in cleared]
+
+
+def _packed(M, scales, augment=False):
+    """(packed matrix, its _Packing) of the cleared rows M, each followed,
+    when augment, by its scale s times the row of the identity matrix."""
     if augment:
         for i, row in enumerate(M):
             row.extend(scales[i] if j == i else _P_ZERO for j in range(len(M)))
     packing = _Packing(M)
-    return [[packing.pack(p) for p in row] for row in M], scales, packing
+    return [[packing.pack(p) for p in row] for row in M], packing
 
 
 def _square(op: _Operator, augment: bool):
     """(echelon form, cols, D, pivots, its _Packing, determinant), or None
     if the operator is singular. The cleared matrix, augmented as in
-    ``_cleared``, has its rows and first size columns permuted by
+    ``_packed``, has its rows and first size columns permuted by
     ``_block_order``, so echelon column u < size is column cols[u]. D, the
     product of the blocks' last pivots, over the row scales is the
-    determinant up to the signs of the permutations and swaps."""
+    determinant up to the signs of the permutations and swaps. An operator
+    born with its integer form (d, cleared) is cleared from it, with every
+    row scale d, so its rows are never built."""
     _check_operand(op, Operator2, Operator3)
     size = op.size
-    M, scales, packing = _cleared(op.rows, augment)
+    if op._form:
+        d, form = op._form
+        M = [[_P_ZERO] * size for _ in form]
+        for row, pairs in zip(M, form):
+            for c, e in pairs:
+                row[c] = Poly.const(e)
+        scales = [Poly.const(d)] * size
+    else:
+        M, scales = _cleared(op.rows)
+    M, packing = _packed(M, scales, augment)
     order = _block_order([[c for c in range(size) if row[c]] for row in M])
     if order is None:
         return None
@@ -439,7 +453,8 @@ def nullspace(rows: Sequence[Sequence[ParamScalar]]):
         if len(row) != ncols:
             raise InputError(f"nullspace: row {i} has {len(row)} entries, "
                              f"row 0 has {ncols}")
-    M, _, packing = _cleared([[as_scalar(e) for e in row] for row in rows])
+    M, packing = _packed(*_cleared([[as_scalar(e) for e in row]
+                                    for row in rows]))
     pivots, _ = _eliminate(M, [(range(len(M)), range(ncols))], packing.guard)
     D = M[len(pivots) - 1][pivots[-1]] if pivots else _ONE_TERMS
     over = _over(packing, [D])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import chain, product
+from operator import itemgetter
 
 from .scalars import ZERO, ParamScalar, Poly, _P_ONE, clear_row, rational
 
@@ -214,14 +215,31 @@ class _Packing:
     its guard bit. For a product (``tensor._clear``) the rows are its
     factors, so S bounds every entry it forms, and the same W leaves room to
     spare.
+
+    The constructor makes one pass over the rows' terms and records each
+    distinct monomial's total degree once, in a dict that gives the names
+    and S. ``pack`` keeps each monomial's key: a monomial that many
+    entries share, or that is packed again later (D, the atoms' powers in
+    ``elimination._over``, the factors in ``_quotients``), is summed into
+    its fields once per packing.
     """
 
-    __slots__ = ("fields", "units", "mask", "guard", "monos", "pairs")
+    __slots__ = ("fields", "units", "mask", "guard", "keys", "monos",
+                 "pairs")
 
     def __init__(self, M):
-        names = sorted(set().union(*(p.names for row in M for p in row)))
-        S = sum(max((sum(e for _, e in m) for p in row for m in p.terms),
-                    default=0) for row in M)
+        degrees, S = {}, 0
+        for row in M:
+            top = 0
+            for p in row:
+                for m in p.terms:
+                    d = degrees.get(m)
+                    if d is None:
+                        d = degrees[m] = sum(map(itemgetter(1), m))
+                    if d > top:
+                        top = d
+            S += top
+        names = sorted({name for m in degrees for name, _ in m})
         W = (2 * S).bit_length() + 1
         n = len(names)
         self.fields = [(name, (n - 1 - i) * W) for i, name in enumerate(names)]
@@ -230,12 +248,18 @@ class _Packing:
                       for name, shift in self.fields}
         self.mask = (1 << W) - 1
         self.guard = sum(1 << (i * W + W - 1) for i in range(n + 1))
-        self.monos, self.pairs = {}, {}
+        self.keys, self.monos, self.pairs = {}, {}, {}
 
     def pack(self, p: Poly) -> dict:
-        units = self.units
-        return {sum(e * units[name] for name, e in m): c
-                for m, c in p.terms.items()}
+        """The packed terms of p, a Poly over the packing's names."""
+        keys, units = self.keys, self.units
+        out = {}
+        for m, c in p.terms.items():
+            k = keys.get(m)
+            if k is None:
+                k = keys[m] = sum(e * units[name] for name, e in m)
+            out[k] = c
+        return out
 
     def unpack(self, terms: dict) -> Poly:
         """The Poly of packed terms. Each monomial and each (name,

@@ -161,9 +161,13 @@ def _mono_key(m: Mono) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse multivariate polynomial with integer coefficients."""
+    """Sparse multivariate polynomial with integer coefficients.
 
-    __slots__ = ("terms",)
+    A Poly is immutable: no code mutates its terms after it is built, so
+    its hash is computed on the first call and kept (``_hash``, filled
+    lazily, so that building a Poly costs nothing extra)."""
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         # terms maps monomial -> nonzero int coefficient
@@ -300,7 +304,11 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -629,10 +637,11 @@ ONE = const(1)
 # unary  := ('-' | '+') unary | power
 # power  := atom (('^' | '**') '-'? INT)?
 # atom   := INT | NAME | '(' expr ')'
+# INT and NAME are ASCII: \d would also match the digits of other scripts
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\*\*|[-+*/^()]))"
 )
 

@@ -93,15 +93,19 @@ class _Operator(FrozenRecord):
     @classmethod
     def from_columns(cls, dim: int, columns):
         """The operator whose column c is the sum of the (row, ParamScalar)
-        pairs in columns[c]; zero terms are dropped and missing columns are
-        zero. Unlike the constructor, which converts outside input, this
-        takes the entries as they are, so they must be ParamScalars."""
+        pairs in columns[c], each row in range(size); zero terms are dropped
+        and missing columns are zero. Unlike the constructor, which converts
+        outside input, this takes the entries as they are, so they must be
+        ParamScalars."""
         _check_dim(dim)
         size = dim ** cls.legs
         rows = [[ZERO] * size for _ in range(size)]
         try:
             for c, column in enumerate(columns):
                 for r, e in column:
+                    # rows[r] would take a negative r from the end
+                    if not 0 <= r < size:
+                        raise IndexError(f"row {r} of column {c}")
                     if not e.is_zero:
                         row = rows[r]
                         row[c] = e if row[c].is_zero else row[c] + e

@@ -651,6 +651,14 @@ class TestHostileInput:
         assert "--alpha" in err and "nested" in err
         assert out == ""
 
+    def test_digits_of_other_scripts(self, capsys):
+        for alpha in ("\u0663", "\uff11", "2\u0663"):
+            code, out, err = run(capsys, "check", "constant", "--algebra",
+                                 QUADRATIC, "--alpha", alpha)
+            assert code == 2
+            assert "--alpha" in err and "unexpected character" in err
+            assert out == ""
+
     def test_json_field_types(self, tmp_path, capsys):
         algebra = json.loads(Path(QUADRATIC).read_text())
         superalgebra = json.loads(Path(GL11).read_text())

@@ -229,6 +229,35 @@ class TestElimination:
         assert not invert(R).invertible
 
 
+    @pytest.mark.parametrize("build", [
+        lambda A: dn_operator(A, 2, 3, 2),
+        lambda A: dn_operator(A, a, b, g),
+        lambda A: colored_operator(A, p, q, u, v),
+        lambda A: dn_operator(A, 0, 0, 0),
+    ], ids=["dn-ints", "dn", "colored", "singular"])
+    def test_born_operator_is_eliminated_from_its_form(self, build):
+        # a dense dim-4 table: every row of the operator has several
+        # denominators, and no row of it is built
+        rng = random.Random(4)
+        choices = [Fraction(k, q) for k in range(-3, 4) for q in (1, 2, 5)]
+        table = tuple(tuple(tuple(const(rng.choice(choices))
+                                  for _ in range(4)) for _ in range(4))
+                      for _ in range(4))
+        A = Algebra(4, table, tuple(map(const, (1, Fraction(-1, 3), 0, 2))),
+                    ())
+        R = born(lambda: build(A))
+        det, res = determinant(R), invert(R)
+        assert R._rows is None
+        rows = Operator2(R.dim, R.rows)
+        assert str(det) == str(determinant(rows))
+        want = invert(rows)
+        assert res.invertible == want.invertible
+        assert str(res.determinant) == str(want.determinant)
+        if want.invertible:
+            assert (res.operator.to_json_obj()
+                    == want.operator.to_json_obj())
+
+
 class TestLanes:
     """A born operator keeps its integer form once its rows are read, any
     other operator keeps none, and a product of an integer-form operator

@@ -160,7 +160,11 @@ class TestParseFormat:
         ("x**+2", "expected integer exponent in 'x**+2'"),
         ("x y", "trailing input in 'x y'"),
         ("1)", "trailing input in '1)'"),
-        ("x^2^3", "trailing input in 'x^2^3'")])
+        ("x^2^3", "trailing input in 'x^2^3'"),
+        # integers are ASCII digits; \d would read these as 3, 1 and 23
+        ("\u0663", "unexpected character '\u0663' in '\u0663'"),
+        ("\uff11", "unexpected character '\uff11' in '\uff11'"),
+        ("2\u0663", "unexpected character '\u0663' in '2\u0663'")])
     def test_parse_errors(self, bad, message):
         with pytest.raises(ScalarParseError) as info:
             parse_scalar(bad)
@@ -718,3 +722,32 @@ class TestFractionFreeConstants:
             x.evaluate({"x": 0.5})
         with pytest.raises(InputError, match="int or Fraction, not float"):
             const(0.5)
+
+
+class TestKeptHash:
+    """A Poly keeps its hash after the first call. Equal Polys, and equal
+    ParamScalars, hash equal whatever the order their terms were inserted
+    in and whichever is hashed first, so a dict keyed by one finds the
+    other."""
+
+    MONOS = st.dictionaries(st.sampled_from("abuv"), st.integers(1, 3),
+                            max_size=3).map(lambda m: tuple(sorted(m.items())))
+    TERMS = st.lists(st.tuples(MONOS, st.integers(-9, 9).filter(bool)),
+                     unique_by=lambda t: t[0], max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS, TERMS, st.randoms(use_true_random=False), st.booleans())
+    def test_equal_values_hash_equal(self, num, den, rnd, reverse):
+        # the second value's terms are inserted in a shuffled order
+        orders = [(num, den), (rnd.sample(num, len(num)),
+                               rnd.sample(den, len(den)))]
+        for make in (lambda n, _: n, lambda n, _: ParamScalar(n),
+                     ParamScalar):
+            pair = [make(Poly(dict(n)), Poly(dict(d)) or Poly.const(1))
+                    for n, d in orders]
+            if reverse:
+                pair.reverse()
+            first, second = pair
+            assert first == second
+            assert hash(first) == hash(second) == hash(first)
+            assert {first: 1}[second] == 1 and {second: 2}[first] == 2

@@ -1569,6 +1569,10 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
     lambda: scalars.ParamScalar(None),
     lambda: var("x") ** 1.5,
     lambda: (var("x") - var("x")) ** -1,
+    # a row index outside range(size), which a list index would wrap
+    lambda: Operator2.from_columns(2, [[(-1, ONE)], [(-4, var("x"))]]),
+    lambda: Operator2.from_columns(2, [[(4, ONE)]]),
+    lambda: Operator2.from_columns(1, [[(-1, ZERO)]]),
 ], ids=lambda call: call.__code__.co_firstlineno)
 def test_library_boundary_named(call):
     with pytest.raises(scalars.YbxError):
@@ -1578,3 +1582,64 @@ def test_library_boundary_named(call):
 def test_a_division_by_zero_is_still_a_zero_division_error():
     with pytest.raises(ZeroDivisionError):
         var("x") / 0
+
+
+# Polys over a few names with small exponents, so that rows share monomials
+_PACK_NAMES = ("a", "b", "u", "x")
+
+
+def _monomials(names):
+    return st.dictionaries(st.sampled_from(names), st.integers(1, 4),
+                           max_size=3).map(lambda m: tuple(sorted(m.items())))
+
+
+def _polys(names=_PACK_NAMES):
+    monomial = _monomials(names) if names else st.just(())
+    return st.dictionaries(monomial, st.integers(-9, 9).filter(bool),
+                           max_size=5).map(scalars.Poly)
+
+
+class TestPackingMemo:
+    """_Packing records each distinct monomial's degree once and keeps each
+    monomial's key; its fields, W and guard, and every key, are those of
+    the formulas it documents."""
+
+    @staticmethod
+    def layout(rows):
+        """(fields, mask, guard) from the names and degrees of the rows."""
+        names = sorted(set().union(*(p.names for row in rows for p in row)))
+        S = sum(max((sum(e for _, e in m) for p in row for m in p.terms),
+                    default=0) for row in rows)
+        W = (2 * S).bit_length() + 1
+        n = len(names)
+        return ([(name, (n - 1 - i) * W) for i, name in enumerate(names)],
+                (1 << W) - 1, sum(1 << (i * W + W - 1) for i in range(n + 1)))
+
+    @staticmethod
+    def keys(packing, p):
+        """p's monomials packed field by field, the degree in the top
+        field."""
+        shift = dict(packing.fields)
+        top = len(shift) * packing.mask.bit_length()
+        return {sum(e << shift[name] for name, e in m)
+                + (sum(e for _, e in m) << top): c
+                for m, c in p.terms.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_polys(), min_size=1, max_size=4), max_size=4),
+           st.data())
+    def test_layout_and_keys_follow_the_formulas(self, rows, data):
+        packing = kernel._Packing(rows)
+        fields, mask, guard = self.layout(rows)
+        assert packing.fields == fields
+        assert (packing.mask, packing.guard) == (mask, guard)
+        # polys of the rows, then others over their names, some packed twice
+        others = data.draw(st.lists(_polys(tuple(dict(fields))),
+                                    max_size=4))
+        for p in [p for row in rows for p in row] + others + others:
+            packed = packing.pack(p)
+            assert packed == self.keys(packing, p)
+            # each poly of the rows fits below the guard bits; another
+            # unpacks when its degrees do
+            if all(sum(e for _, e in m) <= mask >> 1 for m in p.terms):
+                assert packing.unpack(packed) == p

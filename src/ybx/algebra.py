@@ -74,8 +74,9 @@ def _fmt_vec(v) -> str:
 
 class TableRecord(FrozenRecord):
     """A structure-constant table and its fields, taken by position; the
-    last slot, _index, keeps product_table outside _key, and _table names
-    the field that holds the table."""
+    last slot, _index, keeps product_table outside _key. _table names the
+    field that holds the table, _vector the per-basis-vector field written
+    beside it, and _shape_error the error for operands of the wrong shape."""
 
     __slots__ = ()
 
@@ -104,6 +105,25 @@ class TableRecord(FrozenRecord):
         return frozenset().union(*(e.names for plane in getattr(
             self, self._table) for row in plane for e in row))
 
+    def to_json_obj(self) -> dict:
+        return {
+            "dim": self.dim,
+            self._vector: [e if isinstance(e, int) else str(e)
+                           for e in getattr(self, self._vector)],
+            "labels": list(self.labels),
+            "structure": [[[str(e) for e in row] for row in plane]
+                          for plane in getattr(self, self._table)],
+        }
+
+    def _elements(self, a, b):
+        """The product of two coordinate vectors through the table."""
+        n = self.dim
+        if not (_shaped(a, n, 1) and _shaped(b, n, 1)):
+            raise self._shape_error(
+                f"expected coordinate vectors of length {n}")
+        return bilinear(getattr(self, self._table),
+                        [as_scalar(x) for x in a], [as_scalar(x) for x in b])
+
 
 class Algebra(TableRecord):
     """Validated unital associative algebra. Immutable."""
@@ -111,6 +131,8 @@ class Algebra(TableRecord):
     __slots__ = ("dim", "structure", "unit", "labels", "_index")
     _key = ("dim", "structure", "unit")
     _table = "structure"
+    _vector = "unit"
+    _shape_error = ShapeError
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -126,24 +148,11 @@ class Algebra(TableRecord):
             list(self.labels),
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "unit": [str(e) for e in self.unit],
-            "labels": list(self.labels),
-            "structure": [[[str(e) for e in row] for row in plane]
-                          for plane in self.structure],
-        }
-
 
 def mul_elements(A: Algebra, a: Sequence, b: Sequence):
     """Product of two coordinate vectors through the structure constants."""
     _check_operand(A, Algebra)
-    n = A.dim
-    if not (_shaped(a, n, 1) and _shaped(b, n, 1)):
-        raise ShapeError(f"expected coordinate vectors of length {n}")
-    return bilinear(A.structure, [as_scalar(x) for x in a],
-                    [as_scalar(x) for x in b])
+    return A._elements(a, b)
 
 
 def freeze_table(dim, table, vector, vector_error, convert, labels, error,

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 from . import tensor
 from .algebra import (TableRecord, freeze_table, load_structure,
                       read_structure)
-from .kernel import bilinear, first_failing_triple
-from .scalars import ZERO, YbxError, _check_operand, _shaped, as_scalar
+from .kernel import first_failing_triple
+from .scalars import ZERO, YbxError, _check_operand, _shaped
 
 
 class SuperalgebraError(ValueError, YbxError):
@@ -28,32 +28,26 @@ class ShapeError(SuperalgebraError):
     pass
 
 
-class GradingError(SuperalgebraError):
+class _AxiomError(SuperalgebraError):
+    """A failed axiom, its message the class's _message formatted with the
+    basis indices of the witness in order."""
+
     def __init__(self, witness):
-        i, j, k = witness
-        super().__init__(
-            f"[e{i}, e{j}] has a component on e{k} of the wrong parity"
-        )
+        super().__init__(self._message.format(*witness))
         self.witness = witness
 
 
-class AntisymmetryError(SuperalgebraError):
-    def __init__(self, witness):
-        i, j = witness
-        super().__init__(
-            f"[e{i}, e{j}] != -(-1)^(|e{i}||e{j}|) [e{j}, e{i}]"
-        )
-        self.witness = witness
+class GradingError(_AxiomError):
+    _message = "[e{0}, e{1}] has a component on e{2} of the wrong parity"
 
 
-class JacobiError(SuperalgebraError):
-    def __init__(self, witness):
-        i, j, k = witness
-        super().__init__(
-            f"graded Jacobi identity fails on the basis triple "
-            f"(e{i}, e{j}, e{k})"
-        )
-        self.witness = witness
+class AntisymmetryError(_AxiomError):
+    _message = "[e{0}, e{1}] != -(-1)^(|e{0}||e{1}|) [e{1}, e{0}]"
+
+
+class JacobiError(_AxiomError):
+    _message = ("graded Jacobi identity fails on the basis triple "
+                "(e{0}, e{1}, e{2})")
 
 
 class LieSuperalgebra(TableRecord):
@@ -62,31 +56,17 @@ class LieSuperalgebra(TableRecord):
     __slots__ = ("dim", "degree", "bracket", "labels", "_index")
     _key = ("dim", "degree", "bracket")
     _table = "bracket"
+    _vector = "degree"
+    _shape_error = ShapeError
 
     def __repr__(self):
         return f"LieSuperalgebra(dim={self.dim}, degree={list(self.degree)})"
-
-    def even_indices(self):
-        return [i for i in range(self.dim) if self.degree[i] == 0]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "degree": list(self.degree),
-            "labels": list(self.labels),
-            "structure": [[[str(e) for e in row] for row in plane]
-                          for plane in self.bracket],
-        }
 
 
 def bracket_elements(L: LieSuperalgebra, x: Sequence, y: Sequence):
     """Bilinear extension of the bracket table to coordinate vectors."""
     _check_operand(L, LieSuperalgebra)
-    n = L.dim
-    if not (_shaped(x, n, 1) and _shaped(y, n, 1)):
-        raise ShapeError(f"expected coordinate vectors of length {n}")
-    return bilinear(L.bracket, [as_scalar(c) for c in x],
-                    [as_scalar(c) for c in y])
+    return L._elements(x, y)
 
 
 def make_superalgebra(dim: int, degree, bracket,
@@ -134,7 +114,7 @@ def even_center(L: LieSuperalgebra):
     basis vectors; an exact nullspace over the scalar field.
     """
     _check_operand(L, LieSuperalgebra)
-    even = L.even_indices()
+    even = [i for i in range(L.dim) if L.degree[i] == 0]
     # rows: one equation per (probe basis vector j, output coordinate k)
     rows = [[L.bracket[i][j][k] for i in even]
             for j in range(L.dim) for k in range(L.dim)]

@@ -60,9 +60,11 @@ class InputError(ValueError, YbxError):
 
 
 def _check_operand(value, *classes) -> None:
-    """Refuse a value of none of the given classes, before code that
+    """Refuse a value of none of the given classes, or a str unless str is
+    one of them (a str is one scalar, never a Sequence), before code that
     expects one fails on it with an error that is no YbxError."""
-    if not isinstance(value, classes):
+    if not isinstance(value, classes) or (
+            isinstance(value, str) and str not in classes):
         names = " or ".join(cls.__name__ for cls in classes)
         raise InputError(f"expected {names}, not {type(value).__name__}")
 
@@ -75,9 +77,10 @@ def _check_dim(dim, error=InputError) -> None:
 
 
 def _shaped(value, n: int, depth: int) -> bool:
-    """Whether value nests Sequences of length n, depth deep."""
-    return isinstance(value, Sequence) and len(value) == n and (
-        depth == 1 or all(_shaped(v, n, depth - 1) for v in value))
+    """Whether value nests Sequences of length n, depth deep, none a str."""
+    return isinstance(value, Sequence) and not isinstance(value, str) and (
+        len(value) == n and (
+            depth == 1 or all(_shaped(v, n, depth - 1) for v in value)))
 
 
 class FrozenRecord:
@@ -637,33 +640,24 @@ ONE = const(1)
 # unary  := ('-' | '+') unary | power
 # power  := atom (('^' | '**') '-'? INT)?
 # atom   := INT | NAME | '(' expr ')'
-# INT and NAME are ASCII: \d would also match the digits of other scripts
+# INT and NAME are ASCII: \d would also match the digits of other scripts.
+# Any other non-blank character is a bad token; a blank tail matches nothing.
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ScalarParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r} in {text!r}"
-                )
-            break
-        if m.group("int") is not None:
-            out.append(("int", bounded_int(m.group("int"))))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ScalarParseError(
+                f"unexpected character {m[kind]!r} in {text!r}")
+        out.append((kind, bounded_int(m[kind]) if kind == "int" else m[kind]))
     return out
 
 

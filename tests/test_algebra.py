@@ -129,6 +129,20 @@ class TestMakeAlgebra:
         else:
             raise AssertionError("short unit accepted")
 
+    # a str is one scalar, never a vector: as a unit, as labels, as a table
+    # row or as an operand it is a wrong shape, not a run of characters
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_algebra(1, [[["1"]]], "1"), "unit vector must have"),
+        (lambda: make_algebra(1, [[["1"]]], ["1"], "a"), "labels must have"),
+        (lambda: make_algebra(2, [["10", "01"], ["01", "00"]], [1, 0]),
+         "structure table must be 2x2x2"),
+        (lambda: mul_elements(load_algebra(fixture_path("quadratic.json")),
+                              "10", "01"), "coordinate vectors of length 2"),
+    ])
+    def test_a_str_is_no_vector(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
     def test_dim_and_labels_refused(self):
         with pytest.raises(ShapeError, match="dim must be >= 1"):
             make_algebra(0, [], [])

@@ -920,6 +920,10 @@ def test_library_boundary_named(call):
     (super_phi_inverse, (None, 0, 1)),
     (super_phi, (symbolic_quadratic(), (ONE, ZERO), 1)),
     (super_phi, (_GL11, None, 1)),
+    # a str is one scalar, not the coordinates of z
+    (super_phi, (load_superalgebra(fixture_path("heisenberg-super.json")),
+                 "001", 1)),
+    (super_phi_inverse, (_GL11, "1100", 1)),
 ])
 def test_hostile_operands_named(build, args):
     with pytest.raises(scalars.InputError):

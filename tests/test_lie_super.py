@@ -153,6 +153,20 @@ class TestMakeSuperalgebra:
         else:
             raise AssertionError("ragged table accepted")
 
+    # a str is one scalar, never a vector
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_superalgebra(1, "0", [[[0]]]), "degree must list"),
+        (lambda: make_superalgebra(1, [0], [[[0]]], "a"), "labels must have"),
+        (lambda: make_superalgebra(2, [0, 0], [["00", "00"], ["00", "00"]]),
+         "bracket table must be 2x2x2"),
+        (lambda: bracket_elements(load_superalgebra(
+            fixture_path("heisenberg-super.json")), "100", "010"),
+         "coordinate vectors of length 3"),
+    ])
+    def test_a_str_is_no_vector(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
 
 class TestBracketElements:
     def test_wrong_length_refused(self):
@@ -268,6 +282,33 @@ class TestSerialization:
             pass
         else:
             raise AssertionError("missing degree accepted")
+
+
+# the text and witness of the three axiom errors, and the key order of both
+# kinds of structure file
+@pytest.mark.parametrize("make, expected", [
+    (lambda: GradingError((1, 2, 3)),
+     ("[e1, e2] has a component on e3 of the wrong parity", (1, 2, 3))),
+    (lambda: AntisymmetryError((0, 4)),
+     ("[e0, e4] != -(-1)^(|e0||e4|) [e4, e0]", (0, 4))),
+    (lambda: JacobiError((5, 6, 7)),
+     ("graded Jacobi identity fails on the basis triple (e5, e6, e7)",
+      (5, 6, 7))),
+    (lambda: load_algebra(fixture_path("sigma.json")),
+     '{"dim": 2, "unit": ["1", "0"], "labels": ["1", "x"], "structure": '
+     '[[["1", "0"], ["0", "1"]], [["0", "1"], ["sigma", "0"]]]}'),
+    (lambda: load_superalgebra(fixture_path("heisenberg-super.json")),
+     '{"dim": 3, "degree": [1, 1, 0], "labels": ["x", "y", "z"], '
+     '"structure": [[["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]], '
+     '[["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]], '
+     '[["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]}'),
+])
+def test_error_and_record_text(make, expected):
+    value = make()
+    if isinstance(value, SuperalgebraError):
+        assert (str(value), value.witness) == expected
+    else:
+        assert json.dumps(value.to_json_obj()) == expected
 
 
 class TestRecords:

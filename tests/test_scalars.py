@@ -16,7 +16,7 @@ from ybx.scalars import (IncompleteAssignmentError, InputError,
                          MalformedScalarError, ONE, ParamScalar, PoleError,
                          ScalarParseError, ZERO, as_scalar, const,
                          fresh_name, parse_scalar, var)
-from ybx.scalars import Poly, clear_row, poly_gcd
+from ybx.scalars import Poly, _tokenize, clear_row, poly_gcd
 
 p, q, u, v, w = (var(nm) for nm in "pquvw")
 x, y = var("x"), var("y")
@@ -142,6 +142,7 @@ class TestParseFormat:
         assert parse_scalar("- x") == -x
         assert parse_scalar("1/2") == const(Fraction(1, 2))
         assert parse_scalar("x ") == x
+        assert parse_scalar("\t\n x*y\n\t") == x * y
         # binary operators fold left to right
         assert parse_scalar("8/4/2") == ONE
         assert parse_scalar("1-2-3") == const(-4)
@@ -164,7 +165,11 @@ class TestParseFormat:
         # integers are ASCII digits; \d would read these as 3, 1 and 23
         ("\u0663", "unexpected character '\u0663' in '\u0663'"),
         ("\uff11", "unexpected character '\uff11' in '\uff11'"),
-        ("2\u0663", "unexpected character '\u0663' in '2\u0663'")])
+        ("2\u0663", "unexpected character '\u0663' in '2\u0663'"),
+        (" \t\n ", "empty scalar expression"),
+        ("$x", "unexpected character '$' in '$x'"),
+        ("x + 1 ,", "unexpected character ',' in 'x + 1 ,'"),
+        ("\t(x\n", "expected ')' in '\\t(x\\n'")])
     def test_parse_errors(self, bad, message):
         with pytest.raises(ScalarParseError) as info:
             parse_scalar(bad)
@@ -180,6 +185,28 @@ class TestParseFormat:
             parse_scalar("".join(tokens))
         except (ScalarParseError, MalformedScalarError):
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 10 ** 30)),
+        st.tuples(st.just("name"),
+                  st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,4}", fullmatch=True)),
+        st.tuples(st.just("op"),
+                  st.sampled_from(["**", "+", "-", "*", "/", "^", "(", ")"]))),
+        st.text(" \t\n\r\f\v", min_size=1, max_size=3)), max_size=12),
+        st.data())
+    def test_tokens_read_back_until_the_first_stray_character(self, tokens,
+                                                              data):
+        text = "".join(f"{val}{blank}" for (_, val), blank in tokens)
+        assert _tokenize(text) == [token for token, _ in tokens]
+        stray = "$.,\u00e9\u0663\uff11"
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(stray)) + text[at:]
+        first = next(c for c in text if c in stray)
+        with pytest.raises(ScalarParseError) as info:
+            _tokenize(text)
+        assert str(info.value) == f"unexpected character {first!r} in {text!r}"
 
     def test_deep_callers_parse_nested_input(self, near_recursion_limit):
         text = "(" * 100 + "x" + ")" * 100

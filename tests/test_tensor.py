@@ -1573,6 +1573,11 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
     lambda: Operator2.from_columns(2, [[(-1, ONE)], [(-4, var("x"))]]),
     lambda: Operator2.from_columns(2, [[(4, ONE)]]),
     lambda: Operator2.from_columns(1, [[(-1, ZERO)]]),
+    # a str is one scalar, never a row or a matrix
+    lambda: Operator2(2, ["1000", "0100", "0010", "0001"]),
+    lambda: nullspace(["12", "24"]),
+    lambda: nullspace("12"),
+    lambda: nullspace([[1, 2], "24"]),
 ], ids=lambda call: call.__code__.co_firstlineno)
 def test_library_boundary_named(call):
     with pytest.raises(scalars.YbxError):

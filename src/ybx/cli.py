@@ -82,12 +82,13 @@ _FAMILY_FLAGS = ("family", *(
     if any(name in p + s for p, s in _FAMILIES.values())), *_OUTPUT)
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of every verb and target, with the flags of only the
-    command that argv names: its first token that is a verb, then its
-    first token after that which is a target of the verb. argparse
-    dispatches on the first positional token, and one that names no
-    command is an error of the parser above it, so every command that
+def build_parser(argv):
+    """(parser, argv joined): the parser of every verb and target, with the
+    flags of only the command that argv names, its first token that is a
+    verb, then its first token after that which is a target of the verb,
+    and argv with that command's scalar values joined (``_join_values``).
+    argparse dispatches on the first positional token, and one that names
+    no command is an error of the parser above it, so every command that
     argparse reaches has its flags, and its usage and help are the same.
     A family command takes every structure and parameter flag, and needs
     no structure file until its family is known."""
@@ -136,23 +137,22 @@ def build_parser(argv) -> argparse.ArgumentParser:
                          "constructed operator")] = (_cmd_invert, "family",
                                                      _FAMILY_FLAGS)
 
-    named = parser
-    for token in argv:
-        named = _subparser(named, token)
+    # each parser -> its verbs or targets, by name
+    children = {parser: top.choices, check: which.choices,
+                export: what.choices, validate: vwhat.choices}
+    named, last = parser, 0
+    for i, token in enumerate(argv, 1):
+        if token in children.get(named, ()):
+            named, last = children[named][token], i
     if named in flags:
         handler, required, names = flags[named]
         named.set_defaults(handler=handler)
         for name in names:
             named.add_argument(_option(name), required=name == required,
                                **_FLAGS[name])
-    return parser
-
-
-def _subparser(parser, token):
-    """The parser of the verb or target that token names under parser, or
-    parser itself if it names none."""
-    return next((a.choices for a in parser._actions if isinstance(
-        a, argparse._SubParsersAction)), {}).get(token, parser)
+        argv = _join_values({"-h", "--help", *map(_option, names)}, argv,
+                            last)
+    return parser, argv
 
 
 def _load(args, kind: str):
@@ -402,30 +402,29 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _join_values(parser, argv):
-    """argv with each scalar flag joined by "=" to a following value that
-    starts with a single "-", such as -3/2 or -a, which argparse would
-    otherwise read as an option. As in argparse, a flag may also be named
-    by a prefix of exactly one long option of its command."""
-    out = []
-    for token in argv:
-        flags = {s for a in parser._actions for s in a.option_strings}
-        last = out[-1] if out else ""
-        named = {last} & flags or {s for s in flags if s.startswith(last)}
+def _join_values(options, argv, start):
+    """argv with each scalar flag after argv[start - 1] joined by "=" to a
+    following value that starts with a single "-", such as -3/2 or -a,
+    which argparse would otherwise read as an option. options are the
+    command's option strings; as in argparse, a flag may also be named by
+    a prefix of exactly one long option among them."""
+    out = argv[:start]
+    for token in argv[start:]:
+        named = {out[-1]} & options or {
+            s for s in options if s.startswith(out[-1])}
         if (len(named) == 1 and named <= _SCALAR_FLAGS
                 and token.startswith("-") and not token.startswith("--")):
             out[-1] += "=" + token
         else:
             out.append(token)
-            parser = _subparser(parser, token)
     return out
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser(argv)
-        args = parser.parse_args(_join_values(parser, argv))
+        parser, argv = build_parser(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact results print in full; inputs are bounded (scalars.bounded_int)

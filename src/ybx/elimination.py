@@ -2,17 +2,18 @@
 
 The package registers this module to load on first use, and
 ``tensor.determinant``, ``tensor.invert`` and ``tensor.nullspace`` call
-into it, so a process that runs no elimination never compiles it. Each
-matrix is cleared row by row: each row of ParamScalars times the lcm of
-its denominators, a row of polynomials with integer coefficients, whose
+into it, so a process that runs no elimination never compiles it. An
+operator of constants is cleared from its ``int_form``, and any other
+matrix row by row: each row of ParamScalars times the lcm of its
+denominators, a row of polynomials with integer coefficients, whose
 monomials one ``kernel._Packing`` packs into ints for the length of the
 call. ``determinant`` and ``invert`` permute the cleared matrix by its
 zero pattern to block triangular form (``_block_order``) and eliminate it
 block by block with Bareiss's fraction-free steps; up to sign and the row
 scales, the determinant is the product of the blocks' last pivots.
-``_back_substitution`` solves for D times the unknowns, and
-``_over`` reduces each of them over the factor base of D. The closed-form
-inverse ``constructors.colored_inverse`` divides its entries the same way
+``_back_substitution`` solves for D times the unknowns, and ``_over``
+reduces each of them over the factor base of D. The closed-form inverse
+``constructors.colored_inverse`` divides its entries the same way
 (``_quotients``).
 
 ``factor_base`` splits a product of pivots into factors certified
@@ -209,12 +210,13 @@ def _square(op: _Operator, augment: bool):
     ``_block_order``, so echelon column u < size is column cols[u]. D, the
     product of the blocks' last pivots, over the row scales is the
     determinant up to the signs of the permutations and swaps. An operator
-    born with its integer form (d, cleared) is cleared from it, with every
-    row scale d, so its rows are never built."""
+    whose ``int_form`` (d, cleared) is not None, whatever built it, is
+    cleared from it, each row scale d: a born one's rows are never built."""
     _check_operand(op, Operator2, Operator3)
     size = op.size
-    if op._form:
-        d, form = op._form
+    form = op.int_form
+    if form is not None:
+        d, form = form
         M = [[_P_ZERO] * size for _ in form]
         for row, pairs in zip(M, form):
             for c, e in pairs:

@@ -40,6 +40,7 @@ length of one call; packing per operation in ``Poly.__mul__`` or
 
 from __future__ import annotations
 
+import copyreg
 import math
 import operator
 import re
@@ -52,6 +53,12 @@ ScalarLike = Union["ParamScalar", int, "Fraction", str]
 
 class YbxError(Exception):
     """Base of every error that ybx raises for bad input or a failed axiom."""
+
+    def __reduce__(self):
+        # rebuilt without __init__, whose arguments (a witness, ...) are not
+        # args, so that pickle and copy keep the message and every attribute
+        return (copyreg.__newobj__, (type(self),),
+                {**vars(self), "args": self.args})
 
 
 class InputError(ValueError, YbxError):
@@ -175,6 +182,10 @@ class Poly:
     def __init__(self, terms=None):
         # terms maps monomial -> nonzero int coefficient
         self.terms = {} if terms is None else terms
+
+    def __reduce__(self):
+        # protocols 0 and 1 cannot save __slots__ on their own
+        return Poly, (self.terms,)
 
     # -- constructors -------------------------------------------------------
 
@@ -378,6 +389,10 @@ class ParamScalar:
 
     def __setattr__(self, *_):
         raise AttributeError("ParamScalar is immutable")
+
+    def __reduce__(self):
+        # rebuilt as it is, canonical, without the __setattr__ it refuses
+        return _reduced, (self.num, self.den)
 
     # -- basic structure ----------------------------------------------------
 

@@ -164,15 +164,11 @@ def verify_wxz(t: constructors.WxzTriple) -> VerificationReport:
     failing one."""
     _check_operand(t, constructors.WxzTriple)
     t0 = time.perf_counter()
-    conditions = (
-        ("[W,W,W]", (t.W, t.W, t.W)),
-        ("[Z,Z,Z]", (t.Z, t.Z, t.Z)),
-        ("[W,X,X]", (t.W, t.X, t.X)),
-        ("[X,X,Z]", (t.X, t.X, t.Z)),
-    )
     detail = {}
     witness = None
-    for cond, ops in conditions:
+    for letters in ("WWW", "ZZZ", "WXX", "XXZ"):
+        cond = f"[{','.join(letters)}]"
+        ops = [getattr(t, letter) for letter in letters]
         found = entry_witness(tensor.yb_commutator(*ops),
                               extra={"condition": cond})
         detail[cond] = "zero" if found is None else "nonzero"

@@ -115,6 +115,23 @@ class TestCheckConstant:
         assert timeless("--alph", "-3/2") == timeless("--alpha", "-3/2")
         assert timeless("--alph", "3/2")[0] == 0
 
+    def test_values_join_only_after_the_command(self, capsys):
+        # the named command's flags start after its last verb or target
+        # token; before it, "-3" is a positional token, so argparse reads
+        # it as the target
+        code, out, err = run(capsys, "check", "constant", "--algebra",
+                             QUADRATIC, "--beta", "1", "--gamma", "-3",
+                             "--alpha", "-3")
+        assert (code, err) == (0, "")
+        assert "'alpha': '-3'" in out and "case: i" in out
+        code, out, err = run(capsys, "check", "--alpha", "-3", "constant",
+                             "--algebra", QUADRATIC)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ybx check [-h] "
+                              "{constant,colored,wxz,super,split-center} ...\n"
+                              "ybx check: error: argument target: invalid "
+                              "choice: '-3' (choose from ")
+
     def test_ambiguous_prefix_stays_a_usage_error(self):
         code, out, err = run_process(
             "check", "constant", "--algebra", QUADRATIC, "--a", "-3/2")

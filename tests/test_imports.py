@@ -13,7 +13,9 @@ rather than of its module, at the top of ``cli`` or ``verify``, or one
 import of a name from either of the two at module level anywhere in the
 package, would undo that without failing any other test. ``fractions``
 (which imports ``decimal``) is imported only where a Fraction is given or
-returned, so no command on integer input imports it.
+returned, so no command on integer input imports it. An operator's born
+integer form is read only by ``tensor``, and the CLI finds each command in
+its own table rather than in argparse's private attributes.
 """
 
 import ast
@@ -44,6 +46,33 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, sorted(imported - used)
+
+
+def names_read(tree):
+    """(the attribute names, the attribute and bare names) that a module
+    reads."""
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return attrs, attrs | {n.id for n in ast.walk(tree)
+                           if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_each_fact_is_read_from_its_owner(path):
+    # an operator's born integer form is tensor's own slot, which every
+    # other module reaches through ``int_form``; the CLI walks its own
+    # table of verbs and targets, not argparse's private actions
+    attrs, names = names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert path.name == "tensor.py" or "_form" not in attrs
+    assert path.name != "cli.py" or not names & {"_actions",
+                                                 "_SubParsersAction"}
+
+
+def test_the_owner_check_sees_each_read():
+    attrs, names = names_read(ast.parse(
+        "d, form = op._form\nparser._actions\nargparse._SubParsersAction"))
+    assert {"_form", "_actions"} <= attrs and "_SubParsersAction" in names
+    assert "_form" not in names_read(ast.parse("op.int_form, _int_form"))[0]
 
 
 def modules_run_at_import(tree):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from ybx import fixture_path, tensor
+from ybx import elimination, fixture_path, tensor
 from ybx.algebra import Algebra, load_algebra
 from ybx.constructors import (SplitSpace, colored_inverse, colored_operator,
                               dn_inverse, dn_operator, split_center_operator,
@@ -229,6 +229,36 @@ class TestElimination:
         assert not invert(R).invertible
 
 
+    def test_constant_rows_are_cleared_from_their_integer_form(
+            self, monkeypatch):
+        # an operator of constants that carries only rows is cleared from
+        # its int_form as a born one is, never row by row: with the row
+        # clearing refused, each gives the born operators' results
+        A = rational_quadratic()
+        R = born(lambda: colored_operator(A, p, q, u, v))
+        S = born(lambda: dn_operator(A, a, b, g))
+        inv_R, inv_S = invert(R), invert(S)
+        assert inv_R.invertible and inv_S.invertible
+        det_R, det_S = determinant(R), determinant(S)
+        cases = [
+            (Operator2(R.dim, R.rows), det_R, inv_R.operator),
+            (R @ S, det_R * det_S, inv_S.operator @ inv_R.operator),
+            (colored_inverse(A, p, q, u, v), ONE / det_R, R),
+        ]
+
+        def refused(rows):
+            raise AssertionError("cleared row by row")
+
+        monkeypatch.setattr(elimination, "_cleared", refused)
+        with pytest.raises(AssertionError, match="row by row"):
+            determinant(colored_operator(A, var("p"), q, u, v))
+        for op, det, inverse in cases:
+            assert op._form is None and op._rows is not None
+            assert str(determinant(op)) == str(det)
+            res = invert(op)
+            assert res.invertible and str(res.determinant) == str(det)
+            assert res.operator.to_json_obj() == inverse.to_json_obj()
+
     @pytest.mark.parametrize("build", [
         lambda A: dn_operator(A, 2, 3, 2),
         lambda A: dn_operator(A, a, b, g),
@@ -256,6 +286,12 @@ class TestElimination:
         if want.invertible:
             assert (res.operator.to_json_obj()
                     == want.operator.to_json_obj())
+        # both take the integer path, so the Fraction oracle checks it
+        frac_det, inverse, _ = oracles.frac_solve(oracles.frac_matrix(R))
+        assert det == const(frac_det)
+        assert res.invertible == (inverse is not None)
+        if inverse is not None:
+            assert oracles.frac_matrix(res.operator) == inverse
 
 
 class TestLanes:

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: canonical forms, evaluation, parsing, and the
 field/homomorphism properties."""
 
+import copy
 import math
+import pickle
 import random
 import re
 import time
@@ -12,6 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import clear_row_reference, det_permutation_expansion, mono_cmp
+from ybx.algebra import AssociativityError, UnitError
+from ybx.constructors import (FreeIndeterminateError, InvalidCenterError,
+                              InvertibilityLocusError, SupportViolationError)
+from ybx.lie_super import AntisymmetryError, GradingError, JacobiError
 from ybx.scalars import (IncompleteAssignmentError, InputError,
                          MalformedScalarError, ONE, ParamScalar, PoleError,
                          ScalarParseError, ZERO, as_scalar, const,
@@ -135,6 +141,21 @@ class TestParseFormat:
         for s in (x / y, (x + 1) ** 2 / (3 * y), p * u - q * v,
                   const(Fraction(22, 7))):
             assert parse_scalar(str(s)) == s
+
+    # polynomials in up to three names, with coefficients and degrees far
+    # inside the parser's bounds (scalars._MAX_*)
+    MONOS = st.dictionaries(st.sampled_from(("alpha", "m_2", "x")),
+                            st.integers(1, 4), max_size=3).map(
+                                lambda m: tuple(sorted(m.items())))
+    POLYS = st.dictionaries(MONOS, st.integers(-10 ** 12, 10 ** 12).filter(
+        bool), max_size=5).map(Poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, POLYS.filter(bool))
+    def test_canonical_text_reads_back(self, num, den):
+        s = ParamScalar(num, den)
+        assert parse_scalar(str(s)) == s
+        assert str(parse_scalar(str(s))) == str(s)
 
     def test_grammar_variants(self):
         assert parse_scalar("x**2") == x ** 2
@@ -778,3 +799,41 @@ class TestKeptHash:
             assert first == second
             assert hash(first) == hash(second) == hash(first)
             assert {first: 1}[second] == 1 and {second: 2}[first] == 2
+
+
+@given(small_scalars())
+def test_scalars_survive_pickle_and_copy(s):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(s, protocol))
+        assert again == s and str(again) == str(s)
+    assert copy.copy(s) == s and copy.deepcopy(s) == s
+
+
+# every ybx error that keeps more than its message, with the attributes
+# that its raisers give it
+WITNESS_ERRORS = [
+    GradingError((1, 2, 3)),
+    AntisymmetryError((0, 4)),
+    JacobiError((5, 6, 7)),
+    AssociativityError((0, 1, 2), (ONE, x / 2), (ZERO, 1 - y)),
+    UnitError(1, "e*unit", (ONE, x)),
+    IncompleteAssignmentError({"b", "a"}),
+    FreeIndeterminateError({"q", "p"}),
+    InvertibilityLocusError("q*u - p*v"),
+    SupportViolationError("f", (0, 2)),
+    InvalidCenterError("z is not central: [z, e1] != 0", witness=1),
+]
+
+
+@pytest.mark.parametrize("err", WITNESS_ERRORS,
+                         ids=lambda err: type(err).__name__)
+def test_witness_errors_survive_pickle_and_copy(err):
+    # an error is rebuilt from its args and attributes, not by calling
+    # __init__ on its message
+    copies = [pickle.loads(pickle.dumps(err, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert vars(err)
+    for again in copies + [copy.copy(err), copy.deepcopy(err)]:
+        assert type(again) is type(err)
+        assert str(again) == str(err) and again.args == err.args
+        assert vars(again) == vars(err)

@@ -12,8 +12,8 @@ zero pattern to block triangular form (``_block_order``) and eliminate it
 block by block with Bareiss's fraction-free steps; up to sign and the row
 scales, the determinant is the product of the blocks' last pivots.
 ``_back_substitution`` solves for D times the unknowns, and ``_over``
-reduces each of them over the factor base of D. The closed-form inverse
-``constructors.colored_inverse`` divides its entries the same way
+reduces each distinct one once over the factor base of D. The closed-form
+inverse ``constructors.colored_inverse`` divides its entries the same way
 (``_quotients``).
 
 ``factor_base`` splits a product of pivots into factors certified
@@ -32,8 +32,8 @@ from typing import Sequence
 from . import gcd, scalars
 from .kernel import _ONE_TERMS, _Packing, _dot, _neg
 from .scalars import (ONE, ZERO, InputError, ParamScalar, Poly, _P_ONE,
-                      _P_ZERO, _check_operand, _reduced, as_scalar, clear_row,
-                      poly_gcd)
+                      _P_ZERO, _check_operand, _degree, _reduced, as_scalar,
+                      clear_row, poly_gcd)
 from .tensor import InverseResult, Operator2, Operator3, _Operator
 
 
@@ -297,10 +297,6 @@ def factor_base(pivots):
     return c, [(a, m) for a, m in atoms + found], R
 
 
-def _degree(p: Poly) -> int:
-    return max(sum(e for _, e in m) for m in p.terms)
-
-
 def _certified(p: Poly) -> bool:
     """Whether p, primitive and free of monomial content, has degree 1 in
     its first such name v and coprime coefficients in v."""
@@ -424,19 +420,28 @@ def invert(op: _Operator) -> InverseResult:
     solution is polynomial (Cramer's rule). Right-hand side column col is
     one more unknown, the augmented column size + col, fixed at -D, and
     ``_back_substitution`` finds X_i, row cols[i] of the inverse. Each
-    entry is then reduced over the factor base of D, the product of the
-    blocks' last pivots: by trial divisions by its certified factors, and
-    by a gcd only with the rest of D, if any (``_over``)."""
+    distinct X_i, keyed by its packed terms, is then reduced once over the
+    factor base of D, the product of the blocks' last pivots: by trial
+    divisions by its certified factors, and by a gcd only with the rest of
+    D, if any (``_over``), as ``_quotients`` divides each distinct entry
+    once."""
     solved = _square(op, True)
     if solved is None:
         return InverseResult(False, None, ZERO)
     size = op.size
     M, cols, D, pivots, packing, det = solved
-    over = _over(packing, pivots)
+    over, quotients = _over(packing, pivots), {}
+
+    def once(x):
+        key = frozenset(x.items())
+        if key not in quotients:
+            quotients[key] = over(x)
+        return quotients[key]
+
     minus_D = _neg(D)
     solved = _back_substitution(M, range(size), [
         {size + col: minus_D} for col in range(size)], packing.guard)
-    columns = [[(cols[i], over(X[i])) for i in range(size) if i in X]
+    columns = [[(cols[i], once(X[i])) for i in range(size) if i in X]
                for X in solved]
     return InverseResult(True, type(op).from_columns(op.dim, columns), det)
 

@@ -8,11 +8,15 @@ times the lcm of its denominators in integer-coefficient polynomials; the
 elimination, in ``elimination``, runs on the polynomials of each row times
 the lcm of its denominators. Polynomials have each monomial packed into
 one int (``_Packing``), once per product or elimination, so that a product
-of monomials is an int addition. A round trip is compared with d times the
-identity, d the product of the two operators' denominators, so every zero
-test below is exact and no entry is canonicalised until it leaves the
-kernel; an axiom canonicalises only the two sides of its first failing
-triple.
+of monomials is an int addition. A row is pushed through a product's
+factors one step each (``_apply``, ``_apply_packed``), and a step adds
+every product into its output column as it forms it; the packed lane drops
+the terms and columns that cancel once, at the end of the step, and the
+int lane leaves its zeros to its callers. A round trip is compared with d
+times the identity, d the product of the two operators' denominators, so
+every zero test below is exact and no entry is canonicalised until it
+leaves the kernel; an axiom canonicalises only the two sides of its first
+failing triple.
 
 Structure validation runs this module and not the operator layer
 (``tensor``), which builds its products on it.
@@ -21,7 +25,6 @@ Structure validation runs this module and not the operator layer
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from itertools import chain, product
 from operator import itemgetter
 
@@ -122,15 +125,25 @@ def _apply(actions, x: int) -> dict:
 
 
 def _apply_packed(actions, x: int) -> dict:
-    """As _apply, on packed polynomials: each entry of a step is one _dot
-    of the products that land on its column."""
+    """As _apply, on packed polynomials. A step adds each product into its
+    column's terms as it forms it, and drops the terms and the columns
+    that cancel to 0 once, at the end of the step; columns and terms keep
+    the order in which they first appear."""
     vec = actions[0][x]
     for action in actions[1:]:
-        pairs = defaultdict(list)
+        out = {}
         for x, s in vec:
             for y, e in action[x]:
-                pairs[y].append((s, e))
-        vec = [(y, p) for y, terms in pairs.items() if (p := _dot(terms))]
+                acc = out.get(y)
+                if acc is None:
+                    acc = out[y] = {}
+                get = acc.get
+                for k1, c1 in s.items():
+                    for k2, c2 in e.items():
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+        vec = [(y, p) for y, acc in out.items()
+               if (p := {k: c for k, c in acc.items() if c})]
     return dict(vec)
 
 

@@ -101,8 +101,23 @@ class FrozenRecord:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _make(cls, *values):
+        """The record with the given slot values, taken as they are,
+        without the subclass's __init__ and its checks."""
+        record = object.__new__(cls)
+        FrozenRecord.__init__(record, *values)
+        return record
+
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its slots as they are, so that pickle (whose
+        # protocols 0 and 1 cannot save __slots__ on their own) and copy
+        # never call the __setattr__ it refuses
+        return self._make, tuple(getattr(self, name)
+                                 for name in self.__slots__)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self._key)
@@ -355,6 +370,11 @@ _P_ZERO = Poly()
 _P_ONE = Poly.const(1)
 
 
+def _degree(p: Poly) -> int:
+    """The total degree of a nonzero Poly."""
+    return max(sum(e for _, e in m) for m in p.terms)
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Full gcd over the integers (content times primitive part), with a
     positive graded-lex leading coefficient (``gcd.poly_gcd``)."""
@@ -413,7 +433,7 @@ class ParamScalar:
     def __add__(self, other: ScalarLike) -> "ParamScalar":
         other = as_scalar(other)
         if self.den == _P_ONE and other.den == _P_ONE:
-            return ParamScalar(self.num + other.num)
+            return _reduced(self.num + other.num, _P_ONE)
         # Henrici's sum of canonical quotients (Knuth, TAOCP 4.5.1): with
         # g = gcd of the denominators, only a factor of g can cancel
         g = poly_gcd(self.den, other.den)
@@ -445,7 +465,7 @@ class ParamScalar:
         if self.num.is_zero or other.num.is_zero:
             return ZERO
         if self.den == _P_ONE and other.den == _P_ONE:
-            return ParamScalar(self.num * other.num)
+            return _reduced(self.num * other.num, _P_ONE)
         # canonical inputs: after cross-cancelling nothing else can cancel
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
@@ -613,14 +633,21 @@ def rational(n: int, d: int) -> ParamScalar:
 def clear_row(row):
     """(s, [e*s as a Poly for e in row]) for s the lcm of the denominators
     of the ParamScalars in row. The distinct denominators other than 1 are
-    folded into s once each, in row order, and each one's cofactor s/d is
-    formed once; no gcd runs unless two distinct denominators are not 1."""
+    folded into s once each, highest total degree first (row order among
+    equals), and each one's cofactor s/d is formed once. A denominator is
+    first tried by one exact division of s so far, so one that divides it
+    costs no gcd; a product of denominators comes before its factors. The
+    lcm is unique, with a positive leading coefficient and content the lcm
+    of the contents, so the order changes no result."""
     cofactors = dict.fromkeys(e.den for e in row)
     cofactors.pop(_P_ONE, None)
-    dens = iter(cofactors)
+    dens = iter(sorted(cofactors, key=_degree, reverse=True))
     scale = next(dens, _P_ONE)
     for d in dens:
-        scale = scale * d.divexact(poly_gcd(scale, d))
+        try:
+            scale.divexact(d)
+        except ArithmeticError:
+            scale = scale * d.divexact(poly_gcd(scale, d))
     if scale == _P_ONE:
         return scale, [e.num for e in row]
     for d in cofactors:
@@ -716,8 +743,7 @@ def _check_power(base: ParamScalar, e: int, text: str) -> None:
         t = len(p.terms)
         if not t:
             continue
-        degree = max(sum(k for _, k in m) for m in p.terms)
-        if e * degree > _MAX_POWER_DEGREE:
+        if e * _degree(p) > _MAX_POWER_DEGREE:
             bound = f"total degree above {_MAX_POWER_DEGREE}"
         elif e * _bits(p) > _MAX_POWER_BITS:
             bound = f"coefficients longer than {_MAX_POWER_BITS} bits"

@@ -44,7 +44,9 @@ class _Operator(FrozenRecord):
     output, ``evaluate`` and ``substitute`` read, is then built on first
     read and kept. Every other operator holds only its rows, and
     ``int_form`` computes its form from them each time it is asked: no
-    operator keeps a computed form."""
+    operator keeps a computed form. ``_make(dim, rows, form)`` takes both
+    as they are: rows None is built from the form on first read, and form
+    None means the operator has no born form."""
 
     __slots__ = ("dim", "_rows", "_form")
     _key = ("dim", "rows")
@@ -57,15 +59,6 @@ class _Operator(FrozenRecord):
             raise InputError(f"expected a {size}x{size} matrix for dim {dim}")
         super().__init__(
             dim, tuple(tuple(as_scalar(e) for e in r) for r in rows), None)
-
-    @classmethod
-    def _make(cls, dim: int, rows, form):
-        """The operator with the given rows and born integer form, taken as
-        they are: rows None is built from the form on first read, and form
-        None means the operator has no born form."""
-        op = object.__new__(cls)
-        FrozenRecord.__init__(op, dim, rows, form)
-        return op
 
     @property
     def size(self) -> int:

@@ -657,8 +657,13 @@ class TestKernelOracles:
 
 
 class TestClearRow:
-    """clear_row folds each distinct denominator into the lcm once and
-    forms its cofactor once, and agrees with the loop it replaced."""
+    """clear_row folds each distinct denominator into the lcm once,
+    highest degree first, pays a gcd only for one that does not divide the
+    lcm so far, forms each cofactor once, and agrees with the loop it
+    replaced."""
+
+    POOL = [ONE, const(2), const(-3), x + 2, x - y, (x + 2) ** 2,
+            (x + 2) * (x - y), 3 * x * y + 1, 6 * x - 4]
 
     @staticmethod
     def rows():
@@ -686,10 +691,11 @@ class TestClearRow:
             assert scale == want_scale and polys == want, row
             assert all(ParamScalar(p, scale) == e for p, e in zip(polys, row))
 
-    def test_one_gcd_per_distinct_denominator(self, monkeypatch):
+    @staticmethod
+    def gcd_calls(monkeypatch, row):
+        """(the second operand of each top-level poly_gcd call that
+        clear_row(row) makes, its scale)."""
         from ybx import scalars
-        d, e = parse_scalar("x + 2"), parse_scalar("x - y")
-        row = [1 / d, x / d, 1 / e, y / d, ONE, 2 / e, x / (d * e)] * 3
         calls, depth = [], []
         gcd = scalars.poly_gcd
 
@@ -703,11 +709,43 @@ class TestClearRow:
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(scalars, "poly_gcd", counted)
-        scale, _ = clear_row(row)
-        # d starts the lcm; e and d*e are folded in once each
-        assert calls == [e.num, (d * e).num]
-        assert scale == (d * e).num
+        with monkeypatch.context() as patch:
+            patch.setattr(scalars, "poly_gcd", counted)
+            scale, _ = clear_row(row)
+        return calls, scale
+
+    def test_one_gcd_per_distinct_denominator(self, monkeypatch):
+        # at most one gcd per distinct denominator, and none for one that
+        # divides the lcm folded so far
+        d, e = parse_scalar("x + 2"), parse_scalar("x - y")
+        # d*e, of the highest degree, starts the lcm, and d and e each
+        # divide it: no gcd at all
+        row = [1 / d, x / d, 1 / e, y / d, ONE, 2 / e, x / (d * e)] * 3
+        assert self.gcd_calls(monkeypatch, row) == ([], (d * e).num)
+        # d starts it, e does not divide d and is folded in by one gcd, and
+        # e, met again, is not folded again
+        row = [1 / d, x / e, y / d, 2 / e, ONE] * 3
+        assert self.gcd_calls(monkeypatch, row) == ([e.num], (d * e).num)
+        # d^2 comes first whatever the row order, and d then divides it
+        row = [1 / d, x / e, 1 / d ** 2] * 2
+        assert self.gcd_calls(monkeypatch, row) == (
+            [e.num], (d * d * e).num)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_rows_clear_as_the_reference(self, rng):
+        # the lcm is unique (positive leading coefficient, content the lcm
+        # of the contents), so no order of folding changes the scale or
+        # the cleared polynomials
+        row = [rng.choice([ONE, x, y - 1, 2 * x * y])
+               / (rng.choice(self.POOL) * rng.choice(self.POOL))
+               for _ in range(rng.randint(1, 8))]
+        want_scale, want = clear_row_reference(row)
+        for _ in range(3):
+            order = rng.sample(range(len(row)), len(row))
+            scale, polys = clear_row([row[i] for i in order])
+            assert scale == want_scale, row
+            assert polys == [want[i] for i in order], row
 
 
 # ints of every size the constant path meets, bools among them, and
@@ -837,3 +875,67 @@ def test_witness_errors_survive_pickle_and_copy(err):
         assert type(again) is type(err)
         assert str(again) == str(err) and again.args == err.args
         assert vars(again) == vars(err)
+
+
+def records():
+    """One record of every FrozenRecord class, by name: operators with and
+    without a born integer form, structures with their product table
+    computed, and the records that checks and constructors return."""
+    from ybx import fixture_path
+    from ybx.algebra import load_algebra
+    from ybx.constructors import (SplitSpace, colored_operator, dn_operator,
+                                  wxz_system)
+    from ybx.lie_super import load_superalgebra
+    from ybx.tensor import Operator2, Operator3, embed, invert
+    from ybx.verify import verify_constant
+    A = load_algebra(fixture_path("cubic.json"))
+    A.product_table()
+    L = load_superalgebra(fixture_path("heisenberg-super.json"))
+    L.product_table()
+    R = colored_operator(A, p, q, u, v)
+    return {
+        "Operator2": Operator2.identity(2),
+        "Operator2-born": dn_operator(A, 2, 3, 2),
+        "Operator2-symbolic": R,
+        "Operator3": embed(Operator2.identity(2), 13),
+        "Operator3-identity": Operator3.identity(2),
+        "Algebra": A,
+        "LieSuperalgebra": L,
+        "VerificationReport": verify_constant(dn_operator(A, 1, 0, 0)),
+        "VerificationReport-pass": verify_constant(Operator2.identity(3)),
+        "InverseResult": invert(R),
+        "InverseResult-singular": invert(Operator2.zero(2)),
+        "WxzTriple": wxz_system(A, p, q),
+        "SplitSpace": SplitSpace(3, 1),
+    }
+
+
+RECORDS = records()
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_survive_pickle_and_copy(name):
+    # a record is rebuilt from its slots as they are, without __init__
+    # or the __setattr__ it refuses
+    record = RECORDS[name]
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert type(again) is type(record)
+        assert again == record and record == again
+        if type(record).__hash__ is not None:
+            assert hash(again) == hash(record)
+
+
+def test_a_born_operator_keeps_its_form_and_builds_rows_lazily():
+    from ybx import fixture_path
+    from ybx.algebra import load_algebra
+    from ybx.constructors import dn_operator
+    R = dn_operator(load_algebra(fixture_path("cubic.json")), 2, 3, 2)
+    copies = [pickle.loads(pickle.dumps(R, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(R), copy.deepcopy(R)]
+    assert R._rows is None
+    for again in copies:
+        assert again._rows is None and again.int_form == R.int_form
+        assert again.rows == R.rows

@@ -399,26 +399,6 @@ class TestEliminationOverPolys:
                     assert all(sum(r * y for r, y in zip(row, x)) == 0
                                for row in A)
 
-    def test_circulant_inverses_repeat_their_entries(self):
-        # a circulant's inverse is circulant, so each distinct entry fills a
-        # diagonal, and invert reduces it once; with rows and columns
-        # shuffled, the entries still repeat
-        rng = random.Random(35)
-        nonzero = [e for e in ENTRIES if e != "0"]
-        invertible = 0
-        for k in range(8):
-            c = [parse_scalar(rng.choice(nonzero))] + [
-                parse_scalar(rng.choice(ENTRIES)) for _ in range(3)]
-            rows = [[c[(j - i) % 4] for j in range(4)] for i in range(4)]
-            if k % 2:
-                rows = shuffled(rng, rows)
-            res = self.check_square(rows)
-            if res.invertible:
-                invertible += 1
-                entries = [e for row in res.operator.rows for e in row if e]
-                assert len(set(entries)) <= 4 < len(entries)
-        assert invertible >= 6
-
     def test_denominators_of_one_row_share_a_scale(self):
         # the row's lcm is (a + 1)*a*(b - 2); entries over its factors
         rows = [[parse_scalar(t) for t in row] for row in (
@@ -611,10 +591,7 @@ class TestPackedExponents:
     degrees, and works on those ints until it unpacks the results."""
 
     def recorded(self, monkeypatch):
-        """Record every _Packing that a product or the elimination builds
-        and every product it forms: each _dot, and each entry of each step
-        of the packed kernel's row actions, which sums its products in
-        place."""
+        """Record each _Packing built and each product of _dot or of rows."""
         packings, products = [], []
 
         class Recorded(kernel._Packing):
@@ -629,18 +606,10 @@ class TestPackedExponents:
             products.append(out)
             return out
 
-        apply, minus = kernel._PACKED_KERNEL
-
-        def recorded_apply(actions, x):
-            # step i's output is row x of the product of the first i actions
-            for i in range(2, len(actions) + 1):
-                products.extend(apply(actions[:i], x).values())
-            return apply(actions, x)
-
         for module in (kernel, elimination):
             monkeypatch.setattr(module, "_Packing", Recorded)
             monkeypatch.setattr(module, "_dot", recorded_dot)
-        monkeypatch.setattr(kernel, "_PACKED_KERNEL", (recorded_apply, minus))
+        monkeypatch.setattr(kernel, "_PACKED_KERNEL", _recording(products))
         return packings, products
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -837,25 +806,6 @@ class TestEliminationCounts:
         divisions.clear()
         assert not determinant(R).is_zero
         assert divisions == []
-
-    def test_invert_reduces_each_distinct_entry_once(self, monkeypatch):
-        # the 9x9 colored inverse repeats its entries: each distinct D*x is
-        # reduced by one call of _over's function, and equal entries share
-        # the result
-        R = self.colored()
-        calls = []
-        original = elimination._over
-
-        def counted(packing, pivots):
-            over = original(packing, pivots)
-            return lambda x: (calls.append(x), over(x))[1]
-
-        monkeypatch.setattr(elimination, "_over", counted)
-        res = invert(R)
-        entries = [e for row in res.operator.rows for e in row if e]
-        assert len(calls) == len(set(entries)) < len(entries)
-        assert len({frozenset(x.items()) for x in calls}) == len(calls)
-        assert (R @ res.operator).is_identity()
 
     def test_structurally_singular_is_not_eliminated(self, monkeypatch):
         # a zero row leaves no perfect matching for the zero pattern
@@ -1637,6 +1587,63 @@ def test_library_boundary_named(call):
 def test_a_division_by_zero_is_still_a_zero_division_error():
     with pytest.raises(ZeroDivisionError):
         var("x") / 0
+
+
+def _recording(products):
+    """The packed kernel, with each entry of each step of its row actions,
+    which sum their products in place, appended to products."""
+    apply, minus = kernel._PACKED_KERNEL
+
+    def recorded_apply(actions, x):
+        # step i's output is row x of the product of the first i actions
+        for i in range(2, len(actions) + 1):
+            products.extend(apply(actions[:i], x).values())
+        return apply(actions, x)
+
+    return recorded_apply, minus
+
+
+class TestRepeatedEntries:
+    """An inverse whose entries repeat reduces each distinct entry once."""
+
+    def test_circulant_inverses_repeat_their_entries(self):
+        # a circulant's inverse is circulant, so each distinct entry fills a
+        # diagonal, and invert reduces it once; with rows and columns
+        # shuffled, the entries still repeat
+        rng = random.Random(35)
+        nonzero = [e for e in ENTRIES if e != "0"]
+        invertible = 0
+        for k in range(8):
+            c = [parse_scalar(rng.choice(nonzero))] + [
+                parse_scalar(rng.choice(ENTRIES)) for _ in range(3)]
+            rows = [[c[(j - i) % 4] for j in range(4)] for i in range(4)]
+            if k % 2:
+                rows = shuffled(rng, rows)
+            res = TestEliminationOverPolys().check_square(rows)
+            if res.invertible:
+                invertible += 1
+                entries = [e for row in res.operator.rows for e in row if e]
+                assert len(set(entries)) <= 4 < len(entries)
+        assert invertible >= 6
+
+    def test_invert_reduces_each_distinct_entry_once(self, monkeypatch):
+        # the 9x9 colored inverse repeats its entries: each distinct D*x is
+        # reduced by one call of _over's function, and equal entries share
+        # the result
+        R = TestEliminationCounts.colored()
+        calls = []
+        original = elimination._over
+
+        def counted(packing, pivots):
+            over = original(packing, pivots)
+            return lambda x: (calls.append(x), over(x))[1]
+
+        monkeypatch.setattr(elimination, "_over", counted)
+        res = invert(R)
+        entries = [e for row in res.operator.rows for e in row if e]
+        assert len(calls) == len(set(entries)) < len(entries)
+        assert len({frozenset(x.items()) for x in calls}) == len(calls)
+        assert (R @ res.operator).is_identity()
 
 
 # Polys over a few names with small exponents, so that rows share monomials

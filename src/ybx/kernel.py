@@ -112,8 +112,8 @@ def _apply(actions, x: int) -> dict:
     nonzero (column, entry) pairs of each row, adding on a repeated column):
     row x of their product, as a sparse {column: entry} map. The int lane;
     an entry that cancels to 0 is carried along and may be returned, so
-    its callers drop zeros only where they matter: ``_defect_rows`` from
-    the difference of two rows, ``_from_rows`` from a product's rows."""
+    its callers drop zeros only where they matter: the scans from the
+    difference of two rows, ``_from_rows`` from a product's rows."""
     vec = actions[0][x]
     for action in actions[1:]:
         out = {}
@@ -178,6 +178,27 @@ def _defect_rows(size: int, lhs, rhs, kernel):
     equal as they come, and pay one dict comparison."""
     apply, minus = kernel
     for y in range(size):
+        left, right = apply(lhs, y), apply(rhs, y)
+        if left != right and (row := minus(left, right)):
+            yield y, row
+
+
+def _shared_rows(size: int, a, mid, b, kernel):
+    """_defect_rows of a M against M b, for M the product of the row
+    actions mid. Each row of M is formed by the lane's apply when the scan
+    first reads it, and kept, as the items of that row, in a list that
+    lives as long as the scan: a scan that stops at its witness forms only
+    the rows of M that the rows up to it read, and each scan starts with
+    none."""
+    apply, minus = kernel
+    m = [None] * size
+    lhs, rhs = [a, m], [m, b]
+    for y in range(size):
+        if m[y] is None:
+            m[y] = apply(mid, y).items()
+        for x, _ in a[y]:
+            if m[x] is None:
+                m[x] = apply(mid, x).items()
         left, right = apply(lhs, y), apply(rhs, y)
         if left != right and (row := minus(left, right)):
             yield y, row

@@ -23,7 +23,8 @@ import operator
 from typing import Sequence
 
 from . import elimination
-from .kernel import _defect_rows, _int_form, _int_lane, _packed_lane
+from .kernel import (_defect_rows, _int_form, _int_lane, _packed_lane,
+                     _shared_rows)
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, _shaped,
                       as_scalar, const, rational)
@@ -271,20 +272,28 @@ def _leg_action(rows, n: int, legs: int):
 
     Row (a*n + b) of R, moved onto the legs, and the spectator's shift
     c*sc give the embedding's row a*sa + b*sb + c*sc; each leg pair lists
-    these in index order, so no row index is computed."""
+    these in index order, so no row index is computed. The rows are not
+    copied where they need no change: legs 23 move no index, and shift 0
+    moves no row, so the result may hold the given row lists themselves,
+    and neither it nor they may be mutated."""
     if legs not in (12, 23, 13):    # a tuple: unhashable legs are refused
         raise InputError("legs must be one of 12, 23, 13")
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
     index = [r // n * sa + r % n * sb for r in range(n * n)]
-    moved = [[(index[c], e) for c, e in row] for row in rows]
+    # legs 23 move each column r to r, so R's rows serve as they are
+    moved = rows if legs == 23 else [[(index[c], e) for c, e in row]
+                                     for row in rows]
     shifts = range(0, n * sc, sc)
     if legs == 12:      # row (a*n + b)*n + c
-        return [[(y + s, e) for y, e in m] for m in moved for s in shifts]
+        return [[(y + s, e) for y, e in m] if s else m
+                for m in moved for s in shifts]
     if legs == 23:      # row c*n^2 + (a*n + b)
-        return [[(y + s, e) for y, e in m] for s in shifts for m in moved]
+        return [[(y + s, e) for y, e in m] if s else m
+                for s in shifts for m in moved]
     # legs 13: row a*n^2 + c*n + b
-    return [[(y + s, e) for y, e in m] for a in range(0, n * n, n)
-            for s in shifts for m in moved[a:a + n]]
+    return [[(y + s, e) for y, e in m] if s else m
+            for a in range(0, n * n, n) for s in shifts
+            for m in moved[a:a + n]]
 
 
 def embed(R: Operator2, legs: int) -> Operator3:
@@ -359,14 +368,23 @@ class Defect:
 def _defect(ops, legs, lhs, rhs) -> Defect:
     """ops[i] on the leg pair legs[i]; lhs and rhs index the three factors
     of each product, leftmost first. The kernel runs on the cleared
-    operators, so its entries are over the product of the d of one side."""
+    operators, so its entries are over the product of the d of one side.
+    When the last two factors of lhs are the first two of rhs, as in the
+    braid equation, both sides read their product M, and the scan forms
+    each row of M once, when it first reads it (``_shared_rows``)."""
     for op in ops:
         _check_operand(op, Operator2)
     n = ops[0].dim
     if any(op.dim != n for op in ops):
-        raise DimensionMismatch("yb_commutator needs equal dims")
+        raise DimensionMismatch("the defect's operands need equal dims, got "
+                                + ", ".join(str(op.dim) for op in ops))
     rows, kernel, _, scalar = _clear(ops, lhs)
     actions = [_leg_action(r, n, leg) for r, leg in zip(rows, legs)]
+    if lhs[1:] == rhs[:-1]:
+        a, b = actions[lhs[0]], actions[rhs[-1]]
+        mid = [actions[i] for i in lhs[1:]]
+        return Defect(Operator3, n,
+                      lambda: _shared_rows(n ** 3, a, mid, b, kernel), scalar)
     lhs = [actions[i] for i in lhs]
     rhs = [actions[i] for i in rhs]
     return Defect(Operator3, n,

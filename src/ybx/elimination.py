@@ -319,9 +319,10 @@ def _over(packing, pivots):
     highest first, one trial division each, and the first that divides
     says how much of a cancels. A gcd runs only on what is left of R when
     that is not 1, and the integer gcd of x's coefficients with c and the
-    sign of c finish x/D."""
+    sign of c finish x/D. Each distinct x, keyed by its packed terms, is
+    reduced once, and equal x share the result."""
     c, atoms, R = factor_base([packing.unpack(p) for p in pivots])
-    guard, dens = packing.guard, {}
+    guard, dens, quotients = packing.guard, {}, {}
     powers = [list(accumulate([packing.pack(a)] * m,
                               lambda x, y: _dot([(x, y)])))[::-1]
               for a, m in atoms]
@@ -329,6 +330,9 @@ def _over(packing, pivots):
     def over(x) -> ParamScalar:
         if not x:
             return ZERO
+        terms = frozenset(x.items())
+        if terms in quotients:
+            return quotients[terms]
         exps = []
         for (_, m), down in zip(atoms, powers):
             # down[i] is a**(m - i), so i of a is left in the denominator
@@ -356,7 +360,8 @@ def _over(packing, pivots):
             den = dens[key] = reduce(
                 Poly.__mul__, (a ** e for (a, _), e in zip(atoms, exps) if e),
                 r).scale(abs(c) // k)
-        return _reduced(num, den)
+        quotients[terms] = q = _reduced(num, den)
+        return q
 
     return over
 
@@ -420,28 +425,19 @@ def invert(op: _Operator) -> InverseResult:
     solution is polynomial (Cramer's rule). Right-hand side column col is
     one more unknown, the augmented column size + col, fixed at -D, and
     ``_back_substitution`` finds X_i, row cols[i] of the inverse. Each
-    distinct X_i, keyed by its packed terms, is then reduced once over the
-    factor base of D, the product of the blocks' last pivots: by trial
-    divisions by its certified factors, and by a gcd only with the rest of
-    D, if any (``_over``), as ``_quotients`` divides each distinct entry
-    once."""
+    distinct X_i is then reduced once over the factor base of D, the
+    product of the blocks' last pivots: by trial divisions by its certified
+    factors, and by a gcd only with the rest of D, if any (``_over``)."""
     solved = _square(op, True)
     if solved is None:
         return InverseResult(False, None, ZERO)
     size = op.size
     M, cols, D, pivots, packing, det = solved
-    over, quotients = _over(packing, pivots), {}
-
-    def once(x):
-        key = frozenset(x.items())
-        if key not in quotients:
-            quotients[key] = over(x)
-        return quotients[key]
-
+    over = _over(packing, pivots)
     minus_D = _neg(D)
     solved = _back_substitution(M, range(size), [
         {size + col: minus_D} for col in range(size)], packing.guard)
-    columns = [[(cols[i], once(X[i])) for i in range(size) if i in X]
+    columns = [[(cols[i], over(X[i])) for i in range(size) if i in X]
                for X in solved]
     return InverseResult(True, type(op).from_columns(op.dim, columns), det)
 

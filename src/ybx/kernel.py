@@ -90,7 +90,7 @@ def _packed_lane(mats, side):
     so that S bounds the degree of d and of every entry the product forms:
     each takes at most one entry from each factor."""
     cleared = {}
-    for m in mats:
+    for m in {id(m): m for m in mats}.values():
         flat = list(chain.from_iterable(m))
         nonzero = [i for i, e in enumerate(flat) if e.num.terms]
         cleared[id(m)] = (m, nonzero, *clear_row([flat[i] for i in nonzero]))

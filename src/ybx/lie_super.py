@@ -73,7 +73,7 @@ def make_superalgebra(dim: int, degree, bracket,
                       labels: Optional[Sequence[str]] = None) -> LieSuperalgebra:
     """Validate and freeze a graded bracket table."""
     bad_degree = not _shaped(degree, dim, 1) or any(
-        d not in (0, 1) for d in degree)
+        type(d) is not int or d not in (0, 1) for d in degree)
     b, deg, labels = freeze_table(
         dim, bracket, degree,
         "degree must list one of 0, 1 per basis vector" if bad_degree

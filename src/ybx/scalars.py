@@ -67,11 +67,13 @@ class InputError(ValueError, YbxError):
 
 
 def _check_operand(value, *classes) -> None:
-    """Refuse a value of none of the given classes, or a str unless str is
-    one of them (a str is one scalar, never a Sequence), before code that
-    expects one fails on it with an error that is no YbxError."""
+    """Refuse a value of none of the given classes, a str unless str is one
+    of them (a str is one scalar, never a Sequence), or a bool unless bool
+    is (a bool is never an int operand), before code that expects one fails
+    on it with an error that is no YbxError."""
     if not isinstance(value, classes) or (
-            isinstance(value, str) and str not in classes):
+            isinstance(value, str) and str not in classes) or (
+            isinstance(value, bool) and bool not in classes):
         names = " or ".join(cls.__name__ for cls in classes)
         raise InputError(f"expected {names}, not {type(value).__name__}")
 

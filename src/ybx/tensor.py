@@ -270,30 +270,25 @@ def _leg_action(rows, n: int, legs: int):
     pairs of each row, and listed the same way. Fed R's columns as (row,
     entry) pairs, it gives the columns of the embedding.
 
-    Row (a*n + b) of R, moved onto the legs, and the spectator's shift
-    c*sc give the embedding's row a*sa + b*sb + c*sc; each leg pair lists
-    these in index order, so no row index is computed. The rows are not
-    copied where they need no change: legs 23 move no index, and shift 0
-    moves no row, so the result may hold the given row lists themselves,
-    and neither it nor they may be mutated."""
-    if legs not in (12, 23, 13):    # a tuple: unhashable legs are refused
+    Row r = a*n + b of R, moved onto the legs, is the embedding's row
+    index[r] = a*sa + b*sb, and shifted by the spectator's s = c*sc it is
+    row index[r] + s, for every leg pair. The rows are not copied where
+    they need no change: legs 23 move no index, and shift 0 moves no row,
+    so the result may hold the given row lists themselves, and neither it
+    nor they may be mutated."""
+    if type(legs) is not int or legs not in _LEG_POSITIONS:
         raise InputError("legs must be one of 12, 23, 13")
     sa, sb, sc = (n ** (2 - pos) for pos in _LEG_POSITIONS[legs])
     index = [r // n * sa + r % n * sb for r in range(n * n)]
     # legs 23 move each column r to r, so R's rows serve as they are
     moved = rows if legs == 23 else [[(index[c], e) for c, e in row]
                                      for row in rows]
-    shifts = range(0, n * sc, sc)
-    if legs == 12:      # row (a*n + b)*n + c
-        return [[(y + s, e) for y, e in m] if s else m
-                for m in moved for s in shifts]
-    if legs == 23:      # row c*n^2 + (a*n + b)
-        return [[(y + s, e) for y, e in m] if s else m
-                for s in shifts for m in moved]
-    # legs 13: row a*n^2 + c*n + b
-    return [[(y + s, e) for y, e in m] if s else m
-            for a in range(0, n * n, n) for s in shifts
-            for m in moved[a:a + n]]
+    out, shifts = [None] * n ** 3, range(sc, n * sc, sc)
+    for i, m in zip(index, moved):
+        out[i] = m
+        for s in shifts:
+            out[i + s] = [(y + s, e) for y, e in m]
+    return out
 
 
 def embed(R: Operator2, legs: int) -> Operator3:

@@ -928,3 +928,17 @@ def test_library_boundary_named(call):
 def test_hostile_operands_named(build, args):
     with pytest.raises(scalars.InputError):
         build(*args)
+
+
+# a bool is an int to isinstance, but never an int operand
+@pytest.mark.parametrize("call", [
+    lambda: verify_colored_family(_SIGMA, 1, 2, mode="sampled", samples=1,
+                                  seed=True),
+    lambda: verify_colored_family(_SIGMA, 1, 2, mode="sampled", samples=True,
+                                  seed=1),
+    lambda: SplitSpace(3, True),
+    lambda: var("x") ** True,
+], ids=["seed", "samples", "c_index", "exponent"])
+def test_a_bool_is_no_int_operand(call):
+    with pytest.raises(scalars.InputError, match="expected int, not bool"):
+        call()

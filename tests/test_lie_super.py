@@ -167,6 +167,13 @@ class TestMakeSuperalgebra:
         with pytest.raises(ShapeError, match=message):
             call()
 
+    # each of these equals 0 or 1, but only an int is a degree
+    @pytest.mark.parametrize("d", [1 + 0j, 1.0, Fraction(1), True, False,
+                                   0.0, 0j], ids=repr)
+    def test_a_degree_is_an_int(self, d):
+        with pytest.raises(ShapeError, match="degree must list"):
+            make_superalgebra(1, [d], [[[0]]])
+
 
 class TestBracketElements:
     def test_wrong_length_refused(self):

@@ -1169,9 +1169,8 @@ class TestIntKernelCancellation:
 
 
 class TestLegAction:
-    """_leg_action lists the embedding's rows in index order, one
-    comprehension per leg pair; it must give the same lists as the loop
-    over basis triples that it replaced."""
+    """_leg_action places the rows of every leg pair by one loop; it must
+    give the same lists as the loop over basis triples that it replaced."""
 
     @staticmethod
     def sparse_rows(rng, n):
@@ -1186,8 +1185,9 @@ class TestLegAction:
         rng = random.Random(100 * n + legs)
         for _ in range(10):
             rows = self.sparse_rows(rng, n)
-            assert tensor._leg_action(rows, n, legs) == \
-                oracles.leg_action_reference(rows, n, legs)
+            got = tensor._leg_action(rows, n, legs)
+            assert got == oracles.leg_action_reference(rows, n, legs)
+            assert legs != 23 or all(g is r for g, r in zip(got, rows))
 
     @pytest.mark.parametrize("legs", [0, 21, 31, 123, None, "12", [12]])
     def test_bad_legs_are_refused(self, legs):
@@ -1626,24 +1626,41 @@ class TestRepeatedEntries:
                 assert len(set(entries)) <= 4 < len(entries)
         assert invertible >= 6
 
-    def test_invert_reduces_each_distinct_entry_once(self, monkeypatch):
-        # the 9x9 colored inverse repeats its entries: each distinct D*x is
-        # reduced by one call of _over's function, and equal entries share
-        # the result
-        R = TestEliminationCounts.colored()
+    @staticmethod
+    def reductions(monkeypatch):
+        """The (num, den) of each call of elimination._reduced: _over's
+        reducer makes one per distinct D*x it reduces."""
         calls = []
-        original = elimination._over
+        original = elimination._reduced
+        monkeypatch.setattr(elimination, "_reduced", lambda num, den: (
+            calls.append((num, den)), original(num, den))[1])
+        return calls
 
-        def counted(packing, pivots):
-            over = original(packing, pivots)
-            return lambda x: (calls.append(x), over(x))[1]
-
-        monkeypatch.setattr(elimination, "_over", counted)
+    def test_invert_reduces_each_distinct_entry_once(self, monkeypatch):
+        # the 9x9 colored inverse repeats its entries: 6 distinct among 15;
+        # each distinct D*x is reduced once, and equal entries share the
+        # result
+        R = TestEliminationCounts.colored()
+        calls = self.reductions(monkeypatch)
         res = invert(R)
         entries = [e for row in res.operator.rows for e in row if e]
-        assert len(calls) == len(set(entries)) < len(entries)
-        assert len({frozenset(x.items()) for x in calls}) == len(calls)
+        assert len(calls) == len(set(entries)) == 6 < len(entries) == 15
+        assert len(set(calls)) == len(calls)
         assert (R @ res.operator).is_identity()
+
+    def test_nullspace_reduces_each_distinct_entry_once(self, monkeypatch):
+        # free columns 1, 3 and 4; besides their ones, the basis has x0 =
+        # -a/(a+1) twice and -1/(a+1) once, and x2 = 1 once: four reduced
+        # entries, three distinct, so three reductions
+        rows = [[parse_scalar(str(e)) for e in row] for row in (
+            ("a+1", "a", 0, "a", 1), ("a+1", "a", "a", 0, 1))]
+        calls = self.reductions(monkeypatch)
+        basis = nullspace(rows)
+        a = var("a")
+        assert basis == [(-a / (a + 1), ONE, ZERO, ZERO, ZERO),
+                         (-a / (a + 1), ZERO, ONE, ONE, ZERO),
+                         (-1 / (a + 1), ZERO, ZERO, ZERO, ONE)]
+        assert len(calls) == len(set(calls)) == 3
 
 
 # Polys over a few names with small exponents, so that rows share monomials
@@ -1705,3 +1722,32 @@ class TestPackingMemo:
             # unpacks when its degrees do
             if all(sum(e for _, e in m) <= mask >> 1 for m in p.terms):
                 assert packing.unpack(packed) == p
+
+
+@pytest.mark.parametrize("legs", [12.0, 23.0, 13.0, True])
+def test_a_leg_pair_is_an_int(legs):
+    # 12.0 == 12 and hashes as 12, so only the type refuses it
+    with pytest.raises(scalars.InputError, match="legs must be one of"):
+        embed(twist(2), legs)
+
+
+class TestDistinctOperators:
+    """The packed lane clears each distinct operator once, however often it
+    occurs in the product: one clear_row call per operator."""
+
+    @pytest.mark.parametrize("defect, distinct", [
+        (lambda R, S: braid_defect(R), 1),
+        (lambda R, S: qybe_defect(R), 1),
+        (lambda R, S: yb_commutator(R, R, S), 2),
+        (lambda R, S: yb_commutator(S, R, S), 2),
+    ], ids=["braid", "qybe", "commutator-RRS", "commutator-SRS"])
+    def test_one_clear_row_per_operator(self, monkeypatch, defect, distinct):
+        R = TestClearedDenominators.symbolic()
+        S = Operator2(2, [["b", 0, 0, 1], [0, 1, "1/b", 0], [0, 0, 1, 0],
+                          [1, 0, 0, "b"]])
+        calls = []
+        original = kernel.clear_row
+        monkeypatch.setattr(kernel, "clear_row", lambda values: (
+            calls.append(values), original(values))[1])
+        defect(R, S).dense()
+        assert len(calls) == distinct

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, YbxError,
                       _check_dim, _check_operand, _shaped, as_scalar,
                       bounded_int)
-from .kernel import _int_form, bilinear, first_failing_triple
+from .kernel import _int_form, combine, first_failing_triple
 
 
 class AlgebraError(ValueError, YbxError):
@@ -121,8 +121,9 @@ class TableRecord(FrozenRecord):
         if not (_shaped(a, n, 1) and _shaped(b, n, 1)):
             raise self._shape_error(
                 f"expected coordinate vectors of length {n}")
-        return bilinear(getattr(self, self._table),
-                        [as_scalar(x) for x in a], [as_scalar(x) for x in b])
+        a, b = [as_scalar(x) for x in a], [as_scalar(x) for x in b]
+        return combine(a, [combine(b, plane)
+                           for plane in getattr(self, self._table)])
 
 
 class Algebra(TableRecord):
@@ -173,7 +174,8 @@ def freeze_table(dim, table, vector, vector_error, convert, labels, error,
 
     def entry(raw):
         # each distinct raw value is converted once; the key holds its type
-        # because 1, True, 1.0 and Fraction(1) are equal, and 1.0 is refused
+        # because 1, True, 1.0 and Fraction(1) are equal, and only the int
+        # and the Fraction are scalars
         try:
             return seen[type(raw), raw]
         except KeyError:
@@ -205,14 +207,12 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
         f"unit vector must have length {dim}",
         as_scalar, labels, ShapeError, "structure")
 
-    basis = [tuple(ONE if k == i else ZERO for k in range(dim))
-             for i in range(dim)]
-
-    # unit law on every basis vector, both sides
-    for i, e in enumerate(basis):
-        for side, got in (("unit*e", bilinear(c, u, e)),
-                          ("e*unit", bilinear(c, e, u))):
-            if got != e:
+    # unit law, both sides: u*e_i sums u over column i, e_i*u over row i
+    columns = tuple(zip(*c))
+    for i, (row, column) in enumerate(zip(c, columns)):
+        for side, got in (("unit*e", combine(u, column)),
+                          ("e*unit", combine(u, row))):
+            if got[i] != ONE or any(got[:i]) or any(got[i + 1:]):
                 raise UnitError(i, side, got)
 
     # associativity: m∘(m⊗1) = m∘(1⊗m) on every basis triple
@@ -221,8 +221,8 @@ def make_algebra(dim: int, structure, unit, labels: Optional[Sequence[str]] = No
                 [(i * dim + l, e) for l, e in m[j * dim + k]])
     if failing := first_failing_triple(c, sides):
         i, j, k = failing
-        raise AssociativityError(failing, bilinear(c, c[i][j], basis[k]),
-                                 bilinear(c, basis[i], c[j][k]))
+        raise AssociativityError(failing, combine(c[i][j], columns[k]),
+                                 combine(c[j][k], c[i]))
 
     return Algebra(dim, c, u, labels)
 

@@ -29,15 +29,18 @@ from . import algebra, constructors, lie_super, scalars, tensor, verify
 MAX_SPLIT_DIM = 16
 
 
-def _int_in_range(low: int, high=None):
-    """An argparse type for an int in [low, high], unbounded above when
-    high is None."""
+def _int_in_range(low=None, high=None):
+    """An argparse type for an int, an optional sign and ASCII digits, in
+    [low, high], unbounded on a side whose bound is None."""
     def parse(text: str) -> int:
         try:
+            # int() alone would also read other scripts' digits, _ and blanks
+            if not (text.isascii() and text.lstrip("+-").isdigit()):
+                raise ValueError(text)
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
         if high is not None and value > high:
@@ -63,10 +66,10 @@ _EXPR = {"metavar": "EXPR"}
 _FLAGS = {
     "family": {"choices": _FAMILIES},
     "algebra": {"metavar": "PATH"}, "m": _EXPR, "n": _EXPR, "sigma": _EXPR,
-    "superalgebra": {"metavar": "PATH"}, "z_index": {"type": int},
+    "superalgebra": {"metavar": "PATH"}, "z_index": {"type": _int_in_range()},
     **{name: _EXPR for params, _ in _FAMILIES.values() for name in params},
     "samples": {"type": _int_in_range(1), "metavar": "N"},
-    "seed": {"type": int, "default": 0, "metavar": "S"},
+    "seed": {"type": _int_in_range(), "default": 0, "metavar": "S"},
     "dim": {"type": _int_in_range(2, MAX_SPLIT_DIM), "default": 3},
     "format": {"choices": ["text", "json"], "default": "text"},
     "out": {"metavar": "PATH"},

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 from . import elimination, lie_super
 from .algebra import Algebra
-from .kernel import _int_form, bilinear
+from .kernel import _int_form, combine
 from .scalars import (ONE, ZERO, FrozenRecord, InputError, ParamScalar,
                       YbxError, _check_dim, _check_operand, as_scalar)
 from .tensor import Operator2
@@ -337,9 +337,9 @@ def _check_center(L: lie_super.LieSuperalgebra,
             raise InvalidCenterError(
                 f"z has a component on the odd basis vector e{i}", witness=i
             )
-    for j in range(L.dim):
-        probe = tuple(ONE if t == j else ZERO for t in range(L.dim))
-        if any(not c.is_zero for c in bilinear(L.bracket, zv, probe)):
+    # [z, e_j] sums z_i over column j of the bracket table
+    for j, column in enumerate(zip(*L.bracket)):
+        if any(combine(zv, column)):
             raise InvalidCenterError(
                 f"z is not central: [z, e{j}] != 0", witness=j
             )

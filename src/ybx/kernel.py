@@ -19,7 +19,8 @@ leaves the kernel; an axiom canonicalises only the two sides of its first
 failing triple.
 
 Structure validation runs this module and not the operator layer
-(``tensor``), which builds its products on it.
+(``tensor``), which builds its products on it; a table's single products
+(the unit law, [z, e_j], a witness's two sides) are ``combine`` sums.
 """
 
 from __future__ import annotations
@@ -35,20 +36,15 @@ from .scalars import ZERO, ParamScalar, Poly, _P_ONE, clear_row, rational
 _ONE_TERMS, _MINUS_ONE_TERMS = {0: 1}, {0: -1}
 
 
-def bilinear(table, x, y) -> tuple:
-    """sum_ij x_i y_j table[i][j]: the bilinear extension of an n x n x n
-    structure table to two coordinate vectors of ParamScalars."""
-    out = [ZERO] * len(table)
-    for i, xi in enumerate(x):
-        if xi.is_zero:
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero:
-                continue
-            coeff = xi * yj
-            for k, t in enumerate(table[i][j]):
+def combine(x, vectors) -> tuple:
+    """sum_i x_i vectors[i] over ParamScalars, for vectors of one length,
+    skipping the zero coordinates of x and the zero entries of each vector."""
+    out = [ZERO] * len(vectors[0])
+    for xi, v in zip(x, vectors):
+        if not xi.is_zero:
+            for k, t in enumerate(v):
                 if not t.is_zero:
-                    out[k] = out[k] + coeff * t
+                    out[k] = out[k] + xi * t
     return tuple(out)
 
 

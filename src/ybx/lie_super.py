@@ -115,7 +115,7 @@ def even_center(L: LieSuperalgebra):
     """
     _check_operand(L, LieSuperalgebra)
     even = [i for i in range(L.dim) if L.degree[i] == 0]
-    # rows: one equation per (probe basis vector j, output coordinate k)
+    # rows: one equation per (basis vector j, output coordinate k) of [z, e_j]
     rows = [[L.bracket[i][j][k] for i in even]
             for j in range(L.dim) for k in range(L.dim)]
     return [tuple(full.get(i, ZERO) for i in range(L.dim))

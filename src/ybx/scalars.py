@@ -542,7 +542,7 @@ class ParamScalar:
     # -- comparisons, hashing, output ---------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, str)):
+        if isinstance(other, (int, str)) and not isinstance(other, bool):
             try:
                 other = as_scalar(other)
             except (ScalarParseError, MalformedScalarError):
@@ -617,8 +617,8 @@ def var(name: str) -> ParamScalar:
 
 
 def const(value: Union[int, Fraction]) -> ParamScalar:
-    """Embed a rational constant into the scalar field."""
-    if isinstance(value, int):
+    """Embed a rational constant into the scalar field; a bool is none."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return ParamScalar(Poly.const(value))
     from fractions import Fraction
     _check_operand(value, int, Fraction)
@@ -661,7 +661,7 @@ def clear_row(row):
 def as_scalar(value: ScalarLike) -> ParamScalar:
     if isinstance(value, ParamScalar):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return const(value)
     if isinstance(value, str):
         return parse_scalar(value)

@@ -876,3 +876,41 @@ class TestHostileInput:
             assert len(str(expected)) > 4321
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+# the command that each integer flag is given to, before the flag
+_INT_FLAG_COMMANDS = {
+    "--seed": ("check", "colored", "--algebra", SIGMA, "--samples", "1"),
+    "--samples": ("check", "colored", "--algebra", SIGMA),
+    "--dim": ("check", "split-center", "--samples", "1"),
+    "--z-index": ("check", "super", "--superalgebra", GL11),
+}
+
+
+# int() alone would also read the digits of other scripts, underscores and
+# blanks; an integer flag takes an optional sign and ASCII digits
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "٣"), ("--seed", "1_0"), ("--seed", " 7 "), ("--seed", "7\n"),
+    ("--seed", "--7"), ("--samples", "٢"), ("--samples", "1_0"),
+    ("--dim", "٣"), ("--dim", " 3"), ("--z-index", "٠"), ("--z-index", "0 "),
+], ids=["seed-arabic-indic", "seed-underscore", "seed-blanks", "seed-newline",
+        "seed-two-signs", "samples-arabic-indic", "samples-underscore",
+        "dim-arabic-indic", "dim-blank", "z-index-arabic-indic",
+        "z-index-blank"])
+def test_an_integer_flag_refuses_what_int_alone_reads(capsys, flag, value):
+    code, out, err = run(capsys, *_INT_FLAG_COMMANDS[flag], f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
+@pytest.mark.parametrize("flag, value, same", [
+    ("--seed", "+7", "7"), ("--seed", "-7", "-7"), ("--samples", "+2", "2"),
+    ("--dim", "03", "3"), ("--z-index", "-0", "0"),
+])
+def test_an_integer_flag_takes_a_sign_and_ascii_digits(capsys, flag, value,
+                                                        same):
+    command = _INT_FLAG_COMMANDS[flag]
+    code, out, err = run(capsys, *command, f"{flag}={value}", "--format",
+                         "json")
+    again = run(capsys, *command, f"{flag}={same}", "--format", "json")
+    assert err == "" and (code, out, err) == again

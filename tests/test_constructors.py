@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import line_ids
 from ybx import constructors, scalars
 from ybx.algebra import (Algebra, make_algebra, mul_elements,
                          quadratic_quotient_algebra)
@@ -29,7 +30,7 @@ from ybx.constructors import (
     super_phi_inverse,
     wxz_system,
 )
-from ybx.algebra import load_algebra
+from ybx.algebra import UnitError, load_algebra
 from ybx.lie_super import (LieSuperalgebra, bracket_elements, even_center,
                            load_superalgebra, make_superalgebra)
 from ybx.scalars import ONE, ZERO, ParamScalar, as_scalar, const, var
@@ -873,7 +874,7 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, path):
 _UNIT_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 
 
-@pytest.mark.parametrize("call", [
+_BOUNDARY_CALLS = [
     lambda: load_algebra(0),        # not standard input
     lambda: load_algebra(123),
     lambda: load_algebra(None),
@@ -903,7 +904,11 @@ _UNIT_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     lambda: SplitSpace(None, 0),
     lambda: SplitSpace(2, None),
     lambda: _SIGMA.substitute(None),
-], ids=lambda call: call.__code__.co_firstlineno)
+]
+
+
+@pytest.mark.parametrize("call", _BOUNDARY_CALLS,
+                         ids=line_ids(_BOUNDARY_CALLS, 876))
 def test_library_boundary_named(call):
     with pytest.raises(scalars.YbxError):
         call()
@@ -942,3 +947,81 @@ def test_hostile_operands_named(build, args):
 def test_a_bool_is_no_int_operand(call):
     with pytest.raises(scalars.InputError, match="expected int, not bool"):
         call()
+
+
+# a bool is an int to isinstance, but never a scalar
+@pytest.mark.parametrize("call", [
+    lambda: make_algebra(1, [[[True]]], [True]),
+    lambda: super_phi(_GL11, (ONE, ONE, ZERO, ZERO), True),
+    lambda: super_phi_inverse(_GL11, (ONE, ONE, ZERO, ZERO), False),
+    lambda: canonical_two_dim_solution(2, True),
+], ids=["make_algebra", "super_phi", "super_phi_inverse", "eta"])
+def test_a_bool_is_no_scalar(call):
+    with pytest.raises(scalars.InputError, match="cannot interpret"):
+        call()
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=3),
+    st.sampled_from(["a", "-b", "a + 1", "1/(a - b)", "b^2/2", "a/(b + 2)"]))
+
+
+@st.composite
+def table_and_vectors(draw):
+    """A random n x n x n table, n in 1-4, and two coordinate vectors, all
+    of int, rational and symbolic scalars."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(_ENTRIES.map(as_scalar), min_size=n, max_size=n)
+    table = tuple(tuple(tuple(draw(entries)) for _ in range(n))
+                  for _ in range(n))
+    return table, tuple(draw(entries)), tuple(draw(entries))
+
+
+class TestTableContractions:
+    """The table products, each read through ``kernel.combine``, against
+    the one-hot probes and double sums of oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_and_vectors())
+    def test_elements_match_the_bilinear_oracle(self, drawn):
+        table, x, y = drawn
+        n = len(table)
+        expected = oracles.bilinear(table, x, y)
+        # unvalidated records: the products read only the table
+        assert mul_elements(Algebra(n, table, x, ()), x, y) == expected
+        assert bracket_elements(
+            LieSuperalgebra(n, (0,) * n, table, ()), x, y) == expected
+
+    @pytest.mark.parametrize("name", ["gl11.json", "heisenberg-super.json"])
+    @settings(max_examples=60, deadline=None)
+    @given(coords=st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+    def test_center_check_matches_one_hot_probes(self, name, coords):
+        L = load_superalgebra(fixture_path(name))
+        n = L.dim
+        z = tuple(const(c) if d == 0 else ZERO
+                  for c, d in zip(coords, L.degree))
+        witness = next((j for j in range(n) if any(oracles.bilinear(
+            L.bracket, z, [ONE if t == j else ZERO for t in range(n)]))),
+            None)
+        if witness is None:
+            assert constructors._check_center(L, z) == z
+        else:
+            with pytest.raises(InvalidCenterError,
+                               match=fr"\[z, e{witness}\] != 0") as err:
+                constructors._check_center(L, z)
+            assert err.value.witness == witness
+
+    # e0 is a left unit and not a right one (e1*e0 = 0), and in the
+    # opposite table a right unit and not a left one
+    @pytest.mark.parametrize("structure", [
+        [[[1, 0], [0, 1]], [[0, 0], [0, 0]]],
+        [[[1, 0], [0, 0]], [[0, 1], [0, 0]]],
+    ], ids=["left-unit", "right-unit"])
+    def test_a_one_sided_unit_fails_on_its_other_side(self, structure):
+        expected = oracles.algebra_error(structure, [1, 0])
+        assert isinstance(expected, UnitError)
+        with pytest.raises(UnitError) as err:
+            make_algebra(2, structure, [1, 0])
+        assert (err.value.witness, err.value.side, str(err.value)) == (
+            expected.witness, expected.side, str(expected))

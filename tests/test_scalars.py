@@ -750,7 +750,7 @@ class TestClearRow:
 
 # ints of every size the constant path meets, bools among them, and
 # Fractions over them
-INTS = st.one_of(st.booleans(), st.integers(-5, 5), st.integers(),
+INTS = st.one_of(st.integers(-5, 5), st.integers(),
                  st.integers(2 ** 64, 2 ** 130).flatmap(
                      lambda n: st.sampled_from([n, -n])))
 RATIONALS = st.one_of(INTS, st.builds(Fraction, INTS, INTS.filter(bool)))
@@ -939,3 +939,18 @@ def test_a_born_operator_keeps_its_form_and_builds_rows_lazily():
     for again in copies:
         assert again._rows is None and again.int_form == R.int_form
         assert again.rows == R.rows
+
+
+# a bool is an int to isinstance, but never a scalar
+@pytest.mark.parametrize("convert", [as_scalar, const])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_no_scalar(convert, value):
+    with pytest.raises(InputError):
+        convert(value)
+
+
+@pytest.mark.parametrize("other", [True, False, 1.0, 0.0])
+@pytest.mark.parametrize("scalar", [ONE, ZERO], ids=["one", "zero"])
+def test_a_bool_compares_as_a_float_does(scalar, other):
+    assert (scalar == other) is False and (other == scalar) is False
+    assert (scalar != other) is True and (other != scalar) is True

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import line_ids
 from ybx import elimination, kernel, scalars, tensor, verify
 from ybx.scalars import ONE, ZERO, as_scalar, const, parse_scalar, var
 from ybx.tensor import (DimensionMismatch, Operator2, Operator3,
@@ -1542,7 +1543,7 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
         pass
 
 
-@pytest.mark.parametrize("call", [
+_BOUNDARY_CALLS = [
     lambda: Operator2(1, None),
     lambda: Operator2(1, [None]),
     lambda: Operator2.from_columns(1, None),
@@ -1578,7 +1579,11 @@ def test_hostile_operands_raise_only_ybx_errors(name, operands, option):
     lambda: nullspace(["12", "24"]),
     lambda: nullspace("12"),
     lambda: nullspace([[1, 2], "24"]),
-], ids=lambda call: call.__code__.co_firstlineno)
+]
+
+
+@pytest.mark.parametrize("call", _BOUNDARY_CALLS,
+                         ids=line_ids(_BOUNDARY_CALLS, 1545))
 def test_library_boundary_named(call):
     with pytest.raises(scalars.YbxError):
         call()
